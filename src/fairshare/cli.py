@@ -198,7 +198,7 @@ def cmd_solve(args) -> int:
     inst = _load_instance(args.instance, renormalize=args.renormalize)
     tol = _tolerances(args)
     try:
-        result = solve(inst, tol, remove_dominated=not args.no_dominated_removal)
+        result = solve(inst, tol)
     except InvalidInstanceError as exc:
         raise CliError(f"invalid instance: {exc}")
     if args.json:
@@ -337,12 +337,7 @@ def cmd_trace(args) -> int:
     inst = _load_instance(args.instance)
     tol = _tolerances(args)
     try:
-        result = solve(
-            inst,
-            tol,
-            remove_dominated=not args.no_dominated_removal,
-            record_trajectory=True,
-        )
+        result = solve(inst, tol, record_trajectory=True)
     except InvalidInstanceError as exc:
         raise CliError(f"invalid instance: {exc}")
     points = result.trajectory or ()
@@ -378,11 +373,6 @@ def _build_parser() -> argparse.ArgumentParser:
     add_instance(p_solve)
     p_solve.add_argument("--tol", type=float, help="verification tolerance (eps_njc)")
     p_solve.add_argument("--t-max", type=float, dest="t_max", help="level budget")
-    p_solve.add_argument(
-        "--no-dominated-removal",
-        action="store_true",
-        help="keep capacity rows implied by the others",
-    )
     p_solve.add_argument("--json", action="store_true", help="machine-readable output")
     p_solve.add_argument("--exact", action="store_true", help="also print x as fractions")
     p_solve.add_argument(
@@ -424,7 +414,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_trace.add_argument("--stride", type=int, default=1, help="emit every k-th sample")
     p_trace.add_argument("--tol", type=float)
     p_trace.add_argument("--t-max", type=float, dest="t_max")
-    p_trace.add_argument("--no-dominated-removal", action="store_true")
     p_trace.set_defaults(func=cmd_trace)
     return parser
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Constraint", "LinearProgram", "LpResult", "feasible", "maximize"]
+__all__ = ["Constraint", "LinearProgram", "LpResult", "maximize"]
 
 _PIVOT_TOL = 1e-11
 _MAX_ITER = 10_000
@@ -52,7 +52,7 @@ class LinearProgram:
 
 @dataclass(frozen=True, eq=False)
 class LpResult:
-    status: str  # "optimal" | "infeasible" | "unbounded" | "feasible"
+    status: str  # "optimal" | "infeasible" | "unbounded"
     value: float | None
     x: np.ndarray | None
 
@@ -99,7 +99,8 @@ def _run_simplex(T: np.ndarray, basis: list[int], ncols: int) -> str:
     raise RuntimeError("simplex iteration limit exceeded")
 
 
-def _solve(lp: LinearProgram, want_optimum: bool) -> LpResult:
+def maximize(lp: LinearProgram) -> LpResult:
+    """Solve the LP to optimality; infeasible/unbounded are return states."""
     n = lp.objective.shape[0]
     lo = np.array([b[0] for b in lp.bounds])
 
@@ -188,31 +189,12 @@ def _solve(lp: LinearProgram, want_optimum: bool) -> LpResult:
     for col in art_cols:
         T[-1, col] = -np.inf  # never re-enter
 
-    if want_optimum:
-        status = _run_simplex(T, basis, n + n_slack)
-        if status == "unbounded":
-            return LpResult("unbounded", None, None)
+    if _run_simplex(T, basis, n + n_slack) == "unbounded":
+        return LpResult("unbounded", None, None)
 
     y = np.zeros(total)
     for i in range(m):
         y[basis[i]] = T[i, -1]
     x = y[:n] + lo
     value = float(lp.objective @ x)
-    return LpResult("optimal" if want_optimum else "feasible", value, x)
-
-
-def maximize(lp: LinearProgram) -> LpResult:
-    """Solve the LP to optimality; infeasible/unbounded are return states."""
-    return _solve(lp, want_optimum=True)
-
-
-def feasible(
-    constraints,
-    bounds,
-) -> LpResult:
-    """Phase-one feasibility check; returns a witness vertex when consistent."""
-    constraints = tuple(constraints)
-    bounds = tuple(bounds)
-    n = len(bounds)
-    lp = LinearProgram(np.zeros(n), constraints, bounds)
-    return _solve(lp, want_optimum=False)
+    return LpResult("optimal", value, x)

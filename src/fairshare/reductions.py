@@ -3,10 +3,13 @@
 Pipeline: append one unit-demand artificial column per user, drop columns
 that can never saturate (total demand below capacity), repeatedly grant and
 remove users who request less than their entitlement everywhere (rescaling
-the remaining entitlements and per-column capacities), and finally remove
-capacity rows implied by the others. Every step is recorded in a
-ReductionTrace so the reduced solution can be lifted back and the whole
-reduction replayed bit-for-bit.
+the remaining entitlements and per-column capacities). Every step is
+recorded in a ReductionTrace so the reduced solution can be lifted back and
+the whole reduction replayed bit-for-bit.
+
+Columns implied by the others are not removed by the pipeline: such a
+column can never saturate, so it is never a bottleneck and leaves the
+answer unchanged. ``remove_dominated_constraints`` finds them on request.
 """
 from __future__ import annotations
 
@@ -68,7 +71,7 @@ class ReductionTrace:
     original: ProblemInstance
     dropped_slack: tuple[ColumnKey, ...]
     eliminations: tuple[Elimination, ...]
-    removed_dominated: tuple[ColumnKey, ...]
+    removed_dominated: tuple[ColumnKey, ...]  # always (); preprocess keeps them
     final: LiftedInstance
 
     @property
@@ -107,11 +110,6 @@ class ReductionTrace:
                     "  then dropped: "
                     + ", ".join(clabel(k) for k in e.columns_dropped_after)
                 )
-        if self.removed_dominated:
-            lines.append(
-                "removed dominated columns: "
-                + ", ".join(clabel(k) for k in self.removed_dominated)
-            )
         if len(lines) == 1:
             lines.append("no reductions applied")
         lines.append(
@@ -297,7 +295,6 @@ def eliminate_satisfied_users(
 def remove_dominated_constraints(
     inst: LiftedInstance,
     tol: ToleranceConfig | None = None,
-    maximize=lp.maximize,
 ) -> tuple[LiftedInstance, tuple[ColumnKey, ...]]:
     """Drop capacity rows strictly implied by the remaining ones.
 
@@ -322,7 +319,7 @@ def remove_dominated_constraints(
             others = [
                 (work.r[:, kk], 1.0, "<=") for kk in range(len(work.cols)) if kk != k
             ]
-            result = maximize(lp.LinearProgram(work.r[:, k], tuple(others), bounds))
+            result = lp.maximize(lp.LinearProgram(work.r[:, k], tuple(others), bounds))
             if result.status == "unbounded":
                 continue
             if result.status != "optimal":
@@ -341,22 +338,17 @@ def remove_dominated_constraints(
 def preprocess(
     inst: ProblemInstance,
     tol: ToleranceConfig | None = None,
-    remove_dominated: bool = True,
 ) -> tuple[LiftedInstance, ReductionTrace]:
     """Full reduction pipeline; the trace makes every step auditable."""
     tol = tol or DEFAULT_TOLERANCES
     lifted = add_dummy_resources(inst)
     lifted, dropped = drop_slack_resources(lifted, tol)
     lifted, eliminations = eliminate_satisfied_users(lifted, tol)
-    if remove_dominated:
-        lifted, removed = remove_dominated_constraints(lifted, tol)
-    else:
-        removed = ()
     trace = ReductionTrace(
         original=inst,
         dropped_slack=dropped,
         eliminations=eliminations,
-        removed_dominated=removed,
+        removed_dominated=(),
         final=lifted,
     )
     return lifted, trace
@@ -374,7 +366,6 @@ def replay(trace: ReductionTrace, tol: ToleranceConfig | None = None) -> LiftedI
     for step in trace.eliminations:
         row = work.users.index(step.user)
         _apply_elimination(work, row, tol, recorded=step)
-    work.drop_columns(list(trace.removed_dominated))
     return work.to_lifted()
 
 

@@ -296,8 +296,9 @@ def integrate_trajectory(
 ) -> tuple[list[TrajectoryPoint], str]:
     """Integrate the trajectory from the origin toward ``tol.t_max``.
 
-    Expects a preprocessed instance (every retained real column can
-    saturate, every user can reach their entitlement on some real column).
+    Expects a preprocessed instance (every retained real column is demanded
+    at least to capacity in total, every user can reach their entitlement on
+    some real column).
 
     Returns the accepted samples and a termination flag: "converged" when
     the iterate stops moving between level doublings (checked at t = 1, 2,
@@ -516,7 +517,6 @@ def solve(
     inst: ProblemInstance,
     tol: ToleranceConfig | None = None,
     *,
-    remove_dominated: bool = True,
     record_trajectory: bool = True,
 ) -> SolveResult:
     """Compute a verified fair allocation for ``inst``.
@@ -532,7 +532,7 @@ def solve(
     if violations:
         raise InvalidInstanceError(violations)
 
-    reduced, trace = preprocess(inst, tol, remove_dominated=remove_dominated)
+    reduced, trace = preprocess(inst, tol)
     polish_applied = False
     if reduced.n_users == 0:
         points: list[TrajectoryPoint] = []

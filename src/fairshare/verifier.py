@@ -273,8 +273,11 @@ def check_pareto(
     return True
 
 
-def check_envy_free(inst: ProblemInstance, x: np.ndarray) -> EnvyResult:
+def check_envy_free(
+    inst: ProblemInstance, x: np.ndarray, tol: ToleranceConfig | None = None
+) -> EnvyResult:
     """margins[i, j] = x_i - (what user i could run from user j's bundle)."""
+    tol = tol or DEFAULT_TOLERANCES
     x = np.asarray(x, dtype=float)
     n = inst.n_users
     margins = np.zeros((n, n))
@@ -290,7 +293,7 @@ def check_envy_free(inst: ProblemInstance, x: np.ndarray) -> EnvyResult:
             if m < worst_margin:
                 worst_margin = m
                 worst = (i, j)
-    ok = worst is None or worst_margin >= -DEFAULT_TOLERANCES.eps_njc
+    ok = worst is None or worst_margin >= -tol.eps_njc
     margins.setflags(write=False)
     return EnvyResult(
         ok=bool(ok),
@@ -300,12 +303,15 @@ def check_envy_free(inst: ProblemInstance, x: np.ndarray) -> EnvyResult:
     )
 
 
-def check_sharing_incentive(inst: ProblemInstance, x: np.ndarray) -> SharingResult:
+def check_sharing_incentive(
+    inst: ProblemInstance, x: np.ndarray, tol: ToleranceConfig | None = None
+) -> SharingResult:
     """Each user must do at least as well as owning e_i of every resource.
 
     Owning the e_i slice lets user i execute min over requested resources of
     min(1, e_i / r_ij); a user requesting nothing gets baseline 1.
     """
+    tol = tol or DEFAULT_TOLERANCES
     x = np.asarray(x, dtype=float)
     e = inst.entitlements
     r = inst.requirements
@@ -317,7 +323,7 @@ def check_sharing_incentive(inst: ProblemInstance, x: np.ndarray) -> SharingResu
         else:
             baseline = 1.0
         margins[i] = x[i] - baseline
-    ok = bool(np.all(margins >= -DEFAULT_TOLERANCES.eps_njc))
+    ok = bool(np.all(margins >= -tol.eps_njc))
     margins.setflags(write=False)
     return SharingResult(ok=ok, margins=margins)
 
@@ -336,8 +342,8 @@ def verify(
     users = check_njc(inst, x, tol)
     njc_ok = all(st.ok for st in users)
     pareto_ok = check_pareto(inst, x, tol)
-    envy = check_envy_free(inst, x)
-    sharing = check_sharing_incentive(inst, x)
+    envy = check_envy_free(inst, x, tol)
+    sharing = check_sharing_incentive(inst, x, tol)
     return VerificationReport(
         passed=bool(capacity.ok and njc_ok),
         capacity=capacity,

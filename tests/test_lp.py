@@ -3,7 +3,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from fairshare.lp import LinearProgram, feasible, maximize
+from fairshare.lp import LinearProgram, maximize
 
 
 def brute_force_max(objective, rows, rhs, bounds):
@@ -81,9 +81,15 @@ def test_unbounded_direction_detected():
     assert maximize(lp).status == "unbounded"
 
 
+def _feasibility(constraints, bounds):
+    """Pure feasibility question: maximize a zero objective."""
+    lp = LinearProgram(np.zeros(len(bounds)), tuple(constraints), tuple(bounds))
+    return maximize(lp)
+
+
 def test_feasible_empty_system_returns_box_point():
-    res = feasible([], [(0.0, 1.0)] * 3)
-    assert res.status == "feasible"
+    res = _feasibility([], [(0.0, 1.0)] * 3)
+    assert res.status == "optimal"
     assert np.all(res.x >= -1e-12) and np.all(res.x <= 1.0 + 1e-12)
 
 
@@ -95,8 +101,8 @@ def test_feasible_two_bottleneck_family_witness():
         ([-1.0, 0.0, 0.0], -0.5, "<="),
         ([0.0, -1.0, 0.0], -0.3, "<="),
     ]
-    res = feasible(rows, [(0.0, 1.0)] * 3)
-    assert res.status == "feasible"
+    res = _feasibility(rows, [(0.0, 1.0)] * 3)
+    assert res.status == "optimal"
     x = res.x
     assert x[0] + x[2] == pytest.approx(1.0, abs=1e-9)
     assert x[0] + x[1] == pytest.approx(1.0, abs=1e-9)
@@ -105,7 +111,7 @@ def test_feasible_two_bottleneck_family_witness():
 
 def test_feasible_detects_conflicting_equalities():
     rows = [([1.0], 0.3, "=="), ([1.0], 0.4, "==")]
-    assert feasible(rows, [(0.0, 1.0)]).status == "infeasible"
+    assert _feasibility(rows, [(0.0, 1.0)]).status == "infeasible"
 
 
 def test_negative_rhs_rows_are_handled():

@@ -119,15 +119,18 @@ def test_remove_dominated_keeps_both_crossing_columns():
     assert ("real", 1) in reduced.column_origin
 
 
-def test_preprocess_composition_single_real_column():
+def test_preprocess_keeps_implied_columns():
+    # Real column 2 is implied by column 1 (see the standalone test above),
+    # but the pipeline keeps implied columns: they never saturate.
     reduced, trace = preprocess(load_fixture("drf_compare"))
     assert reduced.column_origin == (
         ("real", 0),
+        ("real", 1),
         ("dummy", 0),
         ("dummy", 1),
         ("dummy", 2),
     )
-    assert trace.removed_dominated == (("real", 1),)
+    assert trace.removed_dominated == ()
 
 
 def test_preprocess_no_reductions_on_contended_instance():
@@ -168,8 +171,8 @@ def test_strictly_dominated_columns_never_bottleneck_in_witnesses():
     # elimination; its probe maximum is 0.92, so no fair allocation can
     # saturate it.
     inst = load_fixture("drf_compare")
-    _, trace = preprocess(inst)
-    removed_real = [j for kind, j in trace.removed_dominated if kind == "real"]
+    _, removed = remove_dominated_constraints(add_dummy_resources(inst))
+    removed_real = [j for kind, j in removed if kind == "real"]
     assert removed_real == [1]
     family = enumerate_solutions(inst)
     assert family.witnesses

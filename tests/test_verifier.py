@@ -3,7 +3,7 @@ import pytest
 
 from fairshare.drf import solve_drf
 from fairshare.fixtures import FIXTURES, load_fixture
-from fairshare.model import ProblemInstance
+from fairshare.model import ProblemInstance, ToleranceConfig
 from fairshare.oracle import random_instance
 from fairshare.solver import solve
 from fairshare.verifier import (
@@ -120,6 +120,22 @@ def test_sharing_incentive_exact_at_proportional_split():
     inst = load_fixture("slope2")
     res = check_sharing_incentive(inst, np.array([0.6, 0.9]))
     np.testing.assert_allclose(res.margins, 0.0, atol=1e-12)
+
+
+def test_envy_and_sharing_checks_honour_the_callers_tolerance():
+    loose = ToleranceConfig(eps_njc=1e-3, eps_bottleneck=1e-3)
+    slope2 = load_fixture("slope2")
+    x = [0.5999, 0.9]  # 1e-4 below user 1's sharing-incentive baseline
+    strict = verify(slope2, x)
+    assert not strict.sharing.ok
+    assert strict.sharing.margins[0] == pytest.approx(-1e-4, abs=1e-12)
+    assert verify(slope2, x, loose).sharing.ok
+
+    twins = ProblemInstance(entitlements=[0.5, 0.5], requirements=[[0.8], [0.8]])
+    x = [0.5, 0.4999]  # user 2 envies user 1 by 1e-4
+    assert not check_envy_free(twins, x).ok
+    assert check_envy_free(twins, x, loose).ok
+    assert verify(twins, x, loose).envy.ok
 
 
 def test_verify_circle_symmetric_solution():
