@@ -22,7 +22,8 @@ from . import drf as drf_mod
 from . import oracle
 from .fixtures import FIXTURES, fixture_names
 from .model import ProblemInstance, ToleranceConfig, usages, validate_instance
-from .solver import InvalidInstanceError, solve
+from .reductions import InfeasibleEliminationError, preprocess
+from .solver import InvalidInstanceError, integrate_trajectory, solve
 from .verifier import verify
 
 __all__ = ["entrypoint", "main"]
@@ -336,11 +337,8 @@ def cmd_compare(args) -> int:
 def cmd_trace(args) -> int:
     inst = _load_instance(args.instance)
     tol = _tolerances(args)
-    try:
-        result = solve(inst, tol, record_trajectory=True)
-    except InvalidInstanceError as exc:
-        raise CliError(f"invalid instance: {exc}")
-    points = result.trajectory or ()
+    reduced, _ = preprocess(inst, tol)
+    points, _ = integrate_trajectory(reduced, tol=tol)
     n = len(points[0].x) if points else 0
     header = ",".join(["t"] + [f"x_{i + 1}" for i in range(n)] + ["f", "min_slack"])
     out = [header]
@@ -372,7 +370,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="compute a verified fair allocation")
     add_instance(p_solve)
     p_solve.add_argument("--tol", type=float, help="verification tolerance (eps_njc)")
-    p_solve.add_argument("--t-max", type=float, dest="t_max", help="level budget")
     p_solve.add_argument("--json", action="store_true", help="machine-readable output")
     p_solve.add_argument("--exact", action="store_true", help="also print x as fractions")
     p_solve.add_argument(
@@ -429,6 +426,9 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except InfeasibleEliminationError as exc:
+        print(f"error: cannot reduce the instance: {exc}", file=sys.stderr)
+        return 2
 
 
 def entrypoint() -> None:

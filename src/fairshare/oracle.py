@@ -1,4 +1,4 @@
-"""Independent ground-truth generators used to validate the trajectory solver.
+"""Independent ground-truth generators used to validate the solver.
 
 ``enumerate_solutions`` discharges the existential in the fairness condition
 by brute force: for every candidate saturated subset and every way of

@@ -1,31 +1,36 @@
-"""Barrier-trajectory solver for entitlement-proportional fair allocation.
+"""Solver for entitlement-proportional fair allocation.
 
-The feasible region D = {x >= 0 : sum_i x_i r_ij <= 1 for all j} carries the
-barrier value f(x) = -sum_j log(1 - sum_i x_i r_ij), which is 0 at the origin
-and diverges on the boundary. Raising the level t sweeps a family of smooth
-shells f(x) = t that fill D from inside. On each shell there is a point whose
+``solve`` computes the allocation as the optimum of the Eisenberg-Gale
+program (``fairshare.eg``) on the reduced instance, snaps it onto the exact
+active face with an assignment LP, lifts it back and verifies it.
+
+The paper's constructive method is kept here as the reference path, used
+by ``fairshare trace`` and by the tests. The feasible region
+D = {x >= 0 : sum_i x_i r_ij <= 1 for all j} carries the barrier value
+f(x) = -sum_j log(1 - sum_i x_i r_ij), which is 0 at the origin and diverges
+on the boundary. Raising the level t sweeps a family of smooth shells
+f(x) = t that fill D from inside. On each shell there is a point whose
 outward normal nu satisfies x_i * nu_i proportional to e_i; stitching those
 points together over t defines a curve x(t) from the origin toward the
 boundary. Its limit saturates at least one resource and gives every user at
-least their entitlement on some saturated resource, i.e. a fair allocation.
+least their entitlement on some saturated resource, i.e. a fair allocation;
+the curve is the central path of the Eisenberg-Gale program, so its limit
+is the optimum ``solve`` computes directly.
 
 Differentiating the two defining relations in t yields a linear system for
 dx/dt (see ``trajectory_derivative``), which an embedded RK4(5) pair
-integrates adaptively. After every accepted step a Newton projection pulls
-the iterate back onto the exact defining system, so level and
-normal-alignment residuals stay at round-off instead of accumulating.
-A final polish snaps the numeric endpoint to an exact vertex or face of the
-active constraints via the assignment LP, accepted only if it verifies at a
-tight tolerance.
+integrates adaptively (``integrate_trajectory``). After every accepted step
+a Newton projection pulls the iterate back onto the exact defining system,
+so level and normal-alignment residuals stay at round-off instead of
+accumulating.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import combinations
 
 import numpy as np
 
-from . import lp
+from . import eg, lp
 from .model import (
     DEFAULT_TOLERANCES,
     LiftedInstance,
@@ -94,10 +99,11 @@ class TrajectoryPoint:
 class SolveResult:
     solution: Solution
     report: VerificationReport
-    termination: str  # "converged" | "t_max_reached" | "step_underflow"
+    # "converged" when the answer verifies; otherwise "step_underflow" when
+    # the interior point met a singular Newton system, else "t_max_reached".
+    termination: str
     polish_applied: bool
     reductions: ReductionTrace
-    trajectory: tuple[TrajectoryPoint, ...] | None
 
     @property
     def ok(self) -> bool:
@@ -409,74 +415,24 @@ def _reduced_view(inst: LiftedInstance) -> ProblemInstance:
 def _polish(
     inst: LiftedInstance, x: np.ndarray, tol: ToleranceConfig
 ) -> tuple[np.ndarray, bool]:
-    """Snap the numeric endpoint onto the exact active-constraint face.
+    """Snap the numeric optimum onto the exact active-constraint face.
 
-    Detects near-saturated columns, fixes the justification each user relies
-    on, and solves the resulting assignment LP. A zero-dimensional face gives
-    an exact vertex; on a positive-dimensional face the endpoint is instead
-    projected minimally onto the active equalities so the answer stays next
-    to the numeric trajectory, with the LP vertex as fallback. Whatever
-    candidate emerges is accepted only if it verifies at ``tol.polish_eps``.
-
-    With k simultaneously saturating columns each slack decays only like
-    exp(-t/k), so at the default level budget the endpoint may still sit
-    ~1e-4 from the boundary; detection therefore climbs a threshold ladder,
-    which is safe because every candidate must pass the tight verification.
-
-    When entitlements span many orders of magnitude the slacks of the
-    limit's active columns do too, and no single threshold separates them
-    from inactive ones before float precision runs out; as a last resort a
-    bounded search over subsets of near-active columns runs, still gated by
-    the same verification. If no candidate clears the exact gate, the whole
-    search repeats gated at the ordinary verification tolerance, with
-    justification constraints waived for users entitled to less than it
-    (they pass vacuously anyway).
+    The columns with slack at most ``tol.polish_slack_tol`` are held at
+    capacity, each user keeps the active column on which their share is
+    largest as their justification, and the resulting assignment LP is
+    solved. A zero-dimensional face gives an exact vertex; on a
+    positive-dimensional face the point is instead projected minimally onto
+    the active equalities so the answer stays next to the numeric one, with
+    the LP vertex as fallback. A candidate is accepted only if it verifies
+    at ``tol.polish_eps``; otherwise ``x`` is returned unchanged.
     """
-    for gate in (tol.polish_eps, tol.eps_njc):
-        candidate = _polish_pass(inst, x, tol, gate)
-        if candidate is not None:
-            return candidate, True
-    return x, False
-
-
-def _polish_pass(
-    inst: LiftedInstance, x: np.ndarray, tol: ToleranceConfig, gate: float
-) -> np.ndarray | None:
-    thresholds = [tol.polish_slack_tol, 1e-3, 1e-2]
-    seen: set[tuple[int, ...]] = set()
-    for threshold in thresholds:
-        active = np.flatnonzero(1.0 - x @ inst.requirements <= threshold)
-        key = tuple(int(j) for j in active)
-        if active.size == 0 or key in seen:
-            continue
-        seen.add(key)
-        candidate = _polish_with_active(inst, x, active, tol, gate)
-        if candidate is not None:
-            return candidate
-
-    slacks = 1.0 - x @ inst.requirements
-    near = [int(j) for j in np.argsort(slacks) if slacks[j] <= 5e-2][:10]
-    for size in range(len(near), 0, -1):
-        for subset in combinations(sorted(near), size):
-            if subset in seen:
-                continue
-            seen.add(subset)
-            candidate = _polish_with_active(inst, x, np.array(subset), tol, gate)
-            if candidate is not None:
-                return candidate
-    return None
-
-
-def _polish_with_active(
-    inst: LiftedInstance,
-    x: np.ndarray,
-    active: np.ndarray,
-    tol: ToleranceConfig,
-    gate: float,
-) -> np.ndarray | None:
     r = inst.requirements
     e = inst.entitlements
     n = inst.n_users
+    gate = tol.polish_eps
+    active = np.flatnonzero(1.0 - x @ r <= tol.polish_slack_tol)
+    if active.size == 0:
+        return x, False
 
     constraints: list = []
     active_set = set(int(j) for j in active)
@@ -494,7 +450,7 @@ def _polish_with_active(
 
     hi = lp.maximize(lp.LinearProgram(np.ones(n), tuple(constraints), bounds))
     if hi.status != "optimal":
-        return None
+        return x, False
     lo = lp.maximize(lp.LinearProgram(-np.ones(n), tuple(constraints), bounds))
     candidates: list[np.ndarray] = []
     if lo.status == "optimal" and float(np.max(np.abs(hi.x - lo.x))) <= 1e-9:
@@ -509,23 +465,17 @@ def _polish_with_active(
     gated = replace(tol, eps_njc=gate)
     for cand in candidates:
         if verify(view, cand, gated).passed:
-            return cand
-    return None
+            return cand, True
+    return x, False
 
 
-def solve(
-    inst: ProblemInstance,
-    tol: ToleranceConfig | None = None,
-    *,
-    record_trajectory: bool = True,
-) -> SolveResult:
+def solve(inst: ProblemInstance, tol: ToleranceConfig | None = None) -> SolveResult:
     """Compute a verified fair allocation for ``inst``.
 
-    Pipeline: validate, reduce, integrate the barrier trajectory until the
-    iterate settles between level doublings or the level budget runs out,
-    polish the endpoint onto the exact active face, lift back to the
-    original instance, and verify. A verification failure is reported in the
-    result (with full residuals), never masked as success.
+    Pipeline: validate, reduce, solve the Eisenberg-Gale program on the
+    reduced instance, polish the optimum onto the exact active face, lift
+    back to the original instance, and verify. A verification failure is
+    reported in the result (with full residuals), never masked as success.
     """
     tol = tol or DEFAULT_TOLERANCES
     violations = validate_instance(inst, tol)
@@ -535,12 +485,10 @@ def solve(
     reduced, trace = preprocess(inst, tol)
     polish_applied = False
     if reduced.n_users == 0:
-        points: list[TrajectoryPoint] = []
-        flag = "converged"
+        status = "optimal"
         x_reduced = np.zeros(0)
     else:
-        points, flag = integrate_trajectory(reduced, tol=tol)
-        x_reduced = np.array(points[-1].x)
+        x_reduced, _, status = eg.solve_eg(reduced)
         x_reduced, polish_applied = _polish(reduced, x_reduced, tol)
 
     reduced_solution = build_solution(_reduced_view(reduced), x_reduced, tol)
@@ -557,12 +505,11 @@ def solve(
     if report.passed:
         termination = "converged"
     else:
-        termination = "step_underflow" if flag == "step_underflow" else "t_max_reached"
+        termination = "step_underflow" if status == "singular" else "t_max_reached"
     return SolveResult(
         solution=solution,
         report=report,
         termination=termination,
         polish_applied=polish_applied,
         reductions=trace,
-        trajectory=tuple(points) if record_trajectory else None,
     )

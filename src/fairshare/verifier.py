@@ -18,7 +18,6 @@ from .model import (
     ProblemInstance,
     ToleranceConfig,
     usages,
-    utility,
 )
 
 __all__ = [
@@ -276,29 +275,39 @@ def check_pareto(
 def check_envy_free(
     inst: ProblemInstance, x: np.ndarray, tol: ToleranceConfig | None = None
 ) -> EnvyResult:
-    """margins[i, j] = x_i - (what user i could run from user j's bundle)."""
+    """margins[i, j] = x_i - (what user i could run from user j's bundle).
+
+    Row i equals ``x_i - utility(inst, i, x_j * r_j)`` for every j, computed
+    for all bundles at once.
+    """
     tol = tol or DEFAULT_TOLERANCES
     x = np.asarray(x, dtype=float)
     n = inst.n_users
+    r = inst.requirements
+    bundles = x[:, None] * r
     margins = np.zeros((n, n))
-    worst: tuple[int, int] | None = None
-    worst_margin = np.inf
     for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            bundle = x[j] * inst.requirements[j]
-            m = float(x[i] - utility(inst, i, bundle))
-            margins[i, j] = m
-            if m < worst_margin:
-                worst_margin = m
-                worst = (i, j)
-    ok = worst is None or worst_margin >= -tol.eps_njc
+        mask = r[i] > 0.0
+        if mask.any():
+            runs = np.minimum(1.0, (bundles[:, mask] / r[i, mask]).min(axis=1))
+        else:
+            runs = 1.0  # a user who requests nothing runs fully on any bundle
+        margins[i] = x[i] - runs
+        margins[i, i] = 0.0
+    worst: tuple[int, int] | None = None
+    worst_margin = 0.0
+    if n > 1:
+        # The first smallest off-diagonal entry in row-major order.
+        off_diagonal = margins.copy()
+        np.fill_diagonal(off_diagonal, np.inf)
+        k = int(np.argmin(off_diagonal))
+        worst = (k // n, k % n)
+        worst_margin = float(off_diagonal.flat[k])
     margins.setflags(write=False)
     return EnvyResult(
-        ok=bool(ok),
+        ok=bool(worst is None or worst_margin >= -tol.eps_njc),
         worst_pair=worst,
-        worst_margin=0.0 if worst is None else worst_margin,
+        worst_margin=worst_margin,
         margins=margins,
     )
 

@@ -10,7 +10,7 @@ from fairshare.drf import solve_drf
 from fairshare.fixtures import FIXTURES, load_fixture
 from fairshare.model import ToleranceConfig, usages
 from fairshare.oracle import enumerate_solutions, grid_search_n2, random_instance
-from fairshare.solver import gradient, level_value, solve
+from fairshare.solver import gradient, integrate_trajectory, level_value, solve
 from fairshare.verifier import verify
 
 TOL = ToleranceConfig()
@@ -168,12 +168,23 @@ def test_criterion_07_greedy_counterexample():
 
 
 def test_criterion_08_trajectory_invariants(random_suite):
+    # solve() computes the trajectory's limit directly, so the trajectory is
+    # integrated here on each reduced instance, and its endpoint must land
+    # next to solve()'s allocation of the same users.
     worst_level = 0.0
     worst_xne = 0.0
+    worst_endpoint = 0.0
     interior = True
+    integrated = 0
     for inst, res in random_suite:
         reduced = res.reductions.final
-        for p in res.trajectory or ():
+        if reduced.n_users == 0:
+            continue
+        points, _ = integrate_trajectory(reduced)
+        integrated += 1
+        x_solve = res.solution.allocation[list(reduced.user_origin)]
+        worst_endpoint = max(worst_endpoint, float(np.max(np.abs(points[-1].x - x_solve))))
+        for p in points:
             worst_level = max(worst_level, abs(p.f_value - p.t))
             interior = interior and float(np.min(p.slacks)) > 0.0
             kappa = float(p.x @ p.normal)
@@ -200,10 +211,12 @@ def test_criterion_08_trajectory_invariants(random_suite):
                 fd = (level_value(reduced, xp) - level_value(reduced, xm)) / (2 * h)
                 worst_grad = max(worst_grad, abs(fd - raw[i]) / max(1.0, abs(raw[i])))
     checks = [
+        ("trajectory integrated on 190+ reduced instances", integrated >= 190),
         ("level tracking |f - t| <= 1e-6", worst_level <= 1e-6),
         ("strict interiority", interior),
         ("normal alignment residual <= 1e-6", worst_xne <= 1e-6),
         ("gradient matches finite differences to 1e-5", worst_grad <= 1e-5),
+        ("endpoint within 5e-4 of the solved allocation", worst_endpoint <= 5e-4),
     ]
     _report("criterion 8: trajectory invariants on 200 random instances", checks)
 

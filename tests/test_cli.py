@@ -52,6 +52,31 @@ def test_solve_reports_instance_errors(tmp_path, capsys):
     assert "invalid instance" in err
 
 
+# Granting user 1 in full leaves 5e-11 of the resource, below the input
+# tolerance, while user 2 still requests it: the reduction cannot proceed.
+EXHAUSTED = {"entitlements": [1, 0], "requirements": [[0.99999999995], [0.5]]}
+
+
+def test_solve_reports_an_exhausted_column_as_input_error(tmp_path, capsys):
+    path = tmp_path / "exhausted.json"
+    path.write_text(json.dumps(EXHAUSTED))
+    code, out, err = run(capsys, "solve", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot reduce the instance:")
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_trace_reports_an_exhausted_column_as_input_error(tmp_path, capsys):
+    path = tmp_path / "exhausted.json"
+    path.write_text(json.dumps(EXHAUSTED))
+    code, out, err = run(capsys, "trace", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot reduce the instance:")
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_verify_greedy_counterexample_step(capsys):
     code, out, _ = run(capsys, "verify", "greedy3", "--x", "1,2/3,0")
     assert code == 1

@@ -313,8 +313,8 @@ def test_solve_handles_degenerate_shapes(entitlements, requirements):
 
 def test_solve_entitlements_spanning_many_decades():
     # Slack decay rates scale with each user's entitlement, so these exceed
-    # what the trajectory can finish in float precision; the relaxed polish
-    # pass must still deliver verified answers.
+    # what the trajectory can finish in float precision; the interior point
+    # must still deliver verified answers.
     rng = np.random.default_rng(999)
     for trial in range(8):
         n = int(rng.integers(3, 6))

@@ -102,6 +102,34 @@ def test_envy_of_dominant_share_allocation():
     assert res.worst_margin >= -1e-9
 
 
+def test_envy_margins_equal_the_per_pair_utility_definition():
+    # The envy check computes a whole row of margins at once; every entry,
+    # the worst pair and its margin must equal the pairwise definition
+    # exactly, including rows that request nothing and zero allocations.
+    from fairshare.model import utility
+
+    rng = np.random.default_rng(5)
+    for trial in range(60):
+        n = int(rng.integers(1, 8))
+        m = int(rng.integers(1, 6))
+        r = rng.uniform(0.0, 1.0, (n, m)) * (rng.random((n, m)) < 0.7)
+        inst = ProblemInstance(entitlements=np.full(n, 1.0 / n), requirements=r)
+        x = rng.uniform(0.0, 1.0, n) * (rng.random(n) < 0.8)
+        res = check_envy_free(inst, x)
+        worst, worst_margin = None, np.inf
+        for i in range(n):
+            for j in range(n):
+                if i == j:
+                    assert res.margins[i, j] == 0.0
+                    continue
+                m_ij = float(x[i] - utility(inst, i, x[j] * r[j]))
+                assert res.margins[i, j] == m_ij
+                if m_ij < worst_margin:
+                    worst, worst_margin = (i, j), m_ij
+        assert res.worst_pair == worst
+        assert res.worst_margin == (0.0 if worst is None else worst_margin)
+
+
 def test_sharing_incentive_margins_at_fair_point():
     inst = load_fixture("drf_compare")
     res = check_sharing_incentive(inst, np.array([1 / 3, 1 / 3, 5 / 6]))
