@@ -44,7 +44,10 @@ def _fmt_vec(x) -> str:
 
 
 def _as_fraction_str(v: float) -> str:
-    frac = Fraction(v).limit_denominator(10**6)
+    # A denominator cap of 10**6 would let about half of all irrational
+    # values match some fraction to 1e-12 (Dirichlet); 10**4 keeps the
+    # bundled rational answers and prints the others as decimals.
+    frac = Fraction(v).limit_denominator(10**4)
     if abs(float(frac) - v) <= 1e-12:
         return str(frac.numerator) if frac.denominator == 1 else f"{frac}"
     return _fmt(v)

@@ -2,9 +2,8 @@
 
 Problems in this library have at most a couple of dozen variables and
 constraints, so a plain tableau with Bland's anti-cycling rule is exact
-enough and keeps basic (vertex) solutions, which the enumeration oracle and
-the polish step rely on. Relations are "<=" or "=="; encode a >= row by
-negating it.
+enough and keeps basic (vertex) solutions, which the enumeration oracle
+relies on. Relations are "<=" or "=="; encode a >= row by negating it.
 """
 from __future__ import annotations
 

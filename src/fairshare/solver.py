@@ -2,7 +2,8 @@
 
 ``solve`` computes the allocation as the optimum of the Eisenberg-Gale
 program (``fairshare.eg``) on the reduced instance, snaps it onto the exact
-active face with an assignment LP, lifts it back and verifies it.
+active face with a Newton crossover on the program's optimality equations,
+lifts it back and verifies it.
 
 The paper's constructive method is kept here as the reference path, used
 by ``fairshare trace`` and by the tests. The feasible region
@@ -30,7 +31,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import eg, lp
+from . import eg
 from .model import (
     DEFAULT_TOLERANCES,
     LiftedInstance,
@@ -42,7 +43,7 @@ from .model import (
     validate_instance,
 )
 from .reductions import ReductionTrace, lift_solution, preprocess
-from .verifier import VerificationReport, verify
+from .verifier import VerificationReport, check_capacity, check_njc, verify
 
 __all__ = [
     "DomainBoundaryError",
@@ -405,6 +406,12 @@ def integrate_trajectory(
     return points, termination
 
 
+# The crossover converges in one or two Newton steps from the interior
+# point; its residual then sits at round-off (below 1e-15).
+_CROSSOVER_ITERATIONS = 6
+_CROSSOVER_TOL = 1e-15
+
+
 def _reduced_view(inst: LiftedInstance) -> ProblemInstance:
     """Treat every retained column (including artificial ones) as a resource."""
     return ProblemInstance(
@@ -413,59 +420,51 @@ def _reduced_view(inst: LiftedInstance) -> ProblemInstance:
 
 
 def _polish(
-    inst: LiftedInstance, x: np.ndarray, tol: ToleranceConfig
+    inst: LiftedInstance, x: np.ndarray, p: np.ndarray, tol: ToleranceConfig
 ) -> tuple[np.ndarray, bool]:
-    """Snap the numeric optimum onto the exact active-constraint face.
+    """Snap the interior point's answer onto its exact active face.
 
-    The columns with slack at most ``tol.polish_slack_tol`` are held at
-    capacity, each user keeps the active column on which their share is
-    largest as their justification, and the resulting assignment LP is
-    solved. A zero-dimensional face gives an exact vertex; on a
-    positive-dimensional face the point is instead projected minimally onto
-    the active equalities so the answer stays next to the numeric one, with
-    the LP vertex as fallback. A candidate is accepted only if it verifies
-    at ``tol.polish_eps``; otherwise ``x`` is returned unchanged.
+    A Newton crossover from the interior point's ``(x, p)``: with ``A`` the
+    columns with slack at most ``tol.polish_slack_tol``, it solves the
+    optimality equations of the Eisenberg-Gale program restricted to ``A``,
+    x_i (R_A p_A)_i = e_i for every user with e_i > 0 and (x R_A)_j = 1 for
+    every j in A. Each step is a least-squares solve, since a saturated
+    column with zero price, or more active columns than users, makes the
+    Jacobian singular. The clipped result is accepted only if its capacity
+    and complaint checks pass at ``tol.polish_eps``; otherwise ``x`` is
+    returned unchanged.
     """
     r = inst.requirements
-    e = inst.entitlements
-    n = inst.n_users
-    gate = tol.polish_eps
     active = np.flatnonzero(1.0 - x @ r <= tol.polish_slack_tol)
     if active.size == 0:
         return x, False
-
-    constraints: list = []
-    active_set = set(int(j) for j in active)
-    for j in range(inst.m):
-        constraints.append((r[:, j], 1.0, "==" if j in active_set else "<="))
-    for i in range(n):
-        if e[i] <= gate:
-            continue  # justified vacuously at this gate
-        shares = x[i] * r[i, active]
-        j_star = int(active[int(np.argmax(shares))])
-        row = np.zeros(n)
-        row[i] = -r[i, j_star]
-        constraints.append((row, -float(e[i]), "<="))
-    bounds = tuple((0.0, 1.0) for _ in range(n))
-
-    hi = lp.maximize(lp.LinearProgram(np.ones(n), tuple(constraints), bounds))
-    if hi.status != "optimal":
-        return x, False
-    lo = lp.maximize(lp.LinearProgram(-np.ones(n), tuple(constraints), bounds))
-    candidates: list[np.ndarray] = []
-    if lo.status == "optimal" and float(np.max(np.abs(hi.x - lo.x))) <= 1e-9:
-        candidates.append(hi.x)
-    else:
-        a = r[:, active].T
-        delta = np.linalg.lstsq(a, 1.0 - a @ x, rcond=None)[0]
-        candidates.append(np.clip(x + delta, 0.0, 1.0))
-        candidates.append(hi.x)
+    users = inst.entitlements > 0.0
+    e = inst.entitlements[users]
+    ra = r[np.ix_(users, active)]
+    k = e.shape[0]
+    xu = x[users]
+    pa = p[active]
+    jac = np.zeros((k + active.size, k + active.size))
+    jac[k:, :k] = ra.T
+    for _ in range(_CROSSOVER_ITERATIONS):
+        rp = ra @ pa
+        residual = np.concatenate((xu * rp - e, xu @ ra - 1.0))
+        if float(np.abs(residual).max()) <= _CROSSOVER_TOL:
+            break
+        np.fill_diagonal(jac[:k, :k], rp)
+        jac[:k, k:] = xu[:, None] * ra
+        step = np.linalg.lstsq(jac, -residual, rcond=None)[0]
+        xu = xu + step[:k]
+        pa = pa + step[k:]
+    cand = np.zeros_like(x)
+    cand[users] = np.clip(xu, 0.0, 1.0)
 
     view = _reduced_view(inst)
-    gated = replace(tol, eps_njc=gate)
-    for cand in candidates:
-        if verify(view, cand, gated).passed:
-            return cand, True
+    gated = replace(tol, eps_njc=tol.polish_eps)
+    if check_capacity(view, cand, gated).ok and all(
+        st.ok for st in check_njc(view, cand, gated)
+    ):
+        return cand, True
     return x, False
 
 
@@ -488,8 +487,8 @@ def solve(inst: ProblemInstance, tol: ToleranceConfig | None = None) -> SolveRes
         status = "optimal"
         x_reduced = np.zeros(0)
     else:
-        x_reduced, _, status = eg.solve_eg(reduced)
-        x_reduced, polish_applied = _polish(reduced, x_reduced, tol)
+        x_reduced, prices, status = eg.solve_eg(reduced)
+        x_reduced, polish_applied = _polish(reduced, x_reduced, prices, tol)
 
     reduced_solution = build_solution(_reduced_view(reduced), x_reduced, tol)
     solution = lift_solution(trace, reduced_solution, tol, require_verified=False)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -23,6 +27,37 @@ def test_solve_exact_prints_fractions(capsys):
     code, out, _ = run(capsys, "solve", "drf_compare", "--exact")
     assert code == 0
     assert "(1/3, 1/3, 5/6)" in out
+
+
+def test_solve_exact_prints_an_irrational_answer_as_decimals(capsys):
+    # greedy3's answer is irrational; no fraction may stand in for it.
+    code, out, _ = run(capsys, "solve", "greedy3", "--exact")
+    assert code == 0
+    exact = next(line for line in out.splitlines() if line.startswith("x (exact)"))
+    assert "/" not in exact
+
+
+def test_solve_a_400_by_100_instance_exits_zero(large_instance, tmp_path, capsys):
+    path = tmp_path / "large.json"
+    path.write_text(json.dumps({
+        "entitlements": large_instance.entitlements.tolist(),
+        "requirements": large_instance.requirements.tolist(),
+    }))
+    code, out, _ = run(capsys, "solve", str(path))
+    assert code == 0
+    assert "verified: yes" in out
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "fairshare", "solve", "slope2"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "verified: yes" in proc.stdout
 
 
 def test_solve_json_roundtrips_into_verify(tmp_path, capsys):

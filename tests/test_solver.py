@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+import fairshare.lp
+from fairshare import eg
 from fairshare.fixtures import FIXTURES, load_fixture
-from fairshare.model import ProblemInstance
+from fairshare.model import ProblemInstance, ToleranceConfig
 from fairshare.oracle import random_instance
 from fairshare.reductions import (
     add_dummy_resources,
@@ -12,6 +14,7 @@ from fairshare.reductions import (
 from fairshare.solver import (
     DomainBoundaryError,
     InvalidInstanceError,
+    _polish,
     gradient,
     integrate_trajectory,
     level_value,
@@ -202,6 +205,44 @@ def test_solve_verifies_on_every_fixture(name, drop_dominated):
     assert res.report.passed
     assert res.termination == "converged"
     assert verify(inst, res.solution.allocation).passed
+
+
+def test_crossover_lands_on_the_active_face_without_any_lp(monkeypatch):
+    # The 200-instance acceptance suite and the fixtures. The crossover must
+    # polish every nonempty reduced instance, hold its active columns at
+    # capacity, stay next to the interior point, and need no LP at all.
+    def no_lp(*args, **kwargs):
+        raise AssertionError("solve must not call the simplex")
+
+    monkeypatch.setattr(fairshare.lp, "maximize", no_lp)
+    cases = [
+        random_instance(1000 + seed, 1 + seed % 5, 1 + (seed * 7) % 5)
+        for seed in range(200)
+    ] + [load_fixture(name) for name in sorted(FIXTURES)]
+    tol = ToleranceConfig()
+    nonempty = 0
+    for inst in cases:
+        res = solve(inst, tol)
+        assert res.report.passed
+        reduced, _ = preprocess(inst, tol)
+        if reduced.n_users == 0:
+            continue
+        nonempty += 1
+        assert res.polish_applied
+        x, p, _ = eg.solve_eg(reduced)
+        polished, _ = _polish(reduced, x, p, tol)
+        active = 1.0 - x @ reduced.requirements <= tol.polish_slack_tol
+        usage = polished @ reduced.requirements[:, active]
+        assert np.max(np.abs(usage - 1.0)) <= 1e-12
+        np.testing.assert_allclose(polished, x, rtol=0, atol=1e-5)
+    assert nonempty == 203
+
+
+def test_solve_verifies_a_400_by_100_instance(large_instance):
+    res = solve(large_instance)
+    assert res.termination == "converged"
+    assert res.polish_applied
+    assert res.report.passed
 
 
 def test_deleting_dominated_columns_leaves_the_endpoint_unchanged():
