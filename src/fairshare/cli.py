@@ -5,7 +5,8 @@ numbers), ``requirements`` (array of per-user arrays), and optional ``users``
 / ``resources`` name arrays. Anywhere a number is expected, a fraction
 string like "2/3" is also accepted; the bundled fixture names resolve in
 place of a path. Exit codes: 0 success/pass, 1 fairness-verification
-failure, 2 input or usage error.
+failure, 2 input or usage error, or an enumeration LP that reached the
+simplex iteration limit.
 """
 from __future__ import annotations
 
@@ -21,6 +22,7 @@ import numpy as np
 from . import drf as drf_mod
 from . import oracle
 from .fixtures import FIXTURES, fixture_names
+from .lp import SimplexIterationLimit
 from .model import ProblemInstance, ToleranceConfig, usages, validate_instance
 from .reductions import InfeasibleEliminationError, preprocess
 from .solver import InvalidInstanceError, integrate_trajectory, solve
@@ -431,6 +433,9 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code
     except InfeasibleEliminationError as exc:
         print(f"error: cannot reduce the instance: {exc}", file=sys.stderr)
+        return 2
+    except SimplexIterationLimit as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

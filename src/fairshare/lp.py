@@ -4,17 +4,37 @@ Problems in this library have at most a couple of dozen variables and
 constraints, so a plain tableau with Bland's anti-cycling rule is exact
 enough and keeps basic (vertex) solutions, which the enumeration oracle
 relies on. Relations are "<=" or "=="; encode a >= row by negating it.
+
+Phase one does not see the objective, so ``maximize_each`` runs it once
+and then phase two on a copy of the tableau for each objective;
+``maximize`` is its one-objective case, and each result equals a separate
+solve bitwise. A pivot is one rank-1 update of the whole tableau (a row
+with a zero factor subtracts an exact zero, so every entry gets the value
+a row-by-row update gives it), and Bland's scans pick their candidates
+with numpy, leaving only the ratio-tie loop in Python.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Constraint", "LinearProgram", "LpResult", "maximize"]
+__all__ = [
+    "Constraint",
+    "LinearProgram",
+    "LpResult",
+    "PHASE_ONE_TOL",
+    "SimplexIterationLimit",
+    "maximize",
+    "maximize_each",
+]
 
 _PIVOT_TOL = 1e-11
 _MAX_ITER = 10_000
+# Phase one declares the system infeasible when the least sum of the
+# artificial variables it reaches exceeds this.
+PHASE_ONE_TOL = 1e-8
 
 Constraint = tuple[np.ndarray, float, str]  # (coefficients, rhs, "<=" or "==")
 
@@ -56,11 +76,15 @@ class LpResult:
     x: np.ndarray | None
 
 
+class SimplexIterationLimit(RuntimeError):
+    """The simplex made ``_MAX_ITER`` pivots without terminating."""
+
+
 def _pivot(T: np.ndarray, basis: list[int], row: int, col: int) -> None:
     T[row] /= T[row, col]
-    for r in range(T.shape[0]):
-        if r != row and abs(T[r, col]) > 0.0:
-            T[r] -= T[r, col] * T[row]
+    factors = T[:, col].copy()
+    factors[row] = 0.0
+    T -= np.outer(factors, T[row])
     basis[row] = col
 
 
@@ -73,34 +97,42 @@ def _run_simplex(T: np.ndarray, basis: list[int], ncols: int) -> str:
     """
     m = T.shape[0] - 1
     for _ in range(_MAX_ITER):
-        enter = -1
-        for j in range(ncols):
-            if T[-1, j] > _PIVOT_TOL:
-                enter = j
-                break
-        if enter < 0:
+        improving = T[-1, :ncols] > _PIVOT_TOL
+        enter = int(improving.argmax())
+        if not improving[enter]:
             return "optimal"
+        column = T[:m, enter]
+        rows = np.nonzero(column > _PIVOT_TOL)[0]
+        if rows.size == 0:
+            return "unbounded"
+        ratios = T[rows, -1] / column[rows]
         leave = -1
         best_ratio = np.inf
-        for i in range(m):
-            a = T[i, enter]
-            if a > _PIVOT_TOL:
-                ratio = T[i, -1] / a
-                if ratio < best_ratio - _PIVOT_TOL or (
-                    abs(ratio - best_ratio) <= _PIVOT_TOL
-                    and (leave < 0 or basis[i] < basis[leave])
-                ):
-                    best_ratio = ratio
-                    leave = i
-        if leave < 0:
-            return "unbounded"
+        for i, ratio in zip(rows.tolist(), ratios.tolist()):
+            if ratio < best_ratio - _PIVOT_TOL or (
+                abs(ratio - best_ratio) <= _PIVOT_TOL
+                and (leave < 0 or basis[i] < basis[leave])
+            ):
+                best_ratio = ratio
+                leave = i
         _pivot(T, basis, leave, enter)
-    raise RuntimeError("simplex iteration limit exceeded")
+    raise SimplexIterationLimit(
+        f"simplex iteration limit exceeded ({_MAX_ITER} pivots)"
+    )
 
 
 def maximize(lp: LinearProgram) -> LpResult:
     """Solve the LP to optimality; infeasible/unbounded are return states."""
+    return maximize_each(lp, [lp.objective])[0]
+
+
+def maximize_each(lp: LinearProgram, objectives: Sequence[np.ndarray]) -> list[LpResult]:
+    """Maximize each objective over ``lp``'s feasible set (its own objective
+    is not used). Entry k equals ``maximize`` of the LP with objective k."""
     n = lp.objective.shape[0]
+    objectives = [np.asarray(c, dtype=float) for c in objectives]
+    if any(c.shape != (n,) for c in objectives):
+        raise ValueError("objective dimension does not match the constraints")
     lo = np.array([b[0] for b in lp.bounds])
 
     # Shift variables so every lower bound is zero; finite upper bounds
@@ -166,8 +198,8 @@ def maximize(lp: LinearProgram) -> LpResult:
         status = _run_simplex(T, basis, total)
         # The corner cell carries -z; an infeasible system leaves the
         # artificial sum positive, i.e. a positive corner cell.
-        if status != "optimal" or T[-1, -1] > 1e-8:
-            return LpResult("infeasible", None, None)
+        if status != "optimal" or T[-1, -1] > PHASE_ONE_TOL:
+            return [LpResult("infeasible", None, None) for _ in objectives]
         # Drive leftover artificials out of the basis; a row with no
         # eligible pivot is redundant and can safely keep its zero-valued
         # artificial (its coefficients on real columns are all ~0).
@@ -178,22 +210,26 @@ def maximize(lp: LinearProgram) -> LpResult:
                         _pivot(T, basis, i, j)
                         break
 
-    # Phase two: restore the real objective expressed in the current basis.
-    T[-1, :] = 0.0
-    T[-1, :n] = lp.objective
-    for i in range(m):
-        coef = T[-1, basis[i]]
-        if coef != 0.0:
-            T[-1] -= coef * T[i]
-    for col in art_cols:
-        T[-1, col] = -np.inf  # never re-enter
+    # Phase two, once per objective, from a copy of the feasible basis.
+    results = []
+    for objective in objectives:
+        T2, basis2 = T.copy(), basis.copy()
+        # Restore the real objective expressed in the current basis.
+        T2[-1, :] = 0.0
+        T2[-1, :n] = objective
+        for i in range(m):
+            coef = T2[-1, basis2[i]]
+            if coef != 0.0:
+                T2[-1] -= coef * T2[i]
+        for col in art_cols:
+            T2[-1, col] = -np.inf  # never re-enter
 
-    if _run_simplex(T, basis, n + n_slack) == "unbounded":
-        return LpResult("unbounded", None, None)
-
-    y = np.zeros(total)
-    for i in range(m):
-        y[basis[i]] = T[i, -1]
-    x = y[:n] + lo
-    value = float(lp.objective @ x)
-    return LpResult("optimal", value, x)
+        if _run_simplex(T2, basis2, n + n_slack) == "unbounded":
+            results.append(LpResult("unbounded", None, None))
+            continue
+        y = np.zeros(total)
+        for i in range(m):
+            y[basis2[i]] = T2[i, -1]
+        x = y[:n] + lo
+        results.append(LpResult("optimal", float(objective @ x), x))
+    return results

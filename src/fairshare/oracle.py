@@ -3,9 +3,13 @@
 ``enumerate_solutions`` discharges the existential in the fairness condition
 by brute force: for every candidate saturated subset and every way of
 assigning each user a justifying resource, it asks a small LP whether a
-consistent allocation exists. ``grid_search_n2`` walks the feasible
-boundary curve for two users. Both are deliberately independent of the
-trajectory construction.
+consistent allocation exists. Most candidates are infeasible, and most of
+those are rejected before any LP by a lower bound on the LP's own phase-one
+artificial sum (``FeasibilityQuery.provably_infeasible``); a candidate is
+rejected only when the LP would certainly declare it infeasible, so the
+witnesses are exactly those of running every LP. ``grid_search_n2`` walks
+the feasible boundary curve for two users. Both are deliberately
+independent of the trajectory construction.
 """
 from __future__ import annotations
 
@@ -35,6 +39,9 @@ __all__ = [
 
 _MAX_ENUM_USERS = 6
 _MAX_ENUM_RESOURCES = 6
+# A query is rejected without an LP only when its phase-one lower bound is
+# this far above the LP's own infeasibility threshold.
+_REJECT_ABOVE = 10.0 * lp.PHASE_ONE_TOL
 
 
 class SizeGuardError(ValueError):
@@ -73,6 +80,42 @@ class FeasibilityQuery:
                 rows.append((row, -float(e[i]), "<="))
         bounds = [(0.0, 1.0)] * n
         return rows, bounds
+
+    def provably_infeasible(self, inst: ProblemInstance) -> bool:
+        """Whether the LP of ``constraints`` certainly comes out infeasible.
+
+        In that LP the rows ``x_i <= 1`` and the capacity rows ``x R <= 1``
+        are hard (an equality row's artificial only lowers usage), so phase
+        one's least artificial sum is at least
+          * ``e_i - r_{i,a_i}`` for each assigned user i (at most x_i = 1);
+          * ``((lb R)_j - 1) / max_{i: lb_i > 0} r_ij / c_i`` for each
+            column j, where ``lb_i`` is 1 for a user granted in full and
+            ``min(e_i / r_{i,a_i}, 1)`` otherwise, and ``c_i`` is
+            ``r_{i,a_i}`` (1 for a full grant): an artificial d_i lets x_i
+            fall to ``lb_i - d_i / c_i``, and column j must still fit.
+        The query is rejected only when a bound exceeds ten times the LP's
+        threshold ``lp.PHASE_ONE_TOL``, far beyond its rounding, so every
+        rejected query is one the LP would declare infeasible.
+        """
+        r = inst.requirements.tolist()
+        e = inst.entitlements.tolist()
+        floors: list[tuple[float, list[float], float]] = []  # (lb_i, r_i, c_i)
+        for i, j in enumerate(self.assignment):
+            if j is None:
+                floors.append((1.0, r[i], 1.0))
+            elif e[i] > 0.0:
+                c = r[i][j]
+                if e[i] - c > _REJECT_ABOVE:
+                    return True
+                if c > 0.0:
+                    floors.append((min(e[i] / c, 1.0), r[i], c))
+        for j in range(inst.n_real_resources):
+            excess = sum(lb * row[j] for lb, row, _ in floors) - 1.0
+            if excess > 0.0:
+                slope = max(row[j] / c for _, row, c in floors)
+                if excess / slope > _REJECT_ABOVE:
+                    return True
+        return False
 
     def satisfied_by(
         self, inst: ProblemInstance, x: np.ndarray, tol: float = 1e-5
@@ -160,6 +203,12 @@ def enumerate_solutions(
 
     Iterates candidate subsets by (size, lexicographic order) and
     justification assignments lexicographically, so output order is stable.
+    A query is skipped without an LP when
+    ``FeasibilityQuery.provably_infeasible`` bounds its LP's phase-one
+    artificial sum from below by more than ten times ``lp.PHASE_ONE_TOL``:
+    the LP would return "infeasible" for it, so skipping it changes no
+    witness. Each other query solves all its probes with one
+    ``lp.maximize_each`` call, which runs phase one once.
     Every feasible query's face is probed by maximizing +/- sum(x) and
     +/- each coordinate; differing optimizers flag a positive-dimensional
     solution family, all extreme vertices become witnesses, and for flagged
@@ -207,13 +256,16 @@ def enumerate_solutions(
         options = _assignment_options(inst, subset)
         for assignment in product(*options):
             query = FeasibilityQuery(subset, tuple(assignment))
+            if query.provably_infeasible(inst):
+                continue
             rows, bounds = query.constraints(inst)
-            first = lp.maximize(lp.LinearProgram(probes[0], tuple(rows), tuple(bounds)))
+            first, *others = lp.maximize_each(
+                lp.LinearProgram(probes[0], tuple(rows), tuple(bounds)), probes
+            )
             if first.status != "optimal":
                 continue
             vertices = [first.x]
-            for objective in probes[1:]:
-                res = lp.maximize(lp.LinearProgram(objective, tuple(rows), tuple(bounds)))
+            for res in others:
                 if res.status == "optimal" and all(
                     float(np.max(np.abs(res.x - v))) > 1e-7 for v in vertices
                 ):

@@ -239,6 +239,19 @@ def test_enumerate_size_guard_exit_code(tmp_path, capsys):
     assert "limited to" in err
 
 
+def test_enumerate_iteration_limit_exit_code(monkeypatch, capsys):
+    # A simplex that runs out of pivots is not a failed verification (exit
+    # 1): it exits 2 with one line on stderr and no traceback.
+    from fairshare import lp
+
+    monkeypatch.setattr(lp, "_MAX_ITER", 0)
+    code, out, err = run(capsys, "enumerate", "slope2")
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("error: simplex iteration limit exceeded")
+
+
 def test_compare_side_by_side(capsys):
     code, out, _ = run(capsys, "compare", "drf_compare")
     assert code == 0

@@ -3,7 +3,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from fairshare.lp import LinearProgram, maximize
+from fairshare.lp import LinearProgram, maximize, maximize_each
 
 
 def brute_force_max(objective, rows, rhs, bounds):
@@ -126,15 +126,37 @@ def test_negative_rhs_rows_are_handled():
     assert res.x[0] == pytest.approx(0.25, abs=1e-9)
 
 
+def _random_le_problem(rng):
+    """Random "<=" rows over the unit box in R^3; the origin is feasible."""
+    n = 3
+    n_rows = rng.integers(1, 5)
+    rows = rng.uniform(-1.0, 1.0, (n_rows, n))
+    rhs = rng.uniform(0.2, 1.5, n_rows)
+    objective = rng.uniform(-1.0, 1.0, n)
+    return rows, rhs, objective
+
+
+def _random_eq_problem(rng):
+    """One equality through a feasible interior point of the unit box in
+    R^3, plus random "<=" caps that the point satisfies."""
+    n = 3
+    x_feas = rng.uniform(0.1, 0.9, n)
+    eq = rng.uniform(0.2, 1.0, n)
+    eq_rhs = float(eq @ x_feas)
+    n_rows = rng.integers(1, 4)
+    rows = rng.uniform(0.0, 1.0, (n_rows, n))
+    rhs = rows @ x_feas + rng.uniform(0.05, 0.5, n_rows)
+    objective = rng.uniform(-1.0, 1.0, n)
+    return eq, eq_rhs, rows, rhs, objective
+
+
 def test_optimizer_feasibility_and_value_consistency_random():
     rng = np.random.default_rng(42)
     for trial in range(30):
         n = 3
-        n_rows = rng.integers(1, 5)
-        rows = rng.uniform(-1.0, 1.0, (n_rows, n))
-        rhs = rng.uniform(0.2, 1.5, n_rows)
+        rows, rhs, objective = _random_le_problem(rng)
+        n_rows = rows.shape[0]
         bounds = [(0.0, 1.0)] * n
-        objective = rng.uniform(-1.0, 1.0, n)
         lp = LinearProgram(
             objective, [(rows[i], rhs[i], "<=") for i in range(n_rows)], bounds
         )
@@ -154,14 +176,9 @@ def test_random_problems_with_equality_row():
     solved = 0
     for trial in range(30):
         n = 3
-        x_feas = rng.uniform(0.1, 0.9, n)
-        eq = rng.uniform(0.2, 1.0, n)
-        eq_rhs = float(eq @ x_feas)
-        n_rows = rng.integers(1, 4)
-        rows = rng.uniform(0.0, 1.0, (n_rows, n))
-        rhs = rows @ x_feas + rng.uniform(0.05, 0.5, n_rows)
+        eq, eq_rhs, rows, rhs, objective = _random_eq_problem(rng)
+        n_rows = rows.shape[0]
         bounds = [(0.0, 1.0)] * n
-        objective = rng.uniform(-1.0, 1.0, n)
         constraints = [(eq, eq_rhs, "==")] + [
             (rows[i], float(rhs[i]), "<=") for i in range(n_rows)
         ]
@@ -192,3 +209,68 @@ def test_random_problems_with_equality_row():
         assert res.value == pytest.approx(best, abs=1e-8)
         solved += 1
     assert solved == 30
+
+
+def _bits(array):
+    return None if array is None else np.asarray(array, dtype=float).tobytes()
+
+
+def _assert_same_result(a, b):
+    assert a.status == b.status
+    assert _bits(a.value) == _bits(b.value)
+    assert _bits(a.x) == _bits(b.x)
+
+
+def _probe_objectives(rng, n):
+    ones = np.ones(n)
+    objectives = [ones, -ones, np.zeros(n), rng.uniform(-1.0, 1.0, n)]
+    for j in range(n):
+        objectives += [np.eye(n)[j], -np.eye(n)[j]]
+    return objectives
+
+
+def _check_maximize_each(constraints, bounds, objectives):
+    lp = LinearProgram(objectives[0], constraints, bounds)
+    each = maximize_each(lp, objectives)
+    assert len(each) == len(objectives)
+    for objective, res in zip(objectives, each):
+        _assert_same_result(res, maximize(LinearProgram(objective, constraints, bounds)))
+    return each
+
+
+def test_maximize_each_matches_maximize_bitwise():
+    # Phase one is shared across the objectives; every result must equal a
+    # separate solve exactly, in status, value and x.
+    rng = np.random.default_rng(42)
+    for trial in range(30):
+        rows, rhs, objective = _random_le_problem(rng)
+        constraints = [(rows[i], rhs[i], "<=") for i in range(rows.shape[0])]
+        objectives = [objective] + _probe_objectives(rng, 3)
+        each = _check_maximize_each(constraints, [(0.0, 1.0)] * 3, objectives)
+        assert all(res.status == "optimal" for res in each)
+    rng = np.random.default_rng(7)
+    for trial in range(30):
+        eq, eq_rhs, rows, rhs, objective = _random_eq_problem(rng)
+        constraints = [(eq, eq_rhs, "==")] + [
+            (rows[i], float(rhs[i]), "<=") for i in range(rows.shape[0])
+        ]
+        objectives = [objective] + _probe_objectives(rng, 3)
+        each = _check_maximize_each(constraints, [(0.0, 1.0)] * 3, objectives)
+        assert all(res.status == "optimal" for res in each)
+
+
+def test_maximize_each_infeasible_and_unbounded():
+    rng = np.random.default_rng(3)
+    infeasible = [([1.0, 0.0], 0.3, "=="), ([1.0, 0.0], 0.4, "==")]
+    each = _check_maximize_each(infeasible, [(0.0, 1.0)] * 2, _probe_objectives(rng, 2))
+    assert all(res.status == "infeasible" for res in each)
+    # x2 is capped by a row, x1 only from below: some probes are unbounded.
+    open_box = [([0.0, 1.0], 1.0, "<=")]
+    each = _check_maximize_each(open_box, [(0.0, None)] * 2, _probe_objectives(rng, 2))
+    assert {res.status for res in each} == {"optimal", "unbounded"}
+
+
+def test_maximize_each_rejects_mismatched_objective():
+    lp = LinearProgram([1.0, 1.0], [([1.0, 1.0], 1.0, "<=")], [(0.0, 1.0)] * 2)
+    with pytest.raises(ValueError):
+        maximize_each(lp, [np.ones(3)])

@@ -1,11 +1,19 @@
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
 
-from fairshare.fixtures import load_fixture
-from fairshare.model import ProblemInstance, ToleranceConfig, validate_instance
+from fairshare import lp
+from fairshare.fixtures import fixture_names, load_fixture
+from fairshare.model import (
+    DEFAULT_TOLERANCES,
+    ProblemInstance,
+    ToleranceConfig,
+    usages,
+    validate_instance,
+)
 from fairshare.oracle import (
+    FeasibilityQuery,
     SizeGuardError,
     enumerate_solutions,
     grid_search_n2,
@@ -146,3 +154,137 @@ def test_random_instance_column_sums_reach_capacity():
         assert np.all(inst.requirements.sum(axis=0) >= 1.0 - 1e-12)
     free = random_instance(0, 3, 4, min_column_sum=None)
     assert validate_instance(free) == []
+
+
+def _queries(inst):
+    """Every (subset, assignment) query, in the oracle's order."""
+    n, m = inst.n_users, inst.n_real_resources
+    r, e = inst.requirements, inst.entitlements
+    for size in range(1, m + 1):
+        for subset in combinations(range(m), size):
+            options = [
+                [j for j in subset if r[i, j] > 0.0 or e[i] <= 0.0] + [None]
+                for i in range(n)
+            ]
+            for assignment in product(*options):
+                yield FeasibilityQuery(subset, assignment)
+
+
+def _reference_witnesses(inst):
+    """enumerate_solutions as a plain loop: every query, one lp.maximize per
+    probe, no rejection before the LP."""
+    n = inst.n_users
+    probes = [np.ones(n), -np.ones(n)]
+    for i in range(n):
+        probes += [np.eye(n)[i], -np.eye(n)[i]]
+    found, seen = [], set()
+
+    def consider(x, query, positive):
+        key = tuple(np.round(x, 7))
+        if key not in seen:
+            seen.add(key)
+            u = usages(inst, x)
+            bn = tuple(int(j) for j in np.flatnonzero(u >= 1.0 - DEFAULT_TOLERANCES.eps_bottleneck))
+            found.append((x.tobytes(), bn, query, positive))
+
+    for query in _queries(inst):
+        rows, bounds = query.constraints(inst)
+        vertices = []
+        for k, objective in enumerate(probes):
+            res = lp.maximize(lp.LinearProgram(objective, tuple(rows), tuple(bounds)))
+            if k == 0 and res.status != "optimal":
+                break
+            if res.status == "optimal" and all(
+                float(np.max(np.abs(res.x - v))) > 1e-7 for v in vertices
+            ):
+                vertices.append(res.x)
+        positive = len(vertices) > 1
+        for vertex in vertices:
+            consider(vertex, query, positive)
+        if positive:
+            groups = {}
+            for vertex in vertices:
+                groups.setdefault(round(float(vertex.sum()), 6), []).append(vertex)
+            for group in groups.values():
+                if len(group) > 1:
+                    consider(np.mean(group, axis=0), query, positive)
+            consider(np.mean(vertices, axis=0), query, positive)
+    return found
+
+
+def _witnesses(inst):
+    return [
+        (w.x.tobytes(), w.bottlenecks, w.query, w.positive_dimension)
+        for w in enumerate_solutions(inst).witnesses
+    ]
+
+
+@pytest.mark.parametrize("name", fixture_names())
+def test_enumeration_matches_reference_loop_on_fixtures(name):
+    inst = load_fixture(name)
+    assert _witnesses(inst) == _reference_witnesses(inst)
+
+
+def test_enumeration_matches_reference_loop_on_random_instances():
+    for seed in range(44):
+        inst = random_instance(60_000 + seed, 1 + seed % 4, 1 + (seed // 4) % 4)
+        assert _witnesses(inst) == _reference_witnesses(inst), seed
+
+
+def test_tiny_entries_the_lp_tolerance_admits_keep_their_witness():
+    # User 1 cannot reach 1e-9 through a 1e-18 request, but the shortfall is
+    # below the LP's phase-one threshold, so the LP admits the query, and the
+    # rejection rule must not be stricter than the LP.
+    inst = ProblemInstance(
+        entitlements=[1e-9, 1 - 1e-9], requirements=[[1e-18, 1.0], [1.0, 1.0]]
+    )
+    query = FeasibilityQuery((0,), (0, 0))
+    assert not query.provably_infeasible(inst)
+    witnesses = _witnesses(inst)
+    assert witnesses == _reference_witnesses(inst)
+    assert [(np.frombuffer(w[0]).tolist(), w[2]) for w in witnesses] == [([0.0, 1.0], query)]
+
+
+def _soundness_instances():
+    for seed in range(24):
+        yield random_instance(70_000 + seed, 2 + seed % 3, 1 + (seed // 3) % 3)
+    rng = np.random.default_rng(5)
+    for seed in range(12):
+        # One request just below an entitlement: the shortfall sits near
+        # the rejection margin, on both sides of it.
+        inst = random_instance(71_000 + seed, 2 + seed % 2, 1 + seed % 3)
+        r = inst.requirements.copy()
+        e = inst.entitlements
+        r[0, seed % r.shape[1]] = e[0] - [0.5, 1.0, 1.01, 2.0, 20.0, 1e3][seed % 6] * 1e-7
+        yield ProblemInstance(entitlements=e, requirements=r)
+        # Tiny requests, far below the LP's pivot tolerance.
+        r = inst.requirements.copy()
+        r[rng.random(r.shape) < 0.3] = 10.0 ** -rng.integers(9, 19)
+        yield ProblemInstance(entitlements=e, requirements=r)
+
+
+def test_every_rejected_query_is_infeasible_for_the_lp():
+    rejected = admitted = 0
+    for inst in _soundness_instances():
+        for query in _queries(inst):
+            if not query.provably_infeasible(inst):
+                admitted += 1
+                continue
+            rejected += 1
+            rows, bounds = query.constraints(inst)
+            res = lp.maximize(lp.LinearProgram(np.ones(inst.n_users), tuple(rows), tuple(bounds)))
+            assert res.status == "infeasible", (inst, query)
+    assert rejected > 10 * admitted > 0
+
+
+def test_solver_lands_in_the_enumerated_solution_set_five_users():
+    # The five-user counterpart of the cross-validation above, for one to
+    # four resources.
+    from fairshare.solver import solve
+
+    for seed in range(12):
+        inst = random_instance(85_000 + seed, 5, 1 + seed % 4)
+        res = solve(inst)
+        assert res.report.passed
+        family = enumerate_solutions(inst)
+        assert family.contains(res.solution.allocation, 1e-5)
