@@ -61,9 +61,15 @@ def solve_eg(inst: LiftedInstance) -> tuple[np.ndarray, np.ndarray, str]:
     # Infeasible start: x, s and p need only be positive. The optimum's
     # prices sum to about 1 (sum_j p_j (1 - s_j) = sum_i e_i = 1), so start
     # there, with x meeting the stationarity equations x_i (R p)_i = e_i.
-    p = np.full(m, 1.0 / m)
-    x = e / (r @ p)
-    s = np.ones(m)
+    # The iterate (x, s, p) and the step (dx, ds, dp) are views into one
+    # buffer each, so the ratio test and the update act on z and dz whole.
+    z = np.empty(k + 2 * m)
+    dz = np.empty_like(z)
+    x, s, p = z[:k], z[k : k + m], z[k + m :]
+    dx, ds, dp = dz[:k], dz[k : k + m], dz[k + m :]
+    p[:] = 1.0 / m
+    x[:] = e / (r @ p)
+    s[:] = 1.0
     status = "iteration_limit"
     for _ in range(_MAX_ITERATIONS):
         dual = e / x - r @ p
@@ -82,28 +88,26 @@ def solve_eg(inst: LiftedInstance) -> tuple[np.ndarray, np.ndarray, str]:
         # entitlements spanning eight decades, one user then stalls at
         # relative residual 1).
         sigma = min(1.0, max(0.1, relative))
-        centering = (sigma * float(comp.mean()) - comp) / s
+        centering = (sigma * (float(comp.sum()) / m) - comp) / s
         d = p / s
         hess = (r * d) @ r.T
         hess.flat[:: k + 1] += e / (x * x)
         try:
-            dx = np.linalg.solve(hess, dual + r @ (d * primal - centering))
+            dx[:] = np.linalg.solve(hess, dual + r @ (d * primal - centering))
         except np.linalg.LinAlgError:
             status = "singular"
             break
-        dp = d * (dx @ r - primal) + centering
-        ds = (centering - dp) * s / p
-        # One step length for all three, since the stationarity equations
-        # couple x and p nonlinearly.
-        z = np.concatenate((x, s, p))
-        dz = np.concatenate((dx, ds, dp))
+        dp[:] = d * (dx @ r - primal) + centering
+        ds[:] = (centering - dp) * s / p
         if not np.isfinite(dz).all():
             status = "singular"
             break
+        # One step length for all three, since the stationarity equations
+        # couple x and p nonlinearly.
         shrinking = dz < 0.0
         step = 1.0
         if shrinking.any():
             step = min(step, _STEP_TO_BOUNDARY * float((z[shrinking] / -dz[shrinking]).min()))
-        x, s, p = np.split(z + step * dz, (k, k + m))
+        z += step * dz
     x_all[users] = x
     return x_all, p, status

@@ -251,24 +251,28 @@ def validate_instance(
                 f"entitlements sum {total:.10g} != 1 (residual {total - 1.0:.3g})",
             )
         )
-    for i in np.flatnonzero(e < 0.0):
+    # NaN passes every comparison above and below, so non-finite values are
+    # flagged on their own.
+    for i in np.flatnonzero(~np.isfinite(e) | (e < 0.0)):
+        problem = "negative" if np.isfinite(e[i]) else "not finite"
         found.append(
             Violation(
                 "entitlements",
                 int(i) + 1,
                 float(e[i]),
-                f"entitlement of user {inst.user_label(int(i))} is negative ({e[i]:.10g})",
+                f"entitlement of user {inst.user_label(int(i))} is {problem} ({e[i]:.10g})",
             )
         )
-    bad = np.argwhere((r < 0.0) | (r > 1.0))
+    bad = np.argwhere(~np.isfinite(r) | (r < 0.0) | (r > 1.0))
     for i, j in bad:
+        problem = "outside [0, 1]" if np.isfinite(r[i, j]) else "not finite"
         found.append(
             Violation(
                 "requirements",
                 int(i) + 1,
                 float(r[i, j]) - (1.0 if r[i, j] > 1.0 else 0.0),
                 f"request of user {inst.user_label(int(i))} on resource "
-                f"{inst.resource_label(int(j))} is {r[i, j]:.10g}, outside [0, 1]",
+                f"{inst.resource_label(int(j))} is {r[i, j]:.10g}, {problem}",
             )
         )
     return found
@@ -339,20 +343,16 @@ def build_solution(
     x = np.asarray(x, dtype=float)
     u = usages(inst, x)
     bottlenecks = frozenset(int(j) for j in np.flatnonzero(u >= 1.0 - tol.eps_bottleneck))
-    e = inst.entitlements
-    r = inst.requirements
-    justification: list[int | None] = []
-    for i in range(x.shape[0]):
-        if x[i] >= 1.0 - tol.eps_njc:
-            justification.append(None)
-            continue
-        best: int | None = None
-        best_share = -np.inf
-        for j in bottlenecks:
-            share = x[i] * r[i, j]
-            if share >= e[i] - tol.eps_njc and share > best_share:
-                best, best_share = j, share
-        justification.append(best)
+    justification: list[int | None] = [None] * x.shape[0]
+    if bottlenecks:
+        # A user's justification is their first largest bottleneck share, in
+        # the frozenset's own iteration order, if it meets their entitlement.
+        cols = np.array(list(bottlenecks))
+        shares = x[:, None] * inst.requirements[:, cols]
+        best = shares.argmax(axis=1)
+        met = shares[np.arange(x.shape[0]), best] >= inst.entitlements - tol.eps_njc
+        met &= ~(x >= 1.0 - tol.eps_njc)
+        justification = [j if ok else None for j, ok in zip(cols[best].tolist(), met.tolist())]
     return Solution(
         allocation=x,
         bottlenecks=bottlenecks,

@@ -428,36 +428,38 @@ def _polish(
     columns with slack at most ``tol.polish_slack_tol``, it solves the
     optimality equations of the Eisenberg-Gale program restricted to ``A``,
     x_i (R_A p_A)_i = e_i for every user with e_i > 0 and (x R_A)_j = 1 for
-    every j in A. Each step is a least-squares solve, since a saturated
-    column with zero price, or more active columns than users, makes the
-    Jacobian singular. The clipped result is accepted only if its capacity
-    and complaint checks pass at ``tol.polish_eps``; otherwise ``x`` is
-    returned unchanged.
+    every j in A. The Jacobian's x-block diag(R_A p_A) is diagonal, so each
+    step eliminates dx and solves the |A| x |A| Schur complement
+    R_A^T diag(x / (R_A p_A)) R_A for dp by least squares (a saturated
+    column with zero price, more active columns than users or repeated
+    columns make it singular), then recovers dx. The clipped result is
+    accepted only if its capacity and complaint checks pass at
+    ``tol.polish_eps``; otherwise ``x`` is returned unchanged.
     """
     r = inst.requirements
     active = np.flatnonzero(1.0 - x @ r <= tol.polish_slack_tol)
     if active.size == 0:
         return x, False
-    users = inst.entitlements > 0.0
+    # A user who requests nothing on an active column has a zero row and
+    # column in the Jacobian: the crossover leaves them where they are.
+    users = (inst.entitlements > 0.0) & (r[:, active] > 0.0).any(axis=1)
     e = inst.entitlements[users]
     ra = r[np.ix_(users, active)]
-    k = e.shape[0]
     xu = x[users]
     pa = p[active]
-    jac = np.zeros((k + active.size, k + active.size))
-    jac[k:, :k] = ra.T
     for _ in range(_CROSSOVER_ITERATIONS):
         rp = ra @ pa
-        residual = np.concatenate((xu * rp - e, xu @ ra - 1.0))
-        if float(np.abs(residual).max()) <= _CROSSOVER_TOL:
+        r1 = xu * rp - e
+        r2 = xu @ ra - 1.0
+        if max(np.abs(r1).max(), np.abs(r2).max()) <= _CROSSOVER_TOL:
             break
-        np.fill_diagonal(jac[:k, :k], rp)
-        jac[:k, k:] = xu[:, None] * ra
-        step = np.linalg.lstsq(jac, -residual, rcond=None)[0]
-        xu = xu + step[:k]
-        pa = pa + step[k:]
-    cand = np.zeros_like(x)
-    cand[users] = np.clip(xu, 0.0, 1.0)
+        schur = (ra.T * (xu / rp)) @ ra
+        dp = np.linalg.lstsq(schur, r2 - (r1 / rp) @ ra, rcond=None)[0]
+        xu = xu - (r1 + xu * (ra @ dp)) / rp
+        pa = pa + dp
+    cand = x.copy()
+    cand[users] = xu
+    np.clip(cand, 0.0, 1.0, out=cand)
 
     view = _reduced_view(inst)
     gated = replace(tol, eps_njc=tol.polish_eps)

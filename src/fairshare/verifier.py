@@ -219,38 +219,43 @@ def check_capacity(
 def check_njc(
     inst: ProblemInstance, x: np.ndarray, tol: ToleranceConfig | None = None
 ) -> tuple[UserStatus, ...]:
-    """Per-user complaint check: full allocation or entitlement on a bottleneck."""
+    """Per-user complaint check: full allocation or entitlement on a bottleneck.
+
+    A user's best bottleneck is the first resource, in index order, that
+    gives them their largest share among the bottlenecks.
+    """
     tol = tol or DEFAULT_TOLERANCES
     x = np.asarray(x, dtype=float)
     u = usages(inst, x)
     bn = _bottlenecks(u, tol)
     e = inst.entitlements
-    r = inst.requirements
+    shares = x[:, None] * inst.requirements
+    entitled = shares >= (e - tol.eps_njc)[:, None]
+    if bn:
+        cols = np.array(bn)
+        users = np.arange(inst.n_users)
+        best = cols[shares[:, cols].argmax(axis=1)]
+        margins = shares[users, best] - e
+        justified = entitled[users, best]
+        entitled[:, cols] = False  # what is left are the non-bottleneck supports
+        best_list = best.tolist()
+    else:
+        margins = -e
+        justified = np.zeros(inst.n_users, dtype=bool)
+        best_list = [None] * inst.n_users
+    full = x >= 1.0 - tol.eps_njc
+    margins = np.where(full, x - 1.0, margins)
     statuses: list[UserStatus] = []
-    for i in range(inst.n_users):
-        if x[i] >= 1.0 - tol.eps_njc:
-            statuses.append(
-                UserStatus(i, FULLY_ALLOCATED, None, float(x[i] - 1.0), None, ())
-            )
-            continue
-        best_j: int | None = None
-        best_share = -np.inf
-        for j in bn:
-            share = x[i] * r[i, j]
-            if share > best_share:
-                best_j, best_share = j, float(share)
-        if best_j is not None and best_share >= e[i] - tol.eps_njc:
-            statuses.append(
-                UserStatus(i, JUSTIFIED, best_j, float(best_share - e[i]), best_j, ())
-            )
-            continue
-        supports = tuple(
-            int(j)
-            for j in range(inst.n_real_resources)
-            if j not in bn and x[i] * r[i, j] >= e[i] - tol.eps_njc
-        )
-        margin = float(best_share - e[i]) if best_j is not None else float(-e[i])
-        statuses.append(UserStatus(i, COMPLAINT, None, margin, best_j, supports))
+    for i, (is_full, ok, j, margin) in enumerate(
+        zip(full.tolist(), justified.tolist(), best_list, margins.tolist())
+    ):
+        if is_full:
+            statuses.append(UserStatus(i, FULLY_ALLOCATED, None, margin, None, ()))
+        elif ok:
+            statuses.append(UserStatus(i, JUSTIFIED, j, margin, j, ()))
+        else:
+            supports = tuple(np.flatnonzero(entitled[i]).tolist())
+            statuses.append(UserStatus(i, COMPLAINT, None, margin, j, supports))
     return tuple(statuses)
 
 
@@ -260,16 +265,9 @@ def check_pareto(
     """Every partially served user must be pinned by a saturated resource it uses."""
     tol = tol or DEFAULT_TOLERANCES
     x = np.asarray(x, dtype=float)
-    u = usages(inst, x)
-    slack = 1.0 - u
-    r = inst.requirements
-    for i in range(inst.n_users):
-        if x[i] >= 1.0 - tol.eps_njc:
-            continue
-        pinned = bool(np.any((r[i] > 0.0) & (slack <= tol.eps_bottleneck)))
-        if not pinned:
-            return False
-    return True
+    saturated = 1.0 - usages(inst, x) <= tol.eps_bottleneck
+    pinned = (inst.requirements[:, saturated] > 0.0).any(axis=1)
+    return bool((pinned | (x >= 1.0 - tol.eps_njc)).all())
 
 
 def check_envy_free(
@@ -322,16 +320,11 @@ def check_sharing_incentive(
     """
     tol = tol or DEFAULT_TOLERANCES
     x = np.asarray(x, dtype=float)
-    e = inst.entitlements
     r = inst.requirements
-    margins = np.empty(inst.n_users)
-    for i in range(inst.n_users):
-        mask = r[i] > 0.0
-        if mask.any():
-            baseline = float(np.min(np.minimum(1.0, e[i] / r[i][mask])))
-        else:
-            baseline = 1.0
-        margins[i] = x[i] - baseline
+    # Resources a user does not request contribute 1, which leaves the
+    # minimum of the requested ones, or 1 when there are none, unchanged.
+    ratios = np.divide(inst.entitlements[:, None], r, out=np.ones_like(r), where=r > 0.0)
+    margins = x - np.minimum(1.0, ratios).min(axis=1, initial=1.0)
     ok = bool(np.all(margins >= -tol.eps_njc))
     margins.setflags(write=False)
     return SharingResult(ok=ok, margins=margins)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fairshare.fixtures import load_fixture
 from fairshare.model import ProblemInstance
 
 
@@ -11,3 +12,35 @@ def large_instance():
     e = rng.random(400)
     r = rng.random((400, 100)) * (rng.random((400, 100)) > 0.3)
     return ProblemInstance(entitlements=e / e.sum(), requirements=r)
+
+
+@pytest.fixture(scope="session")
+def allocation_cases():
+    """(instance, allocation) pairs for checking the loop-free checks against
+    per-user reference loops: 80 random draws, half of them on a grid of
+    halves and quarters so that shares tie exactly, with rows that request
+    nothing, allocations scaled onto a saturated column or left below every
+    capacity, and fully allocated users; then circle4 at the symmetric point
+    (every user ties on three bottlenecks) and greedy3 at (1, 2/3, 0), where
+    user 2 complains with a non-bottleneck support."""
+    rng = np.random.default_rng(8)
+    cases = []
+    for trial in range(80):
+        n, m = int(rng.integers(1, 8)), int(rng.integers(1, 6))
+        grid = trial % 2 == 0
+        if grid:
+            r = rng.integers(0, 3, (n, m)) / 2.0
+            x = rng.integers(0, 5, n) / 4.0
+        else:
+            r = rng.uniform(0.0, 1.0, (n, m)) * (rng.random((n, m)) < 0.7)
+            x = rng.uniform(0.0, 1.0, n)
+        r[rng.random(n) < 0.15] = 0.0
+        e = rng.integers(1, 4, n) / 1.0 if grid else rng.uniform(0.0, 1.0, n)
+        load = float((x @ r).max())
+        if trial % 5 != 4 and load > 0.0:
+            x = np.minimum(1.0, x / load)
+        inst = ProblemInstance(entitlements=e / e.sum(), requirements=r)
+        cases.append((inst, x))
+    cases.append((load_fixture("circle4"), np.full(4, 1 / 3)))
+    cases.append((load_fixture("greedy3"), np.array([1.0, 2 / 3, 0.0])))
+    return cases

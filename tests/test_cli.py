@@ -87,6 +87,16 @@ def test_solve_reports_instance_errors(tmp_path, capsys):
     assert "invalid instance" in err
 
 
+def test_solve_rejects_a_nan_entitlement(tmp_path, capsys):
+    # json reads the bare NaN literal; the instance must not verify.
+    bad = tmp_path / "nan.json"
+    bad.write_text('{"entitlements": [NaN, 1.0], "requirements": [[0.5], [0.5]]}')
+    code, out, err = run(capsys, "solve", str(bad))
+    assert code == 2
+    assert out == ""
+    assert "invalid instance" in err and "not finite" in err
+
+
 # Granting user 1 in full leaves 5e-11 of the resource, below the input
 # tolerance, while user 2 still requests it: the reduction cannot proceed.
 EXHAUSTED = {"entitlements": [1, 0], "requirements": [[0.99999999995], [0.5]]}

@@ -52,3 +52,26 @@ def test_zero_entitlement_users_are_left_out_and_get_nothing():
     min_price, complementarity, overshoot, stationarity = _kkt_residuals(lifted, x, p)
     assert min_price >= 0.0
     assert max(complementarity, overshoot, stationarity) <= 1e-9
+
+
+def test_interior_point_meets_the_kkt_conditions_beyond_five_users(large_instance):
+    # The same four bounds as on the acceptance suite, on reduced random
+    # instances from 10x8 to 60x30 and on the 400x100 instance.
+    rng = np.random.default_rng(77)
+    cases = []
+    for n, m in [(10, 8), (20, 10), (20, 40), (40, 20), (60, 30)]:
+        for _ in range(3):
+            e = rng.uniform(0.1, 1.0, n)
+            r = rng.uniform(0.0, 1.0, (n, m)) * (rng.random((n, m)) < 0.7)
+            cases.append(ProblemInstance(entitlements=e / e.sum(), requirements=r))
+    cases.append(large_instance)
+    for inst in cases:
+        reduced, _ = preprocess(inst)
+        assert reduced.n_users > 0
+        x, p, status = solve_eg(reduced)
+        assert status == "optimal"
+        min_price, complementarity, overshoot, stationarity = _kkt_residuals(reduced, x, p)
+        assert min_price >= 0.0
+        assert complementarity <= 1e-9
+        assert overshoot <= 1e-9
+        assert stationarity <= 1e-9

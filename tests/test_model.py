@@ -9,6 +9,7 @@ from fairshare.model import (
     ProblemInstance,
     ToleranceConfig,
     bottleneck_set,
+    build_solution,
     resource_usage,
     usages,
     utility,
@@ -42,6 +43,26 @@ def test_validate_flags_negative_and_oversized_requests():
     assert len(violations) == 2
     assert all(v.field == "requirements" for v in violations)
     assert "resource 2" in violations[1].message
+
+
+@pytest.mark.parametrize(
+    "entitlements, requirements, field, count",
+    [
+        ([np.nan, 1.0], [[0.5], [0.5]], "entitlements", 1),
+        ([np.inf, 0.5], [[0.5], [0.5]], "entitlements", 2),  # and the sum
+        ([0.5, 0.5], [[0.5, np.nan], [0.5, 0.5]], "requirements", 1),
+        ([0.5, 0.5], [[0.5, 0.5], [-np.inf, np.inf]], "requirements", 2),
+    ],
+)
+def test_validate_flags_non_finite_values(entitlements, requirements, field, count):
+    # NaN passes every comparison test unnoticed, so it is reported as a
+    # value of its own, once per entry.
+    inst = ProblemInstance(entitlements=entitlements, requirements=requirements)
+    violations = validate_instance(inst)
+    assert len(violations) == count
+    flagged = [v for v in violations if "not finite" in v.message]
+    assert flagged and all(v.field == field for v in flagged)
+    assert all(not np.isfinite(v.residual) for v in flagged)
 
 
 def test_validate_is_pure_and_idempotent():
@@ -152,3 +173,37 @@ def test_tolerance_config_rejects_nonpositive_values():
 def test_tolerance_config_orders_feasible_below_bottleneck():
     with pytest.raises(ValueError):
         ToleranceConfig(eps_feasible=1e-3, eps_bottleneck=1e-6)
+
+
+def _justification_reference(inst, x, tol):
+    """build_solution's justifications as one loop per user over the
+    bottleneck frozenset, in the frozenset's own iteration order."""
+    e, r = inst.entitlements, inst.requirements
+    bottlenecks = frozenset(
+        int(j) for j in np.flatnonzero(x @ r >= 1.0 - tol.eps_bottleneck)
+    )
+    justification = []
+    for i in range(x.shape[0]):
+        if x[i] >= 1.0 - tol.eps_njc:
+            justification.append(None)
+            continue
+        best, best_share = None, -np.inf
+        for j in bottlenecks:
+            share = x[i] * r[i, j]
+            if share >= e[i] - tol.eps_njc and share > best_share:
+                best, best_share = j, share
+        justification.append(best)
+    return bottlenecks, tuple(justification)
+
+
+def test_build_solution_equals_the_per_user_loop(allocation_cases):
+    # Including the lifted view of each instance, whose dummy columns
+    # saturate for fully allocated users.
+    tol = ToleranceConfig()
+    for inst, x in allocation_cases:
+        for view in (inst, add_dummy_resources(inst)):
+            sol = build_solution(view, x, tol)
+            bottlenecks, justification = _justification_reference(view, x, tol)
+            assert sol.bottlenecks == bottlenecks
+            assert repr(sol.justification) == repr(justification)
+            assert sol.residuals.tobytes() == (1.0 - x @ view.requirements).tobytes()

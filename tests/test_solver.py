@@ -238,6 +238,51 @@ def test_crossover_lands_on_the_active_face_without_any_lp(monkeypatch):
     assert nonempty == 203
 
 
+@pytest.mark.parametrize(
+    "entitlements, requirements",
+    [
+        # one user, three identical unit columns plus the dummy: |A| = 4 > 1
+        ([1.0], [[1.0, 1.0, 1.0]]),
+        # two users on two repeated columns
+        ([0.5, 0.5], [[1.0, 1.0, 0.5], [1.0, 1.0, 0.5]]),
+        # three users on three identical columns: user 3 is granted in full,
+        # so its dummy column saturates too and |A| = 4 > 3
+        ([0.2, 0.3, 0.5], [[0.5, 0.5, 0.5]] * 3),
+    ],
+)
+def test_crossover_on_a_degenerate_face(entitlements, requirements):
+    # More active columns than users, or repeated columns, make the Schur
+    # complement singular; its least-squares step must still land on the
+    # face and polish.
+    inst = ProblemInstance(entitlements=entitlements, requirements=requirements)
+    tol = ToleranceConfig()
+    res = solve(inst, tol)
+    assert res.report.passed
+    assert res.polish_applied
+    reduced, _ = preprocess(inst, tol)
+    x, p, _ = eg.solve_eg(reduced)
+    polished, applied = _polish(reduced, x, p, tol)
+    assert applied
+    active = 1.0 - x @ reduced.requirements <= tol.polish_slack_tol
+    assert active.sum() >= reduced.n_users
+    usage = polished @ reduced.requirements[:, active]
+    assert np.max(np.abs(usage - 1.0)) <= 1e-12
+
+
+def test_crossover_leaves_a_user_off_the_active_face_in_place():
+    # User 2 requests nothing on the two active columns (resource 1 and
+    # user 1's dummy), so the Schur complement has nothing to divide by for
+    # them: the crossover must keep their x, and the gate then rejects the
+    # candidate, in which user 2 complains.
+    lifted = add_dummy_resources(
+        ProblemInstance(entitlements=[0.5, 0.5], requirements=[[1.0, 0.0], [0.0, 0.5]])
+    )
+    x = np.array([1.0, 0.5])
+    polished, applied = _polish(lifted, x, np.full(lifted.m, 0.25), ToleranceConfig())
+    assert not applied
+    np.testing.assert_array_equal(polished, x)
+
+
 def test_solve_verifies_a_400_by_100_instance(large_instance):
     res = solve(large_instance)
     assert res.termination == "converged"
@@ -270,6 +315,16 @@ def test_deleting_dominated_columns_leaves_the_endpoint_unchanged():
 def test_solve_rejects_invalid_instance():
     inst = ProblemInstance(entitlements=[0.9, 0.9], requirements=[[0.5], [0.5]])
     with pytest.raises(InvalidInstanceError):
+        solve(inst)
+
+
+@pytest.mark.parametrize(
+    "entitlements, requirements",
+    [([np.nan, 1.0], [[0.5], [0.5]]), ([0.5, 0.5], [[np.nan], [0.5]])],
+)
+def test_solve_rejects_non_finite_input(entitlements, requirements):
+    inst = ProblemInstance(entitlements=entitlements, requirements=requirements)
+    with pytest.raises(InvalidInstanceError, match="not finite"):
         solve(inst)
 
 

@@ -10,6 +10,7 @@ from fairshare.verifier import (
     COMPLAINT,
     FULLY_ALLOCATED,
     JUSTIFIED,
+    UserStatus,
     check_capacity,
     check_envy_free,
     check_njc,
@@ -128,6 +129,84 @@ def test_envy_margins_equal_the_per_pair_utility_definition():
                     worst, worst_margin = (i, j), m_ij
         assert res.worst_pair == worst
         assert res.worst_margin == (0.0 if worst is None else worst_margin)
+
+
+def _njc_reference(inst, x, tol):
+    """check_njc as one loop per user: the first largest bottleneck share in
+    index order, supports scanned over the non-bottleneck resources."""
+    e, r = inst.entitlements, inst.requirements
+    bn = tuple(int(j) for j in np.flatnonzero(x @ r >= 1.0 - tol.eps_bottleneck))
+    statuses = []
+    for i in range(inst.n_users):
+        if x[i] >= 1.0 - tol.eps_njc:
+            statuses.append(UserStatus(i, FULLY_ALLOCATED, None, float(x[i] - 1.0), None, ()))
+            continue
+        best_j, best_share = None, -np.inf
+        for j in bn:
+            share = x[i] * r[i, j]
+            if share > best_share:
+                best_j, best_share = j, float(share)
+        if best_j is not None and best_share >= e[i] - tol.eps_njc:
+            statuses.append(UserStatus(i, JUSTIFIED, best_j, float(best_share - e[i]), best_j, ()))
+            continue
+        supports = tuple(
+            int(j)
+            for j in range(inst.n_real_resources)
+            if j not in bn and x[i] * r[i, j] >= e[i] - tol.eps_njc
+        )
+        margin = float(best_share - e[i]) if best_j is not None else float(-e[i])
+        statuses.append(UserStatus(i, COMPLAINT, None, margin, best_j, supports))
+    return tuple(statuses)
+
+
+def _pareto_reference(inst, x, tol):
+    slack = 1.0 - x @ inst.requirements
+    for i in range(inst.n_users):
+        if x[i] >= 1.0 - tol.eps_njc:
+            continue
+        if not np.any((inst.requirements[i] > 0.0) & (slack <= tol.eps_bottleneck)):
+            return False
+    return True
+
+
+def _sharing_margins_reference(inst, x):
+    e, r = inst.entitlements, inst.requirements
+    margins = np.empty(inst.n_users)
+    for i in range(inst.n_users):
+        mask = r[i] > 0.0
+        baseline = float(np.min(np.minimum(1.0, e[i] / r[i][mask]))) if mask.any() else 1.0
+        margins[i] = x[i] - baseline
+    return margins
+
+
+def test_loop_free_checks_equal_the_per_user_loops(allocation_cases):
+    # check_njc, check_pareto and check_sharing_incentive work on whole
+    # matrices; every field must equal the per-user loop bit for bit (repr
+    # tells -0.0 from 0.0 and a numpy integer from an int), ties included.
+    tol = ToleranceConfig()
+    seen = {COMPLAINT: 0, "supports": 0, "no bottleneck": 0, "tie": 0, "pareto fails": 0}
+    for inst, x in allocation_cases:
+        statuses = check_njc(inst, x, tol)
+        assert repr(statuses) == repr(_njc_reference(inst, x, tol))
+        pareto = check_pareto(inst, x, tol)
+        assert pareto is _pareto_reference(inst, x, tol)
+        sharing = check_sharing_incentive(inst, x, tol)
+        reference = _sharing_margins_reference(inst, x)
+        assert sharing.margins.tobytes() == reference.tobytes()
+        assert sharing.ok is bool(np.all(reference >= -tol.eps_njc))
+
+        bn = np.flatnonzero(x @ inst.requirements >= 1.0 - tol.eps_bottleneck)
+        shares = x[:, None] * inst.requirements[:, bn]
+        seen[COMPLAINT] += sum(st.status == COMPLAINT for st in statuses)
+        seen["supports"] += sum(bool(st.non_bottleneck_supports) for st in statuses)
+        seen["no bottleneck"] += bn.size == 0
+        if bn.size:  # partially served users whose largest share ties
+            best = shares.max(axis=1)
+            tied = (shares == best[:, None]).sum(axis=1) > 1
+            seen["tie"] += int((tied & (best > 0.0) & (x < 1.0 - tol.eps_njc)).sum())
+        seen["pareto fails"] += not pareto
+    assert len(allocation_cases) >= 60
+    assert all(count > 0 for count in seen.values()), seen
 
 
 def test_sharing_incentive_margins_at_fair_point():
