@@ -180,7 +180,10 @@ def _tolerances(args) -> ToleranceConfig:
         updates["eps_njc"] = args.tol
     if getattr(args, "t_max", None) is not None:
         updates["t_max"] = args.t_max
-    return replace(tol, **updates) if updates else tol
+    try:
+        return replace(tol, **updates) if updates else tol
+    except ValueError as exc:
+        raise CliError(f"invalid tolerance: {exc}") from None
 
 
 def _solution_dict(result) -> dict:

@@ -77,7 +77,8 @@ class ToleranceConfig:
             "convergence_tol", "slack_floor", "polish_slack_tol", "polish_eps",
             "grid_resolution", "max_condition",
         ):
-            if getattr(self, name) <= 0.0:
+            # Written so that NaN fails too.
+            if not getattr(self, name) > 0.0:
                 raise ValueError(f"tolerance {name!r} must be strictly positive")
         if self.eps_feasible > self.eps_bottleneck:
             raise ValueError("eps_feasible must not exceed eps_bottleneck")

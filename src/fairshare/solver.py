@@ -1,9 +1,11 @@
 """Solver for entitlement-proportional fair allocation.
 
 ``solve`` computes the allocation as the optimum of the Eisenberg-Gale
-program (``fairshare.eg``) on the reduced instance, snaps it onto the exact
-active face with a Newton crossover on the program's optimality equations,
-lifts it back and verifies it.
+program (``fairshare.eg``) on the reduced instance, polishes it with the
+same face Newton that ends the interior point (on the columns within
+``polish_slack_tol`` of capacity, gated at ``polish_eps``), lifts it back and
+verifies it. Where the interior point finished on a certified face, the
+polish takes no Newton step and only runs its gate.
 
 The paper's constructive method is kept here as the reference path, used
 by ``fairshare trace`` and by the tests. The feasible region
@@ -27,7 +29,7 @@ accumulating.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,7 +45,7 @@ from .model import (
     validate_instance,
 )
 from .reductions import ReductionTrace, lift_solution, preprocess
-from .verifier import VerificationReport, check_capacity, check_njc, verify
+from .verifier import VerificationReport, complaint_free, verify
 
 __all__ = [
     "DomainBoundaryError",
@@ -406,12 +408,6 @@ def integrate_trajectory(
     return points, termination
 
 
-# The crossover converges in one or two Newton steps from the interior
-# point; its residual then sits at round-off (below 1e-15).
-_CROSSOVER_ITERATIONS = 6
-_CROSSOVER_TOL = 1e-15
-
-
 def _reduced_view(inst: LiftedInstance) -> ProblemInstance:
     """Treat every retained column (including artificial ones) as a resource."""
     return ProblemInstance(
@@ -424,16 +420,12 @@ def _polish(
 ) -> tuple[np.ndarray, bool]:
     """Snap the interior point's answer onto its exact active face.
 
-    A Newton crossover from the interior point's ``(x, p)``: with ``A`` the
-    columns with slack at most ``tol.polish_slack_tol``, it solves the
-    optimality equations of the Eisenberg-Gale program restricted to ``A``,
-    x_i (R_A p_A)_i = e_i for every user with e_i > 0 and (x R_A)_j = 1 for
-    every j in A. The Jacobian's x-block diag(R_A p_A) is diagonal, so each
-    step eliminates dx and solves the |A| x |A| Schur complement
-    R_A^T diag(x / (R_A p_A)) R_A for dp by least squares (a saturated
-    column with zero price, more active columns than users or repeated
-    columns make it singular), then recovers dx. The clipped result is
-    accepted only if its capacity and complaint checks pass at
+    With ``A`` the columns with slack at most ``tol.polish_slack_tol``,
+    ``eg.face_newton`` solves the program's optimality equations restricted
+    to ``A`` from ``(x, p)`` for the users with e_i > 0 who request
+    something on ``A``. Where ``eg.solve_eg`` finished on a face, its
+    answer already satisfies them and no Newton step is taken. The clipped
+    result is accepted only if its capacity and complaint checks pass at
     ``tol.polish_eps``; otherwise ``x`` is returned unchanged.
     """
     r = inst.requirements
@@ -443,28 +435,16 @@ def _polish(
     # A user who requests nothing on an active column has a zero row and
     # column in the Jacobian: the crossover leaves them where they are.
     users = (inst.entitlements > 0.0) & (r[:, active] > 0.0).any(axis=1)
-    e = inst.entitlements[users]
-    ra = r[np.ix_(users, active)]
-    xu = x[users]
-    pa = p[active]
-    for _ in range(_CROSSOVER_ITERATIONS):
-        rp = ra @ pa
-        r1 = xu * rp - e
-        r2 = xu @ ra - 1.0
-        if max(np.abs(r1).max(), np.abs(r2).max()) <= _CROSSOVER_TOL:
-            break
-        schur = (ra.T * (xu / rp)) @ ra
-        dp = np.linalg.lstsq(schur, r2 - (r1 / rp) @ ra, rcond=None)[0]
-        xu = xu - (r1 + xu * (ra @ dp)) / rp
-        pa = pa + dp
+    xu, _, _ = eg.face_newton(
+        inst.entitlements[users], r[np.ix_(users, active)], x[users], p[active]
+    )
     cand = x.copy()
     cand[users] = xu
     np.clip(cand, 0.0, 1.0, out=cand)
 
-    view = _reduced_view(inst)
-    gated = replace(tol, eps_njc=tol.polish_eps)
-    if check_capacity(view, cand, gated).ok and all(
-        st.ok for st in check_njc(view, cand, gated)
+    u = cand @ r
+    if u.max() <= 1.0 + tol.eps_feasible and complaint_free(
+        inst.entitlements, r, cand, u, tol.eps_bottleneck, tol.polish_eps
     ):
         return cand, True
     return x, False

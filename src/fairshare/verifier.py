@@ -216,6 +216,48 @@ def check_capacity(
     )
 
 
+def _complaint_masks(
+    e: np.ndarray,
+    r: np.ndarray,
+    x: np.ndarray,
+    u: np.ndarray,
+    eps_bottleneck: float,
+    eps_njc: float,
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray, np.ndarray, np.ndarray]:
+    """The complaint check's arrays for allocation ``x`` with usages ``u``.
+
+    Returns the shares x_i r_ij, each user's best bottleneck (None when no
+    column is a bottleneck), the mask of shares that meet the entitlement
+    (bottleneck columns cleared when there are any, so what is left are the
+    non-bottleneck supports), and the masks of fully allocated and of
+    justified users.
+    """
+    cols = np.flatnonzero(u >= 1.0 - eps_bottleneck)
+    shares = x[:, None] * r
+    entitled = shares >= (e - eps_njc)[:, None]
+    full = x >= 1.0 - eps_njc
+    if cols.size == 0:
+        return shares, None, entitled, full, np.zeros(x.shape[0], dtype=bool)
+    best = cols[shares[:, cols].argmax(axis=1)]
+    justified = entitled[np.arange(x.shape[0]), best]
+    entitled[:, cols] = False
+    return shares, best, entitled, full, justified
+
+
+def complaint_free(
+    e: np.ndarray,
+    r: np.ndarray,
+    x: np.ndarray,
+    u: np.ndarray,
+    eps_bottleneck: float,
+    eps_njc: float,
+) -> bool:
+    """Whether ``check_njc`` at these tolerances passes every user, without
+    building the per-user statuses."""
+    _, _, _, full, justified = _complaint_masks(e, r, x, u, eps_bottleneck, eps_njc)
+    return bool((full | justified).all())
+
+
 def check_njc(
     inst: ProblemInstance, x: np.ndarray, tol: ToleranceConfig | None = None
 ) -> tuple[UserStatus, ...]:
@@ -226,24 +268,16 @@ def check_njc(
     """
     tol = tol or DEFAULT_TOLERANCES
     x = np.asarray(x, dtype=float)
-    u = usages(inst, x)
-    bn = _bottlenecks(u, tol)
     e = inst.entitlements
-    shares = x[:, None] * inst.requirements
-    entitled = shares >= (e - tol.eps_njc)[:, None]
-    if bn:
-        cols = np.array(bn)
-        users = np.arange(inst.n_users)
-        best = cols[shares[:, cols].argmax(axis=1)]
-        margins = shares[users, best] - e
-        justified = entitled[users, best]
-        entitled[:, cols] = False  # what is left are the non-bottleneck supports
-        best_list = best.tolist()
-    else:
+    shares, best, entitled, full, justified = _complaint_masks(
+        e, inst.requirements, x, usages(inst, x), tol.eps_bottleneck, tol.eps_njc
+    )
+    if best is None:
         margins = -e
-        justified = np.zeros(inst.n_users, dtype=bool)
         best_list = [None] * inst.n_users
-    full = x >= 1.0 - tol.eps_njc
+    else:
+        margins = shares[np.arange(inst.n_users), best] - e
+        best_list = best.tolist()
     margins = np.where(full, x - 1.0, margins)
     statuses: list[UserStatus] = []
     for i, (is_full, ok, j, margin) in enumerate(

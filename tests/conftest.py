@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from fairshare.fixtures import load_fixture
+from fairshare.fixtures import FIXTURES, load_fixture
 from fairshare.model import ProblemInstance
+from fairshare.oracle import random_instance
 
 
 @pytest.fixture(scope="session")
@@ -12,6 +13,29 @@ def large_instance():
     e = rng.random(400)
     r = rng.random((400, 100)) * (rng.random((400, 100)) > 0.3)
     return ProblemInstance(entitlements=e / e.sum(), requirements=r)
+
+
+@pytest.fixture(scope="session")
+def medium_instances():
+    """Three random instances at each of 10x8, 20x10, 20x40, 40x20 and 60x30,
+    with about 30% zero requests."""
+    rng = np.random.default_rng(77)
+    cases = []
+    for n, m in [(10, 8), (20, 10), (20, 40), (40, 20), (60, 30)]:
+        for _ in range(3):
+            e = rng.uniform(0.1, 1.0, n)
+            r = rng.uniform(0.0, 1.0, (n, m)) * (rng.random((n, m)) < 0.7)
+            cases.append(ProblemInstance(entitlements=e / e.sum(), requirements=r))
+    return cases
+
+
+@pytest.fixture(scope="session")
+def suite_and_fixtures():
+    """The 200-instance acceptance suite, then the fixtures by name."""
+    return [
+        random_instance(1000 + seed, 1 + seed % 5, 1 + (seed * 7) % 5)
+        for seed in range(200)
+    ] + [load_fixture(name) for name in sorted(FIXTURES)]
 
 
 @pytest.fixture(scope="session")

@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from fairshare.cli import main
 
@@ -95,6 +96,21 @@ def test_solve_rejects_a_nan_entitlement(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "invalid instance" in err and "not finite" in err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("solve", "slope2", "--tol", "-1"),
+        ("solve", "slope2", "--tol", "nan"),
+        ("trace", "slope2", "--t-max", "nan"),
+    ],
+)
+def test_a_tolerance_that_is_not_positive_is_a_usage_error(capsys, args):
+    code, out, err = run(capsys, *args)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: invalid tolerance") and "Traceback" not in err
 
 
 # Granting user 1 in full leaves 5e-11 of the resource, below the input

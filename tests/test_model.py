@@ -168,6 +168,8 @@ def test_tolerance_config_rejects_nonpositive_values():
         ToleranceConfig(eps_njc=0.0)
     with pytest.raises(ValueError):
         ToleranceConfig(t_max=-1.0)
+    with pytest.raises(ValueError):
+        ToleranceConfig(eps_njc=float("nan"))
 
 
 def test_tolerance_config_orders_feasible_below_bottleneck():

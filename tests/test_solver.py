@@ -238,6 +238,25 @@ def test_crossover_lands_on_the_active_face_without_any_lp(monkeypatch):
     assert nonempty == 203
 
 
+def test_finishing_on_a_face_changes_no_answer(
+    monkeypatch, suite_and_fixtures, medium_instances
+):
+    # solve_eg with every face declined runs the interior point to its own
+    # stop; the polished answers must agree with the face exit's.
+    cases = suite_and_fixtures + medium_instances
+    finished = [solve(inst) for inst in cases]
+    monkeypatch.setattr(eg, "_finish_on_face", lambda *args: None)
+    for inst, res in zip(cases, finished):
+        ref = solve(inst)
+        assert res.report.passed and ref.report.passed
+        np.testing.assert_allclose(
+            res.solution.allocation, ref.solution.allocation, rtol=0, atol=1e-12
+        )
+        assert res.polish_applied == ref.polish_applied
+        assert res.termination == ref.termination
+        assert res.solution.justification == ref.solution.justification
+
+
 @pytest.mark.parametrize(
     "entitlements, requirements",
     [
