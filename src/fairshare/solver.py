@@ -5,7 +5,9 @@ program (``fairshare.eg``) on the reduced instance, polishes it with the
 same face Newton that ends the interior point (on the columns within
 ``polish_slack_tol`` of capacity, gated at ``polish_eps``), lifts it back and
 verifies it. Where the interior point finished on a certified face, the
-polish takes no Newton step and only runs its gate.
+polish takes no Newton step and only runs its gate. Verification computes
+what decides the verdict; the report-only checks (Pareto pinning, envy,
+sharing incentive) are computed on first access to the report's fields.
 
 The paper's constructive method is kept here as the reference path, used
 by ``fairshare trace`` and by the tests. The feasible region
@@ -408,13 +410,6 @@ def integrate_trajectory(
     return points, termination
 
 
-def _reduced_view(inst: LiftedInstance) -> ProblemInstance:
-    """Treat every retained column (including artificial ones) as a resource."""
-    return ProblemInstance(
-        entitlements=inst.entitlements, requirements=inst.requirements
-    )
-
-
 def _polish(
     inst: LiftedInstance, x: np.ndarray, p: np.ndarray, tol: ToleranceConfig
 ) -> tuple[np.ndarray, bool]:
@@ -472,7 +467,7 @@ def solve(inst: ProblemInstance, tol: ToleranceConfig | None = None) -> SolveRes
         x_reduced, prices, status = eg.solve_eg(reduced)
         x_reduced, polish_applied = _polish(reduced, x_reduced, prices, tol)
 
-    reduced_solution = build_solution(_reduced_view(reduced), x_reduced, tol)
+    reduced_solution = build_solution(reduced, x_reduced, tol)
     solution = lift_solution(trace, reduced_solution, tol, require_verified=False)
 
     zero_rows = ~inst.requirements.any(axis=1)

@@ -1,15 +1,18 @@
-"""Checks that an allocation is fair: capacity, entitlement-on-a-bottleneck
-(the no-justified-complaints condition), Pareto pinning, envy, and the
-sharing-incentive baseline.
+"""Checks that an allocation is fair: the [0, 1] bound on every x_i,
+capacity, entitlement-on-a-bottleneck (the no-justified-complaints
+condition), Pareto pinning, envy, and the sharing-incentive baseline.
 
-Only capacity and the complaint check gate overall pass/fail; the remaining
-attributes are reported for inspection. The verifier works directly on
-original (unlifted) instances: a fully allocated user (x_i = 1) is accepted
-without needing an artificial resource to saturate.
+Only the bound, capacity and the complaint check gate overall pass/fail;
+``verify`` computes those eagerly. The remaining checks are reported for
+inspection only: a report computes them on first access and caches them.
+The verifier works directly on original (unlifted) instances: a fully
+allocated user (x_i = 1) is accepted without needing an artificial resource
+to saturate.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -17,6 +20,7 @@ from .model import (
     DEFAULT_TOLERANCES,
     ProblemInstance,
     ToleranceConfig,
+    readonly_array,
     usages,
 )
 
@@ -86,17 +90,36 @@ class SharingResult:
 
 @dataclass(frozen=True, eq=False)
 class VerificationReport:
-    """Residual-level account of every fairness condition for one allocation."""
+    """Residual-level account of every fairness condition for one allocation.
+
+    ``out_of_range`` lists the users whose x_i lies outside
+    [-eps_feasible, 1 + eps_feasible]. ``pareto_ok``, ``envy`` and
+    ``sharing`` gate nothing: each is computed on first access from the
+    report's own read-only copy of the allocation, then cached, so the
+    report stays a pure function of (instance, allocation, tolerances).
+    """
 
     passed: bool
     capacity: CapacityResult
     bottlenecks: tuple[int, ...]
     users: tuple[UserStatus, ...]
     njc_ok: bool
-    pareto_ok: bool
-    envy: EnvyResult
-    sharing: SharingResult
+    out_of_range: tuple[int, ...]
     tolerances: ToleranceConfig
+    instance: ProblemInstance = field(repr=False)
+    allocation: np.ndarray = field(repr=False)
+
+    @cached_property
+    def pareto_ok(self) -> bool:
+        return check_pareto(self.instance, self.allocation, self.tolerances)
+
+    @cached_property
+    def envy(self) -> EnvyResult:
+        return check_envy_free(self.instance, self.allocation, self.tolerances)
+
+    @cached_property
+    def sharing(self) -> SharingResult:
+        return check_sharing_incentive(self.instance, self.allocation, self.tolerances)
 
     def render(self, inst: ProblemInstance | None = None) -> str:
         def rlabel(j: int | None) -> str:
@@ -107,7 +130,11 @@ class VerificationReport:
         def ulabel(i: int) -> str:
             return inst.user_label(i) if inst is not None else str(i + 1)
 
-        lines = []
+        lines = [
+            f"allocation: user {ulabel(i)} OUTSIDE [0, 1] "
+            f"(x = {self.allocation[i]:.10g})"
+            for i in self.out_of_range
+        ]
         if self.capacity.ok:
             lines.append("capacity: OK")
         else:
@@ -156,8 +183,11 @@ class VerificationReport:
         return "\n".join(lines)
 
     def to_dict(self) -> dict:
-        """JSON-ready mirror of the report; indices are 1-based."""
-        return {
+        """JSON-ready mirror of the report; indices are 1-based.
+
+        The ``out_of_range`` key appears only when some x_i is out of range.
+        """
+        doc = {
             "passed": self.passed,
             "capacity_ok": self.capacity.ok,
             "usages": [float(u) for u in self.capacity.usages],
@@ -193,6 +223,11 @@ class VerificationReport:
             "sharing_ok": self.sharing.ok,
             "sharing_margins": [float(v) for v in self.sharing.margins],
         }
+        if self.out_of_range:
+            doc["out_of_range"] = [
+                {"user": i + 1, "x": float(self.allocation[i])} for i in self.out_of_range
+            ]
+        return doc
 
 
 def _bottlenecks(u: np.ndarray, tol: ToleranceConfig) -> tuple[int, ...]:
@@ -203,8 +238,10 @@ def check_capacity(
     inst: ProblemInstance, x: np.ndarray, tol: ToleranceConfig | None = None
 ) -> CapacityResult:
     """Pass iff every resource's usage stays within 1 + eps_feasible."""
-    tol = tol or DEFAULT_TOLERANCES
-    u = usages(inst, x)
+    return _capacity(usages(inst, x), tol or DEFAULT_TOLERANCES)
+
+
+def _capacity(u: np.ndarray, tol: ToleranceConfig) -> CapacityResult:
     worst = int(np.argmax(u)) if u.size else None
     excess = float(u[worst] - 1.0) if worst is not None else 0.0
     ok = bool(u.size == 0 or u[worst] <= 1.0 + tol.eps_feasible)
@@ -266,11 +303,16 @@ def check_njc(
     A user's best bottleneck is the first resource, in index order, that
     gives them their largest share among the bottlenecks.
     """
-    tol = tol or DEFAULT_TOLERANCES
     x = np.asarray(x, dtype=float)
+    return _statuses(inst, x, usages(inst, x), tol or DEFAULT_TOLERANCES)
+
+
+def _statuses(
+    inst: ProblemInstance, x: np.ndarray, u: np.ndarray, tol: ToleranceConfig
+) -> tuple[UserStatus, ...]:
     e = inst.entitlements
     shares, best, entitled, full, justified = _complaint_masks(
-        e, inst.requirements, x, usages(inst, x), tol.eps_bottleneck, tol.eps_njc
+        e, inst.requirements, x, u, tol.eps_bottleneck, tol.eps_njc
     )
     if best is None:
         margins = -e
@@ -367,27 +409,30 @@ def check_sharing_incentive(
 def verify(
     inst: ProblemInstance, x: np.ndarray, tol: ToleranceConfig | None = None
 ) -> VerificationReport:
-    """Run every check; only capacity and the complaint check gate the verdict.
+    """Check the bound on every x_i, capacity and complaints, which decide
+    the verdict; the report computes its report-only checks on first access.
 
     Deterministic and side-effect free: the report is a pure function of
-    (instance, allocation, tolerances).
+    (instance, allocation, tolerances), and later changes to ``x`` do not
+    reach it.
     """
     tol = tol or DEFAULT_TOLERANCES
-    x = np.asarray(x, dtype=float)
-    capacity = check_capacity(inst, x, tol)
-    users = check_njc(inst, x, tol)
+    x = readonly_array(x)
+    u = usages(inst, x)
+    capacity = _capacity(u, tol)
+    users = _statuses(inst, x, u, tol)
     njc_ok = all(st.ok for st in users)
-    pareto_ok = check_pareto(inst, x, tol)
-    envy = check_envy_free(inst, x, tol)
-    sharing = check_sharing_incentive(inst, x, tol)
+    # Written so that NaN is out of range too.
+    in_range = (x >= -tol.eps_feasible) & (x <= 1.0 + tol.eps_feasible)
+    out_of_range = tuple(np.flatnonzero(~in_range).tolist())
     return VerificationReport(
-        passed=bool(capacity.ok and njc_ok),
+        passed=bool(capacity.ok and njc_ok and not out_of_range),
         capacity=capacity,
-        bottlenecks=_bottlenecks(capacity.usages, tol),
+        bottlenecks=_bottlenecks(u, tol),
         users=users,
         njc_ok=njc_ok,
-        pareto_ok=pareto_ok,
-        envy=envy,
-        sharing=sharing,
+        out_of_range=out_of_range,
         tolerances=tol,
+        instance=inst,
+        allocation=x,
     )

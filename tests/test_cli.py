@@ -159,6 +159,22 @@ def test_verify_circle_symmetric_passes(capsys):
     assert "overall: PASS" in out
 
 
+def test_verify_fails_an_allocation_above_one(tmp_path, capsys):
+    # Capacity holds and both users read as fully allocated; x_1 = 2 alone
+    # must fail the verdict.
+    path = tmp_path / "box.json"
+    path.write_text('{"entitlements": [0.5, 0.5], "requirements": [[0.25], [0.5]]}')
+    code, out, _ = run(capsys, "verify", str(path), "--x", "2,1")
+    assert code == 1
+    assert "allocation: user 1 OUTSIDE [0, 1] (x = 2)" in out
+    assert "overall: FAIL" in out
+    code, out, _ = run(capsys, "verify", str(path), "--x", "2,1", "--format", "json")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["passed"] is False
+    assert doc["out_of_range"] == [{"user": 1, "x": 2.0}]
+
+
 def test_verify_dimension_mismatch_is_usage_error(capsys):
     code, _, err = run(capsys, "verify", "circle4", "--x", "0.5,0.5")
     assert code == 2

@@ -1,9 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 
+from fairshare import verifier
 from fairshare.drf import solve_drf
 from fairshare.fixtures import FIXTURES, load_fixture
-from fairshare.model import ProblemInstance, ToleranceConfig
+from fairshare.model import ProblemInstance, ToleranceConfig, usages
 from fairshare.oracle import random_instance
 from fairshare.solver import solve
 from fairshare.verifier import (
@@ -314,3 +317,123 @@ def test_report_renders_and_serializes():
     doc = report.to_dict()
     assert doc["passed"] is False
     assert doc["users"][1]["non_bottleneck_supports"] == [2]  # 1-based
+
+
+def _eager_report(inst, x, tol):
+    """verify's report with the report-only fields filled in by the public
+    checks up front, as a report computed them before they became lazy."""
+    report = verify(inst, x, tol)
+    report.__dict__.update(
+        pareto_ok=check_pareto(inst, x, tol),
+        envy=check_envy_free(inst, x, tol),
+        sharing=check_sharing_incentive(inst, x, tol),
+    )
+    return report
+
+
+def _assert_lazy_fields_equal_the_checks(inst, x, tol):
+    # to_dict() and render() first, on fresh reports, so the lazy fields are
+    # computed from inside them.
+    lazy = verify(inst, x, tol)
+    assert json.dumps(lazy.to_dict()) == json.dumps(_eager_report(inst, x, tol).to_dict())
+    lazy = verify(inst, x, tol)
+    assert lazy.render(inst) == _eager_report(inst, x, tol).render(inst)
+    envy, sharing = check_envy_free(inst, x, tol), check_sharing_incentive(inst, x, tol)
+    assert lazy.envy.margins.tobytes() == envy.margins.tobytes()
+    assert lazy.envy.margins.shape == envy.margins.shape
+    assert lazy.envy.worst_pair == envy.worst_pair
+    assert repr(lazy.envy.worst_margin) == repr(envy.worst_margin)
+    assert lazy.envy.ok is envy.ok
+    assert lazy.sharing.margins.tobytes() == sharing.margins.tobytes()
+    assert lazy.sharing.ok is sharing.ok
+    assert lazy.pareto_ok is check_pareto(inst, x, tol)
+
+
+def test_report_only_fields_equal_the_eager_checks(allocation_cases, suite_and_fixtures):
+    tol = ToleranceConfig()
+    for inst, x in allocation_cases:
+        _assert_lazy_fields_equal_the_checks(inst, x, tol)
+    for inst in suite_and_fixtures:
+        result = solve(inst, tol)
+        assert result.report.out_of_range == ()
+        _assert_lazy_fields_equal_the_checks(inst, np.array(result.solution.allocation), tol)
+
+
+def test_solve_does_not_compute_the_report_only_checks(monkeypatch, medium_instances):
+    def refuse(*args):
+        raise AssertionError("a report-only check ran during solve")
+
+    for name in ("check_envy_free", "check_sharing_incentive", "check_pareto"):
+        monkeypatch.setattr(verifier, name, refuse)
+    results = [solve(load_fixture(name)) for name in sorted(FIXTURES)]
+    results += [solve(inst) for inst in medium_instances[:6]]
+    assert all(res.report.passed for res in results)
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return check_envy_free(*args)
+
+    monkeypatch.setattr(verifier, "check_envy_free", counted)
+    report = results[0].report
+    first = report.envy
+    assert report.envy is first
+    assert len(calls) == 1
+    expected = check_envy_free(report.instance, report.allocation)
+    assert first.margins.tobytes() == expected.margins.tobytes()
+
+
+def test_verify_computes_usages_once(monkeypatch):
+    calls = []
+
+    def counted(inst, x):
+        calls.append(1)
+        return usages(inst, x)
+
+    monkeypatch.setattr(verifier, "usages", counted)
+    report = verify(load_fixture("greedy3"), np.array([1.0, 2 / 3, 0.0]))
+    assert not report.passed
+    assert len(calls) == 1
+
+
+def test_report_keeps_its_own_copy_of_the_allocation():
+    inst = load_fixture("drf_compare")
+    x = np.array([1 / 3, 1 / 3, 5 / 6])
+    report = verify(inst, x)
+    x[:] = [0.0, 1.0, 0.0]
+    assert report.envy.margins.tobytes() == (
+        check_envy_free(inst, np.array([1 / 3, 1 / 3, 5 / 6])).margins.tobytes()
+    )
+    assert report.envy.ok and report.pareto_ok and report.sharing.ok
+    assert not report.allocation.flags.writeable
+
+
+BOX = ProblemInstance(entitlements=[0.5, 0.5], requirements=[[0.25], [0.5]])
+
+
+def test_verify_rejects_allocations_outside_the_unit_interval():
+    # Capacity holds and both users count as fully allocated, so only the
+    # bound on x_i fails the report.
+    report = verify(BOX, [2.0, 1.0])
+    assert report.capacity.ok and report.njc_ok
+    assert not report.passed
+    assert report.out_of_range == (0,)
+    assert "allocation: user 1 OUTSIDE [0, 1] (x = 2)" in report.render(BOX)
+    assert report.to_dict()["out_of_range"] == [{"user": 1, "x": 2.0}]
+
+    # A user entitled to nothing is justified by a zero share on a
+    # bottleneck, whatever the sign of x_i.
+    zero = ProblemInstance(entitlements=[1.0, 0.0], requirements=[[1.0, 0.0], [0.0, 0.5]])
+    report = verify(zero, [1.0, -0.5])
+    assert report.njc_ok and not report.passed
+    assert report.out_of_range == (1,)
+
+    assert verify(BOX, [np.nan, 1.0]).out_of_range == (0,)
+    eps = ToleranceConfig().eps_feasible
+    inside = verify(BOX, [1.0 + eps / 2, -eps / 2])
+    assert inside.out_of_range == ()
+    assert "out_of_range" not in inside.to_dict()
+    assert "allocation:" not in inside.render(BOX)
+    assert verify(BOX, [1.0 + 2 * eps, 1.0]).out_of_range == (0,)
+    assert verify(BOX, [1.0, -2 * eps]).out_of_range == (1,)
