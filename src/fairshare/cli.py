@@ -210,6 +210,11 @@ def cmd_solve(args) -> int:
         result = solve(inst, tol)
     except InvalidInstanceError as exc:
         raise CliError(f"invalid instance: {exc}")
+    # The text output's trace is computed before anything is printed, so that
+    # an instance the reduction cannot handle prints nothing to stdout.
+    trace = None
+    if args.trace_reductions and not args.json:
+        trace = result.reductions.render()
     if args.json:
         print(json.dumps(_solution_dict(result), indent=2))
     else:
@@ -232,9 +237,9 @@ def cmd_solve(args) -> int:
         print("min residual:", _fmt(min(sol.residuals)))
         print("termination:", result.termination, "| polished:", result.polish_applied)
         print("verified:", "yes" if result.report.passed else "no")
-        if args.trace_reductions:
+        if trace is not None:
             print()
-            print(result.reductions.render())
+            print(trace)
         if not result.report.passed:
             print()
             print(result.report.render(inst))

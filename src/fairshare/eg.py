@@ -36,6 +36,13 @@ on a face takes exactly the interior-point iterates it would take without
 this exit. This is finite termination by a certified crossover (Ye, Math.
 Programming 57, 1992; Wright, Primal-Dual Interior-Point Methods, 1997,
 ch. 7).
+
+Where the interior point stops without such an exit, the face of the
+iterate it stops at is tried once more. Newton from an early iterate can
+miss a face's point by stopping after six steps or on a step that fails to
+halve the residual; from the converged iterate, next to that point, it
+rarely does, so an "optimal" answer is nearly always a certified face
+point. ``solve_eg`` reports whether it is.
 """
 from __future__ import annotations
 
@@ -110,11 +117,12 @@ def face_newton(
 
 
 def _finish_on_face(
-    e: np.ndarray, r: np.ndarray, x: np.ndarray, p: np.ndarray, face: np.ndarray
+    e: np.ndarray, r: np.ndarray, x: np.ndarray, s: np.ndarray, p: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray] | None:
-    """Face Newton from the iterate ``(x, p)`` on the columns ``face``: the
-    point and its prices if they carry the program's KKT certificate, else
-    None."""
+    """Face Newton from the iterate ``(x, s, p)`` on its face
+    A = {j : s_j < p_j}: the point and its prices if they carry the
+    program's KKT certificate, else None."""
+    face = s < p
     ra = r[:, face]
     # A user who requests nothing on the face cannot meet stationarity on it.
     if not (ra > 0.0).any(axis=1).all():
@@ -132,23 +140,24 @@ def _finish_on_face(
     return x, prices
 
 
-def solve_eg(inst: LiftedInstance) -> tuple[np.ndarray, np.ndarray, str]:
+def solve_eg(inst: LiftedInstance) -> tuple[np.ndarray, np.ndarray, str, bool]:
     """Optimum ``x`` of the Eisenberg-Gale program on ``inst``, its prices
-    ``p`` (one per column) and a stop flag.
+    ``p`` (one per column), a stop flag and whether the answer is a face
+    Newton point that carries the KKT certificate.
 
-    The flag is "optimal" when the interior point converges or an iterate's
-    face Newton point carries the KKT certificate, "iteration_limit" when
-    the iteration cap is reached, or "singular" when a Newton system cannot
-    be solved; in the last two cases the current iterate is returned. Users
-    with e_i = 0 are left out of the program and get x_i = 0, the
-    trajectory's answer for them.
+    The flag is "optimal" when the interior point converges or a face Newton
+    point carries the certificate, "iteration_limit" when the iteration cap
+    is reached, or "singular" when a Newton system cannot be solved; in the
+    last two cases the current iterate is returned unless its face
+    certifies. Users with e_i = 0 are left out of the program and get
+    x_i = 0, the trajectory's answer for them.
     """
     e_all = inst.entitlements
     n, m = inst.requirements.shape
     x_all = np.zeros(n)
     users = e_all > 0.0
     if not users.any():
-        return x_all, np.zeros(m), "optimal"
+        return x_all, np.zeros(m), "optimal", False
     e = e_all[users]
     r = inst.requirements[users]
     k = e.shape[0]
@@ -168,6 +177,7 @@ def solve_eg(inst: LiftedInstance) -> tuple[np.ndarray, np.ndarray, str]:
     status = "iteration_limit"
     face = np.zeros(m, dtype=bool)
     tried = False
+    finished = None
     for _ in range(_MAX_ITERATIONS):
         dual = e / x - r @ p
         primal = 1.0 - x @ r - s
@@ -185,10 +195,9 @@ def solve_eg(inst: LiftedInstance) -> tuple[np.ndarray, np.ndarray, str]:
             face, tried = current, False
         elif not tried and face.any():
             tried = True
-            finished = _finish_on_face(e, r, x, p, face)
+            finished = _finish_on_face(e, r, x, s, p)
             if finished is not None:
-                x_all[users] = finished[0]
-                return x_all, finished[1], "optimal"
+                break
         # The stationarity equations are nonlinear in x, so the centering
         # weight never drops below their relative residual: a user whose
         # residual lags would otherwise be left behind as mu shrinks (with
@@ -216,5 +225,12 @@ def solve_eg(inst: LiftedInstance) -> tuple[np.ndarray, np.ndarray, str]:
         if shrinking.any():
             step = min(step, _STEP_TO_BOUNDARY * float((z[shrinking] / -dz[shrinking]).min()))
         z += step * dz
-    x_all[users] = x
-    return x_all, p, status
+    if finished is None and (s < p).any():
+        # Finish on the face of the iterate where the interior point
+        # stopped, even if an earlier iterate's Newton failed on it.
+        finished = _finish_on_face(e, r, x, s, p)
+    if finished is None:
+        x_all[users] = x
+        return x_all, p, status, False
+    x_all[users] = finished[0]
+    return x_all, finished[1], "optimal", True

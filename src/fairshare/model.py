@@ -65,8 +65,6 @@ class ToleranceConfig:
     rk_atol: float = 1e-10
     convergence_tol: float = 1e-9
     slack_floor: float = 1e-8
-    polish_slack_tol: float = 1e-5
-    polish_eps: float = 1e-9
     grid_resolution: float = 1e-4
     max_condition: float = 1e30
 
@@ -74,8 +72,7 @@ class ToleranceConfig:
         for name in (
             "eps_input", "eps_feasible", "eps_bottleneck", "eps_njc", "t_max",
             "step_initial", "step_min", "step_max", "rk_rtol", "rk_atol",
-            "convergence_tol", "slack_floor", "polish_slack_tol", "polish_eps",
-            "grid_resolution", "max_condition",
+            "convergence_tol", "slack_floor", "grid_resolution", "max_condition",
         ):
             # Written so that NaN fails too.
             if not getattr(self, name) > 0.0:

@@ -1,13 +1,16 @@
 """Solver for entitlement-proportional fair allocation.
 
 ``solve`` computes the allocation as the optimum of the Eisenberg-Gale
-program (``fairshare.eg``) on the reduced instance, polishes it with the
-same face Newton that ends the interior point (on the columns within
-``polish_slack_tol`` of capacity, gated at ``polish_eps``), lifts it back and
-verifies it. Where the interior point finished on a certified face, the
-polish takes no Newton step and only runs its gate. Verification computes
-what decides the verdict; the report-only checks (Pareto pinning, envy,
-sharing incentive) are computed on first access to the report's fields.
+program (``fairshare.eg``) on the instance as given, lifted only by one unit
+column per user for x_i <= 1. The optimum grants in full every user who
+requests less than their entitlement everywhere, so no reduction runs first,
+and ``solve_eg`` ends, nearly always, on a face Newton point that carries
+the program's KKT certificate. Users who request nothing get x_i = 1. Where no resource
+saturates and users entitled to nothing still request something, they share
+the leftover capacity in one more program with equal entitlements.
+Verification computes what decides the verdict; the report-only checks
+(Pareto pinning, envy, sharing incentive) and the reduction trace are
+computed on first access.
 
 The paper's constructive method is kept here as the reference path, used
 by ``fairshare trace`` and by the tests. The feasible region
@@ -32,6 +35,7 @@ accumulating.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -46,8 +50,15 @@ from .model import (
     build_solution,
     validate_instance,
 )
-from .reductions import ReductionTrace, lift_solution, preprocess
-from .verifier import VerificationReport, complaint_free, verify
+# bench/tracing.py wraps ``preprocess`` and ``lift_solution`` in this module,
+# so both stay importable from here although ``solve`` calls neither.
+from .reductions import (  # noqa: F401
+    ReductionTrace,
+    add_dummy_resources,
+    lift_solution,
+    preprocess,
+)
+from .verifier import VerificationReport, verify
 
 __all__ = [
     "DomainBoundaryError",
@@ -107,12 +118,20 @@ class SolveResult:
     # "converged" when the answer verifies; otherwise "step_underflow" when
     # the interior point met a singular Newton system, else "t_max_reached".
     termination: str
+    # Whether every program solved ended on a face Newton point that carries
+    # the KKT certificate (printed as "polished" by the CLI).
     polish_applied: bool
-    reductions: ReductionTrace
 
     @property
     def ok(self) -> bool:
         return self.report.passed
+
+    @cached_property
+    def reductions(self) -> ReductionTrace:
+        """The reduction trace of the instance, computed on first access;
+        ``solve`` itself does not reduce. Raises
+        ``InfeasibleEliminationError`` where the reduction cannot proceed."""
+        return preprocess(self.report.instance, self.report.tolerances)[1]
 
 
 def _slacks_or_raise(inst: LiftedInstance, x: np.ndarray) -> np.ndarray:
@@ -410,73 +429,44 @@ def integrate_trajectory(
     return points, termination
 
 
-def _polish(
-    inst: LiftedInstance, x: np.ndarray, p: np.ndarray, tol: ToleranceConfig
-) -> tuple[np.ndarray, bool]:
-    """Snap the interior point's answer onto its exact active face.
-
-    With ``A`` the columns with slack at most ``tol.polish_slack_tol``,
-    ``eg.face_newton`` solves the program's optimality equations restricted
-    to ``A`` from ``(x, p)`` for the users with e_i > 0 who request
-    something on ``A``. Where ``eg.solve_eg`` finished on a face, its
-    answer already satisfies them and no Newton step is taken. The clipped
-    result is accepted only if its capacity and complaint checks pass at
-    ``tol.polish_eps``; otherwise ``x`` is returned unchanged.
-    """
-    r = inst.requirements
-    active = np.flatnonzero(1.0 - x @ r <= tol.polish_slack_tol)
-    if active.size == 0:
-        return x, False
-    # A user who requests nothing on an active column has a zero row and
-    # column in the Jacobian: the crossover leaves them where they are.
-    users = (inst.entitlements > 0.0) & (r[:, active] > 0.0).any(axis=1)
-    xu, _, _ = eg.face_newton(
-        inst.entitlements[users], r[np.ix_(users, active)], x[users], p[active]
-    )
-    cand = x.copy()
-    cand[users] = xu
-    np.clip(cand, 0.0, 1.0, out=cand)
-
-    u = cand @ r
-    if u.max() <= 1.0 + tol.eps_feasible and complaint_free(
-        inst.entitlements, r, cand, u, tol.eps_bottleneck, tol.polish_eps
-    ):
-        return cand, True
-    return x, False
-
-
 def solve(inst: ProblemInstance, tol: ToleranceConfig | None = None) -> SolveResult:
     """Compute a verified fair allocation for ``inst``.
 
-    Pipeline: validate, reduce, solve the Eisenberg-Gale program on the
-    reduced instance, polish the optimum onto the exact active face, lift
-    back to the original instance, and verify. A verification failure is
-    reported in the result (with full residuals), never masked as success.
+    Pipeline: validate, solve the Eisenberg-Gale program on the instance
+    with one unit column per user, grant users who request nothing in full,
+    and verify. A verification failure is reported in the result (with full
+    residuals), never masked as success.
     """
     tol = tol or DEFAULT_TOLERANCES
     violations = validate_instance(inst, tol)
     if violations:
         raise InvalidInstanceError(violations)
 
-    reduced, trace = preprocess(inst, tol)
-    polish_applied = False
-    if reduced.n_users == 0:
-        status = "optimal"
-        x_reduced = np.zeros(0)
-    else:
-        x_reduced, prices, status = eg.solve_eg(reduced)
-        x_reduced, polish_applied = _polish(reduced, x_reduced, prices, tol)
+    r = inst.requirements
+    x, _, status, on_face = eg.solve_eg(add_dummy_resources(inst))
+    requests = r.any(axis=1)
+    unentitled = requests & (inst.entitlements == 0.0)
+    usage = x @ r
+    if unentitled.any() and not (usage >= 1.0 - tol.eps_bottleneck).any():
+        # Nothing saturates, so everyone entitled to something is granted in
+        # full, and a user entitled to nothing who gets nothing would
+        # complain. Those users share what is left with equal entitlements,
+        # as the reduction's elimination renormalises them. At this optimum
+        # every user short of 1 has a saturated resource, so one program is
+        # enough.
+        k = int(unentitled.sum())
+        rest = ProblemInstance(
+            entitlements=np.full(k, 1.0 / k), requirements=r[unentitled] / (1.0 - usage)
+        )
+        x_rest, _, rest_status, rest_on_face = eg.solve_eg(add_dummy_resources(rest))
+        x[unentitled] = x_rest
+        on_face = on_face and rest_on_face
+        if status == "optimal":
+            status = rest_status
+    # Users who request nothing are fully satisfied by definition.
+    x[~requests] = 1.0
 
-    reduced_solution = build_solution(reduced, x_reduced, tol)
-    solution = lift_solution(trace, reduced_solution, tol, require_verified=False)
-
-    zero_rows = ~inst.requirements.any(axis=1)
-    if zero_rows.any():
-        # Users who request nothing are fully satisfied by definition.
-        x_full = np.array(solution.allocation)
-        x_full[zero_rows] = 1.0
-        solution = build_solution(inst, x_full, tol)
-
+    solution = build_solution(inst, x, tol)
     report = verify(inst, solution.allocation, tol)
     if report.passed:
         termination = "converged"
@@ -486,6 +476,5 @@ def solve(inst: ProblemInstance, tol: ToleranceConfig | None = None) -> SolveRes
         solution=solution,
         report=report,
         termination=termination,
-        polish_applied=polish_applied,
-        reductions=trace,
+        polish_applied=on_face,
     )

@@ -118,10 +118,31 @@ def test_a_tolerance_that_is_not_positive_is_a_usage_error(capsys, args):
 EXHAUSTED = {"entitlements": [1, 0], "requirements": [[0.99999999995], [0.5]]}
 
 
-def test_solve_reports_an_exhausted_column_as_input_error(tmp_path, capsys):
+def test_solve_answers_an_exhausted_column(tmp_path, capsys):
+    # solve does not reduce: user 1 gets everything, which saturates the
+    # resource to within 5e-11, and user 2, entitled to nothing, is
+    # justified there with nothing.
     path = tmp_path / "exhausted.json"
     path.write_text(json.dumps(EXHAUSTED))
     code, out, err = run(capsys, "solve", str(path))
+    assert code == 0
+    assert err == ""
+    assert "x = (1, 0)" in out
+    assert "bottlenecks: {1}" in out
+    assert "verified: yes" in out
+    code, out, _ = run(capsys, "solve", str(path), "--json")
+    assert code == 0
+    doc = json.loads(out)
+    np.testing.assert_allclose(doc["x"], [1.0, 0.0], rtol=0, atol=1e-9)
+    assert doc["verified"] is True
+
+
+def test_solve_trace_reductions_reports_an_exhausted_column_as_input_error(
+    tmp_path, capsys
+):
+    path = tmp_path / "exhausted.json"
+    path.write_text(json.dumps(EXHAUSTED))
+    code, out, err = run(capsys, "solve", str(path), "--trace-reductions")
     assert code == 2
     assert out == ""
     assert err.startswith("error: cannot reduce the instance:")

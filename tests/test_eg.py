@@ -32,7 +32,7 @@ def test_interior_point_meets_the_kkt_conditions_on_the_acceptance_suite():
         reduced, _ = preprocess(inst)
         if reduced.n_users == 0:
             continue
-        x, p, status = solve_eg(reduced)
+        x, p, status, _ = solve_eg(reduced)
         assert status == "optimal"
         min_price, complementarity, overshoot, stationarity = _kkt_residuals(reduced, x, p)
         assert min_price >= 0.0
@@ -49,7 +49,7 @@ def test_zero_entitlement_users_are_left_out_and_get_nothing():
         requirements=[[0.8, 0.3], [0.5, 0.9], [0.7, 0.7]],
     )
     lifted = add_dummy_resources(inst)
-    x, p, status = solve_eg(lifted)
+    x, p, status, _ = solve_eg(lifted)
     assert status == "optimal"
     assert x[2] == 0.0
     min_price, complementarity, overshoot, stationarity = _kkt_residuals(lifted, x, p)
@@ -65,7 +65,7 @@ def test_interior_point_meets_the_kkt_conditions_beyond_five_users(
     for inst in medium_instances + [large_instance]:
         reduced, _ = preprocess(inst)
         assert reduced.n_users > 0
-        x, p, status = solve_eg(reduced)
+        x, p, status, _ = solve_eg(reduced)
         assert status == "optimal"
         min_price, complementarity, overshoot, stationarity = _kkt_residuals(reduced, x, p)
         assert min_price >= 0.0
@@ -84,7 +84,7 @@ def test_without_the_face_exit_the_interior_point_still_meets_the_kkt_conditions
         reduced, _ = preprocess(inst)
         if reduced.n_users == 0:
             continue
-        x, p, status = solve_eg(reduced)
+        x, p, status, _ = solve_eg(reduced)
         assert status == "optimal"
         min_price, complementarity, overshoot, stationarity = _kkt_residuals(reduced, x, p)
         assert min_price >= 0.0
@@ -99,9 +99,9 @@ def test_the_suite_finishes_on_a_face_and_tries_no_face_twice_in_a_row(
     finish = eg._finish_on_face
     attempts = []
 
-    def recording(e, r, x, p, face):
-        finished = finish(e, r, x, p, face)
-        attempts.append((face.copy(), finished is not None))
+    def recording(e, r, x, s, p):
+        finished = finish(e, r, x, s, p)
+        attempts.append((s < p, finished is not None))
         return finished
 
     monkeypatch.setattr(eg, "_finish_on_face", recording)
@@ -112,14 +112,46 @@ def test_the_suite_finishes_on_a_face_and_tries_no_face_twice_in_a_row(
             continue
         nonempty += 1
         attempts.clear()
-        x, p, status = solve_eg(reduced)
+        x, p, status, finished = solve_eg(reduced)
         assert status == "optimal"
         # Only the last attempt can succeed, since a success returns.
         assert not any(ok for _, ok in attempts[:-1])
-        on_a_face += bool(attempts) and attempts[-1][1]
+        assert finished == (bool(attempts) and attempts[-1][1])
+        on_a_face += finished
+        # The face where the interior point stops is tried even if it was
+        # the last one tried (see the next test); on the suite it never is.
         for (before, _), (after, _) in zip(attempts, attempts[1:]):
             assert not np.array_equal(before, after)
     assert on_a_face >= 0.95 * nonempty
+
+
+def test_the_face_is_tried_again_where_the_interior_point_stops(monkeypatch):
+    # On this 9x7 instance Newton from an early iterate stops short of its
+    # face's point; from the iterate where the interior point stops, on the
+    # same face, it reaches it.
+    rng = np.random.default_rng(6)
+    n, m = int(rng.integers(5, 15)), int(rng.integers(4, 10))
+    e = rng.uniform(0.1, 1.0, n)
+    r = rng.uniform(0.0, 1.0, (n, m))
+    inst = ProblemInstance(entitlements=e / e.sum(), requirements=r / np.minimum(r.sum(0), 1.0))
+    finish = eg._finish_on_face
+    attempts = []
+
+    def recording(e, r, x, s, p):
+        finished = finish(e, r, x, s, p)
+        attempts.append((s < p, finished is not None))
+        return finished
+
+    monkeypatch.setattr(eg, "_finish_on_face", recording)
+    lifted = add_dummy_resources(inst)
+    x, p, status, finished = solve_eg(lifted)
+    assert (n, m) == (9, 7)
+    assert status == "optimal" and finished
+    assert [ok for _, ok in attempts] == [False, True]
+    np.testing.assert_array_equal(attempts[0][0], attempts[1][0])
+    min_price, complementarity, overshoot, stationarity = _kkt_residuals(lifted, x, p)
+    assert min_price >= 0.0
+    assert max(complementarity, overshoot, stationarity) <= 1e-9
 
 
 def test_face_newton_stops_where_the_prices_turn_non_positive():

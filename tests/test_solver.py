@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 import fairshare.lp
+import fairshare.reductions
+import fairshare.solver
 from fairshare import eg
 from fairshare.fixtures import FIXTURES, load_fixture
-from fairshare.model import ProblemInstance, ToleranceConfig
+from fairshare.model import ProblemInstance
 from fairshare.oracle import random_instance
 from fairshare.reductions import (
     add_dummy_resources,
@@ -14,7 +16,6 @@ from fairshare.reductions import (
 from fairshare.solver import (
     DomainBoundaryError,
     InvalidInstanceError,
-    _polish,
     gradient,
     integrate_trajectory,
     level_value,
@@ -207,45 +208,49 @@ def test_solve_verifies_on_every_fixture(name, drop_dominated):
     assert verify(inst, res.solution.allocation).passed
 
 
-def test_crossover_lands_on_the_active_face_without_any_lp(monkeypatch):
-    # The 200-instance acceptance suite and the fixtures. The crossover must
-    # polish every nonempty reduced instance, hold its active columns at
-    # capacity, stay next to the interior point, and need no LP at all.
+def test_crossover_lands_on_the_active_face_without_any_lp(
+    monkeypatch, suite_and_fixtures
+):
+    # The 200-instance acceptance suite and the fixtures. Every answer must
+    # end on a certified face, hold the face's priced columns and every
+    # column within 1e-5 of capacity at capacity, and need no LP at all.
     def no_lp(*args, **kwargs):
         raise AssertionError("solve must not call the simplex")
 
     monkeypatch.setattr(fairshare.lp, "maximize", no_lp)
-    cases = [
-        random_instance(1000 + seed, 1 + seed % 5, 1 + (seed * 7) % 5)
-        for seed in range(200)
-    ] + [load_fixture(name) for name in sorted(FIXTURES)]
-    tol = ToleranceConfig()
-    nonempty = 0
-    for inst in cases:
-        res = solve(inst, tol)
+    for inst in suite_and_fixtures:
+        res = solve(inst)
         assert res.report.passed
-        reduced, _ = preprocess(inst, tol)
-        if reduced.n_users == 0:
-            continue
-        nonempty += 1
         assert res.polish_applied
-        x, p, _ = eg.solve_eg(reduced)
-        polished, _ = _polish(reduced, x, p, tol)
-        active = 1.0 - x @ reduced.requirements <= tol.polish_slack_tol
-        usage = polished @ reduced.requirements[:, active]
-        assert np.max(np.abs(usage - 1.0)) <= 1e-12
-        np.testing.assert_allclose(polished, x, rtol=0, atol=1e-5)
-    assert nonempty == 203
+        lifted = add_dummy_resources(inst)
+        x, p, status, on_face = eg.solve_eg(lifted)
+        assert status == "optimal" and on_face
+        np.testing.assert_array_equal(res.solution.allocation, x)
+        usage = x @ lifted.requirements
+        active = (p > 0.0) | (1.0 - usage <= 1e-5)
+        assert (p > 0.0).any()
+        assert np.max(np.abs(usage[active] - 1.0)) <= 1e-12
 
 
 def test_finishing_on_a_face_changes_no_answer(
     monkeypatch, suite_and_fixtures, medium_instances
 ):
-    # solve_eg with every face declined runs the interior point to its own
-    # stop; the polished answers must agree with the face exit's.
+    # solve_eg with the faces of its iterates declined runs the interior
+    # point to its own stop and finishes on the face there; those answers
+    # must agree with the early face exit's.
     cases = suite_and_fixtures + medium_instances
     finished = [solve(inst) for inst in cases]
-    monkeypatch.setattr(eg, "_finish_on_face", lambda *args: None)
+    finish = eg._finish_on_face
+
+    def only_where_the_interior_point_stops(e, r, x, s, p):
+        # The interior point's own stopping test on the iterate (x, s, p).
+        stopped = (
+            max((p * s).max(), np.abs(1.0 - x @ r - s).max()) <= eg._COMPLEMENTARITY_TOL
+            and (np.abs(x * (e / x - r @ p)) / e).max() <= eg._STATIONARITY_TOL
+        )
+        return finish(e, r, x, s, p) if stopped else None
+
+    monkeypatch.setattr(eg, "_finish_on_face", only_where_the_interior_point_stops)
     for inst, res in zip(cases, finished):
         ref = solve(inst)
         assert res.report.passed and ref.report.passed
@@ -260,46 +265,85 @@ def test_finishing_on_a_face_changes_no_answer(
 @pytest.mark.parametrize(
     "entitlements, requirements",
     [
-        # one user, three identical unit columns plus the dummy: |A| = 4 > 1
+        # one user, three identical unit columns plus the unit column of
+        # x <= 1: |A| = 4 > 1
         ([1.0], [[1.0, 1.0, 1.0]]),
         # two users on two repeated columns
         ([0.5, 0.5], [[1.0, 1.0, 0.5], [1.0, 1.0, 0.5]]),
         # three users on three identical columns: user 3 is granted in full,
-        # so its dummy column saturates too and |A| = 4 > 3
+        # so its unit column saturates too and |A| = 4 > 3
         ([0.2, 0.3, 0.5], [[0.5, 0.5, 0.5]] * 3),
     ],
 )
-def test_crossover_on_a_degenerate_face(entitlements, requirements):
+def test_crossover_on_a_degenerate_face(monkeypatch, entitlements, requirements):
     # More active columns than users, or repeated columns, make the Schur
     # complement singular; its least-squares step must still land on the
-    # face and polish.
+    # face, both inside solve and from the interior point's own stop.
     inst = ProblemInstance(entitlements=entitlements, requirements=requirements)
-    tol = ToleranceConfig()
-    res = solve(inst, tol)
+    res = solve(inst)
     assert res.report.passed
     assert res.polish_applied
-    reduced, _ = preprocess(inst, tol)
-    x, p, _ = eg.solve_eg(reduced)
-    polished, applied = _polish(reduced, x, p, tol)
-    assert applied
-    active = 1.0 - x @ reduced.requirements <= tol.polish_slack_tol
-    assert active.sum() >= reduced.n_users
-    usage = polished @ reduced.requirements[:, active]
+    lifted = add_dummy_resources(inst)
+    e, r = lifted.entitlements, lifted.requirements
+    finish = eg._finish_on_face
+    monkeypatch.setattr(eg, "_finish_on_face", lambda *args: None)
+    x, p, status, on_face = eg.solve_eg(lifted)
+    assert status == "optimal" and not on_face
+    s = 1.0 - x @ r
+    active = s < p
+    assert active.sum() >= inst.n_users
+    polished = finish(e, r, x, s, p)
+    assert polished is not None
+    usage = polished[0] @ r[:, active]
     assert np.max(np.abs(usage - 1.0)) <= 1e-12
+    np.testing.assert_allclose(polished[0], res.solution.allocation, rtol=0, atol=1e-12)
 
 
 def test_crossover_leaves_a_user_off_the_active_face_in_place():
-    # User 2 requests nothing on the two active columns (resource 1 and
-    # user 1's dummy), so the Schur complement has nothing to divide by for
-    # them: the crossover must keep their x, and the gate then rejects the
-    # candidate, in which user 2 complains.
-    lifted = add_dummy_resources(
-        ProblemInstance(entitlements=[0.5, 0.5], requirements=[[1.0, 0.0], [0.0, 0.5]])
-    )
+    # User 2 requests nothing on the face (resource 1 and user 1's unit
+    # column), so the face has no stationarity equation for them: the face
+    # must be refused, with the iterate left as it was. solve itself lands
+    # on a face where both users are granted in full.
+    inst = ProblemInstance(entitlements=[0.5, 0.5], requirements=[[1.0, 0.0], [0.0, 0.5]])
+    lifted = add_dummy_resources(inst)
+    r = lifted.requirements
     x = np.array([1.0, 0.5])
-    polished, applied = _polish(lifted, x, np.full(lifted.m, 0.25), ToleranceConfig())
-    assert not applied
-    np.testing.assert_array_equal(polished, x)
+    p = np.full(lifted.m, 0.25)
+    s = 1.0 - x @ r
+    assert np.flatnonzero(s < p).tolist() == [0, 2]
+    assert eg._finish_on_face(lifted.entitlements, r, x, s, p) is None
+    np.testing.assert_array_equal(x, [1.0, 0.5])
+    res = solve(inst)
+    assert res.report.passed and res.polish_applied
+    np.testing.assert_array_equal(res.solution.allocation, [1.0, 1.0])
+
+
+def test_solve_needs_no_reduction(monkeypatch, medium_instances, large_instance):
+    def no_reduction(*args, **kwargs):
+        raise AssertionError("solve must not reduce the instance")
+
+    for module in (fairshare.solver, fairshare.reductions):
+        monkeypatch.setattr(module, "preprocess", no_reduction)
+        monkeypatch.setattr(module, "lift_solution", no_reduction)
+    monkeypatch.setattr(fairshare.reductions, "eliminate_satisfied_users", no_reduction)
+    cases = [load_fixture(name) for name in sorted(FIXTURES)]
+    for inst in cases + medium_instances + [large_instance]:
+        res = solve(inst)
+        assert res.report.passed
+        assert res.termination == "converged"
+
+
+def test_solve_equals_the_program_on_the_reduced_instance(
+    suite_and_fixtures, medium_instances
+):
+    # The reductions preserve the program's optimum: solving the reduced
+    # instance and granting the eliminated users in full gives solve's answer.
+    for inst in suite_and_fixtures + medium_instances:
+        reduced, _ = preprocess(inst)
+        x = np.ones(inst.n_users)
+        if reduced.n_users:
+            x[list(reduced.user_origin)] = eg.solve_eg(reduced)[0]
+        np.testing.assert_allclose(solve(inst).solution.allocation, x, rtol=0, atol=1e-12)
 
 
 def test_solve_verifies_a_400_by_100_instance(large_instance):
@@ -362,6 +406,27 @@ def test_solve_zero_entitlement_user():
     )
     res = solve(inst)
     assert res.report.passed
+
+
+@pytest.mark.parametrize(
+    "entitlements, requirements, expected",
+    [
+        # users 1 and 2 are granted in full and saturate nothing, so user 3,
+        # entitled to nothing, gets what is left: everything
+        ([0.5, 0.5, 0.0], [[0.6, 0.0], [0.0, 0.6], [0.3, 0.3]], [1.0, 1.0, 1.0]),
+        # user 1 is granted in full; user 2 fills resource 1's last tenth
+        ([1.0, 0.0], [[0.9, 0.5], [0.8, 0.3]], [1.0, 0.125]),
+        # user 2 requests nothing, so nothing they get can complain
+        ([1.0, 0.0], [[0.5], [0.0]], [1.0, 1.0]),
+    ],
+)
+def test_solve_gives_users_entitled_to_nothing_what_is_left(
+    entitlements, requirements, expected
+):
+    inst = ProblemInstance(entitlements=entitlements, requirements=requirements)
+    res = solve(inst)
+    assert res.report.passed
+    np.testing.assert_allclose(res.solution.allocation, expected, rtol=0, atol=1e-12)
 
 
 def test_doubling_convergence_detection_runs():
