@@ -31,11 +31,13 @@ x >= 0, capacity within the complementarity bound on every column and
 relative stationarity within the stationarity bound for every user. The
 converged Newton point of a face does not depend on where Newton starts, so
 a face whose point fails the certificate would fail again: each face is
-tried once until the iterate's face changes. A solve that never finishes
-on a face takes exactly the interior-point iterates it would take without
-this exit. This is finite termination by a certified crossover (Ye, Math.
-Programming 57, 1992; Wright, Primal-Dual Interior-Point Methods, 1997,
-ch. 7).
+tried once until the iterate's face changes. An attempt factors its first
+Newton system by SVD; R_A does not change during the attempt, so where
+that SVD finds the system of full rank and well conditioned, the later
+steps solve theirs by LU. A solve that never finishes on a face takes
+exactly the interior-point iterates it would take without this exit. This
+is finite termination by a certified crossover (Ye, Math. Programming 57,
+1992; Wright, Primal-Dual Interior-Point Methods, 1997, ch. 7).
 
 Where the interior point stops without such an exit, the face of the
 iterate it stops at is tried once more. Newton from an early iterate can
@@ -64,6 +66,9 @@ _STEP_TO_BOUNDARY = 0.99
 # optimum; its residual then sits at round-off (below 1e-15).
 _FACE_NEWTON_ITERATIONS = 6
 _FACE_NEWTON_TOL = 1e-15
+# The later steps of a face attempt use LU where the first step's Schur
+# complement has full rank and singular values within this ratio.
+_LU_MIN_SINGULAR_RATIO = 1e-8
 
 
 def face_newton(
@@ -75,9 +80,13 @@ def face_newton(
     are x_i (R_A p_A)_i = e_i for each of these users and (x R_A)_j = 1 for
     each j in A. The Jacobian's x-block diag(R_A p_A) is diagonal, so each
     step eliminates dx and solves the |A| x |A| Schur complement
-    R_A^T diag(x / (R_A p_A)) R_A for dp by least squares (a saturated
-    column with zero price, more columns than users or repeated columns
-    make it singular), then recovers dx.
+    R_A^T diag(x / (R_A p_A)) R_A for dp, then recovers dx. The first step
+    solves it by least squares (SVD), since a saturated column with zero
+    price, more columns than users or repeated columns make it singular.
+    The diagonal weight is positive and R_A does not change, so the rank
+    holds for every step: where the first step finds full rank and the
+    smallest singular value above 1e-8 times the largest, the later steps
+    solve by LU; otherwise they stay on least squares.
 
     The residual is the larger of max_i |x_i (R_A p_A)_i - e_i| / (R_A p_A)_i,
     how far x_i lies from the value that meets its equation at these prices,
@@ -87,11 +96,12 @@ def face_newton(
 
     Stops at residual at most 1e-15, after six steps, after a step that
     fails to halve the residual, where an entry of R_A p_A is not positive
-    (the residual is then inf, and nothing is divided by it) or where least
-    squares raises. Returns the last point and its residual; the inputs are
+    (the residual is then inf, and nothing is divided by it) or where a
+    solve raises. Returns the last point and its residual; the inputs are
     not modified.
     """
     residual = np.inf
+    lu = False
     for step in range(_FACE_NEWTON_ITERATIONS + 1):
         rp = ra @ pa
         if not rp.min() > 0.0:
@@ -107,8 +117,17 @@ def face_newton(
         ):
             break
         schur = (ra.T * (x / rp)) @ ra
+        rhs = r2 - (r1 / rp) @ ra
         try:
-            dp = np.linalg.lstsq(schur, r2 - (r1 / rp) @ ra, rcond=None)[0]
+            if lu:
+                dp = np.linalg.solve(schur, rhs)
+            else:
+                dp, _, rank, sv = np.linalg.lstsq(schur, rhs, rcond=None)
+                lu = (
+                    step == 0
+                    and rank == rhs.shape[0]
+                    and sv[-1] > _LU_MIN_SINGULAR_RATIO * sv[0]
+                )
         except np.linalg.LinAlgError:
             break
         x = x - (r1 + x * (ra @ dp)) / rp
@@ -152,14 +171,16 @@ def solve_eg(inst: LiftedInstance) -> tuple[np.ndarray, np.ndarray, str, bool]:
     certifies. Users with e_i = 0 are left out of the program and get
     x_i = 0, the trajectory's answer for them.
     """
-    e_all = inst.entitlements
-    n, m = inst.requirements.shape
-    x_all = np.zeros(n)
-    users = e_all > 0.0
-    if not users.any():
-        return x_all, np.zeros(m), "optimal", False
-    e = e_all[users]
-    r = inst.requirements[users]
+    e = inst.entitlements
+    r = inst.requirements
+    n, m = r.shape
+    users = e > 0.0
+    every = bool(users.all())
+    if not every:
+        if not users.any():
+            return np.zeros(n), np.zeros(m), "optimal", False
+        e = e[users]
+        r = r[users]
     k = e.shape[0]
 
     # Infeasible start: x, s and p need only be positive. The optimum's
@@ -175,7 +196,7 @@ def solve_eg(inst: LiftedInstance) -> tuple[np.ndarray, np.ndarray, str, bool]:
     x[:] = e / (r @ p)
     s[:] = 1.0
     status = "iteration_limit"
-    face = np.zeros(m, dtype=bool)
+    face = b""  # the previous iterate's face, as the bytes of its mask
     tried = False
     finished = None
     for _ in range(_MAX_ITERATIONS):
@@ -191,9 +212,10 @@ def solve_eg(inst: LiftedInstance) -> tuple[np.ndarray, np.ndarray, str, bool]:
             break
         # Try each face once it has held for two iterates in a row.
         current = s < p
-        if not np.array_equal(current, face):
-            face, tried = current, False
-        elif not tried and face.any():
+        key = current.tobytes()
+        if key != face:
+            face, tried = key, False
+        elif not tried and current.any():
             tried = True
             finished = _finish_on_face(e, r, x, s, p)
             if finished is not None:
@@ -229,8 +251,10 @@ def solve_eg(inst: LiftedInstance) -> tuple[np.ndarray, np.ndarray, str, bool]:
         # Finish on the face of the iterate where the interior point
         # stopped, even if an earlier iterate's Newton failed on it.
         finished = _finish_on_face(e, r, x, s, p)
-    if finished is None:
-        x_all[users] = x
-        return x_all, p, status, False
-    x_all[users] = finished[0]
-    return x_all, finished[1], "optimal", True
+    if finished is not None:
+        x, p, status = finished[0], finished[1], "optimal"
+    if every:
+        return x.copy(), p, status, finished is not None
+    x_all = np.zeros(n)
+    x_all[users] = x
+    return x_all, p, status, finished is not None

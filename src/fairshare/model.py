@@ -22,6 +22,7 @@ __all__ = [
     "Solution",
     "ToleranceConfig",
     "Violation",
+    "best_bottlenecks",
     "bottleneck_set",
     "build_solution",
     "resource_usage",
@@ -230,10 +231,20 @@ def validate_instance(
     1-based index when applicable, and the residual by which it misses.
     """
     tol = tol or DEFAULT_TOLERANCES
-    found: list[Violation] = []
     e = inst.entitlements
     r = inst.requirements
+    # The whole instance in one test, written so that NaN and inf fail it;
+    # only an instance that fails it is examined element by element.
+    if (
+        r.size
+        and abs(float(e.sum()) - 1.0) <= tol.eps_input
+        and e.min() >= 0.0
+        and r.min() >= 0.0
+        and r.max() <= 1.0
+    ):
+        return []
 
+    found: list[Violation] = []
     if inst.n_users < 1:
         found.append(Violation("entitlements", None, 0.0, "instance has no users"))
     if inst.n_real_resources < 1:
@@ -331,29 +342,42 @@ def utility(inst: ProblemInstance, i: int, amounts: np.ndarray) -> float:
     return float(min(1.0, (amounts[mask] / row[mask]).min()))
 
 
+def best_bottlenecks(
+    x: np.ndarray, requirements: np.ndarray, bottlenecks: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each user's best bottleneck and their share x_i r_ij on it.
+
+    ``bottlenecks`` holds at least one column index, in increasing order; a
+    user's best bottleneck is the lowest-indexed one among those that give
+    them their largest share.
+    """
+    shares = x[:, None] * requirements[:, bottlenecks]
+    best = shares.argmax(axis=1)
+    return bottlenecks[best], shares[np.arange(x.shape[0]), best]
+
+
 def build_solution(
     inst: ProblemInstance | LiftedInstance,
     x: np.ndarray,
     tol: ToleranceConfig | None = None,
 ) -> Solution:
-    """Package an allocation with detected bottlenecks and justifications."""
+    """Package an allocation with detected bottlenecks and justifications.
+
+    A user's justification is their best bottleneck (``best_bottlenecks``)
+    if its share meets their entitlement and they are not fully allocated.
+    """
     tol = tol or DEFAULT_TOLERANCES
     x = np.asarray(x, dtype=float)
     u = usages(inst, x)
-    bottlenecks = frozenset(int(j) for j in np.flatnonzero(u >= 1.0 - tol.eps_bottleneck))
+    cols = np.flatnonzero(u >= 1.0 - tol.eps_bottleneck)
     justification: list[int | None] = [None] * x.shape[0]
-    if bottlenecks:
-        # A user's justification is their first largest bottleneck share, in
-        # the frozenset's own iteration order, if it meets their entitlement.
-        cols = np.array(list(bottlenecks))
-        shares = x[:, None] * inst.requirements[:, cols]
-        best = shares.argmax(axis=1)
-        met = shares[np.arange(x.shape[0]), best] >= inst.entitlements - tol.eps_njc
-        met &= ~(x >= 1.0 - tol.eps_njc)
-        justification = [j if ok else None for j, ok in zip(cols[best].tolist(), met.tolist())]
+    if cols.size:
+        best, share = best_bottlenecks(x, inst.requirements, cols)
+        met = (share >= inst.entitlements - tol.eps_njc) & ~(x >= 1.0 - tol.eps_njc)
+        justification = [j if ok else None for j, ok in zip(best.tolist(), met.tolist())]
     return Solution(
         allocation=x,
-        bottlenecks=bottlenecks,
+        bottlenecks=frozenset(cols.tolist()),
         justification=tuple(justification),
         residuals=1.0 - u,
     )

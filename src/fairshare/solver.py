@@ -8,9 +8,10 @@ and ``solve_eg`` ends, nearly always, on a face Newton point that carries
 the program's KKT certificate. Users who request nothing get x_i = 1. Where no resource
 saturates and users entitled to nothing still request something, they share
 the leftover capacity in one more program with equal entitlements.
-Verification computes what decides the verdict; the report-only checks
-(Pareto pinning, envy, sharing incentive) and the reduction trace are
-computed on first access.
+Verification computes what decides the verdict, and the ``Solution`` is
+packaged from its arrays (usages, bottlenecks, justifications); the
+per-user statuses, the report-only checks (Pareto pinning, envy, sharing
+incentive) and the reduction trace are computed on first access.
 
 The paper's constructive method is kept here as the reference path, used
 by ``fairshare trace`` and by the tests. The feasible region
@@ -47,7 +48,6 @@ from .model import (
     Solution,
     ToleranceConfig,
     Violation,
-    build_solution,
     validate_instance,
 )
 # bench/tracing.py wraps ``preprocess`` and ``lift_solution`` in this module,
@@ -434,8 +434,9 @@ def solve(inst: ProblemInstance, tol: ToleranceConfig | None = None) -> SolveRes
 
     Pipeline: validate, solve the Eisenberg-Gale program on the instance
     with one unit column per user, grant users who request nothing in full,
-    and verify. A verification failure is reported in the result (with full
-    residuals), never masked as success.
+    verify, and package the solution from the verifier's report. A
+    verification failure is reported in the result (with full residuals),
+    never masked as success.
     """
     tol = tol or DEFAULT_TOLERANCES
     violations = validate_instance(inst, tol)
@@ -466,8 +467,13 @@ def solve(inst: ProblemInstance, tol: ToleranceConfig | None = None) -> SolveRes
     # Users who request nothing are fully satisfied by definition.
     x[~requests] = 1.0
 
-    solution = build_solution(inst, x, tol)
-    report = verify(inst, solution.allocation, tol)
+    report = verify(inst, x, tol)
+    solution = Solution(
+        allocation=report.allocation,
+        bottlenecks=report.bottlenecks,
+        justification=report.justification,
+        residuals=1.0 - report.capacity.usages,
+    )
     if report.passed:
         termination = "converged"
     else:

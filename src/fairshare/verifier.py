@@ -3,8 +3,11 @@ capacity, entitlement-on-a-bottleneck (the no-justified-complaints
 condition), Pareto pinning, envy, and the sharing-incentive baseline.
 
 Only the bound, capacity and the complaint check gate overall pass/fail;
-``verify`` computes those eagerly. The remaining checks are reported for
-inspection only: a report computes them on first access and caches them.
+``verify`` decides them with whole-array operations: usages, the bottleneck
+mask and, per user, the best bottleneck share against the entitlement and
+the full-allocation test. Everything else is reported for inspection only:
+a report builds its per-user statuses and computes Pareto pinning, envy and
+the sharing incentive on first access, and caches them.
 The verifier works directly on original (unlifted) instances: a fully
 allocated user (x_i = 1) is accepted without needing an artificial resource
 to saturate.
@@ -20,6 +23,7 @@ from .model import (
     DEFAULT_TOLERANCES,
     ProblemInstance,
     ToleranceConfig,
+    best_bottlenecks,
     readonly_array,
     usages,
 )
@@ -93,21 +97,28 @@ class VerificationReport:
     """Residual-level account of every fairness condition for one allocation.
 
     ``out_of_range`` lists the users whose x_i lies outside
-    [-eps_feasible, 1 + eps_feasible]. ``pareto_ok``, ``envy`` and
-    ``sharing`` gate nothing: each is computed on first access from the
-    report's own read-only copy of the allocation, then cached, so the
-    report stays a pure function of (instance, allocation, tolerances).
+    [-eps_feasible, 1 + eps_feasible]. ``justification[i]`` is the resource
+    that justifies user i, their best bottleneck, or None when the user is
+    fully allocated or complains; it equals ``users[i].resource``.
+    ``users``, ``pareto_ok``, ``envy`` and ``sharing`` gate nothing: each
+    is computed on first access from the report's own read-only copy of the
+    allocation, then cached, so the report stays a pure function of
+    (instance, allocation, tolerances).
     """
 
     passed: bool
     capacity: CapacityResult
     bottlenecks: tuple[int, ...]
-    users: tuple[UserStatus, ...]
+    justification: tuple[int | None, ...]
     njc_ok: bool
     out_of_range: tuple[int, ...]
     tolerances: ToleranceConfig
     instance: ProblemInstance = field(repr=False)
     allocation: np.ndarray = field(repr=False)
+
+    @cached_property
+    def users(self) -> tuple[UserStatus, ...]:
+        return _statuses(self.instance, self.allocation, self.capacity.usages, self.tolerances)
 
     @cached_property
     def pareto_ok(self) -> bool:
@@ -230,10 +241,6 @@ class VerificationReport:
         return doc
 
 
-def _bottlenecks(u: np.ndarray, tol: ToleranceConfig) -> tuple[int, ...]:
-    return tuple(int(j) for j in np.flatnonzero(u >= 1.0 - tol.eps_bottleneck))
-
-
 def check_capacity(
     inst: ProblemInstance, x: np.ndarray, tol: ToleranceConfig | None = None
 ) -> CapacityResult:
@@ -258,8 +265,8 @@ def check_njc(
 ) -> tuple[UserStatus, ...]:
     """Per-user complaint check: full allocation or entitlement on a bottleneck.
 
-    A user's best bottleneck is the first resource, in index order, that
-    gives them their largest share among the bottlenecks.
+    A user's best bottleneck is the lowest-indexed resource among the
+    bottlenecks that give them their largest share (``best_bottlenecks``).
     """
     x = np.asarray(x, dtype=float)
     return _statuses(inst, x, usages(inst, x), tol or DEFAULT_TOLERANCES)
@@ -273,18 +280,17 @@ def _statuses(
     # read, so what is left are a complaining user's non-bottleneck supports.
     e = inst.entitlements
     cols = np.flatnonzero(u >= 1.0 - tol.eps_bottleneck)
-    shares = x[:, None] * inst.requirements
-    entitled = shares >= (e - tol.eps_njc)[:, None]
+    entitled = x[:, None] * inst.requirements >= (e - tol.eps_njc)[:, None]
     full = x >= 1.0 - tol.eps_njc
     if cols.size == 0:
         justified = np.zeros(inst.n_users, dtype=bool)
         margins = -e
         best_list = [None] * inst.n_users
     else:
-        best = cols[shares[:, cols].argmax(axis=1)]
-        justified = entitled[np.arange(inst.n_users), best]
+        best, share = best_bottlenecks(x, inst.requirements, cols)
+        justified = share >= e - tol.eps_njc
         entitled[:, cols] = False
-        margins = shares[np.arange(inst.n_users), best] - e
+        margins = share - e
         best_list = best.tolist()
     margins = np.where(full, x - 1.0, margins)
     statuses: list[UserStatus] = []
@@ -376,7 +382,8 @@ def verify(
     inst: ProblemInstance, x: np.ndarray, tol: ToleranceConfig | None = None
 ) -> VerificationReport:
     """Check the bound on every x_i, capacity and complaints, which decide
-    the verdict; the report computes its report-only checks on first access.
+    the verdict; the report builds its per-user statuses and computes its
+    report-only checks on first access.
 
     Deterministic and side-effect free: the report is a pure function of
     (instance, allocation, tolerances), and later changes to ``x`` do not
@@ -386,16 +393,26 @@ def verify(
     x = readonly_array(x)
     u = usages(inst, x)
     capacity = _capacity(u, tol)
-    users = _statuses(inst, x, u, tol)
-    njc_ok = all(st.ok for st in users)
+    cols = np.flatnonzero(u >= 1.0 - tol.eps_bottleneck)
+    full = x >= 1.0 - tol.eps_njc
+    if cols.size:
+        best, share = best_bottlenecks(x, inst.requirements, cols)
+        justified = (share >= inst.entitlements - tol.eps_njc) & ~full
+        njc_ok = bool((justified | full).all())
+        justification = tuple(
+            [j if ok else None for j, ok in zip(best.tolist(), justified.tolist())]
+        )
+    else:
+        njc_ok = bool(full.all())
+        justification = (None,) * inst.n_users
     # Written so that NaN is out of range too.
     in_range = (x >= -tol.eps_feasible) & (x <= 1.0 + tol.eps_feasible)
     out_of_range = tuple(np.flatnonzero(~in_range).tolist())
     return VerificationReport(
         passed=bool(capacity.ok and njc_ok and not out_of_range),
         capacity=capacity,
-        bottlenecks=_bottlenecks(u, tol),
-        users=users,
+        bottlenecks=tuple(cols.tolist()),
+        justification=justification,
         njc_ok=njc_ok,
         out_of_range=out_of_range,
         tolerances=tol,

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from fairshare.cli import main
+from fairshare.fixtures import FIXTURES
 
 
 def run(capsys, *argv):
@@ -135,6 +136,22 @@ def test_solve_answers_an_exhausted_column(tmp_path, capsys):
     doc = json.loads(out)
     np.testing.assert_allclose(doc["x"], [1.0, 0.0], rtol=0, atol=1e-9)
     assert doc["verified"] is True
+
+
+def test_solve_json_names_one_justifying_resource_per_user(tmp_path, capsys):
+    # User 1 ties on the bottlenecks 4 and 18; the justification and the
+    # report must both name the lower one.
+    requirements = [[0.0] * 18, [0.0] * 18]
+    requirements[0][3] = requirements[0][17] = 0.8
+    requirements[1][3] = requirements[1][17] = 0.4
+    path = tmp_path / "tie.json"
+    path.write_text(json.dumps({"entitlements": [0.5, 0.5], "requirements": requirements}))
+    code, out, _ = run(capsys, "solve", str(path), "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["bottlenecks"] == [4, 18]
+    assert doc["justification"] == {"1": 4, "2": None}
+    assert [u["resource"] for u in doc["report"]["users"]] == [4, None]
 
 
 def test_solve_trace_reductions_reports_an_exhausted_column_as_input_error(
@@ -364,3 +381,89 @@ def test_trace_stride(capsys):
     assert code == 0 and code2 == 0
     assert len(strided.splitlines()) < len(full.splitlines())
     assert full.splitlines()[-1] == strided.splitlines()[-1]
+
+
+# The text output of ``fairshare solve NAME`` for every fixture, as printed
+# before solve() packaged its Solution from the verifier's report.
+SOLVE_TEXT = {
+    "circle4": """\
+x = (0.3333333333, 0.3333333333, 0.3333333333, 0.3333333333)
+bottlenecks: {1, 2, 3, 4}
+user 1: justified via resource 1
+user 2: justified via resource 1
+user 3: justified via resource 2
+user 4: justified via resource 1
+min residual: 0
+termination: converged | polished: True
+verified: yes
+""",
+    "drf_compare": """\
+x = (0.3333333333, 0.3333333333, 0.8333333333)
+bottlenecks: {1}
+user 1: justified via resource 1
+user 2: justified via resource 1
+user 3: justified via resource 1
+min residual: 0
+termination: converged | polished: True
+verified: yes
+""",
+    "elim_example": """\
+x = (1, 0.4666666667, 0.6)
+bottlenecks: {2}
+user 1: fully allocated
+user 2: justified via resource 2
+user 3: justified via resource 2
+min residual: 1.110223025e-16
+termination: converged | polished: True
+verified: yes
+""",
+    "greedy3": """\
+x = (0.9787032456, 0.6079372933, 0.1306875689)
+bottlenecks: {2, 3}
+user 1: justified via resource 3
+user 2: justified via resource 2
+user 3: justified via resource 2
+min residual: 0
+termination: converged | polished: True
+verified: yes
+""",
+    "nonunique_n3": """\
+x = (0.5, 0.5, 0.5)
+bottlenecks: {1, 2}
+user 1: justified via resource 1
+user 2: justified via resource 2
+user 3: justified via resource 1
+min residual: 0
+termination: converged | polished: True
+verified: yes
+""",
+    "slope2": """\
+x = (0.6, 0.9)
+bottlenecks: {1}
+user 1: justified via resource 1
+user 2: justified via resource 1
+min residual: 0
+termination: converged | polished: True
+verified: yes
+""",
+    "utilization": """\
+x = (1, 0.5)
+bottlenecks: {1, 4}
+user 1: fully allocated
+user 2: justified via resource 1
+min residual: 0
+termination: converged | polished: True
+verified: yes
+""",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SOLVE_TEXT))
+def test_solve_prints_the_recorded_text_for_every_fixture(name, capsys):
+    code, out, err = run(capsys, "solve", name)
+    assert code == 0 and err == ""
+    assert out == SOLVE_TEXT[name]
+
+
+def test_the_recorded_text_covers_every_fixture():
+    assert sorted(SOLVE_TEXT) == sorted(FIXTURES)

@@ -8,6 +8,7 @@ from fairshare.model import (
     InfeasibleAllocationError,
     ProblemInstance,
     ToleranceConfig,
+    Violation,
     bottleneck_set,
     build_solution,
     resource_usage,
@@ -72,6 +73,84 @@ def test_validate_is_pure_and_idempotent():
     second = validate_instance(inst)
     assert first == second == []
     np.testing.assert_array_equal(inst.entitlements, before_e)
+
+
+def _violations_reference(inst, tol):
+    """validate_instance as one test per element, in the order the
+    violations are reported: shape, sum, entitlements, then requests row
+    by row."""
+    e, r = inst.entitlements, inst.requirements
+    found = []
+    if e.shape[0] < 1:
+        found.append(Violation("entitlements", None, 0.0, "instance has no users"))
+    if r.shape[1] < 1:
+        found.append(Violation("requirements", None, 0.0, "instance has no resources"))
+    total = float(e.sum()) if e.size else 0.0
+    if abs(total - 1.0) > tol.eps_input:
+        found.append(Violation(
+            "entitlements", None, total - 1.0,
+            f"entitlements sum {total:.10g} != 1 (residual {total - 1.0:.3g})",
+        ))
+    for i, value in enumerate(e):
+        if not np.isfinite(value) or value < 0.0:
+            problem = "negative" if np.isfinite(value) else "not finite"
+            found.append(Violation(
+                "entitlements", i + 1, float(value),
+                f"entitlement of user {inst.user_label(i)} is {problem} ({value:.10g})",
+            ))
+    for i in range(r.shape[0]):
+        for j in range(r.shape[1]):
+            value = r[i, j]
+            if not np.isfinite(value) or value < 0.0 or value > 1.0:
+                problem = "outside [0, 1]" if np.isfinite(value) else "not finite"
+                found.append(Violation(
+                    "requirements", i + 1, float(value) - (1.0 if value > 1.0 else 0.0),
+                    f"request of user {inst.user_label(i)} on resource "
+                    f"{inst.resource_label(j)} is {value:.10g}, {problem}",
+                ))
+    return found
+
+
+def _validation_cases(tol):
+    eps = tol.eps_input
+    cases = [
+        ([], np.zeros((0, 2))),  # no users
+        ([0.5, 0.5], np.zeros((2, 0))),  # no resources
+        ([], np.zeros((0, 0))),
+        ([-0.25, 1.25], [[0.5], [0.5]]),  # a negative entitlement
+    ]
+    for delta in (-2 * eps, -eps, eps, 2 * eps):
+        cases.append(([0.25, 0.75 + delta], [[0.5, 0.25], [0.5, 1.0]]))
+    cases.append(([0.5, 0.5], [[-0.0, 0.0], [1.0, 1.0 + 1e-16]]))
+    cases.append(([0.5, 0.5], [[0.5, 1.0 + 1e-15], [-1e-300, 0.5]]))
+    for bad in (np.nan, np.inf, -np.inf):
+        cases.append(([bad, 0.5], [[0.5], [0.5]]))
+        cases.append(([0.5, 0.5], [[0.5, bad], [bad, 0.5]]))
+    rng = np.random.default_rng(3)
+    for k in range(60):
+        n, m = int(rng.integers(1, 6)), int(rng.integers(1, 6))
+        e = rng.uniform(0.0, 1.0, n)
+        e = e / e.sum()
+        r = rng.uniform(0.0, 1.0, (n, m))
+        if k % 3 == 1:
+            r[rng.random((n, m)) < 0.3] = rng.choice([-0.5, 1.5, np.nan, np.inf])
+        if k % 4 == 2:
+            e[rng.integers(n)] += rng.choice([-2.0, 0.5, np.nan])
+        cases.append((e, r))
+    return [ProblemInstance(entitlements=e, requirements=r) for e, r in cases]
+
+
+def test_validate_instance_equals_the_per_element_reference():
+    # validate_instance tests the whole instance at once and lists the
+    # violations only when that test fails; the list must equal the
+    # per-element loop in every field and in order, -0.0 and NaN included.
+    tol = ToleranceConfig()
+    valid = 0
+    for inst in _validation_cases(tol):
+        found = validate_instance(inst, tol)
+        assert repr(found) == repr(_violations_reference(inst, tol))
+        valid += not found
+    assert valid >= 20
 
 
 def test_instance_arrays_are_read_only():
@@ -179,7 +258,7 @@ def test_tolerance_config_orders_feasible_below_bottleneck():
 
 def _justification_reference(inst, x, tol):
     """build_solution's justifications as one loop per user over the
-    bottleneck frozenset, in the frozenset's own iteration order."""
+    bottlenecks in index order, so that a tie goes to the lowest index."""
     e, r = inst.entitlements, inst.requirements
     bottlenecks = frozenset(
         int(j) for j in np.flatnonzero(x @ r >= 1.0 - tol.eps_bottleneck)
@@ -190,7 +269,7 @@ def _justification_reference(inst, x, tol):
             justification.append(None)
             continue
         best, best_share = None, -np.inf
-        for j in bottlenecks:
+        for j in sorted(bottlenecks):
             share = x[i] * r[i, j]
             if share >= e[i] - tol.eps_njc and share > best_share:
                 best, best_share = j, share

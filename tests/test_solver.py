@@ -461,6 +461,25 @@ def test_solution_bottlenecks_are_saturated_within_tolerance():
                 assert share >= inst.entitlements[i] - 1e-6
 
 
+def _tied_on_resources_4_and_18():
+    """x = (0.75, 1): user 1 gets 0.6 >= 0.5 on both bottlenecks, 4 and 18."""
+    r = np.zeros((2, 18))
+    r[0, 3] = r[0, 17] = 0.8
+    r[1, 3] = r[1, 17] = 0.4
+    return ProblemInstance(entitlements=[0.5, 0.5], requirements=r)
+
+
+def test_a_tie_between_bottlenecks_goes_to_the_lowest_index():
+    # The set {3, 17} iterates 17 first; the justification once followed
+    # that order, while the report named resource 4.
+    res = solve(_tied_on_resources_4_and_18())
+    np.testing.assert_allclose(res.solution.allocation, [0.75, 1.0], rtol=0, atol=1e-12)
+    assert res.solution.bottlenecks == {3, 17}
+    assert res.solution.justification == (3, None)
+    assert [st.resource for st in res.report.users] == [3, None]
+    assert res.report.justification == res.solution.justification
+
+
 @pytest.mark.parametrize(
     "entitlements,requirements",
     [

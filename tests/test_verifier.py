@@ -14,6 +14,7 @@ from fairshare.verifier import (
     FULLY_ALLOCATED,
     JUSTIFIED,
     UserStatus,
+    _statuses,
     check_capacity,
     check_envy_free,
     check_njc,
@@ -324,6 +325,7 @@ def _eager_report(inst, x, tol):
     checks up front, as a report computed them before they became lazy."""
     report = verify(inst, x, tol)
     report.__dict__.update(
+        users=check_njc(inst, x, tol),
         pareto_ok=check_pareto(inst, x, tol),
         envy=check_envy_free(inst, x, tol),
         sharing=check_sharing_incentive(inst, x, tol),
@@ -338,6 +340,11 @@ def _assert_lazy_fields_equal_the_checks(inst, x, tol):
     assert json.dumps(lazy.to_dict()) == json.dumps(_eager_report(inst, x, tol).to_dict())
     lazy = verify(inst, x, tol)
     assert lazy.render(inst) == _eager_report(inst, x, tol).render(inst)
+    # repr tells the margins apart bit for bit, -0.0 from 0.0 included.
+    statuses = check_njc(inst, x, tol)
+    assert repr(lazy.users) == repr(statuses)
+    assert lazy.njc_ok is all(st.ok for st in statuses)
+    assert lazy.justification == tuple(st.resource for st in statuses)
     envy, sharing = check_envy_free(inst, x, tol), check_sharing_incentive(inst, x, tol)
     assert lazy.envy.margins.tobytes() == envy.margins.tobytes()
     assert lazy.envy.margins.shape == envy.margins.shape
@@ -363,7 +370,8 @@ def test_solve_does_not_compute_the_report_only_checks(monkeypatch, medium_insta
     def refuse(*args):
         raise AssertionError("a report-only check ran during solve")
 
-    for name in ("check_envy_free", "check_sharing_incentive", "check_pareto"):
+    # _statuses builds the per-user statuses of report.users.
+    for name in ("check_envy_free", "check_sharing_incentive", "check_pareto", "_statuses"):
         monkeypatch.setattr(verifier, name, refuse)
     results = [solve(load_fixture(name)) for name in sorted(FIXTURES)]
     results += [solve(inst) for inst in medium_instances[:6]]
@@ -371,17 +379,30 @@ def test_solve_does_not_compute_the_report_only_checks(monkeypatch, medium_insta
 
     calls = []
 
-    def counted(*args):
-        calls.append(args)
-        return check_envy_free(*args)
+    def counted(check):
+        def run(*args):
+            calls.append(check.__name__)
+            return check(*args)
 
-    monkeypatch.setattr(verifier, "check_envy_free", counted)
+        return run
+
+    monkeypatch.setattr(verifier, "check_envy_free", counted(check_envy_free))
+    monkeypatch.setattr(verifier, "_statuses", counted(_statuses))
     report = results[0].report
     first = report.envy
     assert report.envy is first
-    assert len(calls) == 1
+    assert calls == ["check_envy_free"]
     expected = check_envy_free(report.instance, report.allocation)
     assert first.margins.tobytes() == expected.margins.tobytes()
+
+    calls.clear()
+    for res in results:
+        users = res.report.users
+        assert res.report.users is users
+    assert calls == ["_statuses"] * len(results)
+    for res in results:
+        expected = check_njc(res.report.instance, res.report.allocation)
+        assert repr(res.report.users) == repr(expected)
 
 
 def test_verify_computes_usages_once(monkeypatch):
