@@ -9,15 +9,13 @@ reference path. Independent brute-force oracles and a verifier keep it
 honest, and a weighted dominant-resource-fairness comparator is included for
 side-by-side reports.
 """
-from .drf import DrfResult, dominant_share, solve_drf
+from .drf import DrfResult, solve_drf
 from .model import (
     LiftedInstance,
     ProblemInstance,
     Solution,
     ToleranceConfig,
     Violation,
-    bottleneck_set,
-    resource_usage,
     usages,
     utility,
     validate_instance,
@@ -56,8 +54,6 @@ __all__ = [
     "TrajectoryPoint",
     "VerificationReport",
     "Violation",
-    "bottleneck_set",
-    "dominant_share",
     "enumerate_solutions",
     "gradient",
     "grid_search_n2",
@@ -67,7 +63,6 @@ __all__ = [
     "preprocess",
     "random_instance",
     "replay",
-    "resource_usage",
     "solve",
     "solve_drf",
     "trajectory_derivative",

@@ -68,6 +68,15 @@ def _parse_number(value, where: str) -> float:
     raise CliError(f"{where}: expected a number, got {type(value).__name__}")
 
 
+def _parse_names(doc: dict, key: str, where: str) -> tuple[str, ...] | None:
+    names = doc.get(key)
+    if names is None:
+        return None
+    if not isinstance(names, list) or not all(isinstance(v, str) for v in names):
+        raise CliError(f"{where}: {key!r} must be an array of strings")
+    return tuple(names) or None
+
+
 def _parse_instance_document(doc, where: str) -> ProblemInstance:
     if not isinstance(doc, dict):
         raise CliError(f"{where}: top-level value must be an object")
@@ -102,14 +111,12 @@ def _parse_instance_document(doc, where: str) -> ProblemInstance:
         requirements.append(
             [_parse_number(v, f"{where}: requirements[{i}][{j}]") for j, v in enumerate(row)]
         )
-    users = doc.get("users")
-    resources = doc.get("resources")
     try:
         return ProblemInstance(
             entitlements=entitlements,
             requirements=requirements,
-            user_names=tuple(users) if users else None,
-            resource_names=tuple(resources) if resources else None,
+            user_names=_parse_names(doc, "users", where),
+            resource_names=_parse_names(doc, "resources", where),
         )
     except ValueError as exc:
         raise CliError(f"{where}: {exc}") from None
@@ -159,8 +166,8 @@ def _parse_allocation(args, n_users: int) -> np.ndarray:
                 doc = json.load(handle)
         except (OSError, json.JSONDecodeError) as exc:
             raise CliError(f"{args.allocation}: {exc}")
-        if not isinstance(doc, dict) or "x" not in doc:
-            raise CliError(f"{args.allocation}: expected an object with key 'x'")
+        if not isinstance(doc, dict) or not isinstance(doc.get("x"), list):
+            raise CliError(f"{args.allocation}: expected an object whose key 'x' is an array")
         values = [
             _parse_number(v, f"{args.allocation}: x[{i}]") for i, v in enumerate(doc["x"])
         ]
@@ -242,7 +249,7 @@ def cmd_solve(args) -> int:
             print(trace)
         if not result.report.passed:
             print()
-            print(result.report.render(inst))
+            print(result.report.render())
     return 0 if result.report.passed else 1
 
 
@@ -254,7 +261,7 @@ def cmd_verify(args) -> int:
     if args.format == "json":
         print(json.dumps(report.to_dict(), indent=2))
     else:
-        print(report.render(inst))
+        print(report.render())
     return 0 if report.passed else 1
 
 
@@ -422,7 +429,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_trace = sub.add_parser("trace", help="CSV of the solver trajectory")
     add_instance(p_trace)
     p_trace.add_argument("--stride", type=int, default=1, help="emit every k-th sample")
-    p_trace.add_argument("--tol", type=float)
     p_trace.add_argument("--t-max", type=float, dest="t_max")
     p_trace.set_defaults(func=cmd_trace)
     return parser

@@ -14,7 +14,7 @@ import numpy as np
 
 from .model import ProblemInstance, usages
 
-__all__ = ["DrfResult", "dominant_share", "solve_drf"]
+__all__ = ["DrfResult", "solve_drf"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -24,16 +24,6 @@ class DrfResult:
     saturating_resource: int | None  # first resource to reach capacity
     utilizations: np.ndarray
     share_level: float  # final common level s
-
-    @property
-    def average_utilization(self) -> float:
-        return float(self.utilizations.mean())
-
-
-def dominant_share(inst: ProblemInstance, i: int, x_i: float) -> float:
-    """Fraction of user i's most-demanded resource granted at scale x_i."""
-    d = float(inst.requirements[i].max(initial=0.0))
-    return x_i * d
 
 
 def solve_drf(inst: ProblemInstance) -> DrfResult:

@@ -11,31 +11,23 @@ instances and allocations can be shared freely across threads.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 __all__ = [
-    "InfeasibleAllocationError",
     "LiftedInstance",
     "ProblemInstance",
     "Solution",
     "ToleranceConfig",
     "Violation",
     "best_bottlenecks",
-    "bottleneck_set",
-    "build_solution",
-    "resource_usage",
     "usages",
     "utility",
     "validate_instance",
 ]
 
 ColumnKey = tuple[str, int]
-
-
-class InfeasibleAllocationError(ValueError):
-    """An allocation exceeds some resource capacity beyond tolerance."""
 
 
 def readonly_array(values, dtype=float) -> np.ndarray:
@@ -47,11 +39,16 @@ def readonly_array(values, dtype=float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ToleranceConfig:
-    """Numeric tolerances and integrator controls used across the library.
+    """Numeric tolerances used across the library.
 
-    ``eps_feasible`` bounds acceptable capacity overshoot, ``eps_bottleneck``
-    decides when a resource counts as saturated, and ``eps_njc`` is the slack
-    allowed when testing whether a user received their entitlement.
+    ``eps_input`` is the slack allowed on the entitlement sum (and the
+    reductions' threshold for a column or entitlement that is used up),
+    ``eps_feasible`` bounds acceptable capacity overshoot and the [0, 1]
+    bound on every x_i, ``eps_bottleneck`` decides when a resource counts
+    as saturated, and ``eps_njc`` is the slack allowed when testing whether
+    a user received their entitlement or everything. ``t_max`` is the level
+    budget of the reference trajectory (``solver.integrate_trajectory``),
+    whose step controls are constants of the solver.
     """
 
     eps_input: float = 1e-9
@@ -59,25 +56,12 @@ class ToleranceConfig:
     eps_bottleneck: float = 1e-6
     eps_njc: float = 1e-6
     t_max: float = 34.0
-    step_initial: float = 1e-3
-    step_min: float = 1e-10
-    step_max: float = 2.0
-    rk_rtol: float = 1e-8
-    rk_atol: float = 1e-10
-    convergence_tol: float = 1e-9
-    slack_floor: float = 1e-8
-    grid_resolution: float = 1e-4
-    max_condition: float = 1e30
 
     def __post_init__(self) -> None:
-        for name in (
-            "eps_input", "eps_feasible", "eps_bottleneck", "eps_njc", "t_max",
-            "step_initial", "step_min", "step_max", "rk_rtol", "rk_atol",
-            "convergence_tol", "slack_floor", "grid_resolution", "max_condition",
-        ):
+        for f in fields(self):
             # Written so that NaN fails too.
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"tolerance {name!r} must be strictly positive")
+            if not getattr(self, f.name) > 0.0:
+                raise ValueError(f"tolerance {f.name!r} must be strictly positive")
         if self.eps_feasible > self.eps_bottleneck:
             raise ValueError("eps_feasible must not exceed eps_bottleneck")
 
@@ -185,14 +169,6 @@ class LiftedInstance:
     def m(self) -> int:
         return self.requirements.shape[1]
 
-    @property
-    def real_columns(self) -> tuple[int, ...]:
-        return tuple(k for k, key in enumerate(self.column_origin) if key[0] == "real")
-
-    @property
-    def dummy_columns(self) -> tuple[int, ...]:
-        return tuple(k for k, key in enumerate(self.column_origin) if key[0] == "dummy")
-
     def column_label(self, k: int) -> str:
         kind, idx = self.column_origin[k]
         if kind == "real":
@@ -296,37 +272,6 @@ def usages(inst: ProblemInstance | LiftedInstance, x: np.ndarray) -> np.ndarray:
     return x @ r
 
 
-def resource_usage(
-    inst: ProblemInstance | LiftedInstance, x: np.ndarray, j: int
-) -> float:
-    """Load on resource ``j`` under allocation ``x``."""
-    r = inst.requirements
-    if not 0 <= j < r.shape[1]:
-        raise IndexError(f"resource index {j} out of range [0, {r.shape[1]})")
-    x = np.asarray(x, dtype=float)
-    return float(x @ r[:, j])
-
-
-def bottleneck_set(
-    inst: ProblemInstance | LiftedInstance,
-    x: np.ndarray,
-    tol: ToleranceConfig | None = None,
-) -> frozenset[int]:
-    """Resources whose usage reaches capacity (within ``eps_bottleneck``).
-
-    Raises InfeasibleAllocationError if any usage exceeds 1 + eps_feasible.
-    """
-    tol = tol or DEFAULT_TOLERANCES
-    u = usages(inst, x)
-    over = np.flatnonzero(u > 1.0 + tol.eps_feasible)
-    if over.size:
-        worst = int(over[np.argmax(u[over])])
-        raise InfeasibleAllocationError(
-            f"usage of resource {worst + 1} is {u[worst]:.10g} > 1"
-        )
-    return frozenset(int(j) for j in np.flatnonzero(u >= 1.0 - tol.eps_bottleneck))
-
-
 def utility(inst: ProblemInstance, i: int, amounts: np.ndarray) -> float:
     """Fraction of user i's profile executable from the bundle ``amounts``.
 
@@ -354,30 +299,3 @@ def best_bottlenecks(
     shares = x[:, None] * requirements[:, bottlenecks]
     best = shares.argmax(axis=1)
     return bottlenecks[best], shares[np.arange(x.shape[0]), best]
-
-
-def build_solution(
-    inst: ProblemInstance | LiftedInstance,
-    x: np.ndarray,
-    tol: ToleranceConfig | None = None,
-) -> Solution:
-    """Package an allocation with detected bottlenecks and justifications.
-
-    A user's justification is their best bottleneck (``best_bottlenecks``)
-    if its share meets their entitlement and they are not fully allocated.
-    """
-    tol = tol or DEFAULT_TOLERANCES
-    x = np.asarray(x, dtype=float)
-    u = usages(inst, x)
-    cols = np.flatnonzero(u >= 1.0 - tol.eps_bottleneck)
-    justification: list[int | None] = [None] * x.shape[0]
-    if cols.size:
-        best, share = best_bottlenecks(x, inst.requirements, cols)
-        met = (share >= inst.entitlements - tol.eps_njc) & ~(x >= 1.0 - tol.eps_njc)
-        justification = [j if ok else None for j, ok in zip(best.tolist(), met.tolist())]
-    return Solution(
-        allocation=x,
-        bottlenecks=frozenset(cols.tolist()),
-        justification=tuple(justification),
-        residuals=1.0 - u,
-    )

@@ -300,7 +300,7 @@ class GridSearchResult:
 
 def grid_search_n2(
     inst: ProblemInstance,
-    resolution: float | None = None,
+    resolution: float = 1e-4,
     tol: ToleranceConfig | None = None,
 ) -> GridSearchResult:
     """Walk the two-user boundary curve and keep the fair points.
@@ -309,10 +309,14 @@ def grid_search_n2(
     min(1, min over requested j of (1 - x_1 r_1j) / r_2j). Verification runs
     with tolerances relaxed by one grid cell (the saturation tolerance also
     absorbs the curve's local slope, so a vertex between two capacity lines
-    is still recognized from the neighboring grid point).
+    is still recognized from the neighboring grid point). ``resolution``
+    is the grid step in x_1, in (0, 1].
     """
     tol = tol or DEFAULT_TOLERANCES
-    resolution = tol.grid_resolution if resolution is None else float(resolution)
+    resolution = float(resolution)
+    # Written so that NaN fails too.
+    if not 0.0 < resolution <= 1.0:
+        raise ValueError(f"grid resolution must lie in (0, 1], got {resolution!r}")
     if inst.n_users != 2:
         raise ValueError("grid search supports exactly two users")
     r = inst.requirements

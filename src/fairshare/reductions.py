@@ -25,7 +25,6 @@ from .model import (
     ProblemInstance,
     Solution,
     ToleranceConfig,
-    build_solution,
 )
 from .verifier import verify
 
@@ -371,20 +370,21 @@ def replay(trace: ReductionTrace, tol: ToleranceConfig | None = None) -> LiftedI
 
 def lift_solution(
     trace: ReductionTrace,
-    reduced_solution: Solution,
+    x_reduced: np.ndarray,
     tol: ToleranceConfig | None = None,
-    require_verified: bool = True,
 ) -> Solution:
-    """Map a reduced-system solution back onto the original instance.
+    """Map a reduced-system allocation back onto the original instance.
 
     Granted (eliminated) users receive x_i = 1; survivors keep their scale
     factor unchanged, because the entitlement and capacity rescalings cancel.
-    Bottlenecks and justifications are re-detected on the original instance.
+    The lifted allocation is verified on the original instance, and the
+    ``Solution`` is packaged from that report; raises
+    ``LiftConsistencyError``, carrying the report, when it fails.
     """
     tol = tol or DEFAULT_TOLERANCES
     inst = trace.original
     reduced = trace.final
-    x_red = np.asarray(reduced_solution.allocation, dtype=float)
+    x_red = np.asarray(x_reduced, dtype=float)
     if x_red.shape != (reduced.n_users,):
         raise ValueError(
             f"reduced allocation has shape {x_red.shape}, expected ({reduced.n_users},)"
@@ -392,13 +392,11 @@ def lift_solution(
     x = np.ones(inst.n_users)
     for row, user in enumerate(reduced.user_origin):
         x[user] = x_red[row]
-    solution = build_solution(inst, x, tol)
-    if require_verified:
-        report = verify(inst, x, tol)
-        if not report.passed:
-            raise LiftConsistencyError(
-                "lifted solution failed verification on the original instance "
-                "(tolerance mismatch or internal bug):\n" + report.render(inst),
-                report=report,
-            )
-    return solution
+    report = verify(inst, x, tol)
+    if not report.passed:
+        raise LiftConsistencyError(
+            "lifted solution failed verification on the original instance "
+            "(tolerance mismatch or internal bug):\n" + report.render(),
+            report=report,
+        )
+    return report.to_solution()

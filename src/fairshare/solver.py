@@ -8,8 +8,8 @@ and ``solve_eg`` ends, nearly always, on a face Newton point that carries
 the program's KKT certificate. Users who request nothing get x_i = 1. Where no resource
 saturates and users entitled to nothing still request something, they share
 the leftover capacity in one more program with equal entitlements.
-Verification computes what decides the verdict, and the ``Solution`` is
-packaged from its arrays (usages, bottlenecks, justifications); the
+Verification computes what decides the verdict, and its report packages
+the ``Solution`` (usages, bottlenecks, justifications); the
 per-user statuses, the report-only checks (Pareto pinning, envy, sharing
 incentive) and the reduction trace are computed on first access.
 
@@ -210,6 +210,19 @@ def trajectory_derivative(
     return v / rho
 
 
+# Step controls of the reference integrator: the first, smallest and
+# largest step in t, the RK error tolerances, the movement below which the
+# iterate has converged, the slack at which it has reached the boundary,
+# and the largest acceptable condition estimate of the trajectory system.
+_STEP_INITIAL = 1e-3
+_STEP_MIN = 1e-10
+_STEP_MAX = 2.0
+_RK_RTOL = 1e-8
+_RK_ATOL = 1e-10
+_CONVERGENCE_TOL = 1e-9
+_SLACK_FLOOR = 1e-8
+_MAX_CONDITION = 1e30
+
 # Embedded Runge-Kutta-Fehlberg 4(5) pair; the 5th-order solution is
 # propagated and the 4th-order one supplies the error estimate.
 _RK_A = (
@@ -233,7 +246,6 @@ def _project(
     e: np.ndarray,
     x0: np.ndarray,
     t: float,
-    tol: ToleranceConfig,
 ) -> tuple[np.ndarray, float]:
     """Newton-correct x onto the defining system {x_i g_i = c e_i, f(x) = t}.
 
@@ -320,9 +332,7 @@ def _make_point(
 
 
 def integrate_trajectory(
-    inst: LiftedInstance,
-    entitlements: np.ndarray | None = None,
-    tol: ToleranceConfig | None = None,
+    inst: LiftedInstance, tol: ToleranceConfig | None = None
 ) -> tuple[list[TrajectoryPoint], str]:
     """Integrate the trajectory from the origin toward ``tol.t_max``.
 
@@ -342,23 +352,22 @@ def integrate_trajectory(
     smallest positive entitlement (a saturating column's slack behaves like
     exp(-t/|J|) / e_i, so users entitled to very little approach their limit
     very slowly). Termination almost always comes from the convergence tests
-    well before the budget runs out.
+    well before the budget runs out. ``tol.t_max`` is the only tolerance
+    read; the step controls are this module's constants (``_STEP_INITIAL``
+    and the rest).
     """
     tol = tol or DEFAULT_TOLERANCES
-    e = inst.entitlements if entitlements is None else np.asarray(entitlements, float)
+    e = inst.entitlements
     n = inst.n_users
     if n == 0:
         return [], "converged"
     min_e = float(np.min(e[e > 0.0])) if np.any(e > 0.0) else 1.0
     t_budget = tol.t_max + inst.m * (3.0 + max(0.0, np.log(1.0 / max(min_e, 1e-12))))
 
-    def deriv(x: np.ndarray) -> np.ndarray:
-        return trajectory_derivative(inst, x, e)
-
     t = 0.0
     x = np.zeros(n)
     c = 0.0
-    h = tol.step_initial
+    h = _STEP_INITIAL
     points = [_make_point(inst, t, x, c)]
     next_checkpoint = 1.0
     checkpoint_x: np.ndarray | None = None
@@ -370,27 +379,27 @@ def integrate_trajectory(
             h = min(h, next_checkpoint - t)
         try:
             k = np.empty((6, n))
-            k[0] = deriv(x)
+            k[0] = trajectory_derivative(inst, x)
             # The speed along the trajectory only decays as the boundary
             # nears, so once even moving at the current speed for the whole
             # remaining budget could not shift x measurably, the iterate has
             # converged for all practical purposes.
-            if t > 0.0 and float(np.max(np.abs(k[0]))) * (t_budget - t) < tol.convergence_tol:
+            if t > 0.0 and float(np.max(np.abs(k[0]))) * (t_budget - t) < _CONVERGENCE_TOL:
                 termination = "converged"
                 break
             for stage in range(1, 6):
                 xs = x + h * (_RK_A[stage] @ k[:stage])
-                k[stage] = deriv(xs)
+                k[stage] = trajectory_derivative(inst, xs)
             x5 = x + h * (_RK_B5 @ k)
             err_vec = h * ((_RK_B5 - _RK_B4) @ k)
-            scale = tol.rk_atol + tol.rk_rtol * np.maximum(np.abs(x), np.abs(x5))
+            scale = _RK_ATOL + _RK_RTOL * np.maximum(np.abs(x), np.abs(x5))
             err = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
             if err <= 1.0:
                 t_new = t + h
-                x_new, c_new = _project(inst, e, x5, t_new, tol)
+                x_new, c_new = _project(inst, e, x5, t_new)
                 cond = float(np.linalg.cond(_system_matrix(
                     inst.requirements, x_new, 1.0 - x_new @ inst.requirements)))
-                if not np.isfinite(cond) or cond > tol.max_condition:
+                if not np.isfinite(cond) or cond > _MAX_CONDITION:
                     raise NumericalDegeneracyError(
                         f"condition estimate {cond:.3g} above threshold"
                     )
@@ -399,16 +408,16 @@ def integrate_trajectory(
                 # Below the slack floor the barrier value is no longer
                 # accurately computable and the iterate can move at most by
                 # about the floor itself; treat boundary contact as settled.
-                if float(np.min(points[-1].slacks)) < tol.slack_floor:
+                if float(np.min(points[-1].slacks)) < _SLACK_FLOOR:
                     termination = "converged"
                     break
                 if err > 0.0:
-                    h = min(tol.step_max, h * min(5.0, max(0.2, 0.9 * err ** -0.2)))
+                    h = min(_STEP_MAX, h * min(5.0, max(0.2, 0.9 * err ** -0.2)))
                 else:
-                    h = min(tol.step_max, h * 5.0)
+                    h = min(_STEP_MAX, h * 5.0)
                 if abs(t - next_checkpoint) <= 1e-9:
                     if checkpoint_x is not None and (
-                        float(np.max(np.abs(x - checkpoint_x))) < tol.convergence_tol
+                        float(np.max(np.abs(x - checkpoint_x))) < _CONVERGENCE_TOL
                     ):
                         termination = "converged"
                         break
@@ -423,7 +432,7 @@ def integrate_trajectory(
             _ProjectionError,
         ):
             h *= 0.5
-        if h < tol.step_min:
+        if h < _STEP_MIN:
             termination = "step_underflow"
             break
     return points, termination
@@ -468,18 +477,12 @@ def solve(inst: ProblemInstance, tol: ToleranceConfig | None = None) -> SolveRes
     x[~requests] = 1.0
 
     report = verify(inst, x, tol)
-    solution = Solution(
-        allocation=report.allocation,
-        bottlenecks=report.bottlenecks,
-        justification=report.justification,
-        residuals=1.0 - report.capacity.usages,
-    )
     if report.passed:
         termination = "converged"
     else:
         termination = "step_underflow" if status == "singular" else "t_max_reached"
     return SolveResult(
-        solution=solution,
+        solution=report.to_solution(),
         report=report,
         termination=termination,
         polish_applied=on_face,

@@ -8,6 +8,8 @@ mask and, per user, the best bottleneck share against the entitlement and
 the full-allocation test. Everything else is reported for inspection only:
 a report builds its per-user statuses and computes Pareto pinning, envy and
 the sharing incentive on first access, and caches them.
+Bottlenecks and justifications are decided here alone:
+``VerificationReport.to_solution`` packages a ``Solution`` from a report.
 The verifier works directly on original (unlifted) instances: a fully
 allocated user (x_i = 1) is accepted without needing an artificial resource
 to saturate.
@@ -22,6 +24,7 @@ import numpy as np
 from .model import (
     DEFAULT_TOLERANCES,
     ProblemInstance,
+    Solution,
     ToleranceConfig,
     best_bottlenecks,
     readonly_array,
@@ -132,15 +135,23 @@ class VerificationReport:
     def sharing(self) -> SharingResult:
         return check_sharing_incentive(self.instance, self.allocation, self.tolerances)
 
-    def render(self, inst: ProblemInstance | None = None) -> str:
+    def to_solution(self) -> Solution:
+        """The allocation packaged with the bottlenecks and justifications
+        this report decided, and the leftover capacity of every resource."""
+        return Solution(
+            allocation=self.allocation,
+            bottlenecks=self.bottlenecks,
+            justification=self.justification,
+            residuals=1.0 - self.capacity.usages,
+        )
+
+    def render(self) -> str:
+        inst = self.instance
+
         def rlabel(j: int | None) -> str:
-            if j is None:
-                return "-"
-            return inst.resource_label(j) if inst is not None else str(j + 1)
+            return "-" if j is None else inst.resource_label(j)
 
-        def ulabel(i: int) -> str:
-            return inst.user_label(i) if inst is not None else str(i + 1)
-
+        ulabel = inst.user_label
         lines = [
             f"allocation: user {ulabel(i)} OUTSIDE [0, 1] "
             f"(x = {self.allocation[i]:.10g})"

@@ -235,6 +235,33 @@ def test_malformed_json_file(tmp_path, capsys):
     assert "invalid JSON" in err
 
 
+def test_allocation_that_is_not_an_array_is_input_error(tmp_path, capsys):
+    path = tmp_path / "x.json"
+    path.write_text('{"x": 5}')
+    code, out, err = run(capsys, "verify", "slope2", "--allocation", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "'x' is an array" in err
+
+
+@pytest.mark.parametrize(
+    "names",
+    [
+        {"users": 5},
+        {"resources": [["x"]]},
+        {"users": "ab"},  # a string is not an array of two names
+    ],
+)
+def test_names_that_are_not_an_array_of_strings_are_input_errors(names, tmp_path, capsys):
+    path = tmp_path / "names.json"
+    path.write_text(
+        json.dumps({"entitlements": [0.5, 0.5], "requirements": [[0.5], [0.5]], **names})
+    )
+    code, out, err = run(capsys, "solve", str(path))
+    assert code == 2 and out == ""
+    (key,) = names
+    assert err.startswith("error: ") and f"{key!r} must be an array of strings" in err
+
+
 def test_name_array_mismatch_is_input_error(tmp_path, capsys):
     path = tmp_path / "names.json"
     path.write_text(

@@ -3,26 +3,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairshare.drf import dominant_share, solve_drf
+from fairshare.drf import solve_drf
 from fairshare.fixtures import load_fixture
 from fairshare.model import ProblemInstance, usages
 from fairshare.oracle import random_instance
 from fairshare.solver import solve
 
 
+# A dominant share is x_i times user i's largest request.
 def test_dominant_share_scales_largest_request():
-    inst = load_fixture("drf_compare")
-    assert dominant_share(inst, 2, 0.5) == pytest.approx(0.4)  # 0.5 * 0.8
+    res = solve_drf(load_fixture("drf_compare"))
+    assert res.dominant_shares[2] == pytest.approx(0.4)  # 0.5 * 0.8
 
 
 def test_dominant_share_zero_allocation():
-    inst = load_fixture("drf_compare")
-    assert dominant_share(inst, 0, 0.0) == 0.0
+    # Entitled to nothing, user 2 gets nothing.
+    inst = ProblemInstance(entitlements=[1.0, 0.0], requirements=[[0.5, 0.2], [0.3, 0.9]])
+    res = solve_drf(inst)
+    assert res.x[1] == 0.0 and res.dominant_shares[1] == 0.0
 
 
 def test_dominant_share_mixed_bundle():
     inst = ProblemInstance(entitlements=[1.0], requirements=[[0.2, 0.07, 0.37]])
-    assert dominant_share(inst, 0, 1.0) == pytest.approx(0.37)
+    res = solve_drf(inst)
+    assert res.x[0] == 1.0
+    assert res.dominant_shares[0] == pytest.approx(0.37)
 
 
 def test_solve_drf_equalizes_dominant_shares():

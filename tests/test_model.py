@@ -1,23 +1,23 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fairshare import eg
 from fairshare.fixtures import load_fixture
 from fairshare.model import (
-    InfeasibleAllocationError,
     ProblemInstance,
     ToleranceConfig,
     Violation,
-    bottleneck_set,
-    build_solution,
-    resource_usage,
     usages,
     utility,
     validate_instance,
 )
 from fairshare.oracle import random_instance
-from fairshare.reductions import add_dummy_resources
+from fairshare.reductions import add_dummy_resources, lift_solution, preprocess
+from fairshare.verifier import verify
 
 
 def test_validate_symmetric_instance_ok():
@@ -162,7 +162,7 @@ def test_instance_arrays_are_read_only():
 def test_resource_usage_greedy3_partial_allocation():
     lifted = add_dummy_resources(load_fixture("greedy3"))
     # resource 2 under (3/4, 1, 0): 3/8 + 5/8 = 1
-    assert resource_usage(lifted, [0.75, 1.0, 0.0], 1) == pytest.approx(1.0)
+    assert usages(lifted, [0.75, 1.0, 0.0])[1] == pytest.approx(1.0)
 
 
 def test_resource_usage_zero_allocation_everywhere():
@@ -173,35 +173,28 @@ def test_resource_usage_zero_allocation_everywhere():
 
 def test_resource_usage_shared_single_resource():
     lifted = add_dummy_resources(load_fixture("slope2"))
-    assert resource_usage(lifted, [0.6, 0.9], 0) == pytest.approx(1.0)
+    assert usages(lifted, [0.6, 0.9])[0] == pytest.approx(1.0)
 
 
-def test_resource_usage_index_out_of_range():
-    lifted = add_dummy_resources(load_fixture("slope2"))
-    with pytest.raises(IndexError):
-        resource_usage(lifted, [0.1, 0.1], 99)
-
-
+# The bottleneck set is decided by the verifier alone.
 def test_bottleneck_set_single_saturated_resource():
-    lifted = add_dummy_resources(load_fixture("drf_compare"))
-    bn = bottleneck_set(lifted, [1 / 3, 1 / 3, 5 / 6])
-    assert bn == {0}
+    assert verify(load_fixture("drf_compare"), [1 / 3, 1 / 3, 5 / 6]).bottlenecks == (0,)
 
 
 def test_bottleneck_set_interior_point_is_empty():
-    lifted = add_dummy_resources(load_fixture("greedy3"))
-    assert bottleneck_set(lifted, [0.1, 0.1, 0.1]) == frozenset()
+    assert verify(load_fixture("greedy3"), [0.1, 0.1, 0.1]).bottlenecks == ()
 
 
 def test_bottleneck_set_two_saturated_resources():
-    lifted = add_dummy_resources(load_fixture("nonunique_n3"))
-    assert bottleneck_set(lifted, [0.5, 0.5, 0.5]) == {0, 1}
+    assert verify(load_fixture("nonunique_n3"), [0.5, 0.5, 0.5]).bottlenecks == (0, 1)
 
 
 def test_bottleneck_set_rejects_infeasible_allocation():
-    lifted = add_dummy_resources(load_fixture("circle4"))
-    with pytest.raises(InfeasibleAllocationError):
-        bottleneck_set(lifted, [0.5, 0.5, 0.5, 0.5])
+    # Every resource carries 1.5 at x = 1/2; the first is named.
+    report = verify(load_fixture("circle4"), [0.5, 0.5, 0.5, 0.5])
+    assert not report.passed and not report.capacity.ok
+    assert report.capacity.worst_resource == 0
+    assert report.capacity.worst_excess == pytest.approx(0.5)
 
 
 def test_utility_of_peer_bundle():
@@ -239,16 +232,16 @@ def test_feasible_scaled_usages_and_bottlenecks_in_range(seed, n, m):
     x_feas = x * min(1.0, 1.0 / max(float(usages(inst, x).max()), 1e-12))
     u = usages(inst, x_feas)
     assert np.all(u <= 1.0 + 1e-9)
-    assert bottleneck_set(inst, x_feas) <= set(range(m))
+    assert set(verify(inst, x_feas).bottlenecks) <= set(range(m))
 
 
 def test_tolerance_config_rejects_nonpositive_values():
-    with pytest.raises(ValueError):
-        ToleranceConfig(eps_njc=0.0)
-    with pytest.raises(ValueError):
-        ToleranceConfig(t_max=-1.0)
-    with pytest.raises(ValueError):
-        ToleranceConfig(eps_njc=float("nan"))
+    names = [f.name for f in dataclasses.fields(ToleranceConfig)]
+    assert names == ["eps_input", "eps_feasible", "eps_bottleneck", "eps_njc", "t_max"]
+    for name in names:
+        for bad in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError, match=name):
+                ToleranceConfig(**{name: bad})
 
 
 def test_tolerance_config_orders_feasible_below_bottleneck():
@@ -257,8 +250,9 @@ def test_tolerance_config_orders_feasible_below_bottleneck():
 
 
 def _justification_reference(inst, x, tol):
-    """build_solution's justifications as one loop per user over the
-    bottlenecks in index order, so that a tie goes to the lowest index."""
+    """The verifier's bottlenecks and justifications as one loop per user
+    over the bottlenecks in index order, so that a tie goes to the lowest
+    index."""
     e, r = inst.entitlements, inst.requirements
     bottlenecks = frozenset(
         int(j) for j in np.flatnonzero(x @ r >= 1.0 - tol.eps_bottleneck)
@@ -277,14 +271,35 @@ def _justification_reference(inst, x, tol):
     return bottlenecks, tuple(justification)
 
 
-def test_build_solution_equals_the_per_user_loop(allocation_cases):
+def test_solution_justification_equals_the_per_user_loop(allocation_cases):
     # Including the lifted view of each instance, whose dummy columns
     # saturate for fully allocated users.
     tol = ToleranceConfig()
     for inst, x in allocation_cases:
         for view in (inst, add_dummy_resources(inst)):
-            sol = build_solution(view, x, tol)
+            sol = verify(view, x, tol).to_solution()
             bottlenecks, justification = _justification_reference(view, x, tol)
             assert sol.bottlenecks == bottlenecks
             assert repr(sol.justification) == repr(justification)
             assert sol.residuals.tobytes() == (1.0 - x @ view.requirements).tobytes()
+
+
+def test_lifted_justification_equals_the_per_user_loop(suite_and_fixtures):
+    # lift_solution packages its Solution from the same report: the
+    # program's optimum on the reduced instance, with the eliminated users
+    # granted in full, is checked against the loop on the original instance.
+    tol = ToleranceConfig()
+    eliminated = 0
+    for inst in suite_and_fixtures:
+        reduced, trace = preprocess(inst, tol)
+        x_red = eg.solve_eg(reduced)[0] if reduced.n_users else np.zeros(0)
+        sol = lift_solution(trace, x_red, tol)
+        x = np.ones(inst.n_users)
+        x[list(reduced.user_origin)] = x_red
+        assert sol.allocation.tobytes() == x.tobytes()
+        bottlenecks, justification = _justification_reference(inst, x, tol)
+        assert sol.bottlenecks == bottlenecks
+        assert repr(sol.justification) == repr(justification)
+        assert sol.residuals.tobytes() == (1.0 - x @ inst.requirements).tobytes()
+        eliminated += bool(trace.eliminations)
+    assert eliminated >= 10

@@ -114,6 +114,14 @@ def test_grid_search_requires_two_users():
         grid_search_n2(load_fixture("greedy3"))
 
 
+@pytest.mark.parametrize("resolution", [-0.1, 0.0, 2.0, float("nan")])
+def test_grid_search_rejects_a_resolution_outside_the_unit_interval(resolution):
+    # Before the check, -0.1 found no fair point, 2.0 gave (0, 0) on slope2,
+    # and 0 divided by zero.
+    with pytest.raises(ValueError, match="resolution"):
+        grid_search_n2(load_fixture("slope2"), resolution)
+
+
 def test_two_user_uniqueness_and_bracketing():
     for seed in range(100):
         inst = random_instance(20_000 + seed, 2, 1 + seed % 3)

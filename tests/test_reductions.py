@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from fairshare.fixtures import FIXTURES, load_fixture
-from fairshare.model import ProblemInstance, build_solution, usages
+from fairshare.model import ProblemInstance, usages
 from fairshare.oracle import enumerate_solutions
 from fairshare.reductions import (
+    LiftConsistencyError,
     add_dummy_resources,
     drop_slack_resources,
     eliminate_satisfied_users,
@@ -184,12 +185,8 @@ def test_strictly_dominated_columns_never_bottleneck_in_witnesses():
 
 def test_lift_identity_when_no_users_eliminated():
     inst = load_fixture("slope2")
-    reduced, trace = preprocess(inst)
-    view = ProblemInstance(
-        entitlements=reduced.entitlements, requirements=reduced.requirements
-    )
-    reduced_solution = build_solution(view, np.array([0.6, 0.9]))
-    lifted = lift_solution(trace, reduced_solution)
+    _, trace = preprocess(inst)
+    lifted = lift_solution(trace, np.array([0.6, 0.9]))
     np.testing.assert_allclose(lifted.allocation, [0.6, 0.9])
     assert lifted.bottlenecks == {0}
 
@@ -200,9 +197,20 @@ def test_lift_grants_eliminated_user_everything():
     from fairshare.solver import integrate_trajectory
 
     points, _ = integrate_trajectory(reduced)
-    view = ProblemInstance(
-        entitlements=reduced.entitlements, requirements=reduced.requirements
-    )
-    reduced_solution = build_solution(view, points[-1].x)
-    lifted = lift_solution(trace, reduced_solution, require_verified=False)
+    lifted = lift_solution(trace, points[-1].x)
     assert lifted.allocation[0] == 1.0
+    np.testing.assert_array_equal(lifted.allocation[1:], points[-1].x)
+
+
+def test_lift_raises_when_the_lifted_allocation_fails_verification():
+    # Half of the survivors' fair split leaves resource 1 unsaturated, so
+    # users 2 and 3 complain on the original instance.
+    inst = load_fixture("elim_example")
+    _, trace = preprocess(inst)
+    with pytest.raises(LiftConsistencyError) as caught:
+        lift_solution(trace, np.array([0.3, 0.45]))
+    report = caught.value.report
+    assert not report.passed and not report.njc_ok
+    assert report.instance is inst
+    np.testing.assert_array_equal(report.allocation, [1.0, 0.3, 0.45])
+    assert "COMPLAINT" in str(caught.value)

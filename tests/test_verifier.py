@@ -313,7 +313,7 @@ def test_envy_free_under_equal_entitlements():
 def test_report_renders_and_serializes():
     inst = load_fixture("greedy3")
     report = verify(inst, np.array([1.0, 2 / 3, 0.0]))
-    text = report.render(inst)
+    text = report.render()
     assert "COMPLAINT" in text and "overall: FAIL" in text
     doc = report.to_dict()
     assert doc["passed"] is False
@@ -339,7 +339,7 @@ def _assert_lazy_fields_equal_the_checks(inst, x, tol):
     lazy = verify(inst, x, tol)
     assert json.dumps(lazy.to_dict()) == json.dumps(_eager_report(inst, x, tol).to_dict())
     lazy = verify(inst, x, tol)
-    assert lazy.render(inst) == _eager_report(inst, x, tol).render(inst)
+    assert lazy.render() == _eager_report(inst, x, tol).render()
     # repr tells the margins apart bit for bit, -0.0 from 0.0 included.
     statuses = check_njc(inst, x, tol)
     assert repr(lazy.users) == repr(statuses)
@@ -440,7 +440,7 @@ def test_verify_rejects_allocations_outside_the_unit_interval():
     assert report.capacity.ok and report.njc_ok
     assert not report.passed
     assert report.out_of_range == (0,)
-    assert "allocation: user 1 OUTSIDE [0, 1] (x = 2)" in report.render(BOX)
+    assert "allocation: user 1 OUTSIDE [0, 1] (x = 2)" in report.render()
     assert report.to_dict()["out_of_range"] == [{"user": 1, "x": 2.0}]
 
     # A user entitled to nothing is justified by a zero share on a
@@ -455,6 +455,6 @@ def test_verify_rejects_allocations_outside_the_unit_interval():
     inside = verify(BOX, [1.0 + eps / 2, -eps / 2])
     assert inside.out_of_range == ()
     assert "out_of_range" not in inside.to_dict()
-    assert "allocation:" not in inside.render(BOX)
+    assert "allocation:" not in inside.render()
     assert verify(BOX, [1.0 + 2 * eps, 1.0]).out_of_range == (0,)
     assert verify(BOX, [1.0, -2 * eps]).out_of_range == (1,)
