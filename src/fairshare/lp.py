@@ -5,13 +5,15 @@ constraints, so a plain tableau with Bland's anti-cycling rule is exact
 enough and keeps basic (vertex) solutions, which the enumeration oracle
 relies on. Relations are "<=" or "=="; encode a >= row by negating it.
 
-Phase one does not see the objective, so ``maximize_each`` runs it once
-and then phase two on a copy of the tableau for each objective;
-``maximize`` is its one-objective case, and each result equals a separate
-solve bitwise. A pivot is one rank-1 update of the whole tableau (a row
-with a zero factor subtracts an exact zero, so every entry gets the value
-a row-by-row update gives it), and Bland's scans pick their candidates
-with numpy, leaving only the ratio-tie loop in Python.
+Phase one does not see the objective, so ``maximize_each`` runs it once,
+prices every objective against its basis in one pass, and runs phase two,
+on a copy of the tableau, only for an objective with an improving column;
+the others end at the phase-one vertex. ``maximize`` is its one-objective
+case, and each result equals a separate solve bitwise. The tableau is
+filled with one array operation. A pivot is one rank-1 update of the whole
+tableau (a row with a zero factor subtracts an exact zero, so every entry
+gets the value a row-by-row update gives it), and Bland's scans pick their
+candidates with numpy, leaving only the ratio-tie loop in Python.
 """
 from __future__ import annotations
 
@@ -82,9 +84,9 @@ class SimplexIterationLimit(RuntimeError):
 
 def _pivot(T: np.ndarray, basis: list[int], row: int, col: int) -> None:
     T[row] /= T[row, col]
-    factors = T[:, col].copy()
+    factors = T[:, col, None].copy()
     factors[row] = 0.0
-    T -= np.outer(factors, T[row])
+    T -= factors * T[row]
     basis[row] = col
 
 
@@ -102,7 +104,7 @@ def _run_simplex(T: np.ndarray, basis: list[int], ncols: int) -> str:
         if not improving[enter]:
             return "optimal"
         column = T[:m, enter]
-        rows = np.nonzero(column > _PIVOT_TOL)[0]
+        rows = (column > _PIVOT_TOL).nonzero()[0]
         if rows.size == 0:
             return "unbounded"
         ratios = T[rows, -1] / column[rows]
@@ -133,68 +135,45 @@ def maximize_each(lp: LinearProgram, objectives: Sequence[np.ndarray]) -> list[L
     objectives = [np.asarray(c, dtype=float) for c in objectives]
     if any(c.shape != (n,) for c in objectives):
         raise ValueError("objective dimension does not match the constraints")
+    if not objectives:
+        return []
     lo = np.array([b[0] for b in lp.bounds])
 
     # Shift variables so every lower bound is zero; finite upper bounds
-    # become explicit rows.
-    rows: list[tuple[np.ndarray, float, str]] = []
-    for coeffs, rhs, rel in lp.constraints:
-        rows.append((coeffs.copy(), rhs - float(coeffs @ lo), rel))
-    for j, (l, h) in enumerate(lp.bounds):
-        if h is not None:
-            unit = np.zeros(n)
-            unit[j] = 1.0
-            rows.append((unit, h - l, "<="))
-
-    m = len(rows)
-    kinds: list[str] = []  # per row: "le", "ge" or "eq" after rhs sign fix
-    A = np.zeros((m, n))
-    b = np.zeros(m)
-    for i, (coeffs, rhs, rel) in enumerate(rows):
-        if rhs < 0.0:
-            coeffs = -coeffs
-            rhs = -rhs
-            rel = {"<=": ">=", "==": "=="}[rel]
-        A[i] = coeffs
-        b[i] = rhs
-        kinds.append({"<=": "le", ">=": "ge", "==": "eq"}[rel])
-
-    n_slack = sum(1 for k in kinds if k in ("le", "ge"))
-    n_art = sum(1 for k in kinds if k in ("ge", "eq"))
-    total = n + n_slack + n_art
+    # become rows x_j <= h - l. A row with a negative right-hand side is
+    # negated: a "<=" row turns ">=", with slack -1 and an artificial.
+    shift = lo.any()
+    rows = [(rel, b - float(c @ lo) if shift else b) for c, b, rel in lp.constraints]
+    upper = [(j, h - l) for j, (l, h) in enumerate(lp.bounds) if h is not None]
+    mc, m = len(rows), len(rows) + len(upper)
+    n_slack = len(upper) + sum(rel == "<=" for rel, _ in rows)
+    art_rows = [i for i, (rel, b) in enumerate(rows) if rel == "==" or b < 0.0]
+    total = n + n_slack + len(art_rows)
     T = np.zeros((m + 1, total + 1))
-    T[:m, :n] = A
-    T[:m, -1] = b
-
+    if mc:
+        signs = np.array([[-1.0 if b < 0.0 else 1.0] for _, b in rows])
+        np.multiply([c for c, _, _ in lp.constraints], signs, out=T[:mc, :n])
+    T[:m, -1] = [abs(b) for _, b in rows] + [h for _, h in upper]
     basis = [-1] * m
     s = n
-    a = n + n_slack
-    art_cols: list[int] = []
-    for i, kind in enumerate(kinds):
-        if kind == "le":
-            T[i, s] = 1.0
+    for i, (rel, b) in enumerate(rows):
+        if rel == "<=":
+            T[i, s] = -1.0 if b < 0.0 else 1.0
             basis[i] = s
             s += 1
-        elif kind == "ge":
-            T[i, s] = -1.0
-            s += 1
-            T[i, a] = 1.0
-            basis[i] = a
-            art_cols.append(a)
-            a += 1
-        else:
-            T[i, a] = 1.0
-            basis[i] = a
-            art_cols.append(a)
-            a += 1
+    for i, (j, _) in enumerate(upper, mc):
+        T[i, j] = T[i, s] = 1.0
+        basis[i] = s
+        s += 1
+    for a, i in enumerate(art_rows, s):
+        T[i, a] = 1.0
+        basis[i] = a
 
     # Phase one: maximize -(sum of artificials).
-    if art_cols:
-        for col in art_cols:
-            T[-1, col] = -1.0
-        for i in range(m):
-            if basis[i] in art_cols:
-                T[-1] += T[i]
+    if art_rows:
+        T[-1, n + n_slack : total] = -1.0
+        for i in art_rows:
+            T[-1] += T[i]
         status = _run_simplex(T, basis, total)
         # The corner cell carries -z; an infeasible system leaves the
         # artificial sum positive, i.e. a positive corner cell.
@@ -204,32 +183,41 @@ def maximize_each(lp: LinearProgram, objectives: Sequence[np.ndarray]) -> list[L
         # eligible pivot is redundant and can safely keep its zero-valued
         # artificial (its coefficients on real columns are all ~0).
         for i in range(m):
-            if basis[i] in art_cols:
-                for j in range(n + n_slack):
-                    if abs(T[i, j]) > _PIVOT_TOL:
-                        _pivot(T, basis, i, j)
-                        break
+            if basis[i] >= n + n_slack:
+                eligible = np.flatnonzero(np.abs(T[i, : n + n_slack]) > _PIVOT_TOL)
+                if eligible.size:
+                    _pivot(T, basis, i, int(eligible[0]))
 
-    # Phase two, once per objective, from a copy of the feasible basis.
+    # Phase two. Every objective is expressed in the feasible basis at once,
+    # one basic row at a time as a single-objective restore would; only a
+    # basic real variable can carry a nonzero cost, and other rows would
+    # subtract exact zeros. Only objectives with an improving column pivot.
+    Z = np.zeros((len(objectives), total + 1))
+    Z[:, :n] = objectives
+    for i, col in enumerate(basis):
+        if col < n:
+            Z -= Z[:, col, None] * T[i]
+    Z[:, n + n_slack : total] = -np.inf  # artificials never re-enter
+    improving = (Z[:, : n + n_slack] > _PIVOT_TOL).any(axis=1).tolist()
+
     results = []
-    for objective in objectives:
-        T2, basis2 = T.copy(), basis.copy()
-        # Restore the real objective expressed in the current basis.
-        T2[-1, :] = 0.0
-        T2[-1, :n] = objective
-        for i in range(m):
-            coef = T2[-1, basis2[i]]
-            if coef != 0.0:
-                T2[-1] -= coef * T2[i]
-        for col in art_cols:
-            T2[-1, col] = -np.inf  # never re-enter
-
-        if _run_simplex(T2, basis2, n + n_slack) == "unbounded":
-            results.append(LpResult("unbounded", None, None))
-            continue
-        y = np.zeros(total)
-        for i in range(m):
-            y[basis2[i]] = T2[i, -1]
-        x = y[:n] + lo
+    start = _vertex(T, basis, lo)
+    for objective, row, pivots in zip(objectives, Z, improving):
+        if not pivots:
+            x = start.copy()
+        else:
+            T2, basis2 = T.copy(), basis.copy()
+            T2[-1] = row
+            if _run_simplex(T2, basis2, n + n_slack) == "unbounded":
+                results.append(LpResult("unbounded", None, None))
+                continue
+            x = _vertex(T2, basis2, lo)
         results.append(LpResult("optimal", float(objective @ x), x))
     return results
+
+
+def _vertex(T: np.ndarray, basis: list[int], lo: np.ndarray) -> np.ndarray:
+    """The basic solution of tableau ``T``, shifted back by ``lo``."""
+    y = np.zeros(T.shape[1] - 1)
+    y[basis] = T[:-1, -1]
+    return y[: lo.shape[0]] + lo

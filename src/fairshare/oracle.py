@@ -7,14 +7,16 @@ consistent allocation exists. Most candidates are infeasible, and most of
 those are rejected before any LP by a lower bound on the LP's own phase-one
 artificial sum (``FeasibilityQuery.provably_infeasible``); a candidate is
 rejected only when the LP would certainly declare it infeasible, so the
-witnesses are exactly those of running every LP. ``grid_search_n2`` walks
-the feasible boundary curve for two users. Both are deliberately
-independent of the trajectory construction.
+witnesses are exactly those of running every LP. The rule depends on the
+assignment alone, so one numpy pass per instance decides it for all of
+them. Each LP prices all its probes at once (``lp.maximize_each``).
+``grid_search_n2`` walks the feasible boundary curve for two users. Both
+are deliberately independent of the trajectory construction.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 
 import numpy as np
 
@@ -65,19 +67,19 @@ class FeasibilityQuery:
         r = inst.requirements
         e = inst.entitlements
         n = inst.n_users
-        subset = set(self.bottleneck_subset)
-        rows: list = []
-        for j in range(inst.n_real_resources):
-            rows.append((r[:, j], 1.0, "==" if j in subset else "<="))
+        subset = self.bottleneck_subset
+        rows: list = [
+            (column, 1.0, "==" if j in subset else "<=") for j, column in enumerate(r.T)
+        ]
+        # Each user's row is a view of one identity, its diagonal entry
+        # replaced by -r_ij for an entitlement row.
+        unit = np.eye(n)
         for i, j in enumerate(self.assignment):
             if j is None:
-                unit = np.zeros(n)
-                unit[i] = 1.0
-                rows.append((unit, 1.0, "=="))
+                rows.append((unit[i], 1.0, "=="))
             elif e[i] > 0.0:
-                row = np.zeros(n)
-                row[i] = -r[i, j]
-                rows.append((row, -float(e[i]), "<="))
+                unit[i, i] = -r[i, j]
+                rows.append((unit[i], -float(e[i]), "<="))
         bounds = [(0.0, 1.0)] * n
         return rows, bounds
 
@@ -95,27 +97,12 @@ class FeasibilityQuery:
             fall to ``lb_i - d_i / c_i``, and column j must still fit.
         The query is rejected only when a bound exceeds ten times the LP's
         threshold ``lp.PHASE_ONE_TOL``, far beyond its rounding, so every
-        rejected query is one the LP would declare infeasible.
+        rejected query is one the LP would declare infeasible. The rule does
+        not depend on the subset; ``_rejected`` decides it for every
+        assignment at once.
         """
-        r = inst.requirements.tolist()
-        e = inst.entitlements.tolist()
-        floors: list[tuple[float, list[float], float]] = []  # (lb_i, r_i, c_i)
-        for i, j in enumerate(self.assignment):
-            if j is None:
-                floors.append((1.0, r[i], 1.0))
-            elif e[i] > 0.0:
-                c = r[i][j]
-                if e[i] - c > _REJECT_ABOVE:
-                    return True
-                if c > 0.0:
-                    floors.append((min(e[i] / c, 1.0), r[i], c))
-        for j in range(inst.n_real_resources):
-            excess = sum(lb * row[j] for lb, row, _ in floors) - 1.0
-            if excess > 0.0:
-                slope = max(row[j] / c for _, row, c in floors)
-                if excess / slope > _REJECT_ABOVE:
-                    return True
-        return False
+        m = inst.n_real_resources
+        return bool(_rejected(inst)[tuple(m if j is None else j for j in self.assignment)])
 
     def satisfied_by(
         self, inst: ProblemInstance, x: np.ndarray, tol: float = 1e-5
@@ -183,17 +170,41 @@ class SolutionFamily:
         return any(q.satisfied_by(self.instance, x, tol) for q in self.flagged_queries())
 
 
-def _assignment_options(
-    inst: ProblemInstance, subset: tuple[int, ...]
-) -> list[list[int | None]]:
-    options: list[list[int | None]] = []
-    for i in range(inst.n_users):
-        opts: list[int | None] = [
-            j for j in subset if inst.requirements[i, j] > 0.0 or inst.entitlements[i] <= 0.0
-        ]
-        opts.append(None)  # take everything instead (x_i = 1)
-        options.append(opts)
-    return options
+def _rejected(inst: ProblemInstance) -> np.ndarray:
+    """``provably_infeasible`` for every assignment at once.
+
+    Entry ``[a_0, ..., a_{n-1}]`` of the ``(m+1,) * n`` boolean grid is the
+    verdict for giving user i resource a_i, index m standing for a full
+    grant. Each column's floor sum adds the users in index order, as a
+    scalar loop would, so every verdict is the same to the bit; the
+    temporaries are a few arrays of the grid's size.
+    """
+    n, m = inst.n_users, inst.n_real_resources
+    e = inst.entitlements[:, None]
+    r = inst.requirements
+    c = np.hstack([r, np.ones((n, 1))])  # c_i per choice, 1 for a full grant
+    with np.errstate(divide="ignore", invalid="ignore"):
+        floor = (e > 0.0) & (c > 0.0)
+        floor[:, m] = True
+        direct = (e > 0.0) & (e - c > _REJECT_ABOVE)
+        direct[:, m] = False
+        lb = np.where(floor, np.minimum(e / c, 1.0), 0.0)
+        lb[:, m] = 1.0
+        # [i, choice, j]: lb_i r_ij and r_ij / c_i, or 0 and -inf for no floor.
+        share = lb[:, :, None] * r[:, None, :]
+        slope = np.where(floor[:, :, None], r[:, None, :] / c[:, :, None], -np.inf)
+        grid = np.ix_(*[np.arange(m + 1)] * n)  # user i's choice along axis i
+        out = np.zeros((m + 1,) * n, dtype=bool)
+        for i, choice in enumerate(grid):
+            out |= direct[i, choice]
+        for j in range(m):
+            excess, steepest = 0.0, -np.inf
+            for i, choice in enumerate(grid):
+                excess = excess + share[i, choice, j]
+                steepest = np.maximum(steepest, slope[i, choice, j])
+            excess = excess - 1.0
+            out |= (excess > 0.0) & (excess / steepest > _REJECT_ABOVE)
+    return out
 
 
 def enumerate_solutions(
@@ -207,8 +218,10 @@ def enumerate_solutions(
     ``FeasibilityQuery.provably_infeasible`` bounds its LP's phase-one
     artificial sum from below by more than ten times ``lp.PHASE_ONE_TOL``:
     the LP would return "infeasible" for it, so skipping it changes no
-    witness. Each other query solves all its probes with one
-    ``lp.maximize_each`` call, which runs phase one once.
+    witness. One pass per instance decides this for every assignment, and
+    each subset reads its survivors off that grid. Each other query solves
+    all its probes with one ``lp.maximize_each`` call: phase one once, all
+    probes priced at once, phase two only where a column improves.
     Every feasible query's face is probed by maximizing +/- sum(x) and
     +/- each coordinate; differing optimizers flag a positive-dimensional
     solution family, all extreme vertices become witnesses, and for flagged
@@ -233,31 +246,22 @@ def enumerate_solutions(
             return
         seen.add(key)
         u = usages(inst, x)
-        bn = tuple(
-            int(j) for j in np.flatnonzero(u >= 1.0 - tol.eps_bottleneck)
-        )
+        bn = tuple(np.flatnonzero(u >= 1.0 - tol.eps_bottleneck).tolist())
         x_ro = np.array(x)
         x_ro.setflags(write=False)
         witnesses.append(OracleWitness(x_ro, bn, query, positive))
 
-    subsets = [
-        tuple(c)
-        for size in range(1, m + 1)
-        for c in combinations(range(m), size)
-    ]
-    ones = np.ones(n)
-    probes = [ones, -ones]
-    for i in range(n):
-        unit = np.zeros(n)
-        unit[i] = 1.0
-        probes.append(unit)
-        probes.append(-unit)
+    subsets = [c for size in range(1, m + 1) for c in combinations(range(m), size)]
+    probes = [np.ones(n), -np.ones(n)] + [s * u for u in np.eye(n) for s in (1.0, -1.0)]
+    r, e = inst.requirements, inst.entitlements
+    rejected = _rejected(inst)
     for subset in subsets:
-        options = _assignment_options(inst, subset)
-        for assignment in product(*options):
-            query = FeasibilityQuery(subset, tuple(assignment))
-            if query.provably_infeasible(inst):
-                continue
+        # User i's choices: each subset resource it requests (any, if e_i
+        # is 0), then m for a full grant; argwhere keeps ``product`` order.
+        choices = [[j for j in subset if r[i, j] > 0.0 or e[i] <= 0.0] + [m] for i in range(n)]
+        for picks in np.argwhere(~rejected[np.ix_(*choices)]).tolist():
+            assignment = tuple(None if c[k] == m else c[k] for c, k in zip(choices, picks))
+            query = FeasibilityQuery(subset, assignment)
             rows, bounds = query.constraints(inst)
             first, *others = lp.maximize_each(
                 lp.LinearProgram(probes[0], tuple(rows), tuple(bounds)), probes
@@ -267,7 +271,7 @@ def enumerate_solutions(
             vertices = [first.x]
             for res in others:
                 if res.status == "optimal" and all(
-                    float(np.max(np.abs(res.x - v))) > 1e-7 for v in vertices
+                    float(np.abs(res.x - v).max()) > 1e-7 for v in vertices
                 ):
                     vertices.append(res.x)
             positive = len(vertices) > 1

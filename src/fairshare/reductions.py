@@ -95,13 +95,22 @@ class ReductionTrace:
                 "dropped slack columns: "
                 + ", ".join(clabel(k) for k in self.dropped_slack)
             )
+        # A divisor at or below eps_input was not divided by: the
+        # elimination set the remaining entitlements equal, or zeroed the
+        # column the grant exhausted.
+        eps = DEFAULT_TOLERANCES.eps_input
         for e in self.eliminations:
             scales = ", ".join(
-                f"{clabel(k)} x{1.0 / d:.10g}" for k, d in e.column_divisors if d != 1.0
+                f"{clabel(k)} x{1.0 / d:.10g}" if d > eps else f"{clabel(k)} zeroed"
+                for k, d in e.column_divisors
+                if d != 1.0
             )
+            if e.entitlement_divisor > eps:
+                rest = f"remaining entitlements x{1.0 / e.entitlement_divisor:.10g}"
+            else:
+                rest = "it held the whole entitlement; remaining entitlements set equal"
             lines.append(
-                f"granted user {inst.user_label(e.user)} in full; remaining "
-                f"entitlements x{1.0 / e.entitlement_divisor:.10g}"
+                f"granted user {inst.user_label(e.user)} in full; {rest}"
                 + (f"; requests rescaled: {scales}" if scales else "")
             )
             if e.columns_dropped_after:

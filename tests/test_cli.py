@@ -166,6 +166,26 @@ def test_solve_trace_reductions_reports_an_exhausted_column_as_input_error(
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"entitlements": [1, 0], "requirements": [[0.5], [0.5]]},
+        {"entitlements": [1.0], "requirements": [[0.0]]},
+    ],
+)
+def test_solve_trace_reductions_when_a_granted_user_holds_every_entitlement(
+    tmp_path, capsys, doc
+):
+    # Used to end in a ZeroDivisionError traceback and exit 1.
+    path = tmp_path / "whole.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "solve", str(path), "--trace-reductions")
+    assert code == 0
+    assert err == ""
+    assert "granted user 1 in full; it held the whole entitlement" in out
+    assert "verified: yes" in out
+
+
 def test_trace_reports_an_exhausted_column_as_input_error(tmp_path, capsys):
     path = tmp_path / "exhausted.json"
     path.write_text(json.dumps(EXHAUSTED))

@@ -274,3 +274,67 @@ def test_maximize_each_rejects_mismatched_objective():
     lp = LinearProgram([1.0, 1.0], [([1.0, 1.0], 1.0, "<=")], [(0.0, 1.0)] * 2)
     with pytest.raises(ValueError):
         maximize_each(lp, [np.ones(3)])
+
+
+def test_maximize_each_of_no_objective_is_empty():
+    lp = LinearProgram([1.0, 1.0], [([1.0, 1.0], 1.0, "<=")], [(0.0, 1.0)] * 2)
+    assert maximize_each(lp, []) == []
+
+
+def test_maximize_each_with_an_all_zero_objective():
+    constraints = [([1.0, 2.0], 1.5, "<="), ([1.0, 1.0], 0.5, "==")]
+    objectives = [np.zeros(2), np.ones(2), np.zeros(2), -np.ones(2)]
+    each = _check_maximize_each(constraints, [(0.0, 1.0)] * 2, objectives)
+    assert all(res.status == "optimal" for res in each)
+    assert each[0].value == 0.0
+
+
+def test_maximize_each_keeps_a_redundant_equality_row():
+    # The second row repeats the first, so its artificial stays basic at
+    # zero after phase one and must be priced as a zero-cost row.
+    constraints = [
+        ([1.0, 1.0, 0.0], 1.0, "=="),
+        ([2.0, 2.0, 0.0], 2.0, "=="),
+        ([0.0, 1.0, 1.0], 1.2, "<="),
+    ]
+    rng = np.random.default_rng(11)
+    each = _check_maximize_each(constraints, [(0.0, 1.0)] * 3, _probe_objectives(rng, 3))
+    assert all(res.status == "optimal" for res in each)
+    for res in each:
+        assert res.x[0] + res.x[1] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_maximize_each_with_nonzero_lower_bounds():
+    rng = np.random.default_rng(5)
+    bounds = [(0.25, 1.0), (-0.5, 0.5), (0.1, None)]
+    for trial in range(10):
+        rows, rhs, objective = _random_le_problem(rng)
+        rows = np.vstack([rows, [0.0, 0.0, 1.0]])
+        rhs = np.append(rhs + 2.0, 2.0)
+        constraints = [(rows[i], rhs[i], "<=") for i in range(rows.shape[0])]
+        objectives = [objective] + _probe_objectives(rng, 3)
+        each = _check_maximize_each(constraints, bounds, objectives)
+        for c, res in zip(objectives, each):
+            assert res.status == "optimal"
+            assert np.all(rows @ res.x <= rhs + 1e-9)
+            assert res.value == pytest.approx(brute_force_max(c, rows, rhs, bounds), abs=1e-9)
+
+
+def test_maximize_each_prices_an_unbounded_probe_beside_vertex_probes():
+    # From the phase-one vertex (the origin) -x1 and -x2 need no pivot,
+    # +x1 is unbounded and +x2 pivots once.
+    constraints = [([0.0, 1.0], 1.0, "<=")]
+    objectives = [-np.eye(2)[0], np.eye(2)[0], -np.ones(2), np.eye(2)[1], -np.eye(2)[1]]
+    each = _check_maximize_each(constraints, [(0.0, None)] * 2, objectives)
+    assert [res.status for res in each] == [
+        "optimal", "unbounded", "optimal", "optimal", "optimal"
+    ]
+    assert each[3].x.tolist() == [0.0, 1.0]
+
+
+def test_maximize_each_returns_independent_solutions():
+    lp = LinearProgram([1.0, 1.0], [([1.0, 1.0], 1.0, "<=")], [(0.0, 1.0)] * 2)
+    first, second, third = maximize_each(lp, [-np.ones(2), np.zeros(2), -np.ones(2)])
+    first.x[0] = 99.0
+    assert second.x.tolist() == [0.0, 0.0]
+    assert third.x.tolist() == [0.0, 0.0]

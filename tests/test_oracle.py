@@ -15,6 +15,7 @@ from fairshare.model import (
 from fairshare.oracle import (
     FeasibilityQuery,
     SizeGuardError,
+    _rejected,
     enumerate_solutions,
     grid_search_n2,
     random_instance,
@@ -283,6 +284,75 @@ def test_every_rejected_query_is_infeasible_for_the_lp():
             res = lp.maximize(lp.LinearProgram(np.ones(inst.n_users), tuple(rows), tuple(bounds)))
             assert res.status == "infeasible", (inst, query)
     assert rejected > 10 * admitted > 0
+
+
+def _scalar_provably_infeasible(inst, assignment):
+    """The rejection rule as a plain loop over one assignment, independent of
+    the grid: phase one's artificial sum is bounded below by e_i - r_{i,a_i}
+    per assigned user and by ((lb R)_j - 1) / max r_ij / c_i per column."""
+    reject_above = 10.0 * lp.PHASE_ONE_TOL
+    r = inst.requirements.tolist()
+    e = inst.entitlements.tolist()
+    floors = []  # (lb_i, r_i, c_i)
+    for i, j in enumerate(assignment):
+        if j is None:
+            floors.append((1.0, r[i], 1.0))
+        elif e[i] > 0.0:
+            c = r[i][j]
+            if e[i] - c > reject_above:
+                return True
+            if c > 0.0:
+                floors.append((min(e[i] / c, 1.0), r[i], c))
+    for j in range(inst.n_real_resources):
+        excess = sum(lb * row[j] for lb, row, _ in floors) - 1.0
+        if excess > 0.0:
+            slope = max(row[j] / c for _, row, c in floors)
+            if excess / slope > reject_above:
+                return True
+    return False
+
+
+def _degenerate_rejection_instances():
+    for seed in range(6):
+        inst = random_instance(72_000 + seed, 3, 1 + seed % 3)
+        # A user with no entitlement.
+        e = inst.entitlements.copy()
+        e[seed % 3] = 0.0
+        yield ProblemInstance(entitlements=e / e.sum(), requirements=inst.requirements)
+        # A user that requests nothing.
+        r = inst.requirements.copy()
+        r[seed % 3] = 0.0
+        yield ProblemInstance(entitlements=inst.entitlements, requirements=r)
+    # A user with no entitlement sets no floor; if it did, its ratio
+    # 1 / 1e-12 would be the steepest slope and save (0, None, None).
+    yield ProblemInstance(
+        entitlements=[0.0, 0.5, 0.5], requirements=[[1e-12, 1.0], [0.4, 0.6], [0.4, 0.6]]
+    )
+    for seed in range(3):
+        yield random_instance(73_000 + seed, 1, 6, min_column_sum=None)
+        yield random_instance(73_100 + seed, 6, 1)
+
+
+def test_rejection_grid_matches_the_scalar_rule():
+    checked = rejected = 0
+    for inst in [*_soundness_instances(), *_degenerate_rejection_instances()]:
+        n, m = inst.n_users, inst.n_real_resources
+        grid = _rejected(inst)
+        assert grid.shape == (m + 1,) * n
+        for picks in np.ndindex(grid.shape):
+            assignment = tuple(None if k == m else k for k in picks)
+            expected = _scalar_provably_infeasible(inst, assignment)
+            assert bool(grid[picks]) == expected, (inst, assignment)
+            checked += 1
+            rejected += expected
+    assert 0 < rejected < checked
+
+
+def test_provably_infeasible_reads_its_own_grid_entry():
+    for inst in _degenerate_rejection_instances():
+        for query in _queries(inst):
+            expected = _scalar_provably_infeasible(inst, query.assignment)
+            assert query.provably_infeasible(inst) is expected, (inst, query)
 
 
 def test_solver_lands_in_the_enumerated_solution_set_five_users():
