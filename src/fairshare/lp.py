@@ -76,6 +76,7 @@ class LpResult:
     status: str  # "optimal" | "infeasible" | "unbounded"
     value: float | None
     x: np.ndarray | None
+    infeasibility: float = 0.0  # phase one's least artificial sum, if "infeasible"
 
 
 class SimplexIterationLimit(RuntimeError):
@@ -178,7 +179,7 @@ def maximize_each(lp: LinearProgram, objectives: Sequence[np.ndarray]) -> list[L
         # The corner cell carries -z; an infeasible system leaves the
         # artificial sum positive, i.e. a positive corner cell.
         if status != "optimal" or T[-1, -1] > PHASE_ONE_TOL:
-            return [LpResult("infeasible", None, None) for _ in objectives]
+            return [LpResult("infeasible", None, None, float(T[-1, -1])) for _ in objectives]
         # Drive leftover artificials out of the basis; a row with no
         # eligible pivot is redundant and can safely keep its zero-valued
         # artificial (its coefficients on real columns are all ~0).

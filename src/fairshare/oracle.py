@@ -3,13 +3,14 @@
 ``enumerate_solutions`` discharges the existential in the fairness condition
 by brute force: for every candidate saturated subset and every way of
 assigning each user a justifying resource, it asks a small LP whether a
-consistent allocation exists. Most candidates are infeasible, and most of
-those are rejected before any LP by a lower bound on the LP's own phase-one
-artificial sum (``FeasibilityQuery.provably_infeasible``); a candidate is
-rejected only when the LP would certainly declare it infeasible, so the
-witnesses are exactly those of running every LP. The rule depends on the
-assignment alone, so one numpy pass per instance decides it for all of
-them. Each LP prices all its probes at once (``lp.maximize_each``).
+consistent allocation exists. Most candidates are infeasible. Two rules skip
+one without an LP, only where its LP's phase-one artificial sum certainly
+exceeds ten times ``lp.PHASE_ONE_TOL`` (far beyond rounding), so the
+witnesses are exactly those of running every LP: a lower bound on the sum
+that depends on the assignment alone (``FeasibilityQuery.provably_infeasible``,
+one numpy pass per instance), and the subset lattice: a superset only turns
+"<=" capacity rows into "==" rows, so an assignment's least sum never falls
+on it. Each LP prices all its probes at once (``lp.maximize_each``).
 ``grid_search_n2`` walks the feasible boundary curve for two users. Both
 are deliberately independent of the trajectory construction.
 """
@@ -98,11 +99,10 @@ class FeasibilityQuery:
         The query is rejected only when a bound exceeds ten times the LP's
         threshold ``lp.PHASE_ONE_TOL``, far beyond its rounding, so every
         rejected query is one the LP would declare infeasible. The rule does
-        not depend on the subset; ``_rejected`` decides it for every
-        assignment at once.
+        not depend on the subset (``_rejected``).
         """
         m = inst.n_real_resources
-        return bool(_rejected(inst)[tuple(m if j is None else j for j in self.assignment)])
+        return bool(_rejected(inst, [m if j is None else j for j in self.assignment]))
 
     def satisfied_by(
         self, inst: ProblemInstance, x: np.ndarray, tol: float = 1e-5
@@ -170,18 +170,15 @@ class SolutionFamily:
         return any(q.satisfied_by(self.instance, x, tol) for q in self.flagged_queries())
 
 
-def _rejected(inst: ProblemInstance) -> np.ndarray:
-    """``provably_infeasible`` for every assignment at once.
+def _rejected(inst: ProblemInstance, picks: list[int] | None = None) -> np.ndarray:
+    """``provably_infeasible`` for every assignment at once, or for ``picks``.
 
-    Entry ``[a_0, ..., a_{n-1}]`` of the ``(m+1,) * n`` boolean grid is the
-    verdict for giving user i resource a_i, index m standing for a full
-    grant. Each column's floor sum adds the users in index order, as a
-    scalar loop would, so every verdict is the same to the bit; the
-    temporaries are a few arrays of the grid's size.
+    Entry ``[a_0, ..., a_{n-1}]`` of the ``(m+1,) * n`` grid decides user i
+    getting resource a_i (m: a full grant); ``picks`` selects one entry. The
+    users add in index order, so each verdict equals a scalar loop's bitwise.
     """
     n, m = inst.n_users, inst.n_real_resources
-    e = inst.entitlements[:, None]
-    r = inst.requirements
+    e, r = inst.entitlements[:, None], inst.requirements
     c = np.hstack([r, np.ones((n, 1))])  # c_i per choice, 1 for a full grant
     with np.errstate(divide="ignore", invalid="ignore"):
         floor = (e > 0.0) & (c > 0.0)
@@ -193,17 +190,17 @@ def _rejected(inst: ProblemInstance) -> np.ndarray:
         # [i, choice, j]: lb_i r_ij and r_ij / c_i, or 0 and -inf for no floor.
         share = lb[:, :, None] * r[:, None, :]
         slope = np.where(floor[:, :, None], r[:, None, :] / c[:, :, None], -np.inf)
-        grid = np.ix_(*[np.arange(m + 1)] * n)  # user i's choice along axis i
-        out = np.zeros((m + 1,) * n, dtype=bool)
+        grid = np.ix_(*[np.arange(m + 1)] * n) if picks is None else picks  # user i: axis i
+        out = False
         for i, choice in enumerate(grid):
-            out |= direct[i, choice]
+            out = out | direct[i, choice]
         for j in range(m):
             excess, steepest = 0.0, -np.inf
             for i, choice in enumerate(grid):
                 excess = excess + share[i, choice, j]
                 steepest = np.maximum(steepest, slope[i, choice, j])
             excess = excess - 1.0
-            out |= (excess > 0.0) & (excess / steepest > _REJECT_ABOVE)
+            out = out | ((excess > 0.0) & (excess / steepest > _REJECT_ABOVE))
     return out
 
 
@@ -214,14 +211,14 @@ def enumerate_solutions(
 
     Iterates candidate subsets by (size, lexicographic order) and
     justification assignments lexicographically, so output order is stable.
-    A query is skipped without an LP when
-    ``FeasibilityQuery.provably_infeasible`` bounds its LP's phase-one
-    artificial sum from below by more than ten times ``lp.PHASE_ONE_TOL``:
-    the LP would return "infeasible" for it, so skipping it changes no
-    witness. One pass per instance decides this for every assignment, and
-    each subset reads its survivors off that grid. Each other query solves
-    all its probes with one ``lp.maximize_each`` call: phase one once, all
-    probes priced at once, phase two only where a column improves.
+    A query is skipped without an LP when its LP's phase-one artificial sum
+    certainly exceeds ten times ``lp.PHASE_ONE_TOL``, so the LP would say
+    "infeasible" and no witness changes: when ``_rejected``'s grid says so,
+    or when the same assignment's LP reported such a sum
+    (``LpResult.infeasibility``) on a subset of this one, settled first as
+    subsets come by size; a superset's least sum is no smaller. Each other
+    query solves its probes with one ``lp.maximize_each`` call: phase one
+    once, all probes priced at once, phase two only where a column improves.
     Every feasible query's face is probed by maximizing +/- sum(x) and
     +/- each coordinate; differing optimizers flag a positive-dimensional
     solution family, all extreme vertices become witnesses, and for flagged
@@ -255,18 +252,24 @@ def enumerate_solutions(
     probes = [np.ones(n), -np.ones(n)] + [s * u for u in np.eye(n) for s in (1.0, -1.0)]
     r, e = inst.requirements, inst.entitlements
     rejected = _rejected(inst)
+    infeasible_on: dict[tuple, list[int]] = {}  # assignment -> subset bitmasks
     for subset in subsets:
+        mask = sum(1 << j for j in subset)
         # User i's choices: each subset resource it requests (any, if e_i
         # is 0), then m for a full grant; argwhere keeps ``product`` order.
         choices = [[j for j in subset if r[i, j] > 0.0 or e[i] <= 0.0] + [m] for i in range(n)]
         for picks in np.argwhere(~rejected[np.ix_(*choices)]).tolist():
             assignment = tuple(None if c[k] == m else c[k] for c, k in zip(choices, picks))
+            if any(not below & ~mask for below in infeasible_on.get(assignment, ())):
+                continue
             query = FeasibilityQuery(subset, assignment)
             rows, bounds = query.constraints(inst)
             first, *others = lp.maximize_each(
                 lp.LinearProgram(probes[0], tuple(rows), tuple(bounds)), probes
             )
             if first.status != "optimal":
+                if first.infeasibility > _REJECT_ABOVE:
+                    infeasible_on.setdefault(assignment, []).append(mask)
                 continue
             vertices = [first.x]
             for res in others:
@@ -327,15 +330,10 @@ def grid_search_n2(
     e = inst.entitlements
     x1 = np.arange(0.0, 1.0 + resolution / 2.0, resolution)
     mask2 = r[1] > 0.0
+    x2, slope = np.ones_like(x1), 0.0
     if mask2.any():
         caps = (1.0 - np.outer(x1, r[0][mask2])) / r[1][mask2]
-        x2 = np.minimum(1.0, caps.min(axis=1))
-        x2 = np.clip(x2, 0.0, 1.0)
-    else:
-        x2 = np.ones_like(x1)
-
-    slope = 0.0
-    if mask2.any():
+        x2 = np.clip(np.minimum(1.0, caps.min(axis=1)), 0.0, 1.0)
         slope = float(np.max(r[0][mask2] / r[1][mask2]))
     eps_njc = max(tol.eps_njc, resolution)
     eps_bn = max(tol.eps_bottleneck, resolution * (1.0 + slope))

@@ -3,7 +3,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from fairshare.lp import LinearProgram, maximize, maximize_each
+from fairshare.lp import PHASE_ONE_TOL, LinearProgram, maximize, maximize_each
 
 
 def brute_force_max(objective, rows, rhs, bounds):
@@ -69,7 +69,10 @@ def test_contradictory_equality_and_bound_is_infeasible():
         constraints=[([1.0], 2.0, "==")],
         bounds=[(0.0, 1.0)],
     )
-    assert maximize(lp).status == "infeasible"
+    res = maximize(lp)
+    assert res.status == "infeasible"
+    # Phase one gets x to 1, its bound, and the artificial carries the rest.
+    assert res.infeasibility == pytest.approx(1.0, abs=1e-12)
 
 
 def test_unbounded_direction_detected():
@@ -78,7 +81,9 @@ def test_unbounded_direction_detected():
         constraints=[([0.0, 1.0], 1.0, "<=")],
         bounds=[(0.0, None), (0.0, None)],
     )
-    assert maximize(lp).status == "unbounded"
+    res = maximize(lp)
+    assert res.status == "unbounded"
+    assert res.infeasibility == 0.0
 
 
 def _feasibility(constraints, bounds):
@@ -90,6 +95,7 @@ def _feasibility(constraints, bounds):
 def test_feasible_empty_system_returns_box_point():
     res = _feasibility([], [(0.0, 1.0)] * 3)
     assert res.status == "optimal"
+    assert res.infeasibility == 0.0
     assert np.all(res.x >= -1e-12) and np.all(res.x <= 1.0 + 1e-12)
 
 
@@ -111,7 +117,10 @@ def test_feasible_two_bottleneck_family_witness():
 
 def test_feasible_detects_conflicting_equalities():
     rows = [([1.0], 0.3, "=="), ([1.0], 0.4, "==")]
-    assert _feasibility(rows, [(0.0, 1.0)]).status == "infeasible"
+    res = _feasibility(rows, [(0.0, 1.0)])
+    assert res.status == "infeasible"
+    # The least artificial sum is the gap between the two right-hand sides.
+    assert res.infeasibility == pytest.approx(0.1, abs=1e-12)
 
 
 def test_negative_rhs_rows_are_handled():
@@ -219,6 +228,7 @@ def _assert_same_result(a, b):
     assert a.status == b.status
     assert _bits(a.value) == _bits(b.value)
     assert _bits(a.x) == _bits(b.x)
+    assert _bits(a.infeasibility) == _bits(b.infeasibility)
 
 
 def _probe_objectives(rng, n):
@@ -235,6 +245,10 @@ def _check_maximize_each(constraints, bounds, objectives):
     assert len(each) == len(objectives)
     for objective, res in zip(objectives, each):
         _assert_same_result(res, maximize(LinearProgram(objective, constraints, bounds)))
+        if res.status == "infeasible":
+            assert res.infeasibility > PHASE_ONE_TOL
+        else:
+            assert res.infeasibility == 0.0
     return each
 
 

@@ -240,6 +240,26 @@ def test_enumeration_matches_reference_loop_on_random_instances():
         assert _witnesses(inst) == _reference_witnesses(inst), seed
 
 
+def _sparse_instance(seed, n, m, k):
+    """Each user requests k of the m resources, shifted cyclically so every
+    column has a requester; columns are scaled up to a total of at least 1.
+    Few requests keep the reference loop short on a deep subset lattice."""
+    rng = np.random.default_rng(seed)
+    requested = (np.arange(m)[None, :] - np.arange(n)[:, None]) % m < k
+    r = rng.uniform(0.1, 1.0, (n, m)) * requested
+    r /= np.minimum(r.sum(axis=0), 1.0)
+    e = rng.uniform(0.1, 1.0, n)
+    return ProblemInstance(entitlements=e / e.sum(), requirements=r)
+
+
+@pytest.mark.parametrize("shape", [(5, 5), (6, 5)])
+def test_enumeration_matches_reference_loop_on_deep_lattices(shape, monkeypatch):
+    # Subset chains up to length five, on which the lattice rule skips LPs.
+    inst = _sparse_instance(1, *shape, 2)
+    assert _lattice_skips(inst, monkeypatch)
+    assert _witnesses(inst) == _reference_witnesses(inst)
+
+
 def test_tiny_entries_the_lp_tolerance_admits_keep_their_witness():
     # User 1 cannot reach 1e-9 through a 1e-18 request, but the shortfall is
     # below the LP's phase-one threshold, so the LP admits the query, and the
@@ -284,6 +304,48 @@ def test_every_rejected_query_is_infeasible_for_the_lp():
             res = lp.maximize(lp.LinearProgram(np.ones(inst.n_users), tuple(rows), tuple(bounds)))
             assert res.status == "infeasible", (inst, query)
     assert rejected > 10 * admitted > 0
+
+
+def _admitted_queries(inst):
+    """The queries the rejection grid lets through to an LP, in order."""
+    n, m = inst.n_users, inst.n_real_resources
+    r, e, grid = inst.requirements, inst.entitlements, _rejected(inst)
+    for size in range(1, m + 1):
+        for subset in combinations(range(m), size):
+            options = [[j for j in subset if r[i, j] > 0.0 or e[i] <= 0.0] + [m] for i in range(n)]
+            for picks in product(*options):
+                if not grid[picks]:
+                    yield FeasibilityQuery(subset, tuple(None if k == m else k for k in picks))
+
+
+def _lattice_skips(inst, monkeypatch):
+    """The queries that pass the rejection grid but whose LP
+    ``enumerate_solutions`` never builds: those the lattice rule skips."""
+    built = set()
+    constraints = FeasibilityQuery.constraints
+
+    def recording(query, instance):
+        built.add(query)
+        return constraints(query, instance)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(FeasibilityQuery, "constraints", recording)
+        enumerate_solutions(inst)
+    return [query for query in _admitted_queries(inst) if query not in built]
+
+
+def test_every_query_skipped_up_the_lattice_is_infeasible_for_the_lp(monkeypatch):
+    instances = [*_soundness_instances(), *_degenerate_rejection_instances()]
+    instances += [load_fixture(name) for name in fixture_names()]
+    instances.append(random_instance(1, 6, 6))
+    skipped = 0
+    for inst in instances:
+        for query in _lattice_skips(inst, monkeypatch):
+            skipped += 1
+            rows, bounds = query.constraints(inst)
+            res = lp.maximize(lp.LinearProgram(np.ones(inst.n_users), tuple(rows), tuple(bounds)))
+            assert res.status == "infeasible", (inst, query)
+    assert skipped > 100
 
 
 def _scalar_provably_infeasible(inst, assignment):
