@@ -26,7 +26,6 @@ from .oracle import (
     grid_search_n2,
     random_instance,
 )
-from .reductions import ReductionTrace, lift_solution, preprocess, replay
 from .solver import (
     InvalidInstanceError,
     SolveResult,
@@ -46,7 +45,6 @@ __all__ = [
     "InvalidInstanceError",
     "LiftedInstance",
     "ProblemInstance",
-    "ReductionTrace",
     "Solution",
     "SolutionFamily",
     "SolveResult",
@@ -59,10 +57,7 @@ __all__ = [
     "grid_search_n2",
     "integrate_trajectory",
     "level_value",
-    "lift_solution",
-    "preprocess",
     "random_instance",
-    "replay",
     "solve",
     "solve_drf",
     "trajectory_derivative",

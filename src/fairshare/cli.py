@@ -1,5 +1,8 @@
 """Command-line front end: solve, verify, enumerate, compare, trace.
 
+Every command works on the instance as given; none of them runs the
+paper's reductions (``fairshare.reductions``).
+
 Instances are UTF-8 JSON documents with keys ``entitlements`` (array of
 numbers), ``requirements`` (array of per-user arrays), and optional ``users``
 / ``resources`` name arrays. Anywhere a number is expected, a fraction
@@ -14,7 +17,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -23,8 +25,13 @@ from . import drf as drf_mod
 from . import oracle
 from .fixtures import FIXTURES, fixture_names
 from .lp import SimplexIterationLimit
-from .model import ProblemInstance, ToleranceConfig, usages, validate_instance
-from .reductions import InfeasibleEliminationError, preprocess
+from .model import (
+    ProblemInstance,
+    ToleranceConfig,
+    add_dummy_resources,
+    usages,
+    validate_instance,
+)
 from .solver import InvalidInstanceError, integrate_trajectory, solve
 from .verifier import verify
 
@@ -181,14 +188,8 @@ def _parse_allocation(args, n_users: int) -> np.ndarray:
 
 
 def _tolerances(args) -> ToleranceConfig:
-    tol = ToleranceConfig()
-    updates = {}
-    if getattr(args, "tol", None) is not None:
-        updates["eps_njc"] = args.tol
-    if getattr(args, "t_max", None) is not None:
-        updates["t_max"] = args.t_max
     try:
-        return replace(tol, **updates) if updates else tol
+        return ToleranceConfig() if args.tol is None else ToleranceConfig(eps_njc=args.tol)
     except ValueError as exc:
         raise CliError(f"invalid tolerance: {exc}") from None
 
@@ -217,11 +218,6 @@ def cmd_solve(args) -> int:
         result = solve(inst, tol)
     except InvalidInstanceError as exc:
         raise CliError(f"invalid instance: {exc}")
-    # The text output's trace is computed before anything is printed, so that
-    # an instance the reduction cannot handle prints nothing to stdout.
-    trace = None
-    if args.trace_reductions and not args.json:
-        trace = result.reductions.render()
     if args.json:
         print(json.dumps(_solution_dict(result), indent=2))
     else:
@@ -244,9 +240,6 @@ def cmd_solve(args) -> int:
         print("min residual:", _fmt(min(sol.residuals)))
         print("termination:", result.termination, "| polished:", result.polish_applied)
         print("verified:", "yes" if result.report.passed else "no")
-        if trace is not None:
-            print()
-            print(trace)
         if not result.report.passed:
             print()
             print(result.report.render())
@@ -356,11 +349,10 @@ def cmd_compare(args) -> int:
 
 def cmd_trace(args) -> int:
     inst = _load_instance(args.instance)
-    tol = _tolerances(args)
-    reduced, _ = preprocess(inst, tol)
-    points, _ = integrate_trajectory(reduced, tol=tol)
-    n = len(points[0].x) if points else 0
-    header = ",".join(["t"] + [f"x_{i + 1}" for i in range(n)] + ["f", "min_slack"])
+    points, _ = integrate_trajectory(add_dummy_resources(inst))
+    header = ",".join(
+        ["t"] + [f"x_{i + 1}" for i in range(inst.n_users)] + ["f", "min_slack"]
+    )
     out = [header]
     stride = max(1, args.stride)
     for idx, p in enumerate(points):
@@ -397,9 +389,6 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="rescale entitlements to sum to 1 instead of rejecting",
     )
-    p_solve.add_argument(
-        "--trace-reductions", action="store_true", help="print the reduction trace"
-    )
     p_solve.set_defaults(func=cmd_solve)
 
     p_verify = sub.add_parser("verify", help="check an allocation for fairness")
@@ -426,10 +415,17 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_cmp.set_defaults(func=cmd_compare)
 
-    p_trace = sub.add_parser("trace", help="CSV of the solver trajectory")
+    p_trace = sub.add_parser(
+        "trace",
+        help="CSV of the reference trajectory",
+        description="Print the paper's barrier trajectory on the instance as "
+        "given, one CSV row per accepted step: t, one x_i per user, the "
+        "barrier value f and the smallest slack. Users entitled to nothing "
+        "stay at 0 on the trajectory, where solve gives them the leftover "
+        "capacity.",
+    )
     add_instance(p_trace)
     p_trace.add_argument("--stride", type=int, default=1, help="emit every k-th sample")
-    p_trace.add_argument("--t-max", type=float, dest="t_max")
     p_trace.set_defaults(func=cmd_trace)
     return parser
 
@@ -445,9 +441,6 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except InfeasibleEliminationError as exc:
-        print(f"error: cannot reduce the instance: {exc}", file=sys.stderr)
-        return 2
     except SimplexIterationLimit as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

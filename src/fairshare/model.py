@@ -21,6 +21,7 @@ __all__ = [
     "Solution",
     "ToleranceConfig",
     "Violation",
+    "add_dummy_resources",
     "best_bottlenecks",
     "usages",
     "utility",
@@ -46,16 +47,15 @@ class ToleranceConfig:
     ``eps_feasible`` bounds acceptable capacity overshoot and the [0, 1]
     bound on every x_i, ``eps_bottleneck`` decides when a resource counts
     as saturated, and ``eps_njc`` is the slack allowed when testing whether
-    a user received their entitlement or everything. ``t_max`` is the level
-    budget of the reference trajectory (``solver.integrate_trajectory``),
-    whose step controls are constants of the solver.
+    a user received their entitlement or everything. The reference
+    trajectory (``solver.integrate_trajectory``) reads none of them: its
+    level budget and step controls are constants of the solver.
     """
 
     eps_input: float = 1e-9
     eps_feasible: float = 1e-9
     eps_bottleneck: float = 1e-6
     eps_njc: float = 1e-6
-    t_max: float = 34.0
 
     def __post_init__(self) -> None:
         for f in fields(self):
@@ -174,6 +174,20 @@ class LiftedInstance:
         if kind == "real":
             return self.base.resource_label(idx)
         return f"dummy({self.base.user_label(idx)})"
+
+
+def add_dummy_resources(inst: ProblemInstance) -> LiftedInstance:
+    """Append an identity block: one unit-demand artificial column per user."""
+    n, m = inst.n_users, inst.n_real_resources
+    r = np.hstack([inst.requirements, np.eye(n)])
+    cols = [("real", j) for j in range(m)] + [("dummy", i) for i in range(n)]
+    return LiftedInstance(
+        base=inst,
+        entitlements=inst.entitlements,
+        requirements=r,
+        column_origin=tuple(cols),
+        user_origin=tuple(range(n)),
+    )
 
 
 @dataclass(frozen=True, eq=False)

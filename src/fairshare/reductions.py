@@ -1,11 +1,16 @@
-"""Reductions that bring an instance under the solver's working hypotheses.
+"""The paper's reductions, which its ODE existence proof needs.
 
 Pipeline: append one unit-demand artificial column per user, drop columns
 that can never saturate (total demand below capacity), repeatedly grant and
 remove users who request less than their entitlement everywhere (rescaling
 the remaining entitlements and per-column capacities). Every step is
-recorded in a ReductionTrace so the reduced solution can be lifted back and
-the whole reduction replayed bit-for-bit.
+recorded in a ReductionTrace so the reduced solution can be lifted back.
+
+No path of the program runs them: ``solve`` and ``fairshare trace`` both
+work on ``model.add_dummy_resources(inst)``, the instance as given. They
+stay for the tests, which compare reduced and unreduced answers, and for
+the benchmark's tracer, which wraps ``preprocess``, ``lift_solution`` and
+``remove_dominated_constraints`` by name.
 
 Columns implied by the others are not removed by the pipeline: such a
 column can never saturate, so it is never a bottleneck and leaves the
@@ -25,6 +30,7 @@ from .model import (
     ProblemInstance,
     Solution,
     ToleranceConfig,
+    add_dummy_resources,
 )
 from .verifier import verify
 
@@ -33,13 +39,11 @@ __all__ = [
     "InfeasibleEliminationError",
     "LiftConsistencyError",
     "ReductionTrace",
-    "add_dummy_resources",
     "drop_slack_resources",
     "eliminate_satisfied_users",
     "lift_solution",
     "preprocess",
     "remove_dominated_constraints",
-    "replay",
 ]
 
 
@@ -62,7 +66,6 @@ class Elimination:
     user: int  # original user index
     entitlement_divisor: float  # 1 - e_i at elimination time
     column_divisors: tuple[tuple[ColumnKey, float], ...]
-    columns_dropped_after: tuple[ColumnKey, ...]  # re-dropped, demand fell below 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,58 +75,6 @@ class ReductionTrace:
     eliminations: tuple[Elimination, ...]
     removed_dominated: tuple[ColumnKey, ...]  # always (); preprocess keeps them
     final: LiftedInstance
-
-    @property
-    def eliminated_users(self) -> tuple[int, ...]:
-        return tuple(e.user for e in self.eliminations)
-
-    def render(self) -> str:
-        inst = self.original
-
-        def clabel(key: ColumnKey) -> str:
-            kind, idx = key
-            if kind == "real":
-                return f"resource {inst.resource_label(idx)}"
-            return f"dummy({inst.user_label(idx)})"
-
-        lines = [
-            f"reductions for instance with {inst.n_users} user(s), "
-            f"{inst.n_real_resources} resource(s):"
-        ]
-        if self.dropped_slack:
-            lines.append(
-                "dropped slack columns: "
-                + ", ".join(clabel(k) for k in self.dropped_slack)
-            )
-        # A divisor at or below eps_input was not divided by: the
-        # elimination set the remaining entitlements equal, or zeroed the
-        # column the grant exhausted.
-        eps = DEFAULT_TOLERANCES.eps_input
-        for e in self.eliminations:
-            scales = ", ".join(
-                f"{clabel(k)} x{1.0 / d:.10g}" if d > eps else f"{clabel(k)} zeroed"
-                for k, d in e.column_divisors
-                if d != 1.0
-            )
-            if e.entitlement_divisor > eps:
-                rest = f"remaining entitlements x{1.0 / e.entitlement_divisor:.10g}"
-            else:
-                rest = "it held the whole entitlement; remaining entitlements set equal"
-            lines.append(
-                f"granted user {inst.user_label(e.user)} in full; {rest}"
-                + (f"; requests rescaled: {scales}" if scales else "")
-            )
-            if e.columns_dropped_after:
-                lines.append(
-                    "  then dropped: "
-                    + ", ".join(clabel(k) for k in e.columns_dropped_after)
-                )
-        if len(lines) == 1:
-            lines.append("no reductions applied")
-        lines.append(
-            f"reduced system: {self.final.n_users} user(s), {self.final.m} column(s)"
-        )
-        return "\n".join(lines)
 
 
 @dataclass
@@ -161,20 +112,6 @@ def _work_from_lifted(inst: LiftedInstance) -> _Work:
     )
 
 
-def add_dummy_resources(inst: ProblemInstance) -> LiftedInstance:
-    """Append an identity block: one unit-demand artificial column per user."""
-    n, m = inst.n_users, inst.n_real_resources
-    r = np.hstack([inst.requirements, np.eye(n)])
-    cols = [("real", j) for j in range(m)] + [("dummy", i) for i in range(n)]
-    return LiftedInstance(
-        base=inst,
-        entitlements=inst.entitlements,
-        requirements=r,
-        column_origin=tuple(cols),
-        user_origin=tuple(range(n)),
-    )
-
-
 def _slack_columns(work: _Work, tol: ToleranceConfig) -> list[ColumnKey]:
     sums = work.r.sum(axis=0)
     return [
@@ -209,18 +146,12 @@ def _eliminable_user(work: _Work, tol: ToleranceConfig) -> int | None:
     return None
 
 
-def _apply_elimination(
-    work: _Work,
-    row: int,
-    tol: ToleranceConfig,
-    recorded: Elimination | None = None,
-) -> Elimination:
+def _apply_elimination(work: _Work, row: int, tol: ToleranceConfig) -> Elimination:
     """Grant user ``row`` everything and rescale what remains.
 
     Entitlements of the survivors are divided by (1 - e_i); each column's
     requests are divided by (1 - r_ij), the capacity fraction that survives
-    the grant. When recorded factors are supplied (trace replay), they are
-    applied verbatim instead of being recomputed.
+    the grant.
     """
     user = work.users[row]
     e_i = float(work.e[row])
@@ -231,13 +162,8 @@ def _apply_elimination(
     keep_cols = [k for k, key in enumerate(work.cols) if key != own_dummy]
 
     col_keys = [work.cols[k] for k in keep_cols]
-    if recorded is not None:
-        ent_div = recorded.entitlement_divisor
-        divisors = dict(recorded.column_divisors)
-        col_divs = [divisors[key] for key in col_keys]
-    else:
-        ent_div = 1.0 - e_i
-        col_divs = [1.0 - float(req_row[k]) for k in keep_cols]
+    ent_div = 1.0 - e_i
+    col_divs = [1.0 - float(req_row[k]) for k in keep_cols]
 
     e = work.e[keep_users]
     r = work.r[np.ix_(keep_users, keep_cols)].copy()
@@ -265,17 +191,12 @@ def _apply_elimination(
     work.users = [work.users[k] for k in keep_users]
     work.cols = col_keys
 
-    dropped_after = (
-        list(recorded.columns_dropped_after)
-        if recorded is not None
-        else _slack_columns(work, tol)
-    )
-    work.drop_columns(dropped_after)
+    # Columns whose demand fell below capacity are dropped again.
+    work.drop_columns(_slack_columns(work, tol))
     return Elimination(
         user=user,
         entitlement_divisor=ent_div,
         column_divisors=tuple(zip(col_keys, col_divs)),
-        columns_dropped_after=tuple(dropped_after),
     )
 
 
@@ -360,21 +281,6 @@ def preprocess(
         final=lifted,
     )
     return lifted, trace
-
-
-def replay(trace: ReductionTrace, tol: ToleranceConfig | None = None) -> LiftedInstance:
-    """Re-apply the recorded steps to the original instance.
-
-    Uses the recorded users, factors, and column drops verbatim (no
-    re-deciding), so the result reproduces ``trace.final`` bit-for-bit.
-    """
-    tol = tol or DEFAULT_TOLERANCES
-    work = _work_from_lifted(add_dummy_resources(trace.original))
-    work.drop_columns(list(trace.dropped_slack))
-    for step in trace.eliminations:
-        row = work.users.index(step.user)
-        _apply_elimination(work, row, tol, recorded=step)
-    return work.to_lifted()
 
 
 def lift_solution(

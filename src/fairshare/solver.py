@@ -10,11 +10,12 @@ saturates and users entitled to nothing still request something, they share
 the leftover capacity in one more program with equal entitlements.
 Verification computes what decides the verdict, and its report packages
 the ``Solution`` (usages, bottlenecks, justifications); the
-per-user statuses, the report-only checks (Pareto pinning, envy, sharing
-incentive) and the reduction trace are computed on first access.
+per-user statuses and the report-only checks (Pareto pinning, envy, sharing
+incentive) are computed on first access.
 
 The paper's constructive method is kept here as the reference path, used
-by ``fairshare trace`` and by the tests. The feasible region
+by ``fairshare trace`` and by the tests, on the same lifted instance as
+``solve``. The feasible region
 D = {x >= 0 : sum_i x_i r_ij <= 1 for all j} carries the barrier value
 f(x) = -sum_j log(1 - sum_i x_i r_ij), which is 0 at the origin and diverges
 on the boundary. Raising the level t sweeps a family of smooth shells
@@ -36,7 +37,6 @@ accumulating.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -48,16 +48,12 @@ from .model import (
     Solution,
     ToleranceConfig,
     Violation,
+    add_dummy_resources,
     validate_instance,
 )
 # bench/tracing.py wraps ``preprocess`` and ``lift_solution`` in this module,
 # so both stay importable from here although ``solve`` calls neither.
-from .reductions import (  # noqa: F401
-    ReductionTrace,
-    add_dummy_resources,
-    lift_solution,
-    preprocess,
-)
+from .reductions import lift_solution, preprocess  # noqa: F401
 from .verifier import VerificationReport, verify
 
 __all__ = [
@@ -125,13 +121,6 @@ class SolveResult:
     @property
     def ok(self) -> bool:
         return self.report.passed
-
-    @cached_property
-    def reductions(self) -> ReductionTrace:
-        """The reduction trace of the instance, computed on first access;
-        ``solve`` itself does not reduce. Raises
-        ``InfeasibleEliminationError`` where the reduction cannot proceed."""
-        return preprocess(self.report.instance, self.report.tolerances)[1]
 
 
 def _slacks_or_raise(inst: LiftedInstance, x: np.ndarray) -> np.ndarray:
@@ -210,10 +199,12 @@ def trajectory_derivative(
     return v / rho
 
 
-# Step controls of the reference integrator: the first, smallest and
-# largest step in t, the RK error tolerances, the movement below which the
-# iterate has converged, the slack at which it has reached the boundary,
-# and the largest acceptable condition estimate of the trajectory system.
+# Step controls of the reference integrator: the level budget for the decay
+# of the saturating slacks, the first, smallest and largest step in t, the
+# RK error tolerances, the movement below which the iterate has converged,
+# the slack at which it has reached the boundary, and the largest acceptable
+# condition estimate of the trajectory system.
+_T_MAX = 34.0
 _STEP_INITIAL = 1e-3
 _STEP_MIN = 1e-10
 _STEP_MAX = 2.0
@@ -331,14 +322,13 @@ def _make_point(
     )
 
 
-def integrate_trajectory(
-    inst: LiftedInstance, tol: ToleranceConfig | None = None
-) -> tuple[list[TrajectoryPoint], str]:
-    """Integrate the trajectory from the origin toward ``tol.t_max``.
+def integrate_trajectory(inst: LiftedInstance) -> tuple[list[TrajectoryPoint], str]:
+    """Integrate the trajectory from the origin toward the level ``_T_MAX``.
 
-    Expects a preprocessed instance (every retained real column is demanded
-    at least to capacity in total, every user can reach their entitlement on
-    some real column).
+    Expects a lifted instance, such as ``add_dummy_resources(inst)``, whose
+    unit columns bound every x_i by 1. For every user with e_i > 0 the
+    limit is the allocation ``solve`` computes; a user entitled to nothing
+    stays at 0, where ``solve`` gives such users the leftover capacity.
 
     Returns the accepted samples and a termination flag: "converged" when
     the iterate stops moving between level doublings (checked at t = 1, 2,
@@ -346,23 +336,20 @@ def integrate_trajectory(
     budget runs out, or "step_underflow" when no acceptable step exists
     above the minimum size (the partial trajectory is still returned).
 
-    ``tol.t_max`` budgets the decay of the saturating slacks; the effective
+    ``_T_MAX`` budgets the decay of the saturating slacks; the effective
     budget adds headroom that grows with the column count (each column
     contributes a constant barrier offset -log(final slack)) and with the
     smallest positive entitlement (a saturating column's slack behaves like
     exp(-t/|J|) / e_i, so users entitled to very little approach their limit
     very slowly). Termination almost always comes from the convergence tests
-    well before the budget runs out. ``tol.t_max`` is the only tolerance
-    read; the step controls are this module's constants (``_STEP_INITIAL``
-    and the rest).
+    well before the budget runs out.
     """
-    tol = tol or DEFAULT_TOLERANCES
     e = inst.entitlements
     n = inst.n_users
     if n == 0:
         return [], "converged"
     min_e = float(np.min(e[e > 0.0])) if np.any(e > 0.0) else 1.0
-    t_budget = tol.t_max + inst.m * (3.0 + max(0.0, np.log(1.0 / max(min_e, 1e-12))))
+    t_budget = _T_MAX + inst.m * (3.0 + max(0.0, np.log(1.0 / max(min_e, 1e-12))))
 
     t = 0.0
     x = np.zeros(n)

@@ -324,7 +324,7 @@ def check_pareto(
     """Every partially served user must be pinned by a saturated resource it uses."""
     tol = tol or DEFAULT_TOLERANCES
     x = np.asarray(x, dtype=float)
-    saturated = 1.0 - usages(inst, x) <= tol.eps_bottleneck
+    saturated = usages(inst, x) >= 1.0 - tol.eps_bottleneck
     pinned = (inst.requirements[:, saturated] > 0.0).any(axis=1)
     return bool((pinned | (x >= 1.0 - tol.eps_njc)).all())
 

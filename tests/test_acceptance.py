@@ -8,7 +8,7 @@ import pytest
 from fairshare.cli import _middles_instance
 from fairshare.drf import solve_drf
 from fairshare.fixtures import FIXTURES, load_fixture
-from fairshare.model import ToleranceConfig, usages
+from fairshare.model import ToleranceConfig, add_dummy_resources, usages
 from fairshare.oracle import enumerate_solutions, grid_search_n2, random_instance
 from fairshare.solver import gradient, integrate_trajectory, level_value, solve
 from fairshare.verifier import verify
@@ -169,49 +169,46 @@ def test_criterion_07_greedy_counterexample():
 
 def test_criterion_08_trajectory_invariants(random_suite):
     # solve() computes the trajectory's limit directly, so the trajectory is
-    # integrated here on each reduced instance, and its endpoint must land
-    # next to solve()'s allocation of the same users.
+    # integrated here on the same lifted instance, and its endpoint must land
+    # next to solve()'s allocation for every user entitled to something.
     worst_level = 0.0
     worst_xne = 0.0
     worst_endpoint = 0.0
     interior = True
     integrated = 0
     for inst, res in random_suite:
-        reduced = res.reductions.final
-        if reduced.n_users == 0:
-            continue
-        points, _ = integrate_trajectory(reduced)
+        lifted = add_dummy_resources(inst)
+        points, _ = integrate_trajectory(lifted)
         integrated += 1
-        x_solve = res.solution.allocation[list(reduced.user_origin)]
-        worst_endpoint = max(worst_endpoint, float(np.max(np.abs(points[-1].x - x_solve))))
+        entitled = inst.entitlements > 0.0
+        gap = np.abs(points[-1].x - res.solution.allocation)[entitled]
+        worst_endpoint = max(worst_endpoint, float(gap.max()))
         for p in points:
             worst_level = max(worst_level, abs(p.f_value - p.t))
             interior = interior and float(np.min(p.slacks)) > 0.0
             kappa = float(p.x @ p.normal)
             worst_xne = max(
                 worst_xne,
-                float(np.max(np.abs(p.x * p.normal - kappa * reduced.entitlements))),
+                float(np.max(np.abs(p.x * p.normal - kappa * lifted.entitlements))),
             )
     rng = np.random.default_rng(99)
     worst_grad = 0.0
     for inst, res in random_suite[::10]:
-        reduced = res.reductions.final
-        if reduced.n_users == 0:
-            continue
+        lifted = add_dummy_resources(inst)
         for _ in range(3):
-            d = rng.uniform(0.05, 1.0, reduced.n_users)
-            peak = float((d @ reduced.requirements).max())
+            d = rng.uniform(0.05, 1.0, lifted.n_users)
+            peak = float((d @ lifted.requirements).max())
             x = d * (rng.uniform(0.2, 0.8) / peak)
-            raw, _ = gradient(reduced, x)
+            raw, _ = gradient(lifted, x)
             h = 1e-6
-            for i in range(reduced.n_users):
+            for i in range(lifted.n_users):
                 xp, xm = x.copy(), x.copy()
                 xp[i] += h
                 xm[i] -= h
-                fd = (level_value(reduced, xp) - level_value(reduced, xm)) / (2 * h)
+                fd = (level_value(lifted, xp) - level_value(lifted, xm)) / (2 * h)
                 worst_grad = max(worst_grad, abs(fd - raw[i]) / max(1.0, abs(raw[i])))
     checks = [
-        ("trajectory integrated on 190+ reduced instances", integrated >= 190),
+        ("trajectory integrated on 190+ lifted instances", integrated >= 190),
         ("level tracking |f - t| <= 1e-6", worst_level <= 1e-6),
         ("strict interiority", interior),
         ("normal alignment residual <= 1e-6", worst_xne <= 1e-6),

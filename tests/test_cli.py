@@ -74,13 +74,6 @@ def test_solve_json_roundtrips_into_verify(tmp_path, capsys):
     assert code == 0
 
 
-def test_solve_trace_reductions_flag(capsys):
-    code, out, _ = run(capsys, "solve", "elim_example", "--trace-reductions")
-    assert code == 0
-    assert "granted user 1 in full" in out
-    assert "x1.666666667" in out
-
-
 def test_solve_reports_instance_errors(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"entitlements": [0.9, 0.2], "requirements": [[1.0], [1.0]]}')
@@ -104,7 +97,7 @@ def test_solve_rejects_a_nan_entitlement(tmp_path, capsys):
     [
         ("solve", "slope2", "--tol", "-1"),
         ("solve", "slope2", "--tol", "nan"),
-        ("trace", "slope2", "--t-max", "nan"),
+        ("verify", "slope2", "--x", "0.6,0.9", "--tol", "0"),
     ],
 )
 def test_a_tolerance_that_is_not_positive_is_a_usage_error(capsys, args):
@@ -115,7 +108,7 @@ def test_a_tolerance_that_is_not_positive_is_a_usage_error(capsys, args):
 
 
 # Granting user 1 in full leaves 5e-11 of the resource, below the input
-# tolerance, while user 2 still requests it: the reduction cannot proceed.
+# tolerance, while user 2, entitled to nothing, still requests it.
 EXHAUSTED = {"entitlements": [1, 0], "requirements": [[0.99999999995], [0.5]]}
 
 
@@ -154,48 +147,6 @@ def test_solve_json_names_one_justifying_resource_per_user(tmp_path, capsys):
     assert [u["resource"] for u in doc["report"]["users"]] == [4, None]
 
 
-def test_solve_trace_reductions_reports_an_exhausted_column_as_input_error(
-    tmp_path, capsys
-):
-    path = tmp_path / "exhausted.json"
-    path.write_text(json.dumps(EXHAUSTED))
-    code, out, err = run(capsys, "solve", str(path), "--trace-reductions")
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: cannot reduce the instance:")
-    assert len(err.strip().splitlines()) == 1
-
-
-@pytest.mark.parametrize(
-    "doc",
-    [
-        {"entitlements": [1, 0], "requirements": [[0.5], [0.5]]},
-        {"entitlements": [1.0], "requirements": [[0.0]]},
-    ],
-)
-def test_solve_trace_reductions_when_a_granted_user_holds_every_entitlement(
-    tmp_path, capsys, doc
-):
-    # Used to end in a ZeroDivisionError traceback and exit 1.
-    path = tmp_path / "whole.json"
-    path.write_text(json.dumps(doc))
-    code, out, err = run(capsys, "solve", str(path), "--trace-reductions")
-    assert code == 0
-    assert err == ""
-    assert "granted user 1 in full; it held the whole entitlement" in out
-    assert "verified: yes" in out
-
-
-def test_trace_reports_an_exhausted_column_as_input_error(tmp_path, capsys):
-    path = tmp_path / "exhausted.json"
-    path.write_text(json.dumps(EXHAUSTED))
-    code, out, err = run(capsys, "trace", str(path))
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: cannot reduce the instance:")
-    assert len(err.strip().splitlines()) == 1
-
-
 def test_verify_greedy_counterexample_step(capsys):
     code, out, _ = run(capsys, "verify", "greedy3", "--x", "1,2/3,0")
     assert code == 1
@@ -209,6 +160,17 @@ def test_verify_greedy_three_quarters(capsys):
     assert "user 1: justified via resource 3" in out
     assert "user 2: fully allocated" in out
     assert "user 3: COMPLAINT" in out
+
+
+def test_verify_counts_pareto_pins_at_the_bottleneck_tolerance(tmp_path, capsys):
+    # Usage 0.999999 lies exactly eps_bottleneck below capacity; the
+    # resource is a bottleneck, so it pins both users.
+    path = tmp_path / "edge.json"
+    path.write_text('{"entitlements": [0.5, 0.5], "requirements": [[1], [1]]}')
+    code, out, _ = run(capsys, "verify", str(path), "--x", "0.4999995,0.4999995")
+    assert code == 0
+    assert "bottlenecks: {1}" in out
+    assert "pareto: OK" in out
 
 
 def test_verify_circle_symmetric_passes(capsys):
@@ -428,6 +390,48 @@ def test_trace_stride(capsys):
     assert code == 0 and code2 == 0
     assert len(strided.splitlines()) < len(full.splitlines())
     assert full.splitlines()[-1] == strided.splitlines()[-1]
+
+
+def _trace_rows(capsys, *argv):
+    code, out, err = run(capsys, "trace", *argv)
+    assert code == 0 and err == ""
+    lines = out.strip().splitlines()
+    return lines[0], [[float(v) for v in line.split(",")] for line in lines[1:]]
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_trace_ends_next_to_solve_on_every_fixture(name, capsys):
+    # The trajectory runs on the instance as given: one column per user,
+    # and its last row lands on solve's answer for every entitled user.
+    inst = FIXTURES[name]
+    header, rows = _trace_rows(capsys, name)
+    users = [f"x_{i + 1}" for i in range(inst.n_users)]
+    assert header == ",".join(["t"] + users + ["f", "min_slack"])
+    code, out, _ = run(capsys, "solve", name, "--json")
+    assert code == 0
+    x_solve = np.array(json.loads(out)["x"])
+    entitled = inst.entitlements > 0.0
+    x_trace = np.array(rows[-1][1 : 1 + inst.n_users])
+    np.testing.assert_allclose(x_trace[entitled], x_solve[entitled], rtol=0, atol=5e-4)
+
+
+def test_trace_keeps_a_user_entitled_to_nothing_at_zero(tmp_path, capsys):
+    # solve gives user 2 the leftover capacity; the trajectory does not.
+    path = tmp_path / "leftover.json"
+    path.write_text('{"entitlements": [1, 0], "requirements": [[0.5], [0.5]]}')
+    _, rows = _trace_rows(capsys, str(path))
+    assert all(row[2] == 0.0 for row in rows)
+    assert rows[-1][1] == pytest.approx(1.0, abs=1e-6)
+    code, out, _ = run(capsys, "solve", str(path), "--json")
+    assert code == 0
+    np.testing.assert_allclose(json.loads(out)["x"], [1.0, 1.0], rtol=0, atol=1e-9)
+
+
+def test_trace_ends_an_exhausted_column_near_one_and_zero(tmp_path, capsys):
+    path = tmp_path / "exhausted.json"
+    path.write_text(json.dumps(EXHAUSTED))
+    _, rows = _trace_rows(capsys, str(path))
+    np.testing.assert_allclose(rows[-1][1:3], [1.0, 0.0], rtol=0, atol=1e-6)
 
 
 # The text output of ``fairshare solve NAME`` for every fixture, as printed

@@ -4,9 +4,9 @@ import numpy as np
 
 from fairshare import eg
 from fairshare.eg import face_newton, solve_eg
-from fairshare.model import ProblemInstance
+from fairshare.model import ProblemInstance, add_dummy_resources
 from fairshare.oracle import random_instance
-from fairshare.reductions import add_dummy_resources, preprocess
+from fairshare.reductions import preprocess
 from fairshare.solver import solve
 
 

@@ -11,12 +11,13 @@ from fairshare.model import (
     ProblemInstance,
     ToleranceConfig,
     Violation,
+    add_dummy_resources,
     usages,
     utility,
     validate_instance,
 )
 from fairshare.oracle import random_instance
-from fairshare.reductions import add_dummy_resources, lift_solution, preprocess
+from fairshare.reductions import lift_solution, preprocess
 from fairshare.verifier import verify
 
 
@@ -237,7 +238,7 @@ def test_feasible_scaled_usages_and_bottlenecks_in_range(seed, n, m):
 
 def test_tolerance_config_rejects_nonpositive_values():
     names = [f.name for f in dataclasses.fields(ToleranceConfig)]
-    assert names == ["eps_input", "eps_feasible", "eps_bottleneck", "eps_njc", "t_max"]
+    assert names == ["eps_input", "eps_feasible", "eps_bottleneck", "eps_njc"]
     for name in names:
         for bad in (0.0, -1.0, float("nan")):
             with pytest.raises(ValueError, match=name):

@@ -2,17 +2,15 @@ import numpy as np
 import pytest
 
 from fairshare.fixtures import FIXTURES, load_fixture
-from fairshare.model import ProblemInstance, usages
+from fairshare.model import ProblemInstance, add_dummy_resources, usages
 from fairshare.oracle import enumerate_solutions
 from fairshare.reductions import (
     LiftConsistencyError,
-    add_dummy_resources,
     drop_slack_resources,
     eliminate_satisfied_users,
     lift_solution,
     preprocess,
     remove_dominated_constraints,
-    replay,
 )
 
 
@@ -88,30 +86,6 @@ def test_eliminate_single_user_under_entitlement_empties_problem():
     assert reduced.n_users == 0
 
 
-@pytest.mark.parametrize(
-    "entitlements, requirements",
-    [([1.0, 0.0], [[0.5], [0.5]]), ([1.0], [[0.0]])],
-)
-def test_trace_renders_a_grant_of_the_whole_entitlement(entitlements, requirements):
-    # The granted user's entitlement divisor is 0: the elimination sets the
-    # remaining entitlements equal, and the trace says so instead of
-    # dividing by zero.
-    inst = ProblemInstance(entitlements=entitlements, requirements=requirements)
-    _, trace = preprocess(inst)
-    assert trace.eliminations[0].entitlement_divisor == 0.0
-    text = trace.render()
-    assert "granted user 1 in full; it held the whole entitlement" in text
-    assert "remaining entitlements x" not in text
-
-
-def test_trace_renders_a_column_the_grant_exhausts_as_zeroed():
-    inst = ProblemInstance(entitlements=[1.0, 0.0], requirements=[[0.99999999995], [0.0]])
-    _, trace = preprocess(inst)
-    divisors = dict(trace.eliminations[0].column_divisors)
-    assert 0.0 < divisors[("real", 0)] < 1e-9
-    assert "requests rescaled: resource 1 zeroed" in trace.render()
-
-
 def test_remove_dominated_drops_strictly_implied_column():
     lifted, _ = drop_slack_resources(add_dummy_resources(load_fixture("drf_compare")))
     reduced, removed = remove_dominated_constraints(lifted)
@@ -164,16 +138,6 @@ def test_preprocess_no_reductions_on_contended_instance():
     assert trace.eliminations == ()
     real = [key for key in reduced.column_origin if key[0] == "real"]
     assert real == [("real", 0), ("real", 1), ("real", 2)]
-
-
-@pytest.mark.parametrize("name", sorted(FIXTURES))
-def test_replay_reproduces_final_bit_for_bit(name):
-    reduced, trace = preprocess(load_fixture(name))
-    replayed = replay(trace)
-    assert replayed.column_origin == reduced.column_origin
-    assert replayed.user_origin == reduced.user_origin
-    np.testing.assert_array_equal(replayed.entitlements, reduced.entitlements)
-    np.testing.assert_array_equal(replayed.requirements, reduced.requirements)
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURES))

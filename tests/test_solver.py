@@ -6,13 +6,9 @@ import fairshare.reductions
 import fairshare.solver
 from fairshare import eg
 from fairshare.fixtures import FIXTURES, load_fixture
-from fairshare.model import ProblemInstance
+from fairshare.model import ProblemInstance, add_dummy_resources
 from fairshare.oracle import random_instance
-from fairshare.reductions import (
-    add_dummy_resources,
-    preprocess,
-    remove_dominated_constraints,
-)
+from fairshare.reductions import preprocess, remove_dominated_constraints
 from fairshare.solver import (
     DomainBoundaryError,
     InvalidInstanceError,

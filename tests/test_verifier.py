@@ -85,6 +85,19 @@ def test_pareto_fully_allocated_user_needs_no_pin():
     assert check_pareto(inst, np.array([1.0, 0.5]))
 
 
+def test_pareto_pins_on_every_bottleneck_verify_names():
+    # Usage 0.999999 is exactly eps_bottleneck below capacity in floating
+    # point, where 1 - usage is just above it: the Pareto check must count
+    # the column as saturated, as the bottleneck set does.
+    inst = ProblemInstance(entitlements=[0.5, 0.5], requirements=[[1.0], [1.0]])
+    x = np.array([0.4999995, 0.4999995])
+    report = verify(inst, x)
+    assert report.passed
+    assert report.bottlenecks == (0,)
+    assert [u.resource for u in report.users] == [0, 0]
+    assert report.pareto_ok
+
+
 def test_envy_identical_users_have_zero_margin():
     inst = load_fixture("drf_compare")  # users 1 and 2 share a profile
     res = check_envy_free(inst, np.array([1 / 3, 1 / 3, 5 / 6]))
@@ -164,11 +177,11 @@ def _njc_reference(inst, x, tol):
 
 
 def _pareto_reference(inst, x, tol):
-    slack = 1.0 - x @ inst.requirements
+    saturated = x @ inst.requirements >= 1.0 - tol.eps_bottleneck
     for i in range(inst.n_users):
         if x[i] >= 1.0 - tol.eps_njc:
             continue
-        if not np.any((inst.requirements[i] > 0.0) & (slack <= tol.eps_bottleneck)):
+        if not np.any((inst.requirements[i] > 0.0) & saturated):
             return False
     return True
 
