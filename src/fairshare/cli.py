@@ -33,7 +33,7 @@ from .model import (
     validate_instance,
 )
 from .solver import InvalidInstanceError, integrate_trajectory, solve
-from .verifier import verify
+from .verifier import FULLY_ALLOCATED, JUSTIFIED, verify
 
 __all__ = ["entrypoint", "main"]
 
@@ -229,14 +229,14 @@ def cmd_solve(args) -> int:
             "bottlenecks: {%s}"
             % ", ".join(inst.resource_label(j) for j in sorted(sol.bottlenecks))
         )
-        for i, j in enumerate(sol.justification):
-            if j is not None:
-                status = f"justified via resource {inst.resource_label(j)}"
-            elif sol.allocation[i] >= 1 - tol.eps_njc:
+        for st in result.report.users:
+            if st.status == JUSTIFIED:
+                status = f"justified via resource {inst.resource_label(st.resource)}"
+            elif st.status == FULLY_ALLOCATED:
                 status = "fully allocated"
             else:
                 status = "no justifying resource"
-            print(f"user {inst.user_label(i)}: {status}")
+            print(f"user {inst.user_label(st.user)}: {status}")
         print("min residual:", _fmt(min(sol.residuals)))
         print("termination:", result.termination, "| polished:", result.polish_applied)
         print("verified:", "yes" if result.report.passed else "no")

@@ -7,7 +7,9 @@ of resource j if fully granted. An allocation is one scale factor x_i in
 total load on resource j is sum_i x_i * r_ij.
 
 All types are immutable after construction and all operations are pure, so
-instances and allocations can be shared freely across threads.
+instances and allocations can be shared freely across threads. The model
+states no fairness rule: which resources saturate, who is fully allocated
+and who is justified is decided by ``fairshare.verifier``'s report alone.
 """
 from __future__ import annotations
 
@@ -22,7 +24,6 @@ __all__ = [
     "ToleranceConfig",
     "Violation",
     "add_dummy_resources",
-    "best_bottlenecks",
     "usages",
     "utility",
     "validate_instance",
@@ -300,16 +301,3 @@ def utility(inst: ProblemInstance, i: int, amounts: np.ndarray) -> float:
         return 1.0
     return float(min(1.0, (amounts[mask] / row[mask]).min()))
 
-
-def best_bottlenecks(
-    x: np.ndarray, requirements: np.ndarray, bottlenecks: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Each user's best bottleneck and their share x_i r_ij on it.
-
-    ``bottlenecks`` holds at least one column index, in increasing order; a
-    user's best bottleneck is the lowest-indexed one among those that give
-    them their largest share.
-    """
-    shares = x[:, None] * requirements[:, bottlenecks]
-    best = shares.argmax(axis=1)
-    return bottlenecks[best], shares[np.arange(x.shape[0]), best]

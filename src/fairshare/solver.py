@@ -5,13 +5,15 @@ program (``fairshare.eg``) on the instance as given, lifted only by one unit
 column per user for x_i <= 1. The optimum grants in full every user who
 requests less than their entitlement everywhere, so no reduction runs first,
 and ``solve_eg`` ends, nearly always, on a face Newton point that carries
-the program's KKT certificate. Users who request nothing get x_i = 1. Where no resource
-saturates and users entitled to nothing still request something, they share
-the leftover capacity in one more program with equal entitlements.
-Verification computes what decides the verdict, and its report packages
-the ``Solution`` (usages, bottlenecks, justifications); the
-per-user statuses and the report-only checks (Pareto pinning, envy, sharing
-incentive) are computed on first access.
+the program's KKT certificate. Users who request nothing get x_i = 1. The
+answer is then verified, and the report decides what is saturated and
+who is justified. Where it names no bottleneck and users entitled to
+nothing still request something, they share the leftover capacity it
+reports in one more program with equal entitlements, and the combined
+answer is verified once more. The report packages the ``Solution``
+(usages, bottlenecks, justifications); its per-user statuses and
+report-only checks (Pareto pinning, envy, sharing incentive) are computed
+on first access.
 
 The paper's constructive method is kept here as the reference path, used
 by ``fairshare trace`` and by the tests, on the same lifted instance as
@@ -159,11 +161,7 @@ def _system_matrix(r: np.ndarray, x: np.ndarray, s: np.ndarray) -> np.ndarray:
     return np.diag(g) + x[:, None] * (b @ b.T)
 
 
-def trajectory_derivative(
-    inst: LiftedInstance,
-    x: np.ndarray,
-    entitlements: np.ndarray | None = None,
-) -> np.ndarray:
+def trajectory_derivative(inst: LiftedInstance, x: np.ndarray) -> np.ndarray:
     """Direction dx/dt of the trajectory through ``x``.
 
     With b_ij = r_ij / slack_j, solve
@@ -176,7 +174,7 @@ def trajectory_derivative(
     operation can probe arbitrary interior points.
     """
     x = np.asarray(x, dtype=float)
-    e = inst.entitlements if entitlements is None else np.asarray(entitlements, float)
+    e = inst.entitlements
     r = inst.requirements
     s = _slacks_or_raise(inst, x)
     m = _system_matrix(r, x, s)
@@ -199,8 +197,8 @@ def trajectory_derivative(
     return v / rho
 
 
-# Step controls of the reference integrator: the level budget for the decay
-# of the saturating slacks, the first, smallest and largest step in t, the
+# Step controls of the reference integrator: the level budget for the
+# columns that do not saturate, the first, smallest and largest step in t, the
 # RK error tolerances, the movement below which the iterate has converged,
 # the slack at which it has reached the boundary, and the largest acceptable
 # condition estimate of the trajectory system.
@@ -323,7 +321,7 @@ def _make_point(
 
 
 def integrate_trajectory(inst: LiftedInstance) -> tuple[list[TrajectoryPoint], str]:
-    """Integrate the trajectory from the origin toward the level ``_T_MAX``.
+    """Integrate the trajectory from the origin toward the boundary.
 
     Expects a lifted instance, such as ``add_dummy_resources(inst)``, whose
     unit columns bound every x_i by 1. For every user with e_i > 0 the
@@ -336,20 +334,25 @@ def integrate_trajectory(inst: LiftedInstance) -> tuple[list[TrajectoryPoint], s
     budget runs out, or "step_underflow" when no acceptable step exists
     above the minimum size (the partial trajectory is still returned).
 
-    ``_T_MAX`` budgets the decay of the saturating slacks; the effective
-    budget adds headroom that grows with the column count (each column
-    contributes a constant barrier offset -log(final slack)) and with the
-    smallest positive entitlement (a saturating column's slack behaves like
-    exp(-t/|J|) / e_i, so users entitled to very little approach their limit
-    very slowly). Termination almost always comes from the convergence tests
-    well before the budget runs out.
+    The level budget is sized for the slack floor, where the iterate
+    settles. Along the trajectory f = t, and the |J| columns that saturate
+    together share that level, so their slacks fall like exp(-t/|J|) and
+    reach the floor at t ~ |J| log(1/_SLACK_FLOOR) ~ 18.4 |J|. |J| can be
+    every column of the lifted instance (two users on three real columns
+    can saturate all five), so the budget grants that much per column, plus
+    log(1/e) per column for the slow approach of users entitled to little,
+    and ``_T_MAX`` for the offset -log(slack) of the columns that do not
+    saturate. A smaller grant per column, such as 3 + log(1/e), leaves an
+    instance that saturates every column short of the floor.
     """
     e = inst.entitlements
     n = inst.n_users
     if n == 0:
         return [], "converged"
     min_e = float(np.min(e[e > 0.0])) if np.any(e > 0.0) else 1.0
-    t_budget = _T_MAX + inst.m * (3.0 + max(0.0, np.log(1.0 / max(min_e, 1e-12))))
+    t_budget = _T_MAX + inst.m * (
+        np.log(1.0 / _SLACK_FLOOR) + max(0.0, np.log(1.0 / max(min_e, 1e-12)))
+    )
 
     t = 0.0
     x = np.zeros(n)
@@ -442,9 +445,11 @@ def solve(inst: ProblemInstance, tol: ToleranceConfig | None = None) -> SolveRes
     r = inst.requirements
     x, _, status, on_face = eg.solve_eg(add_dummy_resources(inst))
     requests = r.any(axis=1)
+    # Users who request nothing are fully satisfied by definition.
+    x[~requests] = 1.0
+    report = verify(inst, x, tol)
     unentitled = requests & (inst.entitlements == 0.0)
-    usage = x @ r
-    if unentitled.any() and not (usage >= 1.0 - tol.eps_bottleneck).any():
+    if unentitled.any() and not report.bottlenecks:
         # Nothing saturates, so everyone entitled to something is granted in
         # full, and a user entitled to nothing who gets nothing would
         # complain. Those users share what is left with equal entitlements,
@@ -453,17 +458,16 @@ def solve(inst: ProblemInstance, tol: ToleranceConfig | None = None) -> SolveRes
         # enough.
         k = int(unentitled.sum())
         rest = ProblemInstance(
-            entitlements=np.full(k, 1.0 / k), requirements=r[unentitled] / (1.0 - usage)
+            entitlements=np.full(k, 1.0 / k),
+            requirements=r[unentitled] / (1.0 - report.capacity.usages),
         )
         x_rest, _, rest_status, rest_on_face = eg.solve_eg(add_dummy_resources(rest))
         x[unentitled] = x_rest
         on_face = on_face and rest_on_face
         if status == "optimal":
             status = rest_status
-    # Users who request nothing are fully satisfied by definition.
-    x[~requests] = 1.0
+        report = verify(inst, x, tol)
 
-    report = verify(inst, x, tol)
     if report.passed:
         termination = "converged"
     else:

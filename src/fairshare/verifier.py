@@ -2,17 +2,15 @@
 capacity, entitlement-on-a-bottleneck (the no-justified-complaints
 condition), Pareto pinning, envy, and the sharing-incentive baseline.
 
-Only the bound, capacity and the complaint check gate overall pass/fail;
-``verify`` decides them with whole-array operations: usages, the bottleneck
-mask and, per user, the best bottleneck share against the entitlement and
-the full-allocation test. Everything else is reported for inspection only:
-a report builds its per-user statuses and computes Pareto pinning, envy and
-the sharing incentive on first access, and caches them.
-Bottlenecks and justifications are decided here alone:
-``VerificationReport.to_solution`` packages a ``Solution`` from a report.
-The verifier works directly on original (unlifted) instances: a fully
-allocated user (x_i = 1) is accepted without needing an artificial resource
-to saturate.
+``verify`` decides, once and with whole-array operations, which resources
+are saturated, who is fully allocated, each user's best bottleneck and who
+is justified; only the bound, capacity and the complaint check gate overall
+pass/fail. The report keeps that verdict, and everything else reads it: the
+per-user statuses and Pareto pinning are built from it on first access, as
+are envy and the sharing incentive, and ``VerificationReport.to_solution``
+packages a ``Solution`` from it. The verifier works directly on original
+(unlifted) instances: a fully allocated user (x_i = 1) is accepted without
+needing an artificial resource to saturate.
 """
 from __future__ import annotations
 
@@ -26,7 +24,6 @@ from .model import (
     ProblemInstance,
     Solution,
     ToleranceConfig,
-    best_bottlenecks,
     readonly_array,
     usages,
 )
@@ -37,10 +34,7 @@ __all__ = [
     "SharingResult",
     "UserStatus",
     "VerificationReport",
-    "check_capacity",
     "check_envy_free",
-    "check_njc",
-    "check_pareto",
     "check_sharing_incentive",
     "verify",
 ]
@@ -104,9 +98,9 @@ class VerificationReport:
     that justifies user i, their best bottleneck, or None when the user is
     fully allocated or complains; it equals ``users[i].resource``.
     ``users``, ``pareto_ok``, ``envy`` and ``sharing`` gate nothing: each
-    is computed on first access from the report's own read-only copy of the
-    allocation, then cached, so the report stays a pure function of
-    (instance, allocation, tolerances).
+    is computed on first access from the report's verdict and its own
+    read-only copy of the allocation, then cached, so the report stays a
+    pure function of (instance, allocation, tolerances).
     """
 
     passed: bool
@@ -118,14 +112,39 @@ class VerificationReport:
     tolerances: ToleranceConfig
     instance: ProblemInstance = field(repr=False)
     allocation: np.ndarray = field(repr=False)
+    # The rest of the verdict, per user: fully allocated or not, the best
+    # bottleneck (None when nothing saturates) and the share on it.
+    _full: np.ndarray = field(repr=False)
+    _best: tuple[int | None, ...] = field(repr=False)
+    _share: np.ndarray | None = field(repr=False)
 
     @cached_property
     def users(self) -> tuple[UserStatus, ...]:
-        return _statuses(self.instance, self.allocation, self.capacity.usages, self.tolerances)
+        inst, x, e = self.instance, self.allocation, self.instance.entitlements
+        margins = -e if self._share is None else self._share - e
+        margins = np.where(self._full, x - 1.0, margins)
+        # A complaining user's non-bottleneck supports: the resources on
+        # which the share x_i r_ij meets the entitlement. None of them is
+        # saturated, or the user would be justified.
+        entitled = x[:, None] * inst.requirements >= (e - self.tolerances.eps_njc)[:, None]
+        statuses: list[UserStatus] = []
+        for i, (full, j, best, margin) in enumerate(
+            zip(self._full.tolist(), self.justification, self._best, margins.tolist())
+        ):
+            if full:
+                statuses.append(UserStatus(i, FULLY_ALLOCATED, None, margin, None, ()))
+            elif j is not None:
+                statuses.append(UserStatus(i, JUSTIFIED, j, margin, j, ()))
+            else:
+                supports = tuple(np.flatnonzero(entitled[i]).tolist())
+                statuses.append(UserStatus(i, COMPLAINT, None, margin, best, supports))
+        return tuple(statuses)
 
     @cached_property
     def pareto_ok(self) -> bool:
-        return check_pareto(self.instance, self.allocation, self.tolerances)
+        """Every partially served user is pinned by a saturated resource it uses."""
+        r = self.instance.requirements[:, list(self.bottlenecks)]
+        return bool(((r > 0.0).any(axis=1) | self._full).all())
 
     @cached_property
     def envy(self) -> EnvyResult:
@@ -252,83 +271,6 @@ class VerificationReport:
         return doc
 
 
-def check_capacity(
-    inst: ProblemInstance, x: np.ndarray, tol: ToleranceConfig | None = None
-) -> CapacityResult:
-    """Pass iff every resource's usage stays within 1 + eps_feasible."""
-    return _capacity(usages(inst, x), tol or DEFAULT_TOLERANCES)
-
-
-def _capacity(u: np.ndarray, tol: ToleranceConfig) -> CapacityResult:
-    worst = int(np.argmax(u)) if u.size else None
-    excess = float(u[worst] - 1.0) if worst is not None else 0.0
-    ok = bool(u.size == 0 or u[worst] <= 1.0 + tol.eps_feasible)
-    return CapacityResult(
-        ok=ok,
-        usages=u,
-        worst_resource=None if ok else worst,
-        worst_excess=0.0 if ok else excess,
-    )
-
-
-def check_njc(
-    inst: ProblemInstance, x: np.ndarray, tol: ToleranceConfig | None = None
-) -> tuple[UserStatus, ...]:
-    """Per-user complaint check: full allocation or entitlement on a bottleneck.
-
-    A user's best bottleneck is the lowest-indexed resource among the
-    bottlenecks that give them their largest share (``best_bottlenecks``).
-    """
-    x = np.asarray(x, dtype=float)
-    return _statuses(inst, x, usages(inst, x), tol or DEFAULT_TOLERANCES)
-
-
-def _statuses(
-    inst: ProblemInstance, x: np.ndarray, u: np.ndarray, tol: ToleranceConfig
-) -> tuple[UserStatus, ...]:
-    # ``entitled`` marks the shares x_i r_ij that meet the entitlement; the
-    # bottleneck columns are cleared from it once each user's best one is
-    # read, so what is left are a complaining user's non-bottleneck supports.
-    e = inst.entitlements
-    cols = np.flatnonzero(u >= 1.0 - tol.eps_bottleneck)
-    entitled = x[:, None] * inst.requirements >= (e - tol.eps_njc)[:, None]
-    full = x >= 1.0 - tol.eps_njc
-    if cols.size == 0:
-        justified = np.zeros(inst.n_users, dtype=bool)
-        margins = -e
-        best_list = [None] * inst.n_users
-    else:
-        best, share = best_bottlenecks(x, inst.requirements, cols)
-        justified = share >= e - tol.eps_njc
-        entitled[:, cols] = False
-        margins = share - e
-        best_list = best.tolist()
-    margins = np.where(full, x - 1.0, margins)
-    statuses: list[UserStatus] = []
-    for i, (is_full, ok, j, margin) in enumerate(
-        zip(full.tolist(), justified.tolist(), best_list, margins.tolist())
-    ):
-        if is_full:
-            statuses.append(UserStatus(i, FULLY_ALLOCATED, None, margin, None, ()))
-        elif ok:
-            statuses.append(UserStatus(i, JUSTIFIED, j, margin, j, ()))
-        else:
-            supports = tuple(np.flatnonzero(entitled[i]).tolist())
-            statuses.append(UserStatus(i, COMPLAINT, None, margin, j, supports))
-    return tuple(statuses)
-
-
-def check_pareto(
-    inst: ProblemInstance, x: np.ndarray, tol: ToleranceConfig | None = None
-) -> bool:
-    """Every partially served user must be pinned by a saturated resource it uses."""
-    tol = tol or DEFAULT_TOLERANCES
-    x = np.asarray(x, dtype=float)
-    saturated = usages(inst, x) >= 1.0 - tol.eps_bottleneck
-    pinned = (inst.requirements[:, saturated] > 0.0).any(axis=1)
-    return bool((pinned | (x >= 1.0 - tol.eps_njc)).all())
-
-
 def check_envy_free(
     inst: ProblemInstance, x: np.ndarray, tol: ToleranceConfig | None = None
 ) -> EnvyResult:
@@ -403,25 +345,37 @@ def verify(
     tol = tol or DEFAULT_TOLERANCES
     x = readonly_array(x)
     u = usages(inst, x)
-    capacity = _capacity(u, tol)
+    worst = int(np.argmax(u)) if u.size else None
+    capacity_ok = worst is None or bool(u[worst] <= 1.0 + tol.eps_feasible)
     cols = np.flatnonzero(u >= 1.0 - tol.eps_bottleneck)
     full = x >= 1.0 - tol.eps_njc
     if cols.size:
-        best, share = best_bottlenecks(x, inst.requirements, cols)
+        # A user's best bottleneck is the lowest-indexed one among those
+        # that give them their largest share.
+        shares = x[:, None] * inst.requirements[:, cols]
+        pick = shares.argmax(axis=1)
+        share = shares[np.arange(inst.n_users), pick]
+        best = tuple(cols[pick].tolist())
         justified = (share >= inst.entitlements - tol.eps_njc) & ~full
         njc_ok = bool((justified | full).all())
         justification = tuple(
-            [j if ok else None for j, ok in zip(best.tolist(), justified.tolist())]
+            [j if ok else None for j, ok in zip(best, justified.tolist())]
         )
     else:
+        share = None
+        best = justification = (None,) * inst.n_users
         njc_ok = bool(full.all())
-        justification = (None,) * inst.n_users
     # Written so that NaN is out of range too.
     in_range = (x >= -tol.eps_feasible) & (x <= 1.0 + tol.eps_feasible)
     out_of_range = tuple(np.flatnonzero(~in_range).tolist())
     return VerificationReport(
-        passed=bool(capacity.ok and njc_ok and not out_of_range),
-        capacity=capacity,
+        passed=bool(capacity_ok and njc_ok and not out_of_range),
+        capacity=CapacityResult(
+            ok=capacity_ok,
+            usages=u,
+            worst_resource=None if capacity_ok else worst,
+            worst_excess=0.0 if capacity_ok else float(u[worst] - 1.0),
+        ),
         bottlenecks=tuple(cols.tolist()),
         justification=justification,
         njc_ok=njc_ok,
@@ -429,4 +383,7 @@ def verify(
         tolerances=tol,
         instance=inst,
         allocation=x,
+        _full=full,
+        _best=best,
+        _share=share,
     )

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import fairshare.eg
 from fairshare.cli import main
 from fairshare.fixtures import FIXTURES
 
@@ -518,3 +519,33 @@ def test_solve_prints_the_recorded_text_for_every_fixture(name, capsys):
 
 def test_the_recorded_text_covers_every_fixture():
     assert sorted(SOLVE_TEXT) == sorted(FIXTURES)
+
+
+def test_solve_prints_each_status_and_the_report_of_a_failing_answer(monkeypatch, capsys):
+    # An answer that fails verification: on greedy3, (3/4, 1, 0) leaves user
+    # 1 justified, user 2 fully allocated and user 3 with a complaint, and
+    # the report follows the summary.
+    x = np.array([0.75, 1.0, 0.0])
+    monkeypatch.setattr(fairshare.eg, "solve_eg", lambda lifted: (x, None, "optimal", False))
+    code, out, err = run(capsys, "solve", "greedy3")
+    assert code == 1 and err == ""
+    assert out == """\
+x = (0.75, 1, 0)
+bottlenecks: {2, 3}
+user 1: justified via resource 3
+user 2: fully allocated
+user 3: no justifying resource
+min residual: 0
+termination: t_max_reached | polished: False
+verified: no
+
+capacity: OK
+bottlenecks: {2, 3}
+user 1: justified via resource 3 (margin 0)
+user 2: fully allocated
+user 3: COMPLAINT, best bottleneck share misses entitlement by 0.125 (closest on resource 2)
+pareto: OK
+envy: FAIL (worst margin -0.5, user 3 vs user 2)
+sharing incentive: FAIL (min margin -0.125)
+overall: FAIL
+"""

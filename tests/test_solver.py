@@ -95,10 +95,10 @@ def test_gradient_matches_central_differences():
 
 
 def test_trajectory_derivative_symmetry():
-    lifted = _lifted("slope2")
-    e = np.array([0.5, 0.5])
+    r = load_fixture("slope2").requirements
+    lifted = add_dummy_resources(ProblemInstance(entitlements=[0.5, 0.5], requirements=r))
     for s in (0.01, 0.1, 0.3):
-        v = trajectory_derivative(lifted, np.array([s, s]), e)
+        v = trajectory_derivative(lifted, np.array([s, s]))
         assert v[0] == pytest.approx(v[1], rel=1e-12)
 
 

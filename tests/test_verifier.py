@@ -14,11 +14,7 @@ from fairshare.verifier import (
     FULLY_ALLOCATED,
     JUSTIFIED,
     UserStatus,
-    _statuses,
-    check_capacity,
     check_envy_free,
-    check_njc,
-    check_pareto,
     check_sharing_incentive,
     verify,
 )
@@ -26,12 +22,12 @@ from fairshare.verifier import (
 
 def test_capacity_partial_allocation_passes():
     inst = load_fixture("greedy3")
-    assert check_capacity(inst, np.array([1.0, 2 / 3, 0.0])).ok
+    assert verify(inst, np.array([1.0, 2 / 3, 0.0])).capacity.ok
 
 
 def test_capacity_everything_granted_fails():
     inst = load_fixture("greedy3")
-    res = check_capacity(inst, np.ones(3))
+    res = verify(inst, np.ones(3)).capacity
     assert not res.ok
     assert res.usages[0] == pytest.approx(2.0)  # resource 1 at twice capacity
     assert res.worst_resource == 1  # resource 2 is the worst violator
@@ -40,12 +36,12 @@ def test_capacity_everything_granted_fails():
 
 def test_capacity_zero_allocation_passes():
     inst = load_fixture("greedy3")
-    assert check_capacity(inst, np.zeros(3)).ok
+    assert verify(inst, np.zeros(3)).capacity.ok
 
 
 def test_njc_greedy_step_two_users_leaves_second_complaining():
     inst = load_fixture("greedy3")
-    statuses = check_njc(inst, np.array([1.0, 2 / 3, 0.0]))
+    statuses = verify(inst, np.array([1.0, 2 / 3, 0.0])).users
     assert statuses[0].status == FULLY_ALLOCATED
     assert statuses[1].status == COMPLAINT
     # the only resource granting user 2 their entitlement is resource 2,
@@ -56,7 +52,7 @@ def test_njc_greedy_step_two_users_leaves_second_complaining():
 
 def test_njc_greedy_step_three_quarters_allocation():
     inst = load_fixture("greedy3")
-    statuses = check_njc(inst, np.array([0.75, 1.0, 0.0]))
+    statuses = verify(inst, np.array([0.75, 1.0, 0.0])).users
     assert statuses[0].status == JUSTIFIED and statuses[0].resource == 2
     assert statuses[1].status == FULLY_ALLOCATED
     assert statuses[2].status == COMPLAINT
@@ -64,7 +60,7 @@ def test_njc_greedy_step_three_quarters_allocation():
 
 def test_njc_family_instance_below_entitlement():
     inst = load_fixture("nonunique_n3")
-    statuses = check_njc(inst, np.array([0.4, 0.6, 0.6]))
+    statuses = verify(inst, np.array([0.4, 0.6, 0.6])).users
     assert statuses[0].status == COMPLAINT
     assert statuses[0].margin == pytest.approx(0.4 - 0.5)
     assert statuses[1].ok and statuses[2].ok
@@ -72,17 +68,17 @@ def test_njc_family_instance_below_entitlement():
 
 def test_pareto_shared_bottleneck_solution_passes():
     inst = load_fixture("drf_compare")
-    assert check_pareto(inst, np.array([1 / 3, 1 / 3, 5 / 6]))
+    assert verify(inst, np.array([1 / 3, 1 / 3, 5 / 6])).pareto_ok
 
 
 def test_pareto_interior_point_fails():
     inst = load_fixture("drf_compare")
-    assert not check_pareto(inst, np.array([0.2, 0.2, 0.2]))
+    assert not verify(inst, np.array([0.2, 0.2, 0.2])).pareto_ok
 
 
 def test_pareto_fully_allocated_user_needs_no_pin():
     inst = load_fixture("utilization")
-    assert check_pareto(inst, np.array([1.0, 0.5]))
+    assert verify(inst, np.array([1.0, 0.5])).pareto_ok
 
 
 def test_pareto_pins_on_every_bottleneck_verify_names():
@@ -149,8 +145,8 @@ def test_envy_margins_equal_the_per_pair_utility_definition():
 
 
 def _njc_reference(inst, x, tol):
-    """check_njc as one loop per user: the first largest bottleneck share in
-    index order, supports scanned over the non-bottleneck resources."""
+    """report.users as one loop per user: the first largest bottleneck share
+    in index order, supports scanned over the non-bottleneck resources."""
     e, r = inst.entitlements, inst.requirements
     bn = tuple(int(j) for j in np.flatnonzero(x @ r >= 1.0 - tol.eps_bottleneck))
     statuses = []
@@ -197,15 +193,17 @@ def _sharing_margins_reference(inst, x):
 
 
 def test_loop_free_checks_equal_the_per_user_loops(allocation_cases):
-    # check_njc, check_pareto and check_sharing_incentive work on whole
-    # matrices; every field must equal the per-user loop bit for bit (repr
-    # tells -0.0 from 0.0 and a numpy integer from an int), ties included.
+    # report.users, report.pareto_ok and check_sharing_incentive work on
+    # whole matrices; every field must equal the per-user loop bit for bit
+    # (repr tells -0.0 from 0.0 and a numpy integer from an int), ties
+    # included.
     tol = ToleranceConfig()
     seen = {COMPLAINT: 0, "supports": 0, "no bottleneck": 0, "tie": 0, "pareto fails": 0}
     for inst, x in allocation_cases:
-        statuses = check_njc(inst, x, tol)
+        report = verify(inst, x, tol)
+        statuses = report.users
         assert repr(statuses) == repr(_njc_reference(inst, x, tol))
-        pareto = check_pareto(inst, x, tol)
+        pareto = report.pareto_ok
         assert pareto is _pareto_reference(inst, x, tol)
         sharing = check_sharing_incentive(inst, x, tol)
         reference = _sharing_margins_reference(inst, x)
@@ -334,12 +332,13 @@ def test_report_renders_and_serializes():
 
 
 def _eager_report(inst, x, tol):
-    """verify's report with the report-only fields filled in by the public
-    checks up front, as a report computed them before they became lazy."""
+    """verify's report with the report-only fields filled in up front: the
+    statuses and Pareto pinning by the per-user reference loops, envy and
+    the sharing incentive by the public checks."""
     report = verify(inst, x, tol)
     report.__dict__.update(
-        users=check_njc(inst, x, tol),
-        pareto_ok=check_pareto(inst, x, tol),
+        users=_njc_reference(inst, x, tol),
+        pareto_ok=_pareto_reference(inst, x, tol),
         envy=check_envy_free(inst, x, tol),
         sharing=check_sharing_incentive(inst, x, tol),
     )
@@ -354,7 +353,7 @@ def _assert_lazy_fields_equal_the_checks(inst, x, tol):
     lazy = verify(inst, x, tol)
     assert lazy.render() == _eager_report(inst, x, tol).render()
     # repr tells the margins apart bit for bit, -0.0 from 0.0 included.
-    statuses = check_njc(inst, x, tol)
+    statuses = _njc_reference(inst, x, tol)
     assert repr(lazy.users) == repr(statuses)
     assert lazy.njc_ok is all(st.ok for st in statuses)
     assert lazy.justification == tuple(st.resource for st in statuses)
@@ -366,7 +365,7 @@ def _assert_lazy_fields_equal_the_checks(inst, x, tol):
     assert lazy.envy.ok is envy.ok
     assert lazy.sharing.margins.tobytes() == sharing.margins.tobytes()
     assert lazy.sharing.ok is sharing.ok
-    assert lazy.pareto_ok is check_pareto(inst, x, tol)
+    assert lazy.pareto_ok is _pareto_reference(inst, x, tol)
 
 
 def test_report_only_fields_equal_the_eager_checks(allocation_cases, suite_and_fixtures):
@@ -383,12 +382,14 @@ def test_solve_does_not_compute_the_report_only_checks(monkeypatch, medium_insta
     def refuse(*args):
         raise AssertionError("a report-only check ran during solve")
 
-    # _statuses builds the per-user statuses of report.users.
-    for name in ("check_envy_free", "check_sharing_incentive", "check_pareto", "_statuses"):
+    for name in ("check_envy_free", "check_sharing_incentive"):
         monkeypatch.setattr(verifier, name, refuse)
     results = [solve(load_fixture(name)) for name in sorted(FIXTURES)]
     results += [solve(inst) for inst in medium_instances[:6]]
     assert all(res.report.passed for res in results)
+    # A cached property lands in the instance's __dict__ on first read.
+    for res in results:
+        assert not {"users", "pareto_ok", "envy", "sharing"} & set(vars(res.report))
 
     calls = []
 
@@ -400,7 +401,6 @@ def test_solve_does_not_compute_the_report_only_checks(monkeypatch, medium_insta
         return run
 
     monkeypatch.setattr(verifier, "check_envy_free", counted(check_envy_free))
-    monkeypatch.setattr(verifier, "_statuses", counted(_statuses))
     report = results[0].report
     first = report.envy
     assert report.envy is first
@@ -408,14 +408,13 @@ def test_solve_does_not_compute_the_report_only_checks(monkeypatch, medium_insta
     expected = check_envy_free(report.instance, report.allocation)
     assert first.margins.tobytes() == expected.margins.tobytes()
 
-    calls.clear()
+    tol = ToleranceConfig()
     for res in results:
-        users = res.report.users
-        assert res.report.users is users
-    assert calls == ["_statuses"] * len(results)
-    for res in results:
-        expected = check_njc(res.report.instance, res.report.allocation)
-        assert repr(res.report.users) == repr(expected)
+        users, pareto_ok = res.report.users, res.report.pareto_ok
+        assert res.report.users is users and res.report.pareto_ok is pareto_ok
+        x = res.report.allocation
+        assert repr(users) == repr(_njc_reference(res.report.instance, x, tol))
+        assert pareto_ok is _pareto_reference(res.report.instance, x, tol)
 
 
 def test_verify_computes_usages_once(monkeypatch):
