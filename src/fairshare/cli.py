@@ -348,15 +348,16 @@ def cmd_compare(args) -> int:
 
 
 def cmd_trace(args) -> int:
+    if args.stride < 1:
+        raise CliError("--stride must be at least 1")
     inst = _load_instance(args.instance)
     points, _ = integrate_trajectory(add_dummy_resources(inst))
     header = ",".join(
         ["t"] + [f"x_{i + 1}" for i in range(inst.n_users)] + ["f", "min_slack"]
     )
     out = [header]
-    stride = max(1, args.stride)
     for idx, p in enumerate(points):
-        if idx % stride and idx != len(points) - 1:
+        if idx % args.stride and idx != len(points) - 1:
             continue
         row = [repr(float(p.t))] + [repr(float(v) + 0.0) for v in p.x]
         row += [repr(float(p.f_value) + 0.0), repr(float(np.min(p.slacks)))]

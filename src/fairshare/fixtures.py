@@ -1,9 +1,9 @@
 """Bundled worked instances, entered as exact rationals.
 
 These small instances exercise every interesting regime: a single saturated
-resource, competing saturation candidates, granted-user renormalization, and
-families of equally fair answers. They back the test suite and are available
-to the CLI by name in place of a file path.
+resource, competing saturation candidates, users granted in full beside
+others, and families of equally fair answers. They back the test suite and
+are available to the CLI by name in place of a file path.
 """
 from __future__ import annotations
 

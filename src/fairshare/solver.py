@@ -51,6 +51,7 @@ from .model import (
     ToleranceConfig,
     Violation,
     add_dummy_resources,
+    readonly_array,
     validate_instance,
 )
 # bench/tracing.py wraps ``preprocess`` and ``lift_solution`` in this module,
@@ -63,7 +64,6 @@ __all__ = [
     "InvalidInstanceError",
     "NumericalDegeneracyError",
     "SolveResult",
-    "TrajectoryDirectionError",
     "TrajectoryPoint",
     "gradient",
     "integrate_trajectory",
@@ -78,11 +78,9 @@ class DomainBoundaryError(ValueError):
 
 
 class NumericalDegeneracyError(RuntimeError):
-    """The trajectory linear system is singular or too ill-conditioned."""
-
-
-class TrajectoryDirectionError(RuntimeError):
-    """The level derivative came out non-positive; never silently flipped."""
+    """A trajectory step cannot be taken at this point: a linear system is
+    singular or too ill-conditioned, the level derivative is not positive
+    (never silently flipped), or the Newton projection stalls."""
 
 
 class InvalidInstanceError(ValueError):
@@ -97,15 +95,16 @@ class InvalidInstanceError(ValueError):
 class TrajectoryPoint:
     """One accepted sample of the trajectory, strictly inside the region.
 
-    ``normal`` is the unit outward normal of the level shell at ``x`` and
-    ``normalization`` the common ratio kappa with x_i * normal_i = kappa * e_i.
+    ``f_value`` is the barrier value at ``x``, equal to the level ``t`` up
+    to the projection's residual; ``normal`` is the unit outward normal of
+    the level shell at ``x``, with x_i * normal_i proportional to e_i; and
+    ``slacks`` holds 1 - sum_i x_i r_ij per column. The arrays are read-only.
     """
 
     t: float
     x: np.ndarray
     f_value: float
     normal: np.ndarray
-    normalization: float
     slacks: np.ndarray
 
 
@@ -127,7 +126,7 @@ class SolveResult:
 
 def _slacks_or_raise(inst: LiftedInstance, x: np.ndarray) -> np.ndarray:
     s = 1.0 - x @ inst.requirements
-    if np.min(s) <= 0.0:
+    if not np.min(s) > 0.0:  # written so that NaN fails too
         j = int(np.argmin(s))
         raise DomainBoundaryError(
             f"allocation is not strictly interior: column {inst.column_label(j)} "
@@ -191,7 +190,7 @@ def trajectory_derivative(inst: LiftedInstance, x: np.ndarray) -> np.ndarray:
         )
     rho = float(((v @ r) / s).sum())
     if rho <= 0.0:
-        raise TrajectoryDirectionError(
+        raise NumericalDegeneracyError(
             f"level derivative {rho:.3g} is not positive at this point"
         )
     return v / rho
@@ -199,16 +198,14 @@ def trajectory_derivative(inst: LiftedInstance, x: np.ndarray) -> np.ndarray:
 
 # Step controls of the reference integrator: the level budget for the
 # columns that do not saturate, the first, smallest and largest step in t, the
-# RK error tolerances, the movement below which the iterate has converged,
-# the slack at which it has reached the boundary, and the largest acceptable
-# condition estimate of the trajectory system.
+# RK error tolerances, the slack at which it has reached the boundary, and
+# the largest acceptable condition estimate of the trajectory system.
 _T_MAX = 34.0
 _STEP_INITIAL = 1e-3
 _STEP_MIN = 1e-10
 _STEP_MAX = 2.0
 _RK_RTOL = 1e-8
 _RK_ATOL = 1e-10
-_CONVERGENCE_TOL = 1e-9
 _SLACK_FLOOR = 1e-8
 _MAX_CONDITION = 1e30
 
@@ -226,29 +223,20 @@ _RK_B5 = np.array([16 / 135, 0.0, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55])
 _RK_B4 = np.array([25 / 216, 0.0, 1408 / 2565, 2197 / 4104, -1 / 5, 0.0])
 
 
-class _ProjectionError(RuntimeError):
-    pass
-
-
 def _project(
-    inst: LiftedInstance,
-    e: np.ndarray,
-    x0: np.ndarray,
-    t: float,
-) -> tuple[np.ndarray, float]:
+    inst: LiftedInstance, e: np.ndarray, x0: np.ndarray, t: float
+) -> np.ndarray:
     """Newton-correct x onto the defining system {x_i g_i = c e_i, f(x) = t}.
 
-    Returns the corrected point and the raw normalization scalar c. The
-    Jacobian block for the alignment equations is the same matrix used for
-    the trajectory derivative; one extra row/column handles the level
-    constraint and the unknown c.
+    The common ratio c is one more unknown. The Jacobian block for the
+    alignment equations is the trajectory system's matrix; one extra
+    row/column handles the level constraint and c.
     """
     n = x0.shape[0]
     r = inst.requirements
     x = x0.copy()
     s = _slacks_or_raise(inst, x)
-    b = r / s
-    g = b.sum(axis=1)
+    g = (r / s).sum(axis=1)
     c = float(x @ g)
     best = None
     prev_err = np.inf
@@ -260,12 +248,12 @@ def _project(
         # the barrier value itself is only computable to ~eps/min_slack.
         err = max(float(np.max(np.abs(f_res))) / scale, abs(level_res) / 4.0)
         if best is None or err < best[0]:
-            best = (err, x.copy(), c)
+            best = (err, x.copy())
         if err <= 1e-13 or err > 0.5 * prev_err:
             break  # converged, or conditioning stops further progress
         prev_err = err
         jac = np.zeros((n + 1, n + 1))
-        jac[:n, :n] = np.diag(g) + x[:, None] * (b @ b.T)
+        jac[:n, :n] = _system_matrix(r, x, s)
         jac[:n, n] = -e
         jac[n, :n] = g
         rhs = np.empty(n + 1)
@@ -274,7 +262,7 @@ def _project(
         try:
             delta = np.linalg.solve(jac, rhs)
         except np.linalg.LinAlgError as exc:
-            raise _ProjectionError(str(exc)) from exc
+            raise NumericalDegeneracyError(str(exc)) from exc
         step = 1.0
         for _ in range(60):
             x_new = x + step * delta[:n]
@@ -283,40 +271,29 @@ def _project(
                 break
             step *= 0.5
         else:
-            raise _ProjectionError("projection step cannot stay interior")
+            raise NumericalDegeneracyError("projection step cannot stay interior")
         x = np.clip(x_new, 0.0, None)
         c += step * delta[n]
         s = 1.0 - x @ r
-        b = r / s
-        g = b.sum(axis=1)
-    err, x, c = best
+        g = (r / s).sum(axis=1)
+    err, x = best
     # Deep in the boundary layer the Newton system's conditioning caps the
     # attainable residual; 5e-8 still leaves a wide margin under the 1e-6
     # on-trajectory guarantees.
     if err > 5e-8:
-        raise _ProjectionError(f"projection stalled at residual {err:.3g}")
-    return x, c
+        raise NumericalDegeneracyError(f"projection stalled at residual {err:.3g}")
+    return x
 
 
-def _make_point(
-    inst: LiftedInstance, t: float, x: np.ndarray, c: float
-) -> TrajectoryPoint:
+def _make_point(inst: LiftedInstance, t: float, x: np.ndarray) -> TrajectoryPoint:
     s = 1.0 - x @ inst.requirements
     g = (inst.requirements / s).sum(axis=1)
-    norm = float(np.linalg.norm(g))
-    x_ro = x.copy()
-    x_ro.setflags(write=False)
-    s_ro = s.copy()
-    s_ro.setflags(write=False)
-    nu = g / norm
-    nu.setflags(write=False)
     return TrajectoryPoint(
         t=t,
-        x=x_ro,
+        x=readonly_array(x),
         f_value=float(-np.log(s).sum()),
-        normal=nu,
-        normalization=c / norm,
-        slacks=s_ro,
+        normal=readonly_array(g / np.linalg.norm(g)),
+        slacks=readonly_array(s),
     )
 
 
@@ -328,11 +305,15 @@ def integrate_trajectory(inst: LiftedInstance) -> tuple[list[TrajectoryPoint], s
     limit is the allocation ``solve`` computes; a user entitled to nothing
     stays at 0, where ``solve`` gives such users the leftover capacity.
 
-    Returns the accepted samples and a termination flag: "converged" when
-    the iterate stops moving between level doublings (checked at t = 1, 2,
-    4, ...) or when it contacts the boundary, "t_max_reached" when the level
-    budget runs out, or "step_underflow" when no acceptable step exists
-    above the minimum size (the partial trajectory is still returned).
+    Returns the accepted samples and a termination flag. The run stops one
+    way: "converged" means the last sample is the first whose smallest
+    slack fell below ``_SLACK_FLOOR``, where the barrier value is no longer
+    accurately computable and the iterate can move at most by about the
+    floor itself. Otherwise the run was cut short, and the samples so far
+    are still returned: "t_max_reached" when the level budget runs out, or
+    "step_underflow" when no acceptable step exists above the minimum size.
+    An instance without users has nothing to integrate and returns no
+    samples, "converged".
 
     The level budget is sized for the slack floor, where the iterate
     settles. Along the trajectory f = t, and the |J| columns that saturate
@@ -356,27 +337,14 @@ def integrate_trajectory(inst: LiftedInstance) -> tuple[list[TrajectoryPoint], s
 
     t = 0.0
     x = np.zeros(n)
-    c = 0.0
     h = _STEP_INITIAL
-    points = [_make_point(inst, t, x, c)]
-    next_checkpoint = 1.0
-    checkpoint_x: np.ndarray | None = None
-    termination = "t_max_reached"
+    points = [_make_point(inst, t, x)]
 
     while t < t_budget - 1e-12:
         h = min(h, t_budget - t)
-        if next_checkpoint > t:
-            h = min(h, next_checkpoint - t)
         try:
             k = np.empty((6, n))
             k[0] = trajectory_derivative(inst, x)
-            # The speed along the trajectory only decays as the boundary
-            # nears, so once even moving at the current speed for the whole
-            # remaining budget could not shift x measurably, the iterate has
-            # converged for all practical purposes.
-            if t > 0.0 and float(np.max(np.abs(k[0]))) * (t_budget - t) < _CONVERGENCE_TOL:
-                termination = "converged"
-                break
             for stage in range(1, 6):
                 xs = x + h * (_RK_A[stage] @ k[:stage])
                 k[stage] = trajectory_derivative(inst, xs)
@@ -386,46 +354,28 @@ def integrate_trajectory(inst: LiftedInstance) -> tuple[list[TrajectoryPoint], s
             err = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
             if err <= 1.0:
                 t_new = t + h
-                x_new, c_new = _project(inst, e, x5, t_new)
+                x_new = _project(inst, e, x5, t_new)
                 cond = float(np.linalg.cond(_system_matrix(
                     inst.requirements, x_new, 1.0 - x_new @ inst.requirements)))
                 if not np.isfinite(cond) or cond > _MAX_CONDITION:
                     raise NumericalDegeneracyError(
                         f"condition estimate {cond:.3g} above threshold"
                     )
-                t, x, c = t_new, x_new, c_new
-                points.append(_make_point(inst, t, x, c))
-                # Below the slack floor the barrier value is no longer
-                # accurately computable and the iterate can move at most by
-                # about the floor itself; treat boundary contact as settled.
+                t, x = t_new, x_new
+                points.append(_make_point(inst, t, x))
                 if float(np.min(points[-1].slacks)) < _SLACK_FLOOR:
-                    termination = "converged"
-                    break
+                    return points, "converged"
                 if err > 0.0:
                     h = min(_STEP_MAX, h * min(5.0, max(0.2, 0.9 * err ** -0.2)))
                 else:
                     h = min(_STEP_MAX, h * 5.0)
-                if abs(t - next_checkpoint) <= 1e-9:
-                    if checkpoint_x is not None and (
-                        float(np.max(np.abs(x - checkpoint_x))) < _CONVERGENCE_TOL
-                    ):
-                        termination = "converged"
-                        break
-                    checkpoint_x = x.copy()
-                    next_checkpoint *= 2.0
                 continue
             h *= max(0.2, 0.9 * err ** -0.2)
-        except (
-            DomainBoundaryError,
-            NumericalDegeneracyError,
-            TrajectoryDirectionError,
-            _ProjectionError,
-        ):
+        except (DomainBoundaryError, NumericalDegeneracyError):
             h *= 0.5
         if h < _STEP_MIN:
-            termination = "step_underflow"
-            break
-    return points, termination
+            return points, "step_underflow"
+    return points, "t_max_reached"
 
 
 def solve(inst: ProblemInstance, tol: ToleranceConfig | None = None) -> SolveResult:

@@ -393,6 +393,21 @@ def test_trace_stride(capsys):
     assert full.splitlines()[-1] == strided.splitlines()[-1]
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("trace", "slope2", "--stride", "0"),
+        ("trace", "slope2", "--stride", "-3"),
+        ("compare", "--middles", "-1"),
+    ],
+)
+def test_a_count_below_its_range_is_a_usage_error(capsys, args):
+    code, out, err = run(capsys, *args)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def _trace_rows(capsys, *argv):
     code, out, err = run(capsys, "trace", *argv)
     assert code == 0 and err == ""

@@ -10,6 +10,7 @@ from fairshare.model import ProblemInstance, add_dummy_resources
 from fairshare.oracle import random_instance
 from fairshare.reductions import preprocess, remove_dominated_constraints
 from fairshare.solver import (
+    _SLACK_FLOOR,
     DomainBoundaryError,
     InvalidInstanceError,
     gradient,
@@ -54,10 +55,14 @@ def test_level_value_matches_hand_computation():
 
 
 def test_level_value_boundary_is_a_domain_error():
+    # A NaN slack is no more interior than a zero one.
     lifted = _lifted("slope2")
-    with pytest.raises(DomainBoundaryError) as err:
-        level_value(lifted, [0.75, 0.75])
-    assert "1" in str(err.value)  # names the saturated column
+    for x in ([0.75, 0.75], [np.nan, 0.1]):
+        with pytest.raises(DomainBoundaryError) as err:
+            level_value(lifted, x)
+        assert "1" in str(err.value)  # names the saturated column
+        with pytest.raises(DomainBoundaryError):
+            gradient(lifted, x)
 
 
 def test_gradient_at_origin_is_row_sums():
@@ -115,37 +120,33 @@ def test_trajectory_derivative_unit_level_rate():
     # well conditioned).
     worst = 0.0
     for k in range(6):
-        inst = random_instance(900 + k, 2 + k % 3, 2 + k % 3)
-        reduced, _ = preprocess(inst)
-        points, _ = integrate_trajectory(reduced)
+        lifted = add_dummy_resources(random_instance(900 + k, 2 + k % 3, 2 + k % 3))
+        points, _ = integrate_trajectory(lifted)
         for p in points:
             if float(np.min(p.slacks)) < 1e-2:
                 continue
-            v = trajectory_derivative(reduced, p.x)
+            v = trajectory_derivative(lifted, p.x)
             h = 1e-6
             df = (
-                level_value(reduced, p.x + h * v) - level_value(reduced, p.x - h * v)
+                level_value(lifted, p.x + h * v) - level_value(lifted, p.x - h * v)
             ) / (2 * h)
             worst = max(worst, abs(df - 1.0))
     assert worst < 1e-5
 
 
 def test_integrate_endpoint_two_users_single_resource():
-    reduced, _ = preprocess(load_fixture("slope2"))
-    points, _ = integrate_trajectory(reduced)
+    points, _ = integrate_trajectory(_lifted("slope2"))
     np.testing.assert_allclose(points[-1].x, [0.6, 0.9], atol=1e-5)
 
 
 def test_integrate_endpoint_three_users_one_bottleneck():
-    reduced, _ = preprocess(load_fixture("drf_compare"))
-    points, _ = integrate_trajectory(reduced)
+    points, _ = integrate_trajectory(_lifted("drf_compare"))
     np.testing.assert_allclose(points[-1].x, [1 / 3, 1 / 3, 5 / 6], atol=1e-5)
 
 
 @pytest.mark.parametrize("name", ["slope2", "drf_compare", "greedy3", "circle4"])
 def test_integrate_points_stay_strictly_interior(name):
-    reduced, _ = preprocess(load_fixture(name))
-    points, _ = integrate_trajectory(reduced)
+    points, _ = integrate_trajectory(_lifted(name))
     assert points[0].t == 0.0
     np.testing.assert_allclose(points[0].x, 0.0)
     for p in points:
@@ -156,11 +157,21 @@ def test_integrate_points_stay_strictly_interior(name):
 
 @pytest.mark.parametrize("name", ["slope2", "drf_compare", "utilization", "circle4"])
 def test_min_slack_monotone_after_t_one(name):
-    reduced, _ = preprocess(load_fixture(name))
-    points, _ = integrate_trajectory(reduced)
+    points, _ = integrate_trajectory(_lifted(name))
     mins = [float(np.min(p.slacks)) for p in points if p.t >= 1.0]
     for a, b in zip(mins, mins[1:]):
         assert b <= a + 1e-9
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_integration_stops_at_the_first_sample_below_the_slack_floor(name):
+    # The one stop rule: every run ends "converged" on the first sample
+    # whose smallest slack is below the floor, and no earlier sample is.
+    points, termination = integrate_trajectory(_lifted(name))
+    assert termination == "converged"
+    mins = [float(np.min(p.slacks)) for p in points]
+    assert mins[-1] < _SLACK_FLOOR
+    assert all(v >= _SLACK_FLOOR for v in mins[:-1])
 
 
 def test_solve_reports_bundles_for_shared_bottleneck():
@@ -566,9 +577,9 @@ def test_pure_scaling_misreports_never_gain():
 
 def test_trajectory_alignment_ratio_is_constant_across_users():
     # x_i nu_i / e_i agree across users with positive entitlement.
-    reduced, _ = preprocess(load_fixture("greedy3"))
-    points, _ = integrate_trajectory(reduced)
-    e = reduced.entitlements
+    lifted = _lifted("greedy3")
+    points, _ = integrate_trajectory(lifted)
+    e = lifted.entitlements
     for p in points[1:]:
         ratios = (p.x * p.normal)[e > 0] / e[e > 0]
         spread = float(np.max(ratios) - np.min(ratios))
