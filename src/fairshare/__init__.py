@@ -4,8 +4,9 @@ Each user either receives everything they asked for or receives at least
 their entitlement on some saturated (bottleneck) resource. Such an
 allocation is the limit of a barrier-function trajectory, which is the
 central path of the Eisenberg-Gale program; the solver computes that
-program's optimum with an interior point and keeps the trajectory as a
-reference path. Independent brute-force oracles and a verifier keep it
+program's optimum with an interior point on its column prices, the
+equilibrium prices of a Leontief Fisher market, and keeps the trajectory as
+a reference path. Independent brute-force oracles and a verifier keep it
 honest, and a weighted dominant-resource-fairness comparator is included for
 side-by-side reports.
 """

@@ -1,260 +1,232 @@
-"""The Eisenberg-Gale program, solved by a primal-dual interior point.
+"""The Eisenberg-Gale program, solved by an interior point on its prices.
 
 The barrier trajectory of ``solver.integrate_trajectory`` satisfies
 x_i * sum_j r_ij / s_j = kappa * e_i, which is the stationarity condition of
 max sum_i e_i log x_i + (1/kappa) sum_j log s_j. The trajectory is therefore
 the central path of the Eisenberg-Gale program
 
-    maximize  sum_i e_i log x_i   subject to  sum_i x_i r_ij <= 1  for all j,
+    maximize  sum_i e_i log x_i   subject to  x R <= 1,  x <= 1,
 
-and its limit is the program's optimum (unique when every e_i > 0; the
-artificial unit columns of a lifted instance supply x_i <= 1). The optimum's
-KKT prices p >= 0 vanish off saturated columns and satisfy
-x_i (R p)_i = e_i, so every user short of x_i = 1 holds at least their
-entitlement on some priced, hence saturated, column: no justified
-complaints (Eisenberg & Gale 1959).
+and its limit is the program's optimum (unique when every e_i > 0). The
+optimum's prices p >= 0 vanish off saturated columns, and every user short
+of x_i = 1 pays x_i (R p)_i = e_i, so they hold at least their entitlement
+on some priced, hence saturated, column: no justified complaints (Eisenberg
+& Gale 1959). The optimum is the equilibrium of a Leontief Fisher market
+(Codenotti & Varadarajan, ICALP 2004), and its m column prices fix it.
 
-The interior point keeps x, the slacks s and the prices p positive and
-drives the primal residual 1 - x R - s, the complementarity p s and the
-stationarity residual e / x - R p to zero together. Eliminating ds and dp
-reduces each Newton step to one N x N symmetric positive definite system,
-diag(e / x^2) + R diag(p / s) R^T.
+Eliminating x and the multipliers of x <= 1 from the Lagrangian leaves a
+convex program in the prices alone (Cole et al., EC 2017):
 
-The interior point does not run its barrier down to the end. Its centering
-floor cuts mu by at most 10x per iteration, yet the columns that will carry
-the optimum's prices show up as the face A = {j : s_j < p_j} within two or
-three iterations. Once an iterate sees the same nonempty A as the one
-before it, ``face_newton`` solves the optimality equations restricted to A
-from that iterate, and ``solve_eg`` returns the Newton point if it carries
-the program's KKT certificate: face residual at most 1e-15, p_A >= 0,
-x >= 0, capacity within the complementarity bound on every column and
-relative stationarity within the stationarity bound for every user. The
-converged Newton point of a face does not depend on where Newton starts, so
-a face whose point fails the certificate would fail again: each face is
-tried once until the iterate's face changes. An attempt factors its first
-Newton system by SVD; R_A does not change during the attempt, so where
-that SVD finds the system of full rank and well conditioned, the later
-steps solve theirs by LU. A solve that never finishes on a face takes
-exactly the interior-point iterates it would take without this exit. This
-is finite termination by a certified crossover (Ye, Math. Programming 57,
-1992; Wright, Primal-Dual Interior-Point Methods, 1997, ch. 7).
+    minimize  phi(p) = sum_j p_j + sum_i h_i((R p)_i)   over p >= 0,
 
-Where the interior point stops without such an exit, the face of the
-iterate it stops at is tried once more. Newton from an early iterate can
-miss a face's point by stopping after six steps or on a step that fails to
-halve the residual; from the converged iterate, next to that point, it
-rarely does, so an "optimal" answer is nearly always a certified face
-point. ``solve_eg`` reports whether it is.
+with h_i(u) = -u for u <= e_i and -e_i - e_i log(u / e_i) beyond. Its
+gradient is the column slack s(p) = 1 - x(p) R at the allocation
+x_i(p) = min(1, e_i / (R p)_i), and its Hessian is R^T diag(w) R with
+w_i = e_i / (R p)_i^2 for users short of 1 and 0 for the full users, those
+with (R p)_i <= e_i. A primal-dual interior point on (p, lambda), where
+lambda stands in for s, solves one m x m system R^T W R + diag(lambda / p)
+per step. That system is positive definite, so its direction descends the
+convex barrier function phi(p) - mu sum_j log p_j; a backtracking line
+search on that function keeps the step where w jumps as a user turns full
+and where entitlements many decades apart price columns at their own scale.
+
+The interior point does not run its barrier down to the end. Once an
+iterate sees the same tight columns A = {j : lambda_j < p_j} as the one
+before it, Newton solves the face equations x_i (R_A p_A)_i = e_i for the
+users short of 1 and (x R)_A = 1, with the full users F = {i : (R p)_i <=
+e_i} read off the iterate's prices on A and held at x_i = 1. A column that
+only full users request is left out of A, since no price on it enters the
+equations. Eliminating x leaves one |A| x |A| system R_A^T diag(x / (R_A
+p_A)) R_A per Newton step. A face whose system is singular, as repeated
+columns make it, is declined, and the interior point goes on. ``solve_eg``
+returns the Newton point if it carries the certificate: face residual at
+most 1e-15 in units of x, so that x = x(p) to that residual; p_A >= 0;
+usage within 1e-11 of capacity on A and at most 1 + 1e-11 on every column;
+and the same F read off the point's own prices. A face that fails on a
+negative price, an overrun column or a changed F is repaired at most twice:
+the columns priced below zero leave A, the overrun columns join it, and F
+is read again. This is finite termination by a certified crossover (Ye,
+Math. Programming 57, 1992; Wright, Primal-Dual Interior-Point Methods,
+1997, ch. 7). Before any iteration the empty face p = 0 is tried: it
+certifies x = 1 where every user fits at once.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .model import LiftedInstance
+from .model import LiftedInstance, ProblemInstance
 
-__all__ = ["face_newton", "solve_eg"]
+__all__ = ["solve_eg"]
 
-_MAX_ITERATIONS = 100  # about 3-5 on average with the face exit, 11-30 without
-# Stop once complementarity and primal infeasibility are below the first
-# and the per-user relative stationarity residual |x_i (R p)_i - e_i| / e_i
-# is below the second. Pushing further buys nothing: where a saturated column
-# carries no price the Newton step's round-off grows like eps / sqrt(mu).
-_COMPLEMENTARITY_TOL = 1e-11
-_STATIONARITY_TOL = 1e-10
+_MAX_ITERATIONS = 100  # about 4 on average with the face exit
 _STEP_TO_BOUNDARY = 0.99
+# Armijo's sufficient-decrease fraction and the halvings it may take.
+_ARMIJO = 1e-4
+_BACKTRACKS = 30
 # Face Newton converges in one or two steps from a point near the face's
 # optimum; its residual then sits at round-off (below 1e-15).
 _FACE_NEWTON_ITERATIONS = 6
 _FACE_NEWTON_TOL = 1e-15
-# The later steps of a face attempt use LU where the first step's Schur
-# complement has full rank and singular values within this ratio.
-_LU_MIN_SINGULAR_RATIO = 1e-8
+# Capacity tolerance of the certificate, on every column and on A.
+_CAPACITY_TOL = 1e-11
+# A face is tried, then repaired at most twice.
+_FACE_TRIES = 3
 
 
-def face_newton(
-    e: np.ndarray, ra: np.ndarray, x: np.ndarray, pa: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Newton on the program's optimality equations restricted to a face A.
-
-    ``ra`` holds the columns of A for users with e_i > 0, and the equations
-    are x_i (R_A p_A)_i = e_i for each of these users and (x R_A)_j = 1 for
-    each j in A. The Jacobian's x-block diag(R_A p_A) is diagonal, so each
-    step eliminates dx and solves the |A| x |A| Schur complement
-    R_A^T diag(x / (R_A p_A)) R_A for dp, then recovers dx. The first step
-    solves it by least squares (SVD), since a saturated column with zero
-    price, more columns than users or repeated columns make it singular.
-    The diagonal weight is positive and R_A does not change, so the rank
-    holds for every step: where the first step finds full rank and the
-    smallest singular value above 1e-8 times the largest, the later steps
-    solve by LU; otherwise they stay on least squares.
-
-    The residual is the larger of max_i |x_i (R_A p_A)_i - e_i| / (R_A p_A)_i,
-    how far x_i lies from the value that meets its equation at these prices,
-    and max_j |(x R_A)_j - 1|. Both are in units of x, so a user with a
-    small price sum is held to the same accuracy as any other (a plain
-    residual of 1e-15 leaves x_i up to 1e-15 / (R_A p_A)_i off).
-
-    Stops at residual at most 1e-15, after six steps, after a step that
-    fails to halve the residual, where an entry of R_A p_A is not positive
-    (the residual is then inf, and nothing is divided by it) or where a
-    solve raises. Returns the last point and its residual; the inputs are
-    not modified.
-    """
-    residual = np.inf
-    lu = False
-    for step in range(_FACE_NEWTON_ITERATIONS + 1):
-        rp = ra @ pa
-        if not rp.min() > 0.0:
-            residual = np.inf
-            break
-        r1 = x * rp - e
-        r2 = x @ ra - 1.0
-        previous, residual = residual, max((np.abs(r1) / rp).max(), np.abs(r2).max())
-        if (
-            residual <= _FACE_NEWTON_TOL
-            or not residual <= 0.5 * previous
-            or step == _FACE_NEWTON_ITERATIONS
-        ):
-            break
-        schur = (ra.T * (x / rp)) @ ra
-        rhs = r2 - (r1 / rp) @ ra
-        try:
-            if lu:
-                dp = np.linalg.solve(schur, rhs)
-            else:
-                dp, _, rank, sv = np.linalg.lstsq(schur, rhs, rcond=None)
-                lu = (
-                    step == 0
-                    and rank == rhs.shape[0]
-                    and sv[-1] > _LU_MIN_SINGULAR_RATIO * sv[0]
-                )
-        except np.linalg.LinAlgError:
-            break
-        x = x - (r1 + x * (ra @ dp)) / rp
-        pa = pa + dp
-    return x, pa, float(residual)
+def _change(e, u, du, p, dp, step, mu) -> float:
+    """phi(p + step dp) - mu sum log(p + step dp) less the same at p, with
+    u = R p and du = R dp. Each term is formed from the step itself, never
+    as the difference of two function values, so the change keeps its
+    relative accuracy where it is many decades below phi."""
+    t = step * du
+    gap = e - u
+    shrink = np.minimum(t, gap) - np.minimum(0.0, gap)  # change in min(u, e)
+    return float(
+        step * dp.sum()
+        - shrink.sum()
+        - e @ np.log1p((t - shrink) / np.maximum(u, e))
+        - mu * np.log1p(step * dp / p).sum()
+    )
 
 
-def _finish_on_face(
-    e: np.ndarray, r: np.ndarray, x: np.ndarray, s: np.ndarray, p: np.ndarray
+def _face(
+    e: np.ndarray, r: np.ndarray, a: np.ndarray, p: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray] | None:
-    """Face Newton from the iterate ``(x, s, p)`` on its face
-    A = {j : s_j < p_j}: the point and its prices if they carry the
-    program's KKT certificate, else None."""
-    face = s < p
-    ra = r[:, face]
-    # A user who requests nothing on the face cannot meet stationarity on it.
-    if not (ra > 0.0).any(axis=1).all():
-        return None
-    x, pa, residual = face_newton(e, ra, x, p[face])
-    if not (residual <= _FACE_NEWTON_TOL and pa.min() >= 0.0 and x.min() >= 0.0):
-        return None
-    prices = np.zeros_like(p)
-    prices[face] = pa
-    if not (
-        (x @ r).max() <= 1.0 + _COMPLEMENTARITY_TOL
-        and (np.abs(x * (r @ prices) - e) / e).max() <= _STATIONARITY_TOL
-    ):
-        return None
-    return x, prices
+    """Face Newton on the columns ``a`` from the prices ``p``: the point
+    ``(x, p)`` if it carries the certificate, else None. The arguments are
+    not modified."""
+    for _ in range(_FACE_TRIES):
+        u = r[:, a] @ p[a]
+        full = u <= e
+        short = ~full
+        xs = e[short] / u[short]
+        a = a & r[short].any(axis=0)
+        ra = r[:, a]
+        rs, es, pa = ra[short], e[short], p[a]
+        target = 1.0 - full @ ra
+        residual = np.inf
+        for step in range(_FACE_NEWTON_ITERATIONS + 1):
+            u = rs @ pa
+            if not u.min(initial=np.inf) > 0.0:
+                residual = np.inf
+                break
+            r1 = xs * u - es
+            r2 = xs @ rs - target
+            previous, residual = residual, max(
+                float((np.abs(r1) / u).max(initial=0.0)), float(np.abs(r2).max(initial=0.0))
+            )
+            if (
+                residual <= _FACE_NEWTON_TOL
+                or not residual <= 0.5 * previous
+                or step == _FACE_NEWTON_ITERATIONS
+            ):
+                break
+            try:
+                dp = np.linalg.solve((rs.T * (xs / u)) @ rs, r2 - (r1 / u) @ rs)
+            except np.linalg.LinAlgError:
+                break
+            xs = xs - (r1 + xs * (rs @ dp)) / u
+            pa = pa + dp
+        if not residual <= _FACE_NEWTON_TOL:
+            return None
+        p = np.zeros_like(p)
+        p[a] = pa
+        u = r @ p
+        x = np.ones_like(e)
+        x[short] = xs
+        usage = x @ r
+        over = usage > 1.0 + _CAPACITY_TOL
+        if (
+            ((u <= e) == full).all()
+            and pa.min(initial=0.0) >= 0.0
+            and not over.any()
+            and usage[a].min(initial=1.0) >= 1.0 - _CAPACITY_TOL
+        ):
+            return x, p
+        # Repair the face: drop the columns priced below zero, add the
+        # columns that overrun, and read F off the new point.
+        a = (p > 0.0) | over
+        p = np.maximum(p, 0.0)
+    return None
 
 
-def solve_eg(inst: LiftedInstance) -> tuple[np.ndarray, np.ndarray, str, bool]:
+def solve_eg(
+    inst: ProblemInstance | LiftedInstance,
+) -> tuple[np.ndarray, np.ndarray, str, bool]:
     """Optimum ``x`` of the Eisenberg-Gale program on ``inst``, its prices
     ``p`` (one per column), a stop flag and whether the answer is a face
-    Newton point that carries the KKT certificate.
+    Newton point that carries the certificate.
 
-    The flag is "optimal" when the interior point converges or a face Newton
-    point carries the certificate, "iteration_limit" when the iteration cap
-    is reached, or "singular" when a Newton system cannot be solved; in the
-    last two cases the current iterate is returned unless its face
-    certifies. Users with e_i = 0 are left out of the program and get
-    x_i = 0, the trajectory's answer for them.
+    Reads only ``inst.entitlements`` and ``inst.requirements``, so a lifted
+    instance, whose unit columns repeat x <= 1, is as valid an input as the
+    instance as given. The flag is "optimal" when a face point certifies,
+    "iteration_limit" when the iteration cap is reached, or "singular" when
+    a Newton system cannot be solved; in the last two cases the allocation
+    x(p) of the current prices is returned. Users with e_i = 0 are left out
+    of the program and get x_i = 0, the trajectory's answer for them.
     """
     e = inst.entitlements
     r = inst.requirements
-    n, m = r.shape
     users = e > 0.0
-    every = bool(users.all())
-    if not every:
-        if not users.any():
-            return np.zeros(n), np.zeros(m), "optimal", False
-        e = e[users]
-        r = r[users]
-    k = e.shape[0]
+    if users.all():
+        return _solve(e, r)
+    x, p, status, on_face = _solve(e[users], r[users])
+    x_all = np.zeros(e.shape[0])
+    x_all[users] = x
+    return x_all, p, status, on_face
 
-    # Infeasible start: x, s and p need only be positive. The optimum's
-    # prices sum to about 1 (sum_j p_j (1 - s_j) = sum_i e_i = 1), so start
-    # there, with x meeting the stationarity equations x_i (R p)_i = e_i.
-    # The iterate (x, s, p) and the step (dx, ds, dp) are views into one
-    # buffer each, so the ratio test and the update act on z and dz whole.
-    z = np.empty(k + 2 * m)
-    dz = np.empty_like(z)
-    x, s, p = z[:k], z[k : k + m], z[k + m :]
-    dx, ds, dp = dz[:k], dz[k : k + m], dz[k + m :]
-    p[:] = 1.0 / m
-    x[:] = e / (r @ p)
-    s[:] = 1.0
+
+def _solve(e: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, str, bool]:
+    n, m = r.shape
+    # The empty face: p = 0 certifies where every user fits at x = 1.
+    if r.sum(axis=0).max(initial=0.0) <= 1.0 + _CAPACITY_TOL:
+        return np.ones(n), np.zeros(m), "optimal", True
+    # The optimum's prices sum to at most sum_i e_i = 1, so start there.
+    p = np.full(m, 1.0 / m)
+    lam = np.ones(m)
+    u = r @ p
     status = "iteration_limit"
-    face = b""  # the previous iterate's face, as the bytes of its mask
-    tried = False
-    finished = None
+    face = None
     for _ in range(_MAX_ITERATIONS):
-        dual = e / x - r @ p
-        primal = 1.0 - x @ r - s
-        comp = p * s
-        relative = float((np.abs(x * dual) / e).max())
-        if (
-            max(comp.max(), np.abs(primal).max()) <= _COMPLEMENTARITY_TOL
-            and relative <= _STATIONARITY_TOL
-        ):
-            status = "optimal"
-            break
-        # Try each face once it has held for two iterates in a row.
-        current = s < p
-        key = current.tobytes()
-        if key != face:
-            face, tried = key, False
-        elif not tried and current.any():
-            tried = True
-            finished = _finish_on_face(e, r, x, s, p)
+        v = np.maximum(u, e)
+        x = e / v
+        s = 1.0 - x @ r
+        current = lam < p
+        if face is not None and current.any() and (current == face).all():
+            finished = _face(e, r, current, p)
             if finished is not None:
-                break
-        # The stationarity equations are nonlinear in x, so the centering
-        # weight never drops below their relative residual: a user whose
-        # residual lags would otherwise be left behind as mu shrinks (with
-        # entitlements spanning eight decades, one user then stalls at
-        # relative residual 1).
-        sigma = min(1.0, max(0.1, relative))
-        centering = (sigma * (float(comp.sum()) / m) - comp) / s
-        d = p / s
-        hess = (r * d) @ r.T
-        hess.flat[:: k + 1] += e / (x * x)
+                return *finished, "optimal", True
+        face = current
+        sigma = min(1.0, max(0.1, float(np.abs(s - lam).max())))
+        mu = sigma * float(p @ lam) / m
+        d = lam / p
+        # w_i = e_i / u_i^2 = x_i / u_i short of 1, and 0 for the full users.
+        hess = (r.T * (x / np.where(u > e, v, np.inf))) @ r
+        hess.flat[:: m + 1] += d
+        grad = s - mu / p
         try:
-            dx[:] = np.linalg.solve(hess, dual + r @ (d * primal - centering))
+            dp = np.linalg.solve(hess, -grad)
         except np.linalg.LinAlgError:
             status = "singular"
             break
-        dp[:] = d * (dx @ r - primal) + centering
-        ds[:] = (centering - dp) * s / p
-        if not np.isfinite(dz).all():
+        slope = float(grad @ dp)
+        if not np.isfinite(slope):
             status = "singular"
             break
-        # One step length for all three, since the stationarity equations
-        # couple x and p nonlinearly.
-        shrinking = dz < 0.0
-        step = 1.0
-        if shrinking.any():
-            step = min(step, _STEP_TO_BOUNDARY * float((z[shrinking] / -dz[shrinking]).min()))
-        z += step * dz
-    if finished is None and (s < p).any():
-        # Finish on the face of the iterate where the interior point
-        # stopped, even if an earlier iterate's Newton failed on it.
-        finished = _finish_on_face(e, r, x, s, p)
+        dlam = mu / p - lam - d * dp
+        shrink = max(float((-dp / p).max()), float((-dlam / lam).max()))
+        step = _STEP_TO_BOUNDARY / max(shrink, _STEP_TO_BOUNDARY)
+        # Backtrack on the convex barrier function phi(p) - mu sum log p.
+        du = r @ dp
+        for _ in range(_BACKTRACKS):
+            if _change(e, u, du, p, dp, step, mu) <= _ARMIJO * step * slope:
+                break
+            step *= 0.5
+        p = p + step * dp
+        lam = lam + step * dlam
+        u = r @ p
+    # Finish on the face of the iterate where the interior point stopped.
+    finished = _face(e, r, lam < p, p)
     if finished is not None:
-        x, p, status = finished[0], finished[1], "optimal"
-    if every:
-        return x.copy(), p, status, finished is not None
-    x_all = np.zeros(n)
-    x_all[users] = x
-    return x_all, p, status, finished is not None
+        return *finished, "optimal", True
+    return e / np.maximum(u, e), p, status, False

@@ -1,23 +1,22 @@
 """Solver for entitlement-proportional fair allocation.
 
 ``solve`` computes the allocation as the optimum of the Eisenberg-Gale
-program (``fairshare.eg``) on the instance as given, lifted only by one unit
-column per user for x_i <= 1. The optimum grants in full every user who
-requests less than their entitlement everywhere, so no reduction runs first,
-and ``solve_eg`` ends, nearly always, on a face Newton point that carries
-the program's KKT certificate. Users who request nothing get x_i = 1. The
-answer is then verified, and the report decides what is saturated and
-who is justified. Where it names no bottleneck and users entitled to
-nothing still request something, they share the leftover capacity it
-reports in one more program with equal entitlements, and the combined
-answer is verified once more. The report packages the ``Solution``
-(usages, bottlenecks, justifications); its per-user statuses and
-report-only checks (Pareto pinning, envy, sharing incentive) are computed
-on first access.
+program (``fairshare.eg``) on the instance as given: an interior point on
+the m column prices, with x_i = min(1, e_i / (R p)_i), so no reduction runs
+first and no column is added per user. ``solve_eg`` ends, nearly always, on
+a face Newton point that carries the program's certificate. Users who
+request nothing get x_i = 1. The answer is then verified, and the report
+decides what is saturated and who is justified. Where it names no
+bottleneck and users entitled to nothing still request something, they
+share the leftover capacity it reports in one more program with equal
+entitlements, and the combined answer is verified once more. The report
+packages the ``Solution`` (usages, bottlenecks, justifications); its
+per-user statuses and report-only checks (Pareto pinning, envy, sharing
+incentive) are computed on first access.
 
 The paper's constructive method is kept here as the reference path, used
-by ``fairshare trace`` and by the tests, on the same lifted instance as
-``solve``. The feasible region
+by ``fairshare trace`` and by the tests, on the instance lifted by one unit
+column per user for x_i <= 1. The feasible region
 D = {x >= 0 : sum_i x_i r_ij <= 1 for all j} carries the barrier value
 f(x) = -sum_j log(1 - sum_i x_i r_ij), which is 0 at the origin and diverges
 on the boundary. Raising the level t sweeps a family of smooth shells
@@ -50,7 +49,6 @@ from .model import (
     Solution,
     ToleranceConfig,
     Violation,
-    add_dummy_resources,
     readonly_array,
     validate_instance,
 )
@@ -113,7 +111,8 @@ class SolveResult:
     solution: Solution
     report: VerificationReport
     # "converged" when the answer verifies; otherwise "step_underflow" when
-    # the interior point met a singular Newton system, else "t_max_reached".
+    # the interior point met a singular m x m Newton system, else
+    # "t_max_reached".
     termination: str
     # Whether every program solved ended on a face Newton point that carries
     # the KKT certificate (printed as "polished" by the CLI).
@@ -382,10 +381,9 @@ def solve(inst: ProblemInstance, tol: ToleranceConfig | None = None) -> SolveRes
     """Compute a verified fair allocation for ``inst``.
 
     Pipeline: validate, solve the Eisenberg-Gale program on the instance
-    with one unit column per user, grant users who request nothing in full,
-    verify, and package the solution from the verifier's report. A
-    verification failure is reported in the result (with full residuals),
-    never masked as success.
+    as given, grant users who request nothing in full, verify, and package
+    the solution from the verifier's report. A verification failure is
+    reported in the result (with full residuals), never masked as success.
     """
     tol = tol or DEFAULT_TOLERANCES
     violations = validate_instance(inst, tol)
@@ -393,7 +391,7 @@ def solve(inst: ProblemInstance, tol: ToleranceConfig | None = None) -> SolveRes
         raise InvalidInstanceError(violations)
 
     r = inst.requirements
-    x, _, status, on_face = eg.solve_eg(add_dummy_resources(inst))
+    x, _, status, on_face = eg.solve_eg(inst)
     requests = r.any(axis=1)
     # Users who request nothing are fully satisfied by definition.
     x[~requests] = 1.0
@@ -411,7 +409,7 @@ def solve(inst: ProblemInstance, tol: ToleranceConfig | None = None) -> SolveRes
             entitlements=np.full(k, 1.0 / k),
             requirements=r[unentitled] / (1.0 - report.capacity.usages),
         )
-        x_rest, _, rest_status, rest_on_face = eg.solve_eg(add_dummy_resources(rest))
+        x_rest, _, rest_status, rest_on_face = eg.solve_eg(rest)
         x[unentitled] = x_rest
         on_face = on_face and rest_on_face
         if status == "optimal":

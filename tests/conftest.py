@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fairshare import eg
 from fairshare.fixtures import FIXTURES, load_fixture
 from fairshare.model import ProblemInstance
 from fairshare.oracle import random_instance
@@ -68,3 +69,22 @@ def allocation_cases():
     cases.append((load_fixture("circle4"), np.full(4, 1 / 3)))
     cases.append((load_fixture("greedy3"), np.array([1.0, 2 / 3, 0.0])))
     return cases
+
+
+@pytest.fixture
+def without_the_face_exit(monkeypatch):
+    """``solve_eg`` with every face declined: the plain interior point's
+    answer at the iteration cap, and the arguments of the last face it
+    declined, the face of the iterate where it stopped (None where the empty
+    face certified before any iteration)."""
+
+    solve_eg = eg.solve_eg
+
+    def run(inst):
+        attempts = []
+        with monkeypatch.context() as patch:
+            patch.setattr(eg, "_face", lambda *args: attempts.append(args))
+            x, p, status, on_face = solve_eg(inst)
+        return x, p, status, attempts[-1] if attempts else None
+
+    return run

@@ -125,11 +125,25 @@ def test_solve_answers_an_exhausted_column(tmp_path, capsys):
     assert "x = (1, 0)" in out
     assert "bottlenecks: {1}" in out
     assert "verified: yes" in out
+    # User 1 fits at x = 1, so the empty face certifies the answer.
+    assert "polished: True" in out
     code, out, _ = run(capsys, "solve", str(path), "--json")
     assert code == 0
     doc = json.loads(out)
-    np.testing.assert_allclose(doc["x"], [1.0, 0.0], rtol=0, atol=1e-9)
+    assert doc["x"] == [1.0, 0.0]
     assert doc["verified"] is True
+
+
+def test_solve_grants_a_tiny_entitlement_in_full_where_nothing_saturates(
+    tmp_path, capsys
+):
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps({"entitlements": [1.0, 1e-40], "requirements": [[1e-12], [0.46]]}))
+    code, out, err = run(capsys, "solve", str(path))
+    assert code == 0 and err == ""
+    assert "x = (1, 1)" in out
+    assert "polished: True" in out
+    assert "verified: yes" in out
 
 
 def test_solve_json_names_one_justifying_resource_per_user(tmp_path, capsys):

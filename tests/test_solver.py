@@ -221,6 +221,7 @@ def test_crossover_lands_on_the_active_face_without_any_lp(
     # The 200-instance acceptance suite and the fixtures. Every answer must
     # end on a certified face, hold the face's priced columns and every
     # column within 1e-5 of capacity at capacity, and need no LP at all.
+    # Only where every user fits at x = 1 may no column carry a price.
     def no_lp(*args, **kwargs):
         raise AssertionError("solve must not call the simplex")
 
@@ -229,35 +230,33 @@ def test_crossover_lands_on_the_active_face_without_any_lp(
         res = solve(inst)
         assert res.report.passed
         assert res.polish_applied
-        lifted = add_dummy_resources(inst)
-        x, p, status, on_face = eg.solve_eg(lifted)
+        x, p, status, on_face = eg.solve_eg(inst)
         assert status == "optimal" and on_face
         np.testing.assert_array_equal(res.solution.allocation, x)
-        usage = x @ lifted.requirements
+        usage = x @ inst.requirements
         active = (p > 0.0) | (1.0 - usage <= 1e-5)
-        assert (p > 0.0).any()
-        assert np.max(np.abs(usage[active] - 1.0)) <= 1e-12
+        assert (p > 0.0).any() or (x == 1.0).all()
+        assert np.max(np.abs(usage[active] - 1.0), initial=0.0) <= 1e-12
 
 
 def test_finishing_on_a_face_changes_no_answer(
-    monkeypatch, suite_and_fixtures, medium_instances
+    monkeypatch, without_the_face_exit, suite_and_fixtures, medium_instances
 ):
     # solve_eg with the faces of its iterates declined runs the interior
-    # point to its own stop and finishes on the face there; those answers
-    # must agree with the early face exit's.
+    # point to its iteration cap and finishes on the face there; those
+    # answers must agree with the early face exit's.
     cases = suite_and_fixtures + medium_instances
     finished = [solve(inst) for inst in cases]
-    finish = eg._finish_on_face
+    face = eg._face
 
-    def only_where_the_interior_point_stops(e, r, x, s, p):
-        # The interior point's own stopping test on the iterate (x, s, p).
-        stopped = (
-            max((p * s).max(), np.abs(1.0 - x @ r - s).max()) <= eg._COMPLEMENTARITY_TOL
-            and (np.abs(x * (e / x - r @ p)) / e).max() <= eg._STATIONARITY_TOL
-        )
-        return finish(e, r, x, s, p) if stopped else None
+    def at_the_stop(inst):
+        x, p, status, last = without_the_face_exit(inst)
+        point = None if last is None else face(*last)
+        if point is None:
+            return x, p, status, last is None
+        return *point, "optimal", True
 
-    monkeypatch.setattr(eg, "_finish_on_face", only_where_the_interior_point_stops)
+    monkeypatch.setattr(eg, "solve_eg", at_the_stop)
     for inst, res in zip(cases, finished):
         ref = solve(inst)
         assert res.report.passed and ref.report.passed
@@ -272,54 +271,47 @@ def test_finishing_on_a_face_changes_no_answer(
 @pytest.mark.parametrize(
     "entitlements, requirements",
     [
-        # one user, three identical unit columns plus the unit column of
-        # x <= 1: |A| = 4 > 1
+        # one user on three identical columns, all saturated at x = 1
         ([1.0], [[1.0, 1.0, 1.0]]),
         # two users on two repeated columns
         ([0.5, 0.5], [[1.0, 1.0, 0.5], [1.0, 1.0, 0.5]]),
-        # three users on three identical columns: user 3 is granted in full,
-        # so its unit column saturates too and |A| = 4 > 3
+        # three users on three identical columns, more columns on the face
+        # than a regular Jacobian allows for the two users short of 1
         ([0.2, 0.3, 0.5], [[0.5, 0.5, 0.5]] * 3),
     ],
 )
-def test_crossover_on_a_degenerate_face(monkeypatch, entitlements, requirements):
-    # More active columns than users, or repeated columns, make the Schur
-    # complement singular; its least-squares step must still land on the
-    # face, both inside solve and from the interior point's own stop.
+def test_crossover_on_a_degenerate_face(without_the_face_exit, entitlements, requirements):
+    # Repeated columns make the face's Jacobian singular, and a face whose
+    # Newton step cannot be solved is declined; the answer must still land
+    # on a certified face, both inside solve and from the interior point's
+    # stop, where the face residual is already at round-off.
     inst = ProblemInstance(entitlements=entitlements, requirements=requirements)
     res = solve(inst)
     assert res.report.passed
     assert res.polish_applied
-    lifted = add_dummy_resources(inst)
-    e, r = lifted.entitlements, lifted.requirements
-    finish = eg._finish_on_face
-    monkeypatch.setattr(eg, "_finish_on_face", lambda *args: None)
-    x, p, status, on_face = eg.solve_eg(lifted)
-    assert status == "optimal" and not on_face
-    s = 1.0 - x @ r
-    active = s < p
-    assert active.sum() >= inst.n_users
-    polished = finish(e, r, x, s, p)
-    assert polished is not None
-    usage = polished[0] @ r[:, active]
+    r = inst.requirements
+    x, p, status, last = without_the_face_exit(inst)
+    if last is None:
+        # Every user fits at x = 1: the empty face certified at once.
+        np.testing.assert_array_equal(x, res.solution.allocation)
+        return
+    # Repeated columns leave the Newton system singular to working precision
+    # once the barrier is small enough; either stop is the interior point's.
+    assert status in ("iteration_limit", "singular")
+    finished = eg._face(*last)
+    assert finished is not None
+    active = finished[1] > 0.0
+    assert active.sum() > 1
+    usage = finished[0] @ r[:, active]
     assert np.max(np.abs(usage - 1.0)) <= 1e-12
-    np.testing.assert_allclose(polished[0], res.solution.allocation, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(finished[0], res.solution.allocation, rtol=0, atol=1e-12)
 
 
 def test_crossover_leaves_a_user_off_the_active_face_in_place():
-    # User 2 requests nothing on the face (resource 1 and user 1's unit
-    # column), so the face has no stationarity equation for them: the face
-    # must be refused, with the iterate left as it was. solve itself lands
-    # on a face where both users are granted in full.
+    # User 2 requests nothing on resource 1, where user 1 holds the whole
+    # capacity: both users fit at x = 1, so solve lands on the empty face
+    # and grants both in full.
     inst = ProblemInstance(entitlements=[0.5, 0.5], requirements=[[1.0, 0.0], [0.0, 0.5]])
-    lifted = add_dummy_resources(inst)
-    r = lifted.requirements
-    x = np.array([1.0, 0.5])
-    p = np.full(lifted.m, 0.25)
-    s = 1.0 - x @ r
-    assert np.flatnonzero(s < p).tolist() == [0, 2]
-    assert eg._finish_on_face(lifted.entitlements, r, x, s, p) is None
-    np.testing.assert_array_equal(x, [1.0, 0.5])
     res = solve(inst)
     assert res.report.passed and res.polish_applied
     np.testing.assert_array_equal(res.solution.allocation, [1.0, 1.0])
