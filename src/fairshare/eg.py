@@ -29,6 +29,14 @@ per step. That system is positive definite, so its direction descends the
 convex barrier function phi(p) - mu sum_j log p_j; a backtracking line
 search on that function keeps the step where w jumps as a user turns full
 and where entitlements many decades apart price columns at their own scale.
+Each step aims at mu = sigma p . lambda / m with sigma = min(1, max(0.1,
+0.1 ||s - lambda||_inf)). At the start, p = 1/m and lambda = 1, that residual
+is near 1, and a rule without the factor 0.1 would spend the first step on
+pure centering (sigma = 1), which the face exit below does not need
+(Wright, Primal-Dual Interior-Point Methods, 1997, ch. 5). With it, an
+instance that the empty face does not settle takes about 3 Newton steps at
+N, m <= 5 and 3 to 3.5 up to 60 x 30 before a face certifies, about one
+fewer than with pure centering first.
 
 The interior point does not run its barrier down to the end. Once an
 iterate sees the same tight columns A = {j : lambda_j < p_j} as the one
@@ -38,19 +46,22 @@ e_i} read off the iterate's prices on A and held at x_i = 1. A column that
 only full users request is left out of A, since no price on it enters the
 equations. Eliminating x leaves one |A| x |A| system R_A^T diag(x / (R_A
 p_A)) R_A per Newton step. A face whose system is singular, as repeated
-columns make it, is declined, and the interior point goes on. ``solve_eg``
-returns the Newton point if it carries the certificate: face residual at
-most 1e-15 in units of x, so that x = x(p) to that residual; p_A >= 0;
-usage within 1e-11 of capacity on A and at most 1 + 1e-11 on every column;
-and the same F read off the point's own prices. A face that fails on a
-negative price, an overrun column or a changed F is repaired at most twice:
-the columns priced below zero leave A, the overrun columns join it, and F
-is read again. This is finite termination by a certified crossover (Ye,
-Math. Programming 57, 1992; Wright, Primal-Dual Interior-Point Methods,
-1997, ch. 7). Before any iteration the empty face p = 0 is tried: it
-certifies x = 1 where every user fits at once.
+columns make it, or whose Newton step is not finite, as a user entitled to
+a subnormal share can make it, is declined, and the interior point goes on.
+``solve_eg`` returns the Newton point if it carries the certificate: face
+residual at most 1e-15 in units of x, so that x = x(p) to that residual;
+p_A >= 0; usage within 1e-11 of capacity on A and at most 1 + 1e-11 on
+every column; and the same F read off the point's own prices. A face that
+fails on a negative price, an overrun column or a changed F is repaired at
+most twice: the columns priced below zero leave A, the overrun columns join
+it, and F is read again. This is finite termination by a certified
+crossover (Ye, Math. Programming 57, 1992; Wright, Primal-Dual
+Interior-Point Methods, 1997, ch. 7). Before any iteration the empty face
+p = 0 is tried: it certifies x = 1 where every user fits at once.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -58,7 +69,7 @@ from .model import LiftedInstance, ProblemInstance
 
 __all__ = ["solve_eg"]
 
-_MAX_ITERATIONS = 100  # about 4 on average with the face exit
+_MAX_ITERATIONS = 100  # about 3 Newton steps are taken before a face certifies
 _STEP_TO_BOUNDARY = 0.99
 # Armijo's sufficient-decrease fraction and the halvings it may take.
 _ARMIJO = 1e-4
@@ -73,19 +84,32 @@ _CAPACITY_TOL = 1e-11
 _FACE_TRIES = 3
 
 
-def _change(e, u, du, p, dp, step, mu) -> float:
+def _largest(v: np.ndarray) -> float:
+    """The largest entry of the non-empty ``v``, or NaN if it holds one.
+    argmax is a plain method, cheaper on the short vectors here than the
+    reduction that max runs."""
+    return float(v[v.argmax()])
+
+
+def _smallest(v: np.ndarray) -> float:
+    """The smallest entry of the non-empty ``v``, or NaN if it holds one."""
+    return float(v[v.argmin()])
+
+
+def _change(e, u, v, du, dp, q, step, mu) -> float:
     """phi(p + step dp) - mu sum log(p + step dp) less the same at p, with
-    u = R p and du = R dp. Each term is formed from the step itself, never
-    as the difference of two function values, so the change keeps its
-    relative accuracy where it is many decades below phi."""
+    u = R p, v = max(u, e), du = R dp and q = dp / p. Each term is formed
+    from the step itself, never as the difference of two function values,
+    so the change keeps its relative accuracy where it is many decades
+    below phi."""
     t = step * du
     gap = e - u
     shrink = np.minimum(t, gap) - np.minimum(0.0, gap)  # change in min(u, e)
     return float(
         step * dp.sum()
         - shrink.sum()
-        - e @ np.log1p((t - shrink) / np.maximum(u, e))
-        - mu * np.log1p(step * dp / p).sum()
+        - e @ np.log1p((t - shrink) / v)
+        - mu * np.log1p(step * q).sum()
     )
 
 
@@ -96,56 +120,60 @@ def _face(
     ``(x, p)`` if it carries the certificate, else None. The arguments are
     not modified."""
     for _ in range(_FACE_TRIES):
-        u = r[:, a] @ p[a]
+        u = r.compress(a, axis=1) @ p[a]
         full = u <= e
         short = ~full
-        xs = e[short] / u[short]
-        a = a & r[short].any(axis=0)
-        ra = r[:, a]
-        rs, es, pa = ra[short], e[short], p[a]
-        target = 1.0 - full @ ra
+        rs = r[short]
+        a = a & rs.any(axis=0)
+        rs = rs.compress(a, axis=1)
+        es, pa = e[short], p[a]
+        xs = es / u[short]
+        target = 1.0 - full @ r.compress(a, axis=1)
         residual = np.inf
         for step in range(_FACE_NEWTON_ITERATIONS + 1):
+            if not xs.size:  # no user short of 1: nothing to solve
+                residual = 0.0
+                break
             u = rs @ pa
-            if not u.min(initial=np.inf) > 0.0:
+            if not _smallest(u) > 0.0:
                 residual = np.inf
                 break
-            r1 = xs * u - es
+            r1 = (xs * u - es) / u
             r2 = xs @ rs - target
-            previous, residual = residual, max(
-                float((np.abs(r1) / u).max(initial=0.0)), float(np.abs(r2).max(initial=0.0))
-            )
+            previous, residual = residual, _largest(np.abs(np.concatenate((r1, r2))))
             if (
                 residual <= _FACE_NEWTON_TOL
                 or not residual <= 0.5 * previous
                 or step == _FACE_NEWTON_ITERATIONS
             ):
                 break
+            w = xs / u
             try:
-                dp = np.linalg.solve((rs.T * (xs / u)) @ rs, r2 - (r1 / u) @ rs)
+                dp = np.linalg.solve((rs.T * w) @ rs, r2 - r1 @ rs)
             except np.linalg.LinAlgError:
                 break
-            xs = xs - (r1 + xs * (rs @ dp)) / u
+            # Decline the face before a step that overflowed is used.
+            if not math.isfinite(_largest(np.abs(dp))):
+                break
+            xs = xs - r1 - w * (rs @ dp)
             pa = pa + dp
         if not residual <= _FACE_NEWTON_TOL:
             return None
-        p = np.zeros_like(p)
+        p = np.zeros(p.size)
         p[a] = pa
-        u = r @ p
-        x = np.ones_like(e)
+        x = np.ones(e.size)
         x[short] = xs
         usage = x @ r
-        over = usage > 1.0 + _CAPACITY_TOL
         if (
-            ((u <= e) == full).all()
-            and pa.min(initial=0.0) >= 0.0
-            and not over.any()
+            _largest(usage) <= 1.0 + _CAPACITY_TOL
+            and _smallest(p) >= 0.0
+            and (r @ p <= e).tobytes() == full.tobytes()
             and usage[a].min(initial=1.0) >= 1.0 - _CAPACITY_TOL
         ):
             return x, p
         # Repair the face: drop the columns priced below zero, add the
         # columns that overrun, and read F off the new point.
-        a = (p > 0.0) | over
+        a = (p > 0.0) | (usage > 1.0 + _CAPACITY_TOL)
         p = np.maximum(p, 0.0)
     return None
 
@@ -181,45 +209,49 @@ def _solve(e: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, str, b
     # The empty face: p = 0 certifies where every user fits at x = 1.
     if r.sum(axis=0).max(initial=0.0) <= 1.0 + _CAPACITY_TOL:
         return np.ones(n), np.zeros(m), "optimal", True
+    rt = r.T.copy()  # R^T by rows, for the slack and the Hessian
     # The optimum's prices sum to at most sum_i e_i = 1, so start there.
     p = np.full(m, 1.0 / m)
     lam = np.ones(m)
     u = r @ p
     status = "iteration_limit"
-    face = None
+    face = b""  # the tight columns of the iterate before, as bytes
     for _ in range(_MAX_ITERATIONS):
         v = np.maximum(u, e)
         x = e / v
-        s = 1.0 - x @ r
-        current = lam < p
-        if face is not None and current.any() and (current == face).all():
-            finished = _face(e, r, current, p)
+        s = 1.0 - rt @ x
+        tight = lam < p
+        current = tight.tobytes()
+        if current == face and tight.any():
+            finished = _face(e, r, tight, p)
             if finished is not None:
                 return *finished, "optimal", True
         face = current
-        sigma = min(1.0, max(0.1, float(np.abs(s - lam).max())))
+        sigma = min(1.0, max(0.1, 0.1 * _largest(np.abs(s - lam))))
         mu = sigma * float(p @ lam) / m
         d = lam / p
+        mup = mu / p
         # w_i = e_i / u_i^2 = x_i / u_i short of 1, and 0 for the full users.
-        hess = (r.T * (x / np.where(u > e, v, np.inf))) @ r
+        hess = (rt * (x / np.where(u > e, v, np.inf))) @ r
         hess.flat[:: m + 1] += d
-        grad = s - mu / p
+        descent = mup - s
         try:
-            dp = np.linalg.solve(hess, -grad)
+            dp = np.linalg.solve(hess, descent)
         except np.linalg.LinAlgError:
             status = "singular"
             break
-        slope = float(grad @ dp)
-        if not np.isfinite(slope):
+        slope = -float(descent @ dp)
+        if not math.isfinite(slope):
             status = "singular"
             break
-        dlam = mu / p - lam - d * dp
-        shrink = max(float((-dp / p).max()), float((-dlam / lam).max()))
+        dlam = mup - lam - d * dp
+        q = dp / p
+        shrink = -min(_smallest(q), _smallest(dlam / lam))
         step = _STEP_TO_BOUNDARY / max(shrink, _STEP_TO_BOUNDARY)
         # Backtrack on the convex barrier function phi(p) - mu sum log p.
         du = r @ dp
         for _ in range(_BACKTRACKS):
-            if _change(e, u, du, p, dp, step, mu) <= _ARMIJO * step * slope:
+            if _change(e, u, v, du, dp, q, step, mu) <= _ARMIJO * step * slope:
                 break
             step *= 0.5
         p = p + step * dp

@@ -396,8 +396,9 @@ def solve(inst: ProblemInstance, tol: ToleranceConfig | None = None) -> SolveRes
     # Users who request nothing are fully satisfied by definition.
     x[~requests] = 1.0
     report = verify(inst, x, tol)
-    unentitled = requests & (inst.entitlements == 0.0)
-    if unentitled.any() and not report.bottlenecks:
+    if not report.bottlenecks and (
+        unentitled := requests & (inst.entitlements == 0.0)
+    ).any():
         # Nothing saturates, so everyone entitled to something is granted in
         # full, and a user entitled to nothing who gets nothing would
         # complain. Those users share what is left with equal entitlements,

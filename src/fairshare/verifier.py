@@ -296,12 +296,13 @@ def check_envy_free(
     worst: tuple[int, int] | None = None
     worst_margin = 0.0
     if n > 1:
-        # The first smallest off-diagonal entry in row-major order.
-        off_diagonal = margins.copy()
-        np.fill_diagonal(off_diagonal, np.inf)
-        k = int(np.argmin(off_diagonal))
+        # The first smallest off-diagonal entry in row-major order, found
+        # with the diagonal masked in place rather than in an N x N copy.
+        np.fill_diagonal(margins, np.inf)
+        k = int(margins.argmin())
         worst = (k // n, k % n)
-        worst_margin = float(off_diagonal.flat[k])
+        worst_margin = float(margins.flat[k])
+        np.fill_diagonal(margins, 0.0)
     margins.setflags(write=False)
     return EnvyResult(
         ok=bool(worst is None or worst_margin >= -tol.eps_njc),
@@ -345,14 +346,14 @@ def verify(
     tol = tol or DEFAULT_TOLERANCES
     x = readonly_array(x)
     u = usages(inst, x)
-    worst = int(np.argmax(u)) if u.size else None
+    worst = int(u.argmax()) if u.size else None
     capacity_ok = worst is None or bool(u[worst] <= 1.0 + tol.eps_feasible)
-    cols = np.flatnonzero(u >= 1.0 - tol.eps_bottleneck)
+    cols = (u >= 1.0 - tol.eps_bottleneck).nonzero()[0]
     full = x >= 1.0 - tol.eps_njc
     if cols.size:
         # A user's best bottleneck is the lowest-indexed one among those
         # that give them their largest share.
-        shares = x[:, None] * inst.requirements[:, cols]
+        shares = x[:, None] * inst.requirements.take(cols, axis=1)
         pick = shares.argmax(axis=1)
         share = shares[np.arange(inst.n_users), pick]
         best = tuple(cols[pick].tolist())
@@ -367,7 +368,7 @@ def verify(
         njc_ok = bool(full.all())
     # Written so that NaN is out of range too.
     in_range = (x >= -tol.eps_feasible) & (x <= 1.0 + tol.eps_feasible)
-    out_of_range = tuple(np.flatnonzero(~in_range).tolist())
+    out_of_range = tuple((~in_range).nonzero()[0].tolist())
     return VerificationReport(
         passed=bool(capacity_ok and njc_ok and not out_of_range),
         capacity=CapacityResult(

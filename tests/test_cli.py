@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -143,6 +144,48 @@ def test_solve_grants_a_tiny_entitlement_in_full_where_nothing_saturates(
     assert code == 0 and err == ""
     assert "x = (1, 1)" in out
     assert "polished: True" in out
+    assert "verified: yes" in out
+
+
+# Valid instances with a user entitled to a subnormal share. Such a user can
+# make a face's Newton step overflow; that face must be declined before the
+# step is used, so that numpy warns of nothing.
+SUBNORMAL = {
+    "7e-323": {
+        "entitlements": [0.944773484509876, 0.055226515490124035, 7e-323],
+        "requirements": [
+            [0.0, 0.362, 0.685, 0.978],
+            [0.722, 0.717, 0.951, 0.0],
+            [0.869, 0.44, 0.985, 0.04],
+        ],
+    },
+    "5e-324": {
+        "entitlements": [
+            0.5542613734559086,
+            0.3548289230106477,
+            0.09090970353344374,
+            5e-324,
+            6.166522504078893e-301,
+        ],
+        "requirements": [
+            [0.0, 0.521, 0.0, 0.0, 0.479],
+            [0.434, 0.0, 0.762, 0.0, 0.176],
+            [0.456, 0.399, 0.264, 0.705, 0.12],
+            [0.0, 0.375, 0.777, 0.602, 0.0],
+            [0.953, 0.604, 0.0, 0.318, 0.72],
+        ],
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(SUBNORMAL))
+def test_solve_verifies_a_subnormal_entitlement_without_a_warning(name, tmp_path, capsys):
+    path = tmp_path / "subnormal.json"
+    path.write_text(json.dumps(SUBNORMAL[name]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "solve", str(path))
+    assert code == 0 and err == ""
     assert "verified: yes" in out
 
 

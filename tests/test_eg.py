@@ -81,6 +81,32 @@ def test_every_suite_fixture_and_medium_answer_ends_on_a_certified_face(
         assert res.polish_applied
 
 
+def test_the_suite_and_fixtures_take_at_most_1008_linear_solves_and_220_faces(
+    monkeypatch, suite_and_fixtures
+):
+    # A guard on the work of a solve that, unlike a time, repeats exactly
+    # from run to run: the linear solves of the interior point and of face
+    # Newton, and the faces tried, over the 200-instance suite and the
+    # fixtures.
+    counts = {"linear solves": 0, "faces": 0}
+    linear_solve, face = np.linalg.solve, eg._face
+
+    def counted_solve(a, b):
+        counts["linear solves"] += 1
+        return linear_solve(a, b)
+
+    def counted_face(*args):
+        counts["faces"] += 1
+        return face(*args)
+
+    monkeypatch.setattr(np.linalg, "solve", counted_solve)
+    monkeypatch.setattr(eg, "_face", counted_face)
+    for inst in suite_and_fixtures:
+        assert solve(inst).report.passed
+    assert counts["linear solves"] <= 1008, counts
+    assert counts["faces"] <= 220, counts
+
+
 def test_face_newton_stops_where_the_prices_turn_non_positive():
     # From these prices the first Newton step drives (R_A p_A)_1 to
     # -0.39; nothing may then be divided by it. From zero prices both users

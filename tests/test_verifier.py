@@ -144,6 +144,24 @@ def test_envy_margins_equal_the_per_pair_utility_definition():
         assert res.worst_margin == (0.0 if worst is None else worst_margin)
 
 
+def test_envy_worst_pair_equals_the_argmin_over_an_off_diagonal_copy(allocation_cases):
+    # The worst pair is found with the diagonal masked in place; it must be
+    # the one an off-diagonal copy of the margins gives, ties included, and
+    # the margins must come back with their zero diagonal.
+    for inst, x in allocation_cases:
+        res = check_envy_free(inst, x)
+        n = inst.n_users
+        assert np.all(np.diag(res.margins) == 0.0)
+        if n == 1:
+            assert res.worst_pair is None and res.worst_margin == 0.0
+            continue
+        off_diagonal = res.margins.copy()
+        np.fill_diagonal(off_diagonal, np.inf)
+        k = int(np.argmin(off_diagonal))
+        assert res.worst_pair == (k // n, k % n)
+        assert repr(res.worst_margin) == repr(float(off_diagonal.flat[k]))
+
+
 def _njc_reference(inst, x, tol):
     """report.users as one loop per user: the first largest bottleneck share
     in index order, supports scanned over the non-bottleneck resources."""
