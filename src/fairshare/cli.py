@@ -362,7 +362,12 @@ def cmd_trace(args) -> int:
         row = [repr(float(p.t))] + [repr(float(v) + 0.0) for v in p.x]
         row += [repr(float(p.f_value) + 0.0), repr(float(np.min(p.slacks)))]
         out.append(",".join(row))
-    print("\n".join(out))
+    try:
+        print("\n".join(out), flush=True)
+    except BrokenPipeError:
+        # The reader has gone (``fairshare trace ... | head``): end quietly,
+        # with stdout on devnull so the flush at exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0
 
 

@@ -9,8 +9,13 @@ exceeds ten times ``lp.PHASE_ONE_TOL`` (far beyond rounding), so the
 witnesses are exactly those of running every LP: a lower bound on the sum
 that depends on the assignment alone (``FeasibilityQuery.provably_infeasible``,
 one numpy pass per instance), and the subset lattice: a superset only turns
-"<=" capacity rows into "==" rows, so an assignment's least sum never falls
-on it. Each LP prices all its probes at once (``lp.maximize_each``).
+"<=" capacity rows into "==" rows, so the least sum of a set of rows never
+falls on it. A third rule skips a repeat: queries that build the same rows
+(the subset, and per user the row x_i = 1, none for e_i = 0, or the float
+r_{i,a_i} of the entitlement row) build byte-equal LPs, and the simplex is
+deterministic, so each distinct LP is solved once per call; the lattice rule
+is keyed on those rows too, not on the assignment. Each LP prices all its
+probes at once (``lp.maximize_each``).
 ``grid_search_n2`` walks the feasible boundary curve for two users. Both
 are deliberately independent of the trajectory construction.
 """
@@ -214,10 +219,14 @@ def enumerate_solutions(
     A query is skipped without an LP when its LP's phase-one artificial sum
     certainly exceeds ten times ``lp.PHASE_ONE_TOL``, so the LP would say
     "infeasible" and no witness changes: when ``_rejected``'s grid says so,
-    or when the same assignment's LP reported such a sum
+    or when an LP with the same user rows reported such a sum
     (``LpResult.infeasibility``) on a subset of this one, settled first as
-    subsets come by size; a superset's least sum is no smaller. Each other
-    query solves its probes with one ``lp.maximize_each`` call: phase one
+    subsets come by size; a superset's least sum is no smaller. A query is
+    also skipped when an earlier one built the same LP (same subset, and per
+    user the same row: x_i = 1, none, or the exact float r_{i,a_i}): its
+    vertices and means are already among the witnesses, so each distinct LP
+    is solved once per call and every witness is as if all were solved. Each
+    other query solves its probes with one ``lp.maximize_each`` call: phase one
     once, all probes priced at once, phase two only where a column improves.
     Every feasible query's face is probed by maximizing +/- sum(x) and
     +/- each coordinate; differing optimizers flag a positive-dimensional
@@ -252,24 +261,32 @@ def enumerate_solutions(
     probes = [np.ones(n), -np.ones(n)] + [s * u for u in np.eye(n) for s in (1.0, -1.0)]
     r, e = inst.requirements, inst.entitlements
     rejected = _rejected(inst)
-    infeasible_on: dict[tuple, list[int]] = {}  # assignment -> subset bitmasks
+    # The row ``constraints`` adds for user i on choice j: r_ij of the
+    # entitlement row, "none" when e_i is 0, "full" for x_i = 1 (j = m).
+    user_row = [(row if ei > 0.0 else ["none"] * m) + ["full"] for row, ei in zip(r.tolist(), e)]
+    infeasible_on: dict[tuple, list[int]] = {}  # user rows -> subset bitmasks
+    solved: set[tuple] = set()  # (subset bitmask, user rows) of each LP run
     for subset in subsets:
         mask = sum(1 << j for j in subset)
         # User i's choices: each subset resource it requests (any, if e_i
         # is 0), then m for a full grant; argwhere keeps ``product`` order.
         choices = [[j for j in subset if r[i, j] > 0.0 or e[i] <= 0.0] + [m] for i in range(n)]
         for picks in np.argwhere(~rejected[np.ix_(*choices)]).tolist():
-            assignment = tuple(None if c[k] == m else c[k] for c, k in zip(choices, picks))
-            if any(not below & ~mask for below in infeasible_on.get(assignment, ())):
+            picked = [c[k] for c, k in zip(choices, picks)]
+            user_rows = tuple(user_row[i][j] for i, j in enumerate(picked))
+            if (mask, user_rows) in solved or any(
+                not below & ~mask for below in infeasible_on.get(user_rows, ())
+            ):
                 continue
-            query = FeasibilityQuery(subset, assignment)
+            solved.add((mask, user_rows))
+            query = FeasibilityQuery(subset, tuple(None if j == m else j for j in picked))
             rows, bounds = query.constraints(inst)
             first, *others = lp.maximize_each(
                 lp.LinearProgram(probes[0], tuple(rows), tuple(bounds)), probes
             )
             if first.status != "optimal":
                 if first.infeasibility > _REJECT_ABOVE:
-                    infeasible_on.setdefault(assignment, []).append(mask)
+                    infeasible_on.setdefault(user_rows, []).append(mask)
                 continue
             vertices = [first.x]
             for res in others:

@@ -64,6 +64,30 @@ def test_python_dash_m_runs_the_cli():
     assert "verified: yes" in proc.stdout
 
 
+def test_trace_ends_quietly_when_the_reader_closes_the_pipe():
+    # A 4 KB pipe cannot hold elim_example's 8.9 KB trace, so the closed
+    # pipe always meets a write (on Linux; elsewhere the default size).
+    fcntl = pytest.importorskip("fcntl")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    read_end, write_end = os.pipe()
+    if hasattr(fcntl, "F_SETPIPE_SZ"):
+        fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, 4096)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "fairshare", "trace", "elim_example"],
+        env=env, stdout=write_end, stderr=subprocess.PIPE,
+    )
+    os.close(write_end)
+    line = b""
+    while not line.endswith(b"\n"):
+        line += os.read(read_end, 1)
+    os.close(read_end)
+    _, err = proc.communicate(timeout=120)
+    assert line == b"t,x_1,x_2,x_3,f,min_slack\n"
+    assert (proc.returncode, err) == (0, b"")
+
+
 def test_solve_json_roundtrips_into_verify(tmp_path, capsys):
     code, out, _ = run(capsys, "solve", "slope2", "--json")
     assert code == 0

@@ -256,7 +256,7 @@ def _sparse_instance(seed, n, m, k):
 def test_enumeration_matches_reference_loop_on_deep_lattices(shape, monkeypatch):
     # Subset chains up to length five, on which the lattice rule skips LPs.
     inst = _sparse_instance(1, *shape, 2)
-    assert _lattice_skips(inst, monkeypatch)
+    assert _skipped_queries(inst, monkeypatch)[1]
     assert _witnesses(inst) == _reference_witnesses(inst)
 
 
@@ -318,9 +318,25 @@ def _admitted_queries(inst):
                     yield FeasibilityQuery(subset, tuple(None if k == m else k for k in picks))
 
 
-def _lattice_skips(inst, monkeypatch):
+def _lp_key(inst, query):
+    """The LP a query builds: its subset, and per user the row it adds,
+    "full" for x_i = 1, "none" for e_i = 0, else r_{i,a_i}."""
+    rows = []
+    for i, j in enumerate(query.assignment):
+        if j is None:
+            rows.append("full")
+        elif inst.entitlements[i] > 0.0:
+            rows.append(float(inst.requirements[i, j]))
+        else:
+            rows.append("none")
+    return query.bottleneck_subset, tuple(rows)
+
+
+def _skipped_queries(inst, monkeypatch):
     """The queries that pass the rejection grid but whose LP
-    ``enumerate_solutions`` never builds: those the lattice rule skips."""
+    ``enumerate_solutions`` never builds, in two lists: (query, earlier)
+    pairs where an earlier built query has the same ``_lp_key``, and the
+    rest, which only the lattice rule may skip."""
     built = set()
     constraints = FeasibilityQuery.constraints
 
@@ -331,21 +347,67 @@ def _lattice_skips(inst, monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(FeasibilityQuery, "constraints", recording)
         enumerate_solutions(inst)
-    return [query for query in _admitted_queries(inst) if query not in built]
+    first_built, repeats, lattice = {}, [], []
+    for query in _admitted_queries(inst):
+        key = _lp_key(inst, query)
+        if query in built:
+            first_built.setdefault(key, query)
+        elif key in first_built:
+            repeats.append((query, first_built[key]))
+        else:
+            lattice.append(query)
+    return repeats, lattice
+
+
+def _lp_bytes(inst, query):
+    rows, bounds = query.constraints(inst)
+    return [(np.asarray(c, dtype=float).tobytes(), float(b), rel) for c, b, rel in rows], bounds
 
 
 def test_every_query_skipped_up_the_lattice_is_infeasible_for_the_lp(monkeypatch):
+    # A query skipped as a repeat builds byte for byte the LP of one solved
+    # before it; every other skipped query is infeasible for the LP.
     instances = [*_soundness_instances(), *_degenerate_rejection_instances()]
     instances += [load_fixture(name) for name in fixture_names()]
     instances.append(random_instance(1, 6, 6))
-    skipped = 0
+    skipped = repeated = 0
     for inst in instances:
-        for query in _lattice_skips(inst, monkeypatch):
+        repeats, lattice = _skipped_queries(inst, monkeypatch)
+        for query, earlier in repeats:
+            repeated += 1
+            assert _lp_bytes(inst, query) == _lp_bytes(inst, earlier), (inst, query)
+        for query in lattice:
             skipped += 1
             rows, bounds = query.constraints(inst)
             res = lp.maximize(lp.LinearProgram(np.ones(inst.n_users), tuple(rows), tuple(bounds)))
             assert res.status == "infeasible", (inst, query)
     assert skipped > 100
+    assert repeated > 100
+
+
+def _count_lps(inst, monkeypatch):
+    calls = []
+    maximize_each = lp.maximize_each
+
+    def counting(program, objectives):
+        calls.append(program)
+        return maximize_each(program, objectives)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(lp, "maximize_each", counting)
+        enumerate_solutions(inst)
+    return len(calls)
+
+
+def test_each_distinct_lp_is_solved_once(monkeypatch):
+    # circle4 builds 11 distinct LPs among 201 admitted queries. With one
+    # user and every request exactly 1, queries that differ only in the
+    # justifying resource build the same LP.
+    assert _count_lps(load_fixture("circle4"), monkeypatch) <= 11
+    for seed in (0, 7):
+        inst = random_instance(seed, 1, 4)
+        assert np.all(inst.requirements == 1.0)
+        assert _count_lps(inst, monkeypatch) <= 30
 
 
 def _scalar_provably_infeasible(inst, assignment):
