@@ -14,6 +14,7 @@ simplex iteration limit.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -281,6 +282,7 @@ def cmd_enumerate(args) -> int:
                         for w in family.witnesses
                     ],
                     "has_positive_dimension_face": family.has_positive_dimension_face,
+                    "stats": dataclasses.asdict(family.stats),
                 },
                 indent=2,
             )

@@ -12,8 +12,9 @@ the others end at the phase-one vertex. ``maximize`` is its one-objective
 case, and each result equals a separate solve bitwise. The tableau is
 filled with one array operation. A pivot is one rank-1 update of the whole
 tableau (a row with a zero factor subtracts an exact zero, so every entry
-gets the value a row-by-row update gives it), and Bland's scans pick their
-candidates with numpy, leaving only the ratio-tie loop in Python.
+gets the value a row-by-row update gives it). Bland's entering scan runs in
+numpy; the ratio test is one Python loop over the entering column and the
+right-hand side as lists, the same IEEE divisions a vectorized one makes.
 """
 from __future__ import annotations
 
@@ -104,20 +105,19 @@ def _run_simplex(T: np.ndarray, basis: list[int], ncols: int) -> str:
         enter = int(improving.argmax())
         if not improving[enter]:
             return "optimal"
-        column = T[:m, enter]
-        rows = (column > _PIVOT_TOL).nonzero()[0]
-        if rows.size == 0:
-            return "unbounded"
-        ratios = T[rows, -1] / column[rows]
         leave = -1
         best_ratio = np.inf
-        for i, ratio in zip(rows.tolist(), ratios.tolist()):
-            if ratio < best_ratio - _PIVOT_TOL or (
-                abs(ratio - best_ratio) <= _PIVOT_TOL
-                and (leave < 0 or basis[i] < basis[leave])
-            ):
-                best_ratio = ratio
-                leave = i
+        for i, (a, b) in enumerate(zip(T[:m, enter].tolist(), T[:m, -1].tolist())):
+            if a > _PIVOT_TOL:
+                ratio = b / a
+                if ratio < best_ratio - _PIVOT_TOL or (
+                    abs(ratio - best_ratio) <= _PIVOT_TOL
+                    and (leave < 0 or basis[i] < basis[leave])
+                ):
+                    best_ratio = ratio
+                    leave = i
+        if leave < 0:
+            return "unbounded"
         _pivot(T, basis, leave, enter)
     raise SimplexIterationLimit(
         f"simplex iteration limit exceeded ({_MAX_ITER} pivots)"

@@ -14,8 +14,15 @@ falls on it. A third rule skips a repeat: queries that build the same rows
 (the subset, and per user the row x_i = 1, none for e_i = 0, or the float
 r_{i,a_i} of the entitlement row) build byte-equal LPs, and the simplex is
 deterministic, so each distinct LP is solved once per call; the lattice rule
-is keyed on those rows too, not on the assignment. Each LP prices all its
-probes at once (``lp.maximize_each``).
+is keyed on those rows too, not on the assignment. A fourth rule lets a point
+face settle every query it contains: once an LP's probes all land within
+1e-7 of its first vertex, a later query on a superset of its subset, whose
+every user row implies that LP's (the same row, x_i = 1 against an
+entitlement row with r_{i,a_i} >= e_i, or any row where it has none), has a
+face inside that one, so its LP could only return a point within the 1e-7
+dedup grain of a witness already found, or nothing. The witnesses are as if
+every LP ran, up to such points. Each LP prices all its probes at once
+(``lp.maximize_each``); ``SolutionFamily.stats`` counts what each rule did.
 ``grid_search_n2`` walks the feasible boundary curve for two users. Both
 are deliberately independent of the trajectory construction.
 """
@@ -35,6 +42,7 @@ from .model import (
 )
 
 __all__ = [
+    "EnumerationStats",
     "FeasibilityQuery",
     "GridSearchResult",
     "OracleWitness",
@@ -141,12 +149,27 @@ class OracleWitness:
     positive_dimension: bool
 
 
+@dataclass(frozen=True)
+class EnumerationStats:
+    """What ``enumerate_solutions`` did with the (subset, assignment) queries:
+    how many the rejection grid dropped, how many it skipped as repeats of a
+    solved LP, up the subset lattice, or as settled by a point face, and how
+    many LPs it solved."""
+
+    rejected: int = 0
+    repeats: int = 0
+    lattice: int = 0
+    settled: int = 0
+    lps: int = 0
+
+
 @dataclass(frozen=True, eq=False)
 class SolutionFamily:
     """All witnesses found by enumeration, with non-uniqueness flags."""
 
     instance: ProblemInstance
     witnesses: tuple[OracleWitness, ...]
+    stats: EnumerationStats = EnumerationStats()
 
     @property
     def has_positive_dimension_face(self) -> bool:
@@ -225,9 +248,18 @@ def enumerate_solutions(
     also skipped when an earlier one built the same LP (same subset, and per
     user the same row: x_i = 1, none, or the exact float r_{i,a_i}): its
     vertices and means are already among the witnesses, so each distinct LP
-    is solved once per call and every witness is as if all were solved. Each
-    other query solves its probes with one ``lp.maximize_each`` call: phase one
-    once, all probes priced at once, phase two only where a column improves.
+    is solved once per call and every witness is as if all were solved. A
+    query is settled by an earlier point face (an LP whose probes all landed
+    within 1e-7 of its first vertex) on a subset of this one when each of its
+    user rows implies that LP's: the same row, x_i = 1 against an entitlement
+    row with r_{i,a_i} >= e_i exactly, or any row where that LP has none. Its
+    face lies inside the point face, so its LP could only return a point
+    within the 1e-7 dedup grain of a witness already found, or nothing. So
+    the witnesses are as if every LP ran, up to points inside the dedup
+    grain of a point face. Each other query solves its probes with one
+    ``lp.maximize_each`` call: phase one once, all probes priced at once,
+    phase two only where a column improves. ``stats`` on the result counts
+    the queries each rule dropped and the LPs solved.
     Every feasible query's face is probed by maximizing +/- sum(x) and
     +/- each coordinate; differing optimizers flag a positive-dimensional
     solution family, all extreme vertices become witnesses, and for flagged
@@ -245,6 +277,7 @@ def enumerate_solutions(
 
     witnesses: list[OracleWitness] = []
     seen: set[tuple] = set()
+    rejects = repeats = lattice = settled = 0
 
     def consider(x: np.ndarray, query: FeasibilityQuery, positive: bool) -> None:
         key = tuple(np.round(x, 7))
@@ -264,20 +297,46 @@ def enumerate_solutions(
     # The row ``constraints`` adds for user i on choice j: r_ij of the
     # entitlement row, "none" when e_i is 0, "full" for x_i = 1 (j = m).
     user_row = [(row if ei > 0.0 else ["none"] * m) + ["full"] for row, ei in zip(r.tolist(), e)]
+    # A choice of user i is bit i (m + 1) + j of a query's bits; implied[i][j]
+    # has the bits of user i's choices whose row implies the row of choice j:
+    # the same row, x_i = 1 against an entitlement row with r_ij >= e_i, or
+    # any row where choice j adds none.
+    implied = [
+        [
+            sum(
+                1 << (i * (m + 1) + k)
+                for k, tighter in enumerate(rows)
+                if tighter == row or row == "none" or (tighter == "full" and row >= ei)
+            )
+            for row in rows
+        ]
+        for i, (rows, ei) in enumerate(zip(user_row, e.tolist()))
+    ]
     infeasible_on: dict[tuple, list[int]] = {}  # user rows -> subset bitmasks
     solved: set[tuple] = set()  # (subset bitmask, user rows) of each LP run
+    points: list[tuple[int, int]] = []  # (subset bitmask, implying bits) of point faces
     for subset in subsets:
         mask = sum(1 << j for j in subset)
         # User i's choices: each subset resource it requests (any, if e_i
         # is 0), then m for a full grant; argwhere keeps ``product`` order.
         choices = [[j for j in subset if r[i, j] > 0.0 or e[i] <= 0.0] + [m] for i in range(n)]
-        for picks in np.argwhere(~rejected[np.ix_(*choices)]).tolist():
+        admitted = ~rejected[np.ix_(*choices)]
+        queries = np.argwhere(admitted).tolist()
+        rejects += admitted.size - len(queries)
+        for picks in queries:
             picked = [c[k] for c, k in zip(choices, picks)]
             user_rows = tuple(user_row[i][j] for i, j in enumerate(picked))
-            if (mask, user_rows) in solved or any(
-                not below & ~mask for below in infeasible_on.get(user_rows, ())
-            ):
+            if (mask, user_rows) in solved:
+                repeats += 1
                 continue
+            if any(not below & ~mask for below in infeasible_on.get(user_rows, ())):
+                lattice += 1
+                continue
+            if points:
+                bits = sum(1 << (i * (m + 1) + j) for i, j in enumerate(picked))
+                if any(not below & ~mask and not bits & ~ok for below, ok in points):
+                    settled += 1
+                    continue
             solved.add((mask, user_rows))
             query = FeasibilityQuery(subset, tuple(None if j == m else j for j in picked))
             rows, bounds = query.constraints(inst)
@@ -297,7 +356,9 @@ def enumerate_solutions(
             positive = len(vertices) > 1
             for vertex in vertices:
                 consider(vertex, query, positive)
-            if positive:
+            if not positive:
+                points.append((mask, sum(implied[i][j] for i, j in enumerate(picked))))
+            else:
                 # Balanced representatives: mean of the vertices sharing a
                 # total-allocation level (sub-face midpoints), plus the mean
                 # of everything found on the face.
@@ -308,7 +369,8 @@ def enumerate_solutions(
                     if len(group) > 1:
                         consider(np.mean(group, axis=0), query, positive)
                 consider(np.mean(vertices, axis=0), query, positive)
-    return SolutionFamily(instance=inst, witnesses=tuple(witnesses))
+    stats = EnumerationStats(rejects, repeats, lattice, settled, len(solved))
+    return SolutionFamily(instance=inst, witnesses=tuple(witnesses), stats=stats)
 
 
 @dataclass(frozen=True, eq=False)

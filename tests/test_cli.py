@@ -390,6 +390,10 @@ def test_enumerate_circle_reports_many_witnesses(capsys):
     doc = json.loads(out)
     assert len(doc["witnesses"]) >= 7
     assert doc["has_positive_dimension_face"] is True
+    stats = doc["stats"]
+    assert set(stats) == {"rejected", "repeats", "lattice", "settled", "lps"}
+    assert all(type(v) is int for v in stats.values())
+    assert 0 < stats["lps"] <= 11
 
 
 def test_enumerate_unique_fixture(capsys):

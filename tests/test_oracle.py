@@ -256,7 +256,7 @@ def _sparse_instance(seed, n, m, k):
 def test_enumeration_matches_reference_loop_on_deep_lattices(shape, monkeypatch):
     # Subset chains up to length five, on which the lattice rule skips LPs.
     inst = _sparse_instance(1, *shape, 2)
-    assert _skipped_queries(inst, monkeypatch)[1]
+    assert _skipped_queries(inst, monkeypatch)[2]
     assert _witnesses(inst) == _reference_witnesses(inst)
 
 
@@ -332,11 +332,31 @@ def _lp_key(inst, query):
     return query.bottleneck_subset, tuple(rows)
 
 
+def _implies(e_i, tighter, row):
+    """Whether a user's row ``tighter`` (an ``_lp_key`` entry) implies ``row``."""
+    return tighter == row or row == "none" or (tighter == "full" and row >= e_i)
+
+
+def _probe_vertices(inst, query):
+    """The optimal vertices of the query's LP under the oracle's probes
+    (+/- sum x, +/- each x_i), or None when the LP is infeasible."""
+    n = inst.n_users
+    probes = [np.ones(n), -np.ones(n)] + [s * u for u in np.eye(n) for s in (1.0, -1.0)]
+    rows, bounds = query.constraints(inst)
+    results = lp.maximize_each(lp.LinearProgram(probes[0], tuple(rows), tuple(bounds)), probes)
+    if results[0].status != "optimal":
+        return None
+    return [res.x for res in results if res.status == "optimal"]
+
+
 def _skipped_queries(inst, monkeypatch):
     """The queries that pass the rejection grid but whose LP
-    ``enumerate_solutions`` never builds, in two lists: (query, earlier)
-    pairs where an earlier built query has the same ``_lp_key``, and the
-    rest, which only the lattice rule may skip."""
+    ``enumerate_solutions`` never builds, in three lists: (query, earlier)
+    pairs where an earlier built query has the same ``_lp_key``; (query,
+    vertex) pairs where an earlier built query's LP is a single point
+    ``vertex`` (every probe within 1e-7 of the first) on a subset of this
+    query's subset, and each of its user rows is implied by this query's;
+    and the rest, which only the lattice rule may skip."""
     built = set()
     constraints = FeasibilityQuery.constraints
 
@@ -347,16 +367,31 @@ def _skipped_queries(inst, monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(FeasibilityQuery, "constraints", recording)
         enumerate_solutions(inst)
-    first_built, repeats, lattice = {}, [], []
+    first_built, points, repeats, settled, lattice = {}, [], [], [], []
+    e = inst.entitlements
     for query in _admitted_queries(inst):
-        key = _lp_key(inst, query)
+        subset, rows = key = _lp_key(inst, query)
         if query in built:
             first_built.setdefault(key, query)
+            vertices = _probe_vertices(inst, query)
+            if vertices and all(np.max(np.abs(v - vertices[0])) <= 1e-7 for v in vertices):
+                points.append((set(subset), rows, vertices[0]))
         elif key in first_built:
             repeats.append((query, first_built[key]))
         else:
-            lattice.append(query)
-    return repeats, lattice
+            face = next(
+                (
+                    vertex
+                    for below, face_rows, vertex in points
+                    if below <= set(subset) and all(map(_implies, e, rows, face_rows))
+                ),
+                None,
+            )
+            if face is None:
+                lattice.append(query)
+            else:
+                settled.append((query, face))
+    return repeats, settled, lattice
 
 
 def _lp_bytes(inst, query):
@@ -366,16 +401,24 @@ def _lp_bytes(inst, query):
 
 def test_every_query_skipped_up_the_lattice_is_infeasible_for_the_lp(monkeypatch):
     # A query skipped as a repeat builds byte for byte the LP of one solved
-    # before it; every other skipped query is infeasible for the LP.
+    # before it; a query inside an earlier point face is infeasible for the
+    # LP, or every probe lands within 1e-7 of that face's vertex; every other
+    # skipped query is infeasible for the LP.
     instances = [*_soundness_instances(), *_degenerate_rejection_instances()]
     instances += [load_fixture(name) for name in fixture_names()]
     instances.append(random_instance(1, 6, 6))
-    skipped = repeated = 0
+    skipped = repeated = inside = 0
     for inst in instances:
-        repeats, lattice = _skipped_queries(inst, monkeypatch)
+        repeats, settled, lattice = _skipped_queries(inst, monkeypatch)
         for query, earlier in repeats:
             repeated += 1
             assert _lp_bytes(inst, query) == _lp_bytes(inst, earlier), (inst, query)
+        for query, vertex in settled:
+            inside += 1
+            vertices = _probe_vertices(inst, query)
+            assert vertices is None or all(
+                np.max(np.abs(v - vertex)) <= 1e-7 for v in vertices
+            ), (inst, query)
         for query in lattice:
             skipped += 1
             rows, bounds = query.constraints(inst)
@@ -383,31 +426,37 @@ def test_every_query_skipped_up_the_lattice_is_infeasible_for_the_lp(monkeypatch
             assert res.status == "infeasible", (inst, query)
     assert skipped > 100
     assert repeated > 100
+    assert inside > 0
 
 
-def _count_lps(inst, monkeypatch):
-    calls = []
-    maximize_each = lp.maximize_each
-
-    def counting(program, objectives):
-        calls.append(program)
-        return maximize_each(program, objectives)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(lp, "maximize_each", counting)
-        enumerate_solutions(inst)
-    return len(calls)
+def test_each_distinct_lp_is_solved_once():
+    # circle4 builds 11 distinct LPs among 201 admitted queries.
+    stats = enumerate_solutions(load_fixture("circle4")).stats
+    assert stats.lps <= 11
+    assert stats.repeats > 0
 
 
-def test_each_distinct_lp_is_solved_once(monkeypatch):
-    # circle4 builds 11 distinct LPs among 201 admitted queries. With one
-    # user and every request exactly 1, queries that differ only in the
-    # justifying resource build the same LP.
-    assert _count_lps(load_fixture("circle4"), monkeypatch) <= 11
+def test_a_point_face_settles_the_queries_it_contains():
+    # A query on a superset whose user rows imply a point face's rows lies
+    # inside that point. With one user and every request exactly 1, each
+    # single-column LP is the point x_1 = 1, and it settles every later query
+    # on a subset holding its column.
+    stats = enumerate_solutions(load_fixture("utilization")).stats
+    assert stats.lps <= 6
+    assert stats.settled > 0
     for seed in (0, 7):
         inst = random_instance(seed, 1, 4)
         assert np.all(inst.requirements == 1.0)
-        assert _count_lps(inst, monkeypatch) <= 30
+        assert enumerate_solutions(inst).stats.lps <= 4
+
+
+def test_stats_count_every_query():
+    # Each (subset, assignment) query is rejected, skipped by one rule, or
+    # solved (an LP that also serves its later repeats).
+    for inst in [load_fixture(name) for name in fixture_names()] + [random_instance(2, 3, 3)]:
+        stats = enumerate_solutions(inst).stats
+        queries = sum(1 for _ in _queries(inst))
+        assert stats.rejected + stats.repeats + stats.lattice + stats.settled + stats.lps == queries
 
 
 def _scalar_provably_infeasible(inst, assignment):
