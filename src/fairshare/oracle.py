@@ -3,28 +3,29 @@
 ``enumerate_solutions`` discharges the existential in the fairness condition
 by brute force: for every candidate saturated subset and every way of
 assigning each user a justifying resource, it asks a small LP whether a
-consistent allocation exists. Most candidates are infeasible. Two rules skip
-one without an LP, only where its LP's phase-one artificial sum certainly
-exceeds ten times ``lp.PHASE_ONE_TOL`` (far beyond rounding), so the
-witnesses are exactly those of running every LP: a lower bound on the sum
-that depends on the assignment alone (``FeasibilityQuery.provably_infeasible``,
-one numpy pass per instance), and the subset lattice: a superset only turns
-"<=" capacity rows into "==" rows, so the least sum of a set of rows never
-falls on it. A third rule skips a repeat: queries that build the same rows
-(the subset, and per user the row x_i = 1, none for e_i = 0, or the float
-r_{i,a_i} of the entitlement row) build byte-equal LPs, and the simplex is
-deterministic, so each distinct LP is solved once per call; the lattice rule
-is keyed on those rows too, not on the assignment. A fourth rule lets a point
-face settle every query it contains: once an LP's probes all land within
-1e-7 of its first vertex, a later query on a superset of its subset, whose
-every user row implies that LP's (the same row, x_i = 1 against an
-entitlement row with r_{i,a_i} >= e_i, or any row where it has none), has a
-face inside that one, so its LP could only return a point within the 1e-7
-dedup grain of a witness already found, or nothing. The witnesses are as if
-every LP ran, up to such points. Each LP prices all its probes at once
-(``lp.maximize_each``); ``SolutionFamily.stats`` counts what each rule did.
-``grid_search_n2`` walks the feasible boundary curve for two users. Both
-are deliberately independent of the trajectory construction.
+consistent allocation exists. Phase one of each such LP minimises, over the
+same polytope {0 <= x <= 1, xR <= 1}, a sum of artificials: 1 - (xR)_j per
+subset column, and per user max(0, e_i - r_{i,a_i} x_i) for an entitlement
+row, 1 - x_i for x_i = 1, nothing when e_i is 0. The LP's face is where the
+sum is 0. A user row implies another when its artificial is no smaller at
+every x_i in [0, 1]: an entitlement row with a request no larger, x_i = 1
+against an entitlement row with r_{i,a_i} >= e_i, x_i = 1 against x_i = 1,
+and any row against none. A query on a superset of an earlier LP's subset,
+whose every user row implies that LP's, has a sum no smaller at every point,
+so its face lies inside that LP's face. If that face was empty (phase one
+ended above ten times ``lp.PHASE_ONE_TOL``, far beyond rounding), the
+query's LP is infeasible too; if it was a single point (every probe within
+1e-7 of the first vertex), its LP could only return a point within the 1e-7
+dedup grain of a witness already found, or nothing. Either way the query is
+skipped. Before that test, a query is rejected when a lower bound on its
+sum, which depends on the assignment alone, exceeds ten times the threshold
+(``FeasibilityQuery.provably_infeasible``, one numpy pass per instance), and
+skipped when an earlier query built the same rows: the LPs are byte-equal
+and the simplex is deterministic. So the witnesses are as if every LP ran,
+up to points inside a point face's dedup grain. Each LP prices all its
+probes at once (``lp.maximize_each``); ``SolutionFamily.stats`` counts what
+each rule did. ``grid_search_n2`` walks the feasible boundary curve for two
+users. Both are deliberately independent of the trajectory construction.
 """
 from __future__ import annotations
 
@@ -115,7 +116,7 @@ class FeasibilityQuery:
         not depend on the subset (``_rejected``).
         """
         m = inst.n_real_resources
-        return bool(_rejected(inst, [m if j is None else j for j in self.assignment]))
+        return bool(_rejected(inst)[tuple(m if j is None else j for j in self.assignment)])
 
     def satisfied_by(
         self, inst: ProblemInstance, x: np.ndarray, tol: float = 1e-5
@@ -153,8 +154,8 @@ class OracleWitness:
 class EnumerationStats:
     """What ``enumerate_solutions`` did with the (subset, assignment) queries:
     how many the rejection grid dropped, how many it skipped as repeats of a
-    solved LP, up the subset lattice, or as settled by a point face, and how
-    many LPs it solved."""
+    solved LP, as inside an earlier empty face (``lattice``) or inside an
+    earlier point face (``settled``), and how many LPs it solved."""
 
     rejected: int = 0
     repeats: int = 0
@@ -198,12 +199,12 @@ class SolutionFamily:
         return any(q.satisfied_by(self.instance, x, tol) for q in self.flagged_queries())
 
 
-def _rejected(inst: ProblemInstance, picks: list[int] | None = None) -> np.ndarray:
-    """``provably_infeasible`` for every assignment at once, or for ``picks``.
+def _rejected(inst: ProblemInstance) -> np.ndarray:
+    """``provably_infeasible`` for every assignment at once.
 
     Entry ``[a_0, ..., a_{n-1}]`` of the ``(m+1,) * n`` grid decides user i
-    getting resource a_i (m: a full grant); ``picks`` selects one entry. The
-    users add in index order, so each verdict equals a scalar loop's bitwise.
+    getting resource a_i (m: a full grant). The users add in index order, so
+    each verdict equals a scalar loop's bitwise.
     """
     n, m = inst.n_users, inst.n_real_resources
     e, r = inst.entitlements[:, None], inst.requirements
@@ -218,7 +219,7 @@ def _rejected(inst: ProblemInstance, picks: list[int] | None = None) -> np.ndarr
         # [i, choice, j]: lb_i r_ij and r_ij / c_i, or 0 and -inf for no floor.
         share = lb[:, :, None] * r[:, None, :]
         slope = np.where(floor[:, :, None], r[:, None, :] / c[:, :, None], -np.inf)
-        grid = np.ix_(*[np.arange(m + 1)] * n) if picks is None else picks  # user i: axis i
+        grid = np.ix_(*[np.arange(m + 1)] * n)  # user i: axis i
         out = False
         for i, choice in enumerate(grid):
             out = out | direct[i, choice]
@@ -239,33 +240,18 @@ def enumerate_solutions(
 
     Iterates candidate subsets by (size, lexicographic order) and
     justification assignments lexicographically, so output order is stable.
-    A query is skipped without an LP when its LP's phase-one artificial sum
-    certainly exceeds ten times ``lp.PHASE_ONE_TOL``, so the LP would say
-    "infeasible" and no witness changes: when ``_rejected``'s grid says so,
-    or when an LP with the same user rows reported such a sum
-    (``LpResult.infeasibility``) on a subset of this one, settled first as
-    subsets come by size; a superset's least sum is no smaller. A query is
-    also skipped when an earlier one built the same LP (same subset, and per
-    user the same row: x_i = 1, none, or the exact float r_{i,a_i}): its
-    vertices and means are already among the witnesses, so each distinct LP
-    is solved once per call and every witness is as if all were solved. A
-    query is settled by an earlier point face (an LP whose probes all landed
-    within 1e-7 of its first vertex) on a subset of this one when each of its
-    user rows implies that LP's: the same row, x_i = 1 against an entitlement
-    row with r_{i,a_i} >= e_i exactly, or any row where that LP has none. Its
-    face lies inside the point face, so its LP could only return a point
-    within the 1e-7 dedup grain of a witness already found, or nothing. So
-    the witnesses are as if every LP ran, up to points inside the dedup
-    grain of a point face. Each other query solves its probes with one
-    ``lp.maximize_each`` call: phase one once, all probes priced at once,
-    phase two only where a column improves. ``stats`` on the result counts
-    the queries each rule dropped and the LPs solved.
     Every feasible query's face is probed by maximizing +/- sum(x) and
     +/- each coordinate; differing optimizers flag a positive-dimensional
     solution family, all extreme vertices become witnesses, and for flagged
     faces the mean of the distinct vertices is added as a balanced
     representative (faces are convex, so it is itself fair). Witnesses are
-    deduplicated at 1e-7.
+    deduplicated at 1e-7. Three rules skip a query's LP (see the module
+    docstring for why they keep the witnesses): the rejection grid
+    (``_rejected``), a repeat of an LP already solved (the same subset and,
+    per user, the same row: x_i = 1, none, or the exact float r_{i,a_i}),
+    and containment in an earlier empty or point face. Each other query
+    solves its probes with one ``lp.maximize_each`` call. ``stats`` on the
+    result counts the queries each rule dropped and the LPs solved.
     """
     tol = tol or DEFAULT_TOLERANCES
     n, m = inst.n_users, inst.n_real_resources
@@ -298,23 +284,22 @@ def enumerate_solutions(
     # entitlement row, "none" when e_i is 0, "full" for x_i = 1 (j = m).
     user_row = [(row if ei > 0.0 else ["none"] * m) + ["full"] for row, ei in zip(r.tolist(), e)]
     # A choice of user i is bit i (m + 1) + j of a query's bits; implied[i][j]
-    # has the bits of user i's choices whose row implies the row of choice j:
-    # the same row, x_i = 1 against an entitlement row with r_ij >= e_i, or
-    # any row where choice j adds none.
+    # has the bits of user i's choices whose row implies the row of choice j.
     implied = [
         [
             sum(
                 1 << (i * (m + 1) + k)
                 for k, tighter in enumerate(rows)
-                if tighter == row or row == "none" or (tighter == "full" and row >= ei)
+                if row == "none"
+                or tighter == row == "full"
+                or (row != "full" and (row >= ei if tighter == "full" else tighter <= row))
             )
             for row in rows
         ]
         for i, (rows, ei) in enumerate(zip(user_row, e.tolist()))
     ]
-    infeasible_on: dict[tuple, list[int]] = {}  # user rows -> subset bitmasks
     solved: set[tuple] = set()  # (subset bitmask, user rows) of each LP run
-    points: list[tuple[int, int]] = []  # (subset bitmask, implying bits) of point faces
+    faces: list[tuple[int, int, bool]] = []  # (subset bitmask, implying bits, empty)
     for subset in subsets:
         mask = sum(1 << j for j in subset)
         # User i's choices: each subset resource it requests (any, if e_i
@@ -329,15 +314,16 @@ def enumerate_solutions(
             if (mask, user_rows) in solved:
                 repeats += 1
                 continue
-            if any(not below & ~mask for below in infeasible_on.get(user_rows, ())):
-                lattice += 1
+            bits = sum(1 << (i * (m + 1) + j) for i, j in enumerate(picked))
+            empty = next(
+                (empty for below, ok, empty in faces if not (below & ~mask or bits & ~ok)), None
+            )
+            if empty is not None:
+                lattice += empty
+                settled += not empty
                 continue
-            if points:
-                bits = sum(1 << (i * (m + 1) + j) for i, j in enumerate(picked))
-                if any(not below & ~mask and not bits & ~ok for below, ok in points):
-                    settled += 1
-                    continue
             solved.add((mask, user_rows))
+            face = (mask, sum(implied[i][j] for i, j in enumerate(picked)))
             query = FeasibilityQuery(subset, tuple(None if j == m else j for j in picked))
             rows, bounds = query.constraints(inst)
             first, *others = lp.maximize_each(
@@ -345,7 +331,7 @@ def enumerate_solutions(
             )
             if first.status != "optimal":
                 if first.infeasibility > _REJECT_ABOVE:
-                    infeasible_on.setdefault(user_rows, []).append(mask)
+                    faces.append((*face, True))
                 continue
             vertices = [first.x]
             for res in others:
@@ -357,7 +343,7 @@ def enumerate_solutions(
             for vertex in vertices:
                 consider(vertex, query, positive)
             if not positive:
-                points.append((mask, sum(implied[i][j] for i, j in enumerate(picked))))
+                faces.append((*face, False))
             else:
                 # Balanced representatives: mean of the vertices sharing a
                 # total-allocation level (sub-face midpoints), plus the mean

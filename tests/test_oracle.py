@@ -333,17 +333,29 @@ def _lp_key(inst, query):
 
 
 def _implies(e_i, tighter, row):
-    """Whether a user's row ``tighter`` (an ``_lp_key`` entry) implies ``row``."""
-    return tighter == row or row == "none" or (tighter == "full" and row >= e_i)
+    """Whether a user's row ``tighter`` (an ``_lp_key`` entry) implies ``row``:
+    its phase-one artificial is no smaller at every x_i in [0, 1]."""
+    if row == "none":
+        return True
+    if row == "full":
+        return tighter == "full"
+    if tighter == "full":
+        return row >= e_i
+    return tighter <= row
 
 
-def _probe_vertices(inst, query):
-    """The optimal vertices of the query's LP under the oracle's probes
-    (+/- sum x, +/- each x_i), or None when the LP is infeasible."""
+def _probe_results(inst, query):
+    """The query's LP under the oracle's probes (+/- sum x, +/- each x_i)."""
     n = inst.n_users
     probes = [np.ones(n), -np.ones(n)] + [s * u for u in np.eye(n) for s in (1.0, -1.0)]
     rows, bounds = query.constraints(inst)
-    results = lp.maximize_each(lp.LinearProgram(probes[0], tuple(rows), tuple(bounds)), probes)
+    return lp.maximize_each(lp.LinearProgram(probes[0], tuple(rows), tuple(bounds)), probes)
+
+
+def _probe_vertices(inst, query):
+    """The optimal vertices of the query's LP under the oracle's probes, or
+    None when the LP is infeasible."""
+    results = _probe_results(inst, query)
     if results[0].status != "optimal":
         return None
     return [res.x for res in results if res.status == "optimal"]
@@ -353,10 +365,13 @@ def _skipped_queries(inst, monkeypatch):
     """The queries that pass the rejection grid but whose LP
     ``enumerate_solutions`` never builds, in three lists: (query, earlier)
     pairs where an earlier built query has the same ``_lp_key``; (query,
-    vertex) pairs where an earlier built query's LP is a single point
-    ``vertex`` (every probe within 1e-7 of the first) on a subset of this
-    query's subset, and each of its user rows is implied by this query's;
-    and the rest, which only the lattice rule may skip."""
+    vertex) pairs inside an earlier point face; and queries inside an
+    earlier empty face. A query is inside an earlier built query's face when
+    its subset holds that query's subset and each of its user rows implies
+    that query's; the face is empty when that LP's phase one ended above ten
+    times ``lp.PHASE_ONE_TOL``, and a point ``vertex`` when every probe
+    landed within 1e-7 of the first. A skipped query inside both kinds is
+    listed as inside an empty face; one inside neither fails the helper."""
     built = set()
     constraints = FeasibilityQuery.constraints
 
@@ -367,30 +382,35 @@ def _skipped_queries(inst, monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(FeasibilityQuery, "constraints", recording)
         enumerate_solutions(inst)
-    first_built, points, repeats, settled, lattice = {}, [], [], [], []
+    first_built, faces, repeats, settled, lattice = {}, [], [], [], []
     e = inst.entitlements
     for query in _admitted_queries(inst):
         subset, rows = key = _lp_key(inst, query)
         if query in built:
             first_built.setdefault(key, query)
-            vertices = _probe_vertices(inst, query)
-            if vertices and all(np.max(np.abs(v - vertices[0])) <= 1e-7 for v in vertices):
-                points.append((set(subset), rows, vertices[0]))
+            first, *others = _probe_results(inst, query)
+            if first.status != "optimal":
+                if first.infeasibility > 10.0 * lp.PHASE_ONE_TOL:
+                    faces.append((set(subset), rows, None))
+            elif all(
+                np.max(np.abs(res.x - first.x)) <= 1e-7
+                for res in others
+                if res.status == "optimal"
+            ):
+                faces.append((set(subset), rows, first.x))
         elif key in first_built:
             repeats.append((query, first_built[key]))
         else:
-            face = next(
-                (
-                    vertex
-                    for below, face_rows, vertex in points
-                    if below <= set(subset) and all(map(_implies, e, rows, face_rows))
-                ),
-                None,
-            )
-            if face is None:
+            inside = [
+                vertex
+                for below, face_rows, vertex in faces
+                if below <= set(subset) and all(map(_implies, e, rows, face_rows))
+            ]
+            assert inside, (inst, query)
+            if any(vertex is None for vertex in inside):
                 lattice.append(query)
             else:
-                settled.append((query, face))
+                settled.append((query, inside[0]))
     return repeats, settled, lattice
 
 
@@ -402,8 +422,8 @@ def _lp_bytes(inst, query):
 def test_every_query_skipped_up_the_lattice_is_infeasible_for_the_lp(monkeypatch):
     # A query skipped as a repeat builds byte for byte the LP of one solved
     # before it; a query inside an earlier point face is infeasible for the
-    # LP, or every probe lands within 1e-7 of that face's vertex; every other
-    # skipped query is infeasible for the LP.
+    # LP, or every probe lands within 1e-7 of that face's vertex; a query
+    # inside an earlier empty face is infeasible for the LP.
     instances = [*_soundness_instances(), *_degenerate_rejection_instances()]
     instances += [load_fixture(name) for name in fixture_names()]
     instances.append(random_instance(1, 6, 6))
@@ -448,6 +468,14 @@ def test_a_point_face_settles_the_queries_it_contains():
         inst = random_instance(seed, 1, 4)
         assert np.all(inst.requirements == 1.0)
         assert enumerate_solutions(inst).stats.lps <= 4
+
+
+def test_an_empty_face_skips_the_queries_it_contains():
+    # 6x6 LPs are nearly all infeasible: an empty face on a subset rules out
+    # every superset query whose user rows imply its rows, whichever rows
+    # they are. A rule keyed on exact rows leaves 1,921 and 1,530 LPs.
+    assert enumerate_solutions(random_instance(3, 6, 6)).stats.lps <= 200
+    assert enumerate_solutions(random_instance(4, 6, 6)).stats.lps <= 100
 
 
 def test_stats_count_every_query():
@@ -504,6 +532,9 @@ def _degenerate_rejection_instances():
     for seed in range(3):
         yield random_instance(73_000 + seed, 1, 6, min_column_sum=None)
         yield random_instance(73_100 + seed, 6, 1)
+    # A user entitled to nothing who requests nothing of one resource: its
+    # rows are "none" and x_1 = 1, and no ratio e_1 / r_1j is defined.
+    yield ProblemInstance(entitlements=[0.0, 1.0], requirements=[[0.0, 0.5], [1.0, 1.0]])
 
 
 def test_rejection_grid_matches_the_scalar_rule():
