@@ -14,7 +14,6 @@ from .drf import DrfResult, solve_drf
 from .model import (
     LiftedInstance,
     ProblemInstance,
-    Solution,
     ToleranceConfig,
     Violation,
     usages,
@@ -46,7 +45,6 @@ __all__ = [
     "InvalidInstanceError",
     "LiftedInstance",
     "ProblemInstance",
-    "Solution",
     "SolutionFamily",
     "SolveResult",
     "ToleranceConfig",

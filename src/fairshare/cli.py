@@ -196,19 +196,19 @@ def _tolerances(args) -> ToleranceConfig:
 
 
 def _solution_dict(result) -> dict:
-    sol = result.solution
+    report = result.report
     return {
-        "x": [float(v) for v in sol.allocation],
-        "bottlenecks": sorted(j + 1 for j in sol.bottlenecks),
+        "x": [float(v) for v in report.allocation],
+        "bottlenecks": [j + 1 for j in report.bottlenecks],
         "justification": {
             str(i + 1): (None if j is None else j + 1)
-            for i, j in enumerate(sol.justification)
+            for i, j in enumerate(report.justification)
         },
-        "residuals": [float(v) for v in sol.residuals],
+        "residuals": [float(v) for v in 1.0 - report.capacity.usages],
         "termination": result.termination,
         "polished": result.polish_applied,
-        "verified": result.report.passed,
-        "report": result.report.to_dict(),
+        "verified": report.passed,
+        "report": report.to_dict(),
     }
 
 
@@ -219,18 +219,15 @@ def cmd_solve(args) -> int:
         result = solve(inst, tol)
     except InvalidInstanceError as exc:
         raise CliError(f"invalid instance: {exc}")
+    report = result.report
     if args.json:
         print(json.dumps(_solution_dict(result), indent=2))
     else:
-        sol = result.solution
-        print("x =", _fmt_vec(sol.allocation))
+        print("x =", _fmt_vec(report.allocation))
         if args.exact:
-            print("x (exact) = (" + ", ".join(_as_fraction_str(v) for v in sol.allocation) + ")")
-        print(
-            "bottlenecks: {%s}"
-            % ", ".join(inst.resource_label(j) for j in sorted(sol.bottlenecks))
-        )
-        for st in result.report.users:
+            print("x (exact) = (" + ", ".join(_as_fraction_str(v) for v in report.allocation) + ")")
+        print("bottlenecks: {%s}" % ", ".join(inst.resource_label(j) for j in report.bottlenecks))
+        for st in report.users:
             if st.status == JUSTIFIED:
                 status = f"justified via resource {inst.resource_label(st.resource)}"
             elif st.status == FULLY_ALLOCATED:
@@ -238,13 +235,13 @@ def cmd_solve(args) -> int:
             else:
                 status = "no justifying resource"
             print(f"user {inst.user_label(st.user)}: {status}")
-        print("min residual:", _fmt(min(sol.residuals)))
+        print("min residual:", _fmt(min(1.0 - report.capacity.usages)))
         print("termination:", result.termination, "| polished:", result.polish_applied)
-        print("verified:", "yes" if result.report.passed else "no")
-        if not result.report.passed:
+        print("verified:", "yes" if report.passed else "no")
+        if not report.passed:
             print()
-            print(result.report.render())
-    return 0 if result.report.passed else 1
+            print(report.render())
+    return 0 if report.passed else 1
 
 
 def cmd_verify(args) -> int:
@@ -323,7 +320,7 @@ def cmd_compare(args) -> int:
         raise CliError("provide an instance path/fixture or --middles K")
     result = solve(inst)
     d = drf_mod.solve_drf(inst)
-    x_b = result.solution.allocation
+    x_b = result.report.allocation
     x_d = d.x
     print("allocation scale factors:")
     print("  bottleneck-fair:", _fmt_vec(x_b))

@@ -20,7 +20,6 @@ import numpy as np
 __all__ = [
     "LiftedInstance",
     "ProblemInstance",
-    "Solution",
     "ToleranceConfig",
     "Violation",
     "add_dummy_resources",
@@ -189,28 +188,6 @@ def add_dummy_resources(inst: ProblemInstance) -> LiftedInstance:
         column_origin=tuple(cols),
         user_origin=tuple(range(n)),
     )
-
-
-@dataclass(frozen=True, eq=False)
-class Solution:
-    """An allocation plus the saturated resources that justify it.
-
-    ``justification[i]`` is the resource on which user i receives at least
-    their entitlement, or None when the user is fully allocated (x_i = 1) or
-    when no justifying resource exists (the verifier reports the latter as a
-    complaint). ``residuals[j]`` is the leftover capacity of resource j.
-    """
-
-    allocation: np.ndarray
-    bottlenecks: frozenset[int]
-    justification: tuple[int | None, ...]
-    residuals: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "allocation", readonly_array(self.allocation))
-        object.__setattr__(self, "residuals", readonly_array(self.residuals))
-        object.__setattr__(self, "bottlenecks", frozenset(self.bottlenecks))
-        object.__setattr__(self, "justification", tuple(self.justification))
 
 
 def validate_instance(

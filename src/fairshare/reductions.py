@@ -28,11 +28,10 @@ from .model import (
     ColumnKey,
     LiftedInstance,
     ProblemInstance,
-    Solution,
     ToleranceConfig,
     add_dummy_resources,
 )
-from .verifier import verify
+from .verifier import VerificationReport, verify
 
 __all__ = [
     "Elimination",
@@ -287,14 +286,14 @@ def lift_solution(
     trace: ReductionTrace,
     x_reduced: np.ndarray,
     tol: ToleranceConfig | None = None,
-) -> Solution:
+) -> VerificationReport:
     """Map a reduced-system allocation back onto the original instance.
 
     Granted (eliminated) users receive x_i = 1; survivors keep their scale
     factor unchanged, because the entitlement and capacity rescalings cancel.
-    The lifted allocation is verified on the original instance, and the
-    ``Solution`` is packaged from that report; raises
-    ``LiftConsistencyError``, carrying the report, when it fails.
+    The lifted allocation is verified on the original instance, and that
+    report is returned; raises ``LiftConsistencyError``, carrying the
+    report, when it fails.
     """
     tol = tol or DEFAULT_TOLERANCES
     inst = trace.original
@@ -314,4 +313,4 @@ def lift_solution(
             "(tolerance mismatch or internal bug):\n" + report.render(),
             report=report,
         )
-    return report.to_solution()
+    return report

@@ -9,10 +9,10 @@ request nothing get x_i = 1. The answer is then verified, and the report
 decides what is saturated and who is justified. Where it names no
 bottleneck and users entitled to nothing still request something, they
 share the leftover capacity it reports in one more program with equal
-entitlements, and the combined answer is verified once more. The report
-packages the ``Solution`` (usages, bottlenecks, justifications); its
-per-user statuses and report-only checks (Pareto pinning, envy, sharing
-incentive) are computed on first access.
+entitlements, and the combined answer is verified once more. That report
+is the answer: it holds the allocation, usages, bottlenecks and
+justifications, and computes its per-user statuses and report-only checks
+(Pareto pinning, envy, sharing incentive) on first access.
 
 The paper's constructive method is kept here as the reference path, used
 by ``fairshare trace`` and by the tests, on the instance lifted by one unit
@@ -46,7 +46,6 @@ from .model import (
     DEFAULT_TOLERANCES,
     LiftedInstance,
     ProblemInstance,
-    Solution,
     ToleranceConfig,
     Violation,
     readonly_array,
@@ -108,19 +107,19 @@ class TrajectoryPoint:
 
 @dataclass(frozen=True, eq=False)
 class SolveResult:
-    solution: Solution
     report: VerificationReport
-    # "converged" when the answer verifies; otherwise "step_underflow" when
-    # the interior point met a singular m x m Newton system, else
-    # "t_max_reached".
+    # "converged" when the answer verifies; otherwise the interior point's
+    # own flag: "optimal", "iteration_limit" or "singular" (``eg.solve_eg``).
     termination: str
     # Whether every program solved ended on a face Newton point that carries
     # the KKT certificate (printed as "polished" by the CLI).
     polish_applied: bool
 
     @property
-    def ok(self) -> bool:
-        return self.report.passed
+    def solution(self) -> VerificationReport:
+        # Only for bench/run.py, which reads ``.solution.allocation``; ROADMAP
+        # item 1 moves that reader to ``report`` and retires this alias.
+        return self.report
 
 
 def _slacks_or_raise(inst: LiftedInstance, x: np.ndarray) -> np.ndarray:
@@ -381,9 +380,9 @@ def solve(inst: ProblemInstance, tol: ToleranceConfig | None = None) -> SolveRes
     """Compute a verified fair allocation for ``inst``.
 
     Pipeline: validate, solve the Eisenberg-Gale program on the instance
-    as given, grant users who request nothing in full, verify, and package
-    the solution from the verifier's report. A verification failure is
-    reported in the result (with full residuals), never masked as success.
+    as given, grant users who request nothing in full, and verify; the
+    verifier's report is the answer. A verification failure is reported in
+    the result (with full residuals), never masked as success.
     """
     tol = tol or DEFAULT_TOLERANCES
     violations = validate_instance(inst, tol)
@@ -417,13 +416,8 @@ def solve(inst: ProblemInstance, tol: ToleranceConfig | None = None) -> SolveRes
             status = rest_status
         report = verify(inst, x, tol)
 
-    if report.passed:
-        termination = "converged"
-    else:
-        termination = "step_underflow" if status == "singular" else "t_max_reached"
     return SolveResult(
-        solution=report.to_solution(),
         report=report,
-        termination=termination,
+        termination="converged" if report.passed else status,
         polish_applied=on_face,
     )

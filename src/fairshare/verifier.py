@@ -7,10 +7,11 @@ are saturated, who is fully allocated, each user's best bottleneck and who
 is justified; only the bound, capacity and the complaint check gate overall
 pass/fail. The report keeps that verdict, and everything else reads it: the
 per-user statuses and Pareto pinning are built from it on first access, as
-are envy and the sharing incentive, and ``VerificationReport.to_solution``
-packages a ``Solution`` from it. The verifier works directly on original
-(unlifted) instances: a fully allocated user (x_i = 1) is accepted without
-needing an artificial resource to saturate.
+are envy and the sharing incentive. The report is the one record of an
+answer: ``solve`` returns it as it is, and the leftover capacity of resource
+j is ``1 - report.capacity.usages[j]``. The verifier works directly on
+original (unlifted) instances: a fully allocated user (x_i = 1) is accepted
+without needing an artificial resource to saturate.
 """
 from __future__ import annotations
 
@@ -22,7 +23,6 @@ import numpy as np
 from .model import (
     DEFAULT_TOLERANCES,
     ProblemInstance,
-    Solution,
     ToleranceConfig,
     readonly_array,
     usages,
@@ -93,6 +93,7 @@ class SharingResult:
 class VerificationReport:
     """Residual-level account of every fairness condition for one allocation.
 
+    ``bottlenecks`` lists the saturated resources in ascending order.
     ``out_of_range`` lists the users whose x_i lies outside
     [-eps_feasible, 1 + eps_feasible]. ``justification[i]`` is the resource
     that justifies user i, their best bottleneck, or None when the user is
@@ -153,16 +154,6 @@ class VerificationReport:
     @cached_property
     def sharing(self) -> SharingResult:
         return check_sharing_incentive(self.instance, self.allocation, self.tolerances)
-
-    def to_solution(self) -> Solution:
-        """The allocation packaged with the bottlenecks and justifications
-        this report decided, and the leftover capacity of every resource."""
-        return Solution(
-            allocation=self.allocation,
-            bottlenecks=self.bottlenecks,
-            justification=self.justification,
-            residuals=1.0 - self.capacity.usages,
-        )
 
     def render(self) -> str:
         inst = self.instance

@@ -49,13 +49,13 @@ def n2_suite():
 def test_criterion_01_shared_bottleneck_comparison_example():
     inst = load_fixture("drf_compare")
     res = solve(inst)
-    x = res.solution.allocation
+    x = res.report.allocation
     bundles = x[:, None] * inst.requirements
     expected = np.array([[1 / 3, 2 / 30], [1 / 3, 2 / 30], [1 / 3, 2 / 3]])
     checks = [
         ("x = (1/3, 1/3, 5/6)", np.allclose(x, [1 / 3, 1 / 3, 5 / 6], atol=1e-5)),
         ("bundles within 1e-5", np.allclose(bundles, expected, atol=1e-5)),
-        ("resource 1 sole real bottleneck", res.solution.bottlenecks == {0}),
+        ("resource 1 sole real bottleneck", res.report.bottlenecks == (0,)),
         ("verified", res.report.passed),
     ]
     _report("criterion 1: three-user comparison example", checks)
@@ -81,10 +81,10 @@ def test_criterion_03_utilization_example_and_middles_scaling():
     chain = _middles_instance(k)
     chain_res = solve(chain)
     chain_wf = solve_drf(chain)
-    bbf_avg = float(usages(chain, chain_res.solution.allocation).mean())
+    bbf_avg = float(usages(chain, chain_res.report.allocation).mean())
     wf_avg = float(chain_wf.utilizations.mean())
     checks = [
-        ("bottleneck-fair x = (1, 1/2)", np.allclose(res.solution.allocation, [1.0, 0.5], atol=1e-5)),
+        ("bottleneck-fair x = (1, 1/2)", np.allclose(res.report.allocation, [1.0, 0.5], atol=1e-5)),
         ("dominant-share x = (2/3, 2/3)", np.allclose(wf.x, [2 / 3, 2 / 3], atol=1e-9)),
         ("k=50 bottleneck-fair avg within 0.02 of 1/2", abs(bbf_avg - 0.5) < 0.02),
         ("k=50 dominant-share avg within 0.02 of 2/3", abs(wf_avg - 2 / 3) < 0.02),
@@ -98,11 +98,11 @@ def test_criterion_04_two_user_uniqueness(n2_suite):
     res = solve(inst)
     family = enumerate_solutions(inst)
     matches = all(
-        grid.nearest_distance(result.solution.allocation) <= 2e-4
+        grid.nearest_distance(result.report.allocation) <= 2e-4
         for _, result, grid in n2_suite
     )
     checks = [
-        ("slope2 endpoint (0.6, 0.9)", np.allclose(res.solution.allocation, [0.6, 0.9], atol=1e-5)),
+        ("slope2 endpoint (0.6, 0.9)", np.allclose(res.report.allocation, [0.6, 0.9], atol=1e-5)),
         ("slope2 enumeration unique", len(family.witnesses) == 1),
         ("100 random endpoints within 2 grid cells", matches),
         ("100 random endpoints verified", all(r.report.passed for _, r, _ in n2_suite)),
@@ -113,7 +113,7 @@ def test_criterion_04_two_user_uniqueness(n2_suite):
 def test_criterion_05_three_user_family():
     inst = load_fixture("nonunique_n3")
     res = solve(inst)
-    x = res.solution.allocation
+    x = res.report.allocation
     z = float(x[0])
     family = enumerate_solutions(inst)
 
@@ -181,7 +181,7 @@ def test_criterion_08_trajectory_invariants(random_suite):
         points, termination = integrate_trajectory(lifted)
         converged += termination == "converged"
         entitled = inst.entitlements > 0.0
-        gap = np.abs(points[-1].x - res.solution.allocation)[entitled]
+        gap = np.abs(points[-1].x - res.report.allocation)[entitled]
         worst_endpoint = max(worst_endpoint, float(gap.max()))
         for p in points:
             worst_level = max(worst_level, abs(p.f_value - p.t))
@@ -253,7 +253,7 @@ def test_criterion_10_oracle_cross_validation():
         inst = load_fixture(name)
         res = solve(inst)
         family = enumerate_solutions(inst)
-        all_contained = all_contained and family.contains(res.solution.allocation, 1e-5)
+        all_contained = all_contained and family.contains(res.report.allocation, 1e-5)
         all_verified = all_verified and all(
             verify(inst, w.x, tight).passed for w in family.witnesses
         )

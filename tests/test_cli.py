@@ -535,8 +535,8 @@ def test_trace_ends_an_exhausted_column_near_one_and_zero(tmp_path, capsys):
     np.testing.assert_allclose(rows[-1][1:3], [1.0, 0.0], rtol=0, atol=1e-6)
 
 
-# The text output of ``fairshare solve NAME`` for every fixture, as printed
-# before solve() packaged its Solution from the verifier's report.
+# The text output of ``fairshare solve NAME`` for every fixture, byte for
+# byte: it is printed from the verifier's report, which solve() returns.
 SOLVE_TEXT = {
     "circle4": """\
 x = (0.3333333333, 0.3333333333, 0.3333333333, 0.3333333333)
@@ -636,7 +636,7 @@ user 1: justified via resource 3
 user 2: fully allocated
 user 3: no justifying resource
 min residual: 0
-termination: t_max_reached | polished: False
+termination: optimal | polished: False
 verified: no
 
 capacity: OK

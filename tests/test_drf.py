@@ -91,4 +91,4 @@ def test_dominant_and_bottleneck_rules_agree_on_common_dominant_resource():
     wf = solve_drf(inst)
     res = solve(inst)
     assert res.report.passed
-    np.testing.assert_allclose(wf.x, res.solution.allocation, atol=1e-6)
+    np.testing.assert_allclose(wf.x, res.report.allocation, atol=1e-6)

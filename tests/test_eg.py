@@ -175,7 +175,7 @@ def test_the_empty_face_certifies_where_every_user_fits(
     assert res.report.passed
     assert res.termination == "converged"
     assert res.polish_applied
-    np.testing.assert_array_equal(res.solution.allocation, allocation)
+    np.testing.assert_array_equal(res.report.allocation, allocation)
 
 
 def test_a_20000_by_8_instance_solves_without_the_lift():
@@ -191,4 +191,4 @@ def test_a_20000_by_8_instance_solves_without_the_lift():
     assert res.termination == "converged"
     assert res.polish_applied
     assert res.report.passed
-    assert verify(inst, res.solution.allocation).passed
+    assert verify(inst, res.report.allocation).passed

@@ -255,7 +255,7 @@ def _justification_reference(inst, x, tol):
     over the bottlenecks in index order, so that a tie goes to the lowest
     index."""
     e, r = inst.entitlements, inst.requirements
-    bottlenecks = frozenset(
+    bottlenecks = tuple(
         int(j) for j in np.flatnonzero(x @ r >= 1.0 - tol.eps_bottleneck)
     )
     justification = []
@@ -264,7 +264,7 @@ def _justification_reference(inst, x, tol):
             justification.append(None)
             continue
         best, best_share = None, -np.inf
-        for j in sorted(bottlenecks):
+        for j in bottlenecks:
             share = x[i] * r[i, j]
             if share >= e[i] - tol.eps_njc and share > best_share:
                 best, best_share = j, share
@@ -278,15 +278,17 @@ def test_solution_justification_equals_the_per_user_loop(allocation_cases):
     tol = ToleranceConfig()
     for inst, x in allocation_cases:
         for view in (inst, add_dummy_resources(inst)):
-            sol = verify(view, x, tol).to_solution()
+            report = verify(view, x, tol)
             bottlenecks, justification = _justification_reference(view, x, tol)
-            assert sol.bottlenecks == bottlenecks
-            assert repr(sol.justification) == repr(justification)
-            assert sol.residuals.tobytes() == (1.0 - x @ view.requirements).tobytes()
+            assert report.bottlenecks == bottlenecks
+            assert repr(report.justification) == repr(justification)
+            assert report.allocation.tobytes() == x.tobytes()
+            leftover = 1.0 - report.capacity.usages
+            assert leftover.tobytes() == (1.0 - x @ view.requirements).tobytes()
 
 
 def test_lifted_justification_equals_the_per_user_loop(suite_and_fixtures):
-    # lift_solution packages its Solution from the same report: the
+    # lift_solution returns the report on the original instance: the
     # program's optimum on the reduced instance, with the eliminated users
     # granted in full, is checked against the loop on the original instance.
     tol = ToleranceConfig()
@@ -294,13 +296,14 @@ def test_lifted_justification_equals_the_per_user_loop(suite_and_fixtures):
     for inst in suite_and_fixtures:
         reduced, trace = preprocess(inst, tol)
         x_red = eg.solve_eg(reduced)[0] if reduced.n_users else np.zeros(0)
-        sol = lift_solution(trace, x_red, tol)
+        report = lift_solution(trace, x_red, tol)
         x = np.ones(inst.n_users)
         x[list(reduced.user_origin)] = x_red
-        assert sol.allocation.tobytes() == x.tobytes()
+        assert report.allocation.tobytes() == x.tobytes()
         bottlenecks, justification = _justification_reference(inst, x, tol)
-        assert sol.bottlenecks == bottlenecks
-        assert repr(sol.justification) == repr(justification)
-        assert sol.residuals.tobytes() == (1.0 - x @ inst.requirements).tobytes()
+        assert report.bottlenecks == bottlenecks
+        assert repr(report.justification) == repr(justification)
+        leftover = 1.0 - report.capacity.usages
+        assert leftover.tobytes() == (1.0 - x @ inst.requirements).tobytes()
         eliminated += bool(trace.eliminations)
     assert eliminated >= 10

@@ -146,7 +146,7 @@ def test_solver_lands_in_the_enumerated_solution_set():
         res = solve(inst)
         assert res.report.passed
         family = enumerate_solutions(inst)
-        assert family.contains(res.solution.allocation, 1e-5)
+        assert family.contains(res.report.allocation, 1e-5)
 
 
 def test_random_instance_deterministic_and_valid():
@@ -569,4 +569,4 @@ def test_solver_lands_in_the_enumerated_solution_set_five_users():
         res = solve(inst)
         assert res.report.passed
         family = enumerate_solutions(inst)
-        assert family.contains(res.solution.allocation, 1e-5)
+        assert family.contains(res.report.allocation, 1e-5)

@@ -176,7 +176,7 @@ def test_lift_identity_when_no_users_eliminated():
     _, trace = preprocess(inst)
     lifted = lift_solution(trace, np.array([0.6, 0.9]))
     np.testing.assert_allclose(lifted.allocation, [0.6, 0.9])
-    assert lifted.bottlenecks == {0}
+    assert lifted.bottlenecks == (0,)
 
 
 def test_lift_grants_eliminated_user_everything():

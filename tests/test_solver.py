@@ -178,8 +178,8 @@ def test_solve_reports_bundles_for_shared_bottleneck():
     inst = load_fixture("drf_compare")
     res = solve(inst)
     assert res.report.passed
-    np.testing.assert_allclose(res.solution.allocation, [1 / 3, 1 / 3, 5 / 6], atol=1e-5)
-    bundles = res.solution.allocation[:, None] * inst.requirements
+    np.testing.assert_allclose(res.report.allocation, [1 / 3, 1 / 3, 5 / 6], atol=1e-5)
+    bundles = res.report.allocation[:, None] * inst.requirements
     np.testing.assert_allclose(bundles[0], [1 / 3, 2 / 30], atol=1e-5)
     np.testing.assert_allclose(bundles[2], [1 / 3, 2 / 3], atol=1e-5)
 
@@ -188,8 +188,8 @@ def test_solve_utilization_example():
     inst = load_fixture("utilization")
     res = solve(inst)
     assert res.report.passed
-    np.testing.assert_allclose(res.solution.allocation, [1.0, 0.5], atol=1e-5)
-    bundles = res.solution.allocation[:, None] * inst.requirements
+    np.testing.assert_allclose(res.report.allocation, [1.0, 0.5], atol=1e-5)
+    bundles = res.report.allocation[:, None] * inst.requirements
     np.testing.assert_allclose(bundles[0], [0.5, 0.0, 0.0, 1.0], atol=1e-5)
     np.testing.assert_allclose(bundles[1], [0.5, 0.5, 0.5, 0.0], atol=1e-5)
 
@@ -197,7 +197,7 @@ def test_solve_utilization_example():
 def test_solve_picks_a_family_member():
     res = solve(load_fixture("nonunique_n3"))
     assert res.report.passed
-    x = res.solution.allocation
+    x = res.report.allocation
     z = x[0]
     assert 0.5 - 1e-5 <= z <= 0.7 + 1e-5
     np.testing.assert_allclose(x[1:], [1 - z, 1 - z], atol=1e-5)
@@ -212,7 +212,7 @@ def test_solve_verifies_on_every_fixture(name, drop_dominated):
     res = solve(_without_dominated(inst) if drop_dominated else inst)
     assert res.report.passed
     assert res.termination == "converged"
-    assert verify(inst, res.solution.allocation).passed
+    assert verify(inst, res.report.allocation).passed
 
 
 def test_crossover_lands_on_the_active_face_without_any_lp(
@@ -232,7 +232,7 @@ def test_crossover_lands_on_the_active_face_without_any_lp(
         assert res.polish_applied
         x, p, status, on_face = eg.solve_eg(inst)
         assert status == "optimal" and on_face
-        np.testing.assert_array_equal(res.solution.allocation, x)
+        np.testing.assert_array_equal(res.report.allocation, x)
         usage = x @ inst.requirements
         active = (p > 0.0) | (1.0 - usage <= 1e-5)
         assert (p > 0.0).any() or (x == 1.0).all()
@@ -261,11 +261,11 @@ def test_finishing_on_a_face_changes_no_answer(
         ref = solve(inst)
         assert res.report.passed and ref.report.passed
         np.testing.assert_allclose(
-            res.solution.allocation, ref.solution.allocation, rtol=0, atol=1e-12
+            res.report.allocation, ref.report.allocation, rtol=0, atol=1e-12
         )
         assert res.polish_applied == ref.polish_applied
         assert res.termination == ref.termination
-        assert res.solution.justification == ref.solution.justification
+        assert res.report.justification == ref.report.justification
 
 
 @pytest.mark.parametrize(
@@ -293,7 +293,7 @@ def test_crossover_on_a_degenerate_face(without_the_face_exit, entitlements, req
     x, p, status, last = without_the_face_exit(inst)
     if last is None:
         # Every user fits at x = 1: the empty face certified at once.
-        np.testing.assert_array_equal(x, res.solution.allocation)
+        np.testing.assert_array_equal(x, res.report.allocation)
         return
     # Repeated columns leave the Newton system singular to working precision
     # once the barrier is small enough; either stop is the interior point's.
@@ -304,7 +304,7 @@ def test_crossover_on_a_degenerate_face(without_the_face_exit, entitlements, req
     assert active.sum() > 1
     usage = finished[0] @ r[:, active]
     assert np.max(np.abs(usage - 1.0)) <= 1e-12
-    np.testing.assert_allclose(finished[0], res.solution.allocation, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(finished[0], res.report.allocation, rtol=0, atol=1e-12)
 
 
 def test_crossover_leaves_a_user_off_the_active_face_in_place():
@@ -314,7 +314,7 @@ def test_crossover_leaves_a_user_off_the_active_face_in_place():
     inst = ProblemInstance(entitlements=[0.5, 0.5], requirements=[[1.0, 0.0], [0.0, 0.5]])
     res = solve(inst)
     assert res.report.passed and res.polish_applied
-    np.testing.assert_array_equal(res.solution.allocation, [1.0, 1.0])
+    np.testing.assert_array_equal(res.report.allocation, [1.0, 1.0])
 
 
 def test_solve_needs_no_reduction(monkeypatch, medium_instances, large_instance):
@@ -342,7 +342,7 @@ def test_solve_equals_the_program_on_the_reduced_instance(
         x = np.ones(inst.n_users)
         if reduced.n_users:
             x[list(reduced.user_origin)] = eg.solve_eg(reduced)[0]
-        np.testing.assert_allclose(solve(inst).solution.allocation, x, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(solve(inst).report.allocation, x, rtol=0, atol=1e-12)
 
 
 def test_solve_verifies_a_400_by_100_instance(large_instance):
@@ -367,8 +367,8 @@ def test_deleting_dominated_columns_leaves_the_endpoint_unchanged():
             continue
         with_dominated += 1
         np.testing.assert_allclose(
-            solve(reduced).solution.allocation,
-            solve(inst).solution.allocation,
+            solve(reduced).report.allocation,
+            solve(inst).report.allocation,
             atol=1e-5,
         )
     assert with_dominated >= 40  # 47 of the 67 instances have one
@@ -396,7 +396,7 @@ def test_solve_zero_requirement_user_is_fully_granted():
     )
     res = solve(inst)
     assert res.report.passed
-    assert res.solution.allocation[0] == 1.0
+    assert res.report.allocation[0] == 1.0
 
 
 def test_solve_zero_entitlement_user():
@@ -425,14 +425,14 @@ def test_solve_gives_users_entitled_to_nothing_what_is_left(
     inst = ProblemInstance(entitlements=entitlements, requirements=requirements)
     res = solve(inst)
     assert res.report.passed
-    np.testing.assert_allclose(res.solution.allocation, expected, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(res.report.allocation, expected, rtol=0, atol=1e-12)
 
 
 def test_doubling_convergence_detection_runs():
     res = solve(load_fixture("circle4"))
     assert res.termination == "converged"
     # the symmetric answer, exactly polished
-    np.testing.assert_allclose(res.solution.allocation, 1 / 3, atol=1e-9)
+    np.testing.assert_allclose(res.report.allocation, 1 / 3, atol=1e-9)
 
 
 def test_converged_results_always_carry_verified_solutions():
@@ -447,16 +447,26 @@ def test_converged_results_always_carry_verified_solutions():
             assert res.report.passed
 
 
+@pytest.mark.parametrize("status", ["optimal", "iteration_limit", "singular"])
+def test_a_failing_answer_reports_the_interior_points_own_flag(monkeypatch, status):
+    # On greedy3, (3/4, 1, 0) leaves user 3 with a complaint.
+    x = np.array([0.75, 1.0, 0.0])
+    monkeypatch.setattr(eg, "solve_eg", lambda inst: (x.copy(), None, status, False))
+    res = solve(load_fixture("greedy3"))
+    assert not res.report.passed
+    assert res.termination == status
+
+
 def test_solution_bottlenecks_are_saturated_within_tolerance():
     for name in ("drf_compare", "utilization", "nonunique_n3", "circle4"):
         inst = load_fixture(name)
         res = solve(inst)
-        u = res.solution.allocation @ inst.requirements
-        for j in res.solution.bottlenecks:
+        u = res.report.allocation @ inst.requirements
+        for j in res.report.bottlenecks:
             assert abs(1.0 - u[j]) <= 1e-6
-        for i, j in enumerate(res.solution.justification):
+        for i, j in enumerate(res.report.justification):
             if j is not None:
-                share = res.solution.allocation[i] * inst.requirements[i, j]
+                share = res.report.allocation[i] * inst.requirements[i, j]
                 assert share >= inst.entitlements[i] - 1e-6
 
 
@@ -472,11 +482,10 @@ def test_a_tie_between_bottlenecks_goes_to_the_lowest_index():
     # The set {3, 17} iterates 17 first; the justification once followed
     # that order, while the report named resource 4.
     res = solve(_tied_on_resources_4_and_18())
-    np.testing.assert_allclose(res.solution.allocation, [0.75, 1.0], rtol=0, atol=1e-12)
-    assert res.solution.bottlenecks == {3, 17}
-    assert res.solution.justification == (3, None)
+    np.testing.assert_allclose(res.report.allocation, [0.75, 1.0], rtol=0, atol=1e-12)
+    assert res.report.bottlenecks == (3, 17)
+    assert res.report.justification == (3, None)
     assert [st.resource for st in res.report.users] == [3, None]
-    assert res.report.justification == res.solution.justification
 
 
 @pytest.mark.parametrize(
@@ -552,7 +561,7 @@ def test_pure_scaling_misreports_never_gain():
         truth = solve(inst)
         assert truth.report.passed
         liar = int(rng.integers(0, n))
-        x_true = float(truth.solution.allocation[liar])
+        x_true = float(truth.report.allocation[liar])
         for factor in (0.6, 1.4):
             r2 = r.copy()
             r2[liar] = r[liar] * factor
@@ -560,7 +569,7 @@ def test_pure_scaling_misreports_never_gain():
                 continue  # capping would reshape the profile
             lied = solve(ProblemInstance(entitlements=e, requirements=r2))
             assert lied.report.passed
-            bundle = lied.solution.allocation[liar] * r2[liar]
+            bundle = lied.report.allocation[liar] * r2[liar]
             gained = utility(inst, liar, bundle)
             assert gained <= x_true + 1e-6
             checked += 1

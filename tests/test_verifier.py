@@ -393,7 +393,7 @@ def test_report_only_fields_equal_the_eager_checks(allocation_cases, suite_and_f
     for inst in suite_and_fixtures:
         result = solve(inst, tol)
         assert result.report.out_of_range == ()
-        _assert_lazy_fields_equal_the_checks(inst, np.array(result.solution.allocation), tol)
+        _assert_lazy_fields_equal_the_checks(inst, np.array(result.report.allocation), tol)
 
 
 def test_solve_does_not_compute_the_report_only_checks(monkeypatch, medium_instances):
