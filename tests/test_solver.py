@@ -230,8 +230,8 @@ def test_crossover_lands_on_the_active_face_without_any_lp(
         res = solve(inst)
         assert res.report.passed
         assert res.polish_applied
-        x, p, status, on_face = eg.solve_eg(inst)
-        assert status == "optimal" and on_face
+        x, p, status = eg.solve_eg(inst.entitlements, inst.requirements)
+        assert status == "optimal"
         np.testing.assert_array_equal(res.report.allocation, x)
         usage = x @ inst.requirements
         active = (p > 0.0) | (1.0 - usage <= 1e-5)
@@ -249,12 +249,12 @@ def test_finishing_on_a_face_changes_no_answer(
     finished = [solve(inst) for inst in cases]
     face = eg._face
 
-    def at_the_stop(inst):
-        x, p, status, last = without_the_face_exit(inst)
+    def at_the_stop(e, r):
+        x, p, status, last = without_the_face_exit(e, r)
         point = None if last is None else face(*last)
         if point is None:
-            return x, p, status, last is None
-        return *point, "optimal", True
+            return x, p, status
+        return *point, "optimal"
 
     monkeypatch.setattr(eg, "solve_eg", at_the_stop)
     for inst, res in zip(cases, finished):
@@ -281,16 +281,16 @@ def test_finishing_on_a_face_changes_no_answer(
     ],
 )
 def test_crossover_on_a_degenerate_face(without_the_face_exit, entitlements, requirements):
-    # Repeated columns make the face's Jacobian singular, and a face whose
-    # Newton step cannot be solved is declined; the answer must still land
-    # on a certified face, both inside solve and from the interior point's
+    # Repeated columns make the face's Jacobian singular, and the face's
+    # Newton step is then the least-norm one; the answer must land on a
+    # certified face, both inside solve and from the interior point's
     # stop, where the face residual is already at round-off.
     inst = ProblemInstance(entitlements=entitlements, requirements=requirements)
     res = solve(inst)
     assert res.report.passed
     assert res.polish_applied
     r = inst.requirements
-    x, p, status, last = without_the_face_exit(inst)
+    x, p, status, last = without_the_face_exit(inst.entitlements, r)
     if last is None:
         # Every user fits at x = 1: the empty face certified at once.
         np.testing.assert_array_equal(x, res.report.allocation)
@@ -341,7 +341,9 @@ def test_solve_equals_the_program_on_the_reduced_instance(
         reduced, _ = preprocess(inst)
         x = np.ones(inst.n_users)
         if reduced.n_users:
-            x[list(reduced.user_origin)] = eg.solve_eg(reduced)[0]
+            x[list(reduced.user_origin)] = eg.solve_eg(
+                reduced.entitlements, reduced.requirements
+            )[0]
         np.testing.assert_allclose(solve(inst).report.allocation, x, rtol=0, atol=1e-12)
 
 
@@ -417,6 +419,17 @@ def test_solve_zero_entitlement_user():
         ([1.0, 0.0], [[0.9, 0.5], [0.8, 0.3]], [1.0, 0.125]),
         # user 2 requests nothing, so nothing they get can complain
         ([1.0, 0.0], [[0.5], [0.0]], [1.0, 1.0]),
+        # user 1 saturates resource 1, which user 2 does not request: user 2
+        # fits in full on resource 2
+        ([1.0, 0.0], [[1.0, 0.0], [0.0, 0.5]], [1.0, 1.0]),
+        ([0.5, 0.5, 0.0], [[1.0, 0.0], [1.0, 0.0], [0.0, 0.5]], [0.5, 0.5, 1.0]),
+        # user 2 requests the bottleneck and keeps 0, pinned there; users 3
+        # and 4 share what is left of resource 2
+        (
+            [1.0, 0.0, 0.0, 0.0],
+            [[1.0, 0.2], [0.5, 0.5], [0.0, 0.8], [0.0, 0.8]],
+            [1.0, 0.0, 0.5, 0.5],
+        ),
     ],
 )
 def test_solve_gives_users_entitled_to_nothing_what_is_left(
@@ -425,7 +438,32 @@ def test_solve_gives_users_entitled_to_nothing_what_is_left(
     inst = ProblemInstance(entitlements=entitlements, requirements=requirements)
     res = solve(inst)
     assert res.report.passed
+    assert res.report.pareto_ok
     np.testing.assert_allclose(res.report.allocation, expected, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "small", [(0.0,), (1e-6, 1e-9, 1e-12, 1e-15, 0.0)], ids=["zero", "tiny"]
+)
+def test_users_entitled_to_nothing_are_pinned_or_served(small):
+    # 400 seeded draws of 2-6 users by 1-6 resources with 30% zero requests,
+    # each entitlement U(0, 1) replaced with probability 0.4 by a value from
+    # ``small``. Every answer verifies, and every user short of 1 is pinned
+    # by a saturated resource they request.
+    rng = np.random.default_rng(100)
+    drawn = 0
+    while drawn < 400:
+        n, m = int(rng.integers(2, 7)), int(rng.integers(1, 7))
+        e = rng.uniform(0.0, 1.0, n)
+        replaced = rng.random(n) < 0.4
+        e[replaced] = rng.choice(small, int(replaced.sum()))
+        r = rng.uniform(0.0, 1.0, (n, m)) * (rng.random((n, m)) >= 0.3)
+        if not e.sum() > 0.0:
+            continue
+        drawn += 1
+        res = solve(ProblemInstance(entitlements=e / e.sum(), requirements=r))
+        assert res.report.passed, (e, r)
+        assert res.report.pareto_ok, (e, r)
 
 
 def test_doubling_convergence_detection_runs():
@@ -451,7 +489,7 @@ def test_converged_results_always_carry_verified_solutions():
 def test_a_failing_answer_reports_the_interior_points_own_flag(monkeypatch, status):
     # On greedy3, (3/4, 1, 0) leaves user 3 with a complaint.
     x = np.array([0.75, 1.0, 0.0])
-    monkeypatch.setattr(eg, "solve_eg", lambda inst: (x.copy(), None, status, False))
+    monkeypatch.setattr(eg, "solve_eg", lambda e, r: (x.copy(), None, status))
     res = solve(load_fixture("greedy3"))
     assert not res.report.passed
     assert res.termination == status
