@@ -212,7 +212,7 @@ def _solution_dict(result) -> dict:
     }
 
 
-def cmd_solve(args) -> int:
+def cmd_solve(args) -> tuple[int, str]:
     inst = _load_instance(args.instance, renormalize=args.renormalize)
     tol = _tolerances(args)
     try:
@@ -220,85 +220,80 @@ def cmd_solve(args) -> int:
     except InvalidInstanceError as exc:
         raise CliError(f"invalid instance: {exc}")
     report = result.report
+    code = 0 if report.passed else 1
     if args.json:
-        print(json.dumps(_solution_dict(result), indent=2))
-    else:
-        print("x =", _fmt_vec(report.allocation))
-        if args.exact:
-            print("x (exact) = (" + ", ".join(_as_fraction_str(v) for v in report.allocation) + ")")
-        print("bottlenecks: {%s}" % ", ".join(inst.resource_label(j) for j in report.bottlenecks))
-        for st in report.users:
-            if st.status == JUSTIFIED:
-                status = f"justified via resource {inst.resource_label(st.resource)}"
-            elif st.status == FULLY_ALLOCATED:
-                status = "fully allocated"
-            else:
-                status = "no justifying resource"
-            print(f"user {inst.user_label(st.user)}: {status}")
-        print("min residual:", _fmt(min(1.0 - report.capacity.usages)))
-        print("termination:", result.termination, "| polished:", result.polish_applied)
-        print("verified:", "yes" if report.passed else "no")
-        if not report.passed:
-            print()
-            print(report.render())
-    return 0 if report.passed else 1
+        return code, json.dumps(_solution_dict(result), indent=2)
+    out = ["x = " + _fmt_vec(report.allocation)]
+    if args.exact:
+        out.append("x (exact) = (" + ", ".join(_as_fraction_str(v) for v in report.allocation) + ")")
+    out.append("bottlenecks: {%s}" % ", ".join(inst.resource_label(j) for j in report.bottlenecks))
+    for st in report.users:
+        if st.status == JUSTIFIED:
+            status = f"justified via resource {inst.resource_label(st.resource)}"
+        elif st.status == FULLY_ALLOCATED:
+            status = "fully allocated"
+        else:
+            status = "no justifying resource"
+        out.append(f"user {inst.user_label(st.user)}: {status}")
+    out.append("min residual: " + _fmt(min(1.0 - report.capacity.usages)))
+    out.append(f"termination: {result.termination} | polished: {result.polish_applied}")
+    out.append("verified: " + ("yes" if report.passed else "no"))
+    if not report.passed:
+        out += ["", report.render()]
+    return code, "\n".join(out)
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[int, str]:
     inst = _load_instance(args.instance)
     x = _parse_allocation(args, inst.n_users)
     tol = _tolerances(args)
     report = verify(inst, x, tol)
+    code = 0 if report.passed else 1
     if args.format == "json":
-        print(json.dumps(report.to_dict(), indent=2))
-    else:
-        print(report.render())
-    return 0 if report.passed else 1
+        return code, json.dumps(report.to_dict(), indent=2)
+    return code, report.render()
 
 
-def cmd_enumerate(args) -> int:
+def cmd_enumerate(args) -> tuple[int, str]:
     inst = _load_instance(args.instance)
     try:
         family = oracle.enumerate_solutions(inst)
     except oracle.SizeGuardError as exc:
         raise CliError(str(exc))
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "witnesses": [
-                        {
-                            "x": [float(v) for v in w.x],
-                            "bottlenecks": [j + 1 for j in w.bottlenecks],
-                            "assignment": {
-                                str(i + 1): (None if j is None else j + 1)
-                                for i, j in enumerate(w.query.assignment)
-                            },
-                            "family": w.positive_dimension,
-                        }
-                        for w in family.witnesses
-                    ],
-                    "has_positive_dimension_face": family.has_positive_dimension_face,
-                    "stats": dataclasses.asdict(family.stats),
-                },
-                indent=2,
-            )
+        return 0, json.dumps(
+            {
+                "witnesses": [
+                    {
+                        "x": [float(v) for v in w.x],
+                        "bottlenecks": [j + 1 for j in w.bottlenecks],
+                        "assignment": {
+                            str(i + 1): (None if j is None else j + 1)
+                            for i, j in enumerate(w.query.assignment)
+                        },
+                        "family": w.positive_dimension,
+                    }
+                    for w in family.witnesses
+                ],
+                "has_positive_dimension_face": family.has_positive_dimension_face,
+                "stats": dataclasses.asdict(family.stats),
+            },
+            indent=2,
         )
-        return 0
-    print(f"{len(family.witnesses)} witness(es)")
+    out = [f"{len(family.witnesses)} witness(es)"]
     for w in family.witnesses:
         flag = "  [family face]" if w.positive_dimension else ""
         just = ", ".join(
             f"{inst.user_label(i)}->" + ("all" if j is None else inst.resource_label(j))
             for i, j in enumerate(w.query.assignment)
         )
-        print(
+        out.append(
             f"x = {_fmt_vec(w.x)}  bottlenecks {{%s}}  [%s]%s"
             % (", ".join(inst.resource_label(j) for j in w.bottlenecks), just, flag)
         )
     if family.has_positive_dimension_face:
-        print("note: at least one positive-dimensional family of solutions")
-    return 0
+        out.append("note: at least one positive-dimensional family of solutions")
+    return 0, "\n".join(out)
 
 
 def _middles_instance(k: int) -> ProblemInstance:
@@ -310,10 +305,11 @@ def _middles_instance(k: int) -> ProblemInstance:
     return ProblemInstance(entitlements=[0.5, 0.5], requirements=[row1, row2])
 
 
-def cmd_compare(args) -> int:
+def cmd_compare(args) -> tuple[int, str]:
+    out = []
     if args.middles is not None:
         inst = _middles_instance(args.middles)
-        print(f"synthetic two-user chain with {args.middles} middle resource(s)")
+        out.append(f"synthetic two-user chain with {args.middles} middle resource(s)")
     elif args.instance is not None:
         inst = _load_instance(args.instance)
     else:
@@ -322,31 +318,28 @@ def cmd_compare(args) -> int:
     d = drf_mod.solve_drf(inst)
     x_b = result.report.allocation
     x_d = d.x
-    print("allocation scale factors:")
-    print("  bottleneck-fair:", _fmt_vec(x_b))
-    print("  dominant-share :", _fmt_vec(x_d))
-    print("per-user bundles (bottleneck-fair vs dominant-share):")
+    out.append("allocation scale factors:")
+    out.append("  bottleneck-fair: " + _fmt_vec(x_b))
+    out.append("  dominant-share : " + _fmt_vec(x_d))
+    out.append("per-user bundles (bottleneck-fair vs dominant-share):")
     for i in range(inst.n_users):
         b1 = x_b[i] * inst.requirements[i]
         b2 = x_d[i] * inst.requirements[i]
-        print(f"  user {inst.user_label(i)}: {_fmt_vec(b1)} vs {_fmt_vec(b2)}")
-    print("dominant shares (dominant-share rule):", _fmt_vec(d.dominant_shares))
+        out.append(f"  user {inst.user_label(i)}: {_fmt_vec(b1)} vs {_fmt_vec(b2)}")
+    out.append("dominant shares (dominant-share rule): " + _fmt_vec(d.dominant_shares))
     u_b = usages(inst, x_b)
     u_d = d.utilizations
-    print("resource utilization (bottleneck-fair vs dominant-share):")
+    out.append("resource utilization (bottleneck-fair vs dominant-share):")
     for j in range(inst.n_real_resources):
-        print(f"  resource {inst.resource_label(j)}: {_fmt(u_b[j])} vs {_fmt(u_d[j])}")
-    print(
-        "average utilization:",
-        _fmt(float(u_b.mean())),
-        "(bottleneck-fair) vs",
-        _fmt(float(u_d.mean())),
-        "(dominant-share)",
+        out.append(f"  resource {inst.resource_label(j)}: {_fmt(u_b[j])} vs {_fmt(u_d[j])}")
+    out.append(
+        f"average utilization: {_fmt(float(u_b.mean()))} (bottleneck-fair) vs "
+        f"{_fmt(float(u_d.mean()))} (dominant-share)"
     )
-    return 0
+    return 0, "\n".join(out)
 
 
-def cmd_trace(args) -> int:
+def cmd_trace(args) -> tuple[int, str]:
     if args.stride < 1:
         raise CliError("--stride must be at least 1")
     inst = _load_instance(args.instance)
@@ -361,13 +354,7 @@ def cmd_trace(args) -> int:
         row = [repr(float(p.t))] + [repr(float(v) + 0.0) for v in p.x]
         row += [repr(float(p.f_value) + 0.0), repr(float(np.min(p.slacks)))]
         out.append(",".join(row))
-    try:
-        print("\n".join(out), flush=True)
-    except BrokenPipeError:
-        # The reader has gone (``fairshare trace ... | head``): end quietly,
-        # with stdout on devnull so the flush at exit cannot raise again.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-    return 0
+    return 0, "\n".join(out)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -442,13 +429,22 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        code, text = args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
     except SimplexIterationLimit as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    # Every command computes its exit code before anything is printed, so a
+    # reader that has gone (``fairshare solve ... | head``) cannot change it.
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # End quietly, with stdout on devnull so the flush at exit cannot
+        # raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
 
 
 def entrypoint() -> None:

@@ -30,6 +30,20 @@ def medium_instances():
     return cases
 
 
+def _draw(rng, n, m):
+    e = rng.uniform(0.1, 1.0, n)
+    r = rng.uniform(0.0, 1.0, (n, m))
+    return e / e.sum(), r / np.minimum(r.sum(axis=0), 1.0)
+
+
+@pytest.fixture(scope="session")
+def draw():
+    """``draw(rng, n, m)``: entitlements uniform on [0.1, 1] and normalised;
+    requests uniform on [0, 1], with every column whose total demand is
+    below 1 scaled up to 1 (the benchmark's ``draw``)."""
+    return _draw
+
+
 @pytest.fixture(scope="session")
 def suite_and_fixtures():
     """The 200-instance acceptance suite, then the fixtures by name."""

@@ -52,13 +52,18 @@ def test_solve_a_400_by_100_instance_exits_zero(large_instance, tmp_path, capsys
     assert "verified: yes" in out
 
 
-def test_python_dash_m_runs_the_cli():
+def _module_env():
+    """The environment for ``python -m fairshare`` from this checkout."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def test_python_dash_m_runs_the_cli():
     proc = subprocess.run(
         [sys.executable, "-m", "fairshare", "solve", "slope2"],
-        env=env, capture_output=True, text=True, timeout=120,
+        env=_module_env(), capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     assert "verified: yes" in proc.stdout
@@ -68,15 +73,12 @@ def test_trace_ends_quietly_when_the_reader_closes_the_pipe():
     # A 4 KB pipe cannot hold elim_example's 8.9 KB trace, so the closed
     # pipe always meets a write (on Linux; elsewhere the default size).
     fcntl = pytest.importorskip("fcntl")
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     read_end, write_end = os.pipe()
     if hasattr(fcntl, "F_SETPIPE_SZ"):
         fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, 4096)
     proc = subprocess.Popen(
         [sys.executable, "-m", "fairshare", "trace", "elim_example"],
-        env=env, stdout=write_end, stderr=subprocess.PIPE,
+        env=_module_env(), stdout=write_end, stderr=subprocess.PIPE,
     )
     os.close(write_end)
     line = b""
@@ -86,6 +88,57 @@ def test_trace_ends_quietly_when_the_reader_closes_the_pipe():
     _, err = proc.communicate(timeout=120)
     assert line == b"t,x_1,x_2,x_3,f,min_slack\n"
     assert (proc.returncode, err) == (0, b"")
+
+
+@pytest.mark.parametrize(
+    "entitlements, requirements, x",
+    [
+        ([1e-100, 1.0], [[0.35, 0, 0.02], [0.15, 0.48, 0.99]], "(0.5, 1)"),
+        ([1e-110, 1.0], [[0.35, 0, 0.02], [0.15, 0.48, 0.99]], "(0.5, 1)"),
+        ([1e-100, 1], [[0.5], [0.9]], "(0.2, 1)"),
+    ],
+    ids=["three-columns-1e-100", "three-columns-1e-110", "one-column-1e-100"],
+)
+def test_solve_answers_a_user_entitled_to_1e_100_or_less(
+    entitlements, requirements, x, tmp_path, capsys
+):
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps({"entitlements": entitlements, "requirements": requirements}))
+    code, out, err = run(capsys, "solve", str(path))
+    assert (code, err) == (0, "")
+    assert f"x = {x}\n" in out
+    assert "polished: True" in out and "verified: yes" in out
+
+
+@pytest.mark.parametrize(
+    "args, code",
+    [
+        (["solve", "elim_example"], 0),
+        (["solve", "elim_example", "--json"], 0),
+        (["verify", "greedy3", "--x", "1,2/3,0"], 1),
+        (["verify", "greedy3", "--x", "1,2/3,0", "--format", "json"], 1),
+        (["enumerate", "circle4"], 0),
+        (["compare", "drf_compare"], 0),
+        (["trace", "elim_example"], 0),
+    ],
+    ids=[
+        "solve", "solve-json", "verify-fails", "verify-json-fails", "enumerate",
+        "compare", "trace",
+    ],
+)
+def test_every_command_keeps_its_exit_code_when_the_pipe_is_closed(args, code):
+    # The reader is gone before anything is written: the command ends with
+    # nothing on stderr and its own exit code, so a failing verification
+    # still exits 1.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "fairshare", *args],
+        env=_module_env(), stdout=write_end, stderr=subprocess.PIPE,
+    )
+    os.close(write_end)
+    _, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err) == (code, b"")
 
 
 def test_solve_json_roundtrips_into_verify(tmp_path, capsys):
@@ -565,7 +618,7 @@ bottlenecks: {2}
 user 1: fully allocated
 user 2: justified via resource 2
 user 3: justified via resource 2
-min residual: 1.110223025e-16
+min residual: 0
 termination: converged | polished: True
 verified: yes
 """,

@@ -192,3 +192,132 @@ def test_a_20000_by_8_instance_solves_without_the_lift():
     assert res.polish_applied
     assert res.report.passed
     assert verify(inst, res.report.allocation).passed
+
+
+def test_the_one_column_face_settles_without_a_linear_solve(monkeypatch):
+    # Column 1 is the only one demanded beyond capacity: its water-filled
+    # price 2/3 leaves user 1 at x = 1 and certifies at once, so neither the
+    # interior point nor a face Newton step runs.
+    def refuse(*args):
+        raise AssertionError("a linear solve ran")
+
+    monkeypatch.setattr(eg.np.linalg, "solve", refuse)
+    inst = ProblemInstance(
+        entitlements=[0.5, 0.25, 0.25],
+        requirements=[[0.25, 0.5], [1.0, 0.25], [0.5, 0.25]],
+    )
+    x, p, status = solve_eg(inst.entitlements, inst.requirements)
+    assert status == "optimal"
+    np.testing.assert_allclose(x, [1.0, 0.375, 0.75], rtol=0, atol=1e-15)
+    np.testing.assert_allclose(p, [2 / 3, 0.0], rtol=0, atol=1e-15)
+    _assert_kkt(inst, x, p)
+
+
+def test_the_one_column_stage_never_declines_a_one_column_optimum(
+    suite_and_fixtures, draw
+):
+    # Wherever the optimum prices one column j alone, the stage started on j
+    # (its O(Nm) bound, water-fill, capacity check and face) returns that
+    # optimum, also where j is not the most-demanded column.
+    rng = np.random.default_rng(5)
+    cases = [(inst.entitlements, inst.requirements) for inst in suite_and_fixtures]
+    for n, m in [(2, 3), (3, 2), (4, 4), (5, 5), (10, 8), (20, 10), (20, 40), (60, 30)]:
+        cases += [draw(rng, n, m) for _ in range(20)]
+    one_column = elsewhere = 0
+    for e, r in cases:
+        x, p, status = solve_eg(e, r)
+        assert status == "optimal"
+        priced = np.flatnonzero(p)
+        if priced.size != 1:
+            continue
+        j = int(priced[0])
+        one_column += 1
+        elsewhere += j != int(r.sum(axis=0).argmax())
+        settled = eg._one_column(e, r, j)
+        assert settled is not None
+        assert np.max(np.abs(settled[0] - x)) <= 1e-12
+    assert one_column >= 150 and elsewhere >= 5, (one_column, elsewhere)
+
+
+def test_answers_the_one_column_stage_declines_meet_the_kkt_conditions(draw):
+    shapes = [(5, 5), (10, 8), (15, 10), (20, 20), (30, 15), (20, 40), (60, 30)]
+    declined = 0
+    for seed in range(3):
+        for n, m in shapes:
+            e, r = draw(np.random.default_rng([seed, n, m]), n, m)
+            if eg._one_column(e, r, int(r.sum(axis=0).argmax())) is not None:
+                continue
+            declined += 1
+            x, p, status = solve_eg(e, r)
+            assert status == "optimal"
+            _assert_kkt(ProblemInstance(entitlements=e, requirements=r), x, p)
+    assert declined >= 15, declined
+
+
+def test_a_face_with_more_distinct_columns_than_short_users_is_declined_before_any_lu(
+    monkeypatch,
+):
+    # One user short of 1 on two distinct face columns: the face system has
+    # rank at most 1, so the face is declined without factorising it.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a face system was factorised")
+
+    monkeypatch.setattr(eg.np.linalg, "solve", refuse)
+    monkeypatch.setattr(eg.np.linalg, "lstsq", refuse)
+    e, r = np.array([1.0]), np.array([[0.8, 0.6]])
+    assert eg._face(e, r, np.ones(2, dtype=bool), np.ones(2)) is None
+
+
+@pytest.mark.parametrize(
+    "entitlements, requirements, allocation",
+    [
+        # The last roadmap's item 2: column 3 saturates with user 2 at 1.
+        ([1e-100, 1.0], [[0.35, 0, 0.02], [0.15, 0.48, 0.99]], [0.5, 1.0]),
+        ([1e-110, 1.0], [[0.35, 0, 0.02], [0.15, 0.48, 0.99]], [0.5, 1.0]),
+        # One column, priced at 1e-99.
+        ([1e-100, 1.0], [[0.5], [0.9]], [0.2, 1.0]),
+    ],
+    ids=["three-columns-1e-100", "three-columns-1e-110", "one-column-1e-100"],
+)
+def test_a_user_entitled_to_1e_100_or_less_gets_the_one_column_answer(
+    entitlements, requirements, allocation
+):
+    inst = ProblemInstance(entitlements=entitlements, requirements=requirements)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = solve(inst)
+    assert res.report.passed
+    assert res.termination == "converged"
+    assert res.polish_applied
+    np.testing.assert_allclose(res.report.allocation, allocation, rtol=0, atol=1e-12)
+
+
+def _tiny_entitlement_draws(count):
+    """The first ``count`` draws of 2-6 users by 1-6 resources whose
+    entitlements, uniform on [0, 1], are each replaced with probability 0.4
+    by one of 1e-20 ... 5e-324 or 0, then renormalised; requests uniform on
+    [0, 1] with 30% zeros."""
+    values = [1e-20, 1e-50, 1e-100, 1e-200, 1e-300, 1e-310, 5e-324, 0.0]
+    rng = np.random.default_rng(100)
+    cases = []
+    for _ in range(count):
+        n, m = int(rng.integers(2, 7)), int(rng.integers(1, 7))
+        e = rng.uniform(0.0, 1.0, n)
+        swap = rng.random(n) < 0.4
+        e[swap] = rng.choice(values, int(swap.sum()))
+        r = rng.uniform(0.0, 1.0, (n, m)) * (rng.random((n, m)) >= 0.3)
+        cases.append(ProblemInstance(entitlements=e / e.sum(), requirements=r))
+    return cases
+
+
+def test_tiny_entitlements_raise_no_runtime_warning():
+    # Face Newton divides by (R p)_i; the one-column stage declines where
+    # that could overflow. Some of these draws still fail to verify (the
+    # interior point stops at its iteration cap), but no certified answer
+    # may fail, and nothing may warn.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        results = [solve(inst) for inst in _tiny_entitlement_draws(100)]
+    assert all(res.report.passed for res in results if res.polish_applied)
+    # 83 of them end on a certified face; 67 did without the one-column stage.
+    assert sum(res.polish_applied for res in results) >= 80

@@ -19,15 +19,6 @@ BOUND = 1e-9
 SEEDS = range(3)
 
 
-def _draw(rng, n, m):
-    """Entitlements uniform on [0.1, 1] and normalised; requests uniform on
-    [0, 1], with every column whose total demand is below 1 scaled up to 1
-    (the benchmark's ``draw``)."""
-    e = rng.uniform(0.1, 1.0, n)
-    r = rng.uniform(0.0, 1.0, (n, m))
-    return e / e.sum(), r / np.minimum(r.sum(axis=0), 1.0)
-
-
 def _answer(e, r):
     res = solve(ProblemInstance(entitlements=e, requirements=r))
     assert res.report.passed
@@ -38,13 +29,13 @@ def _answer(e, r):
 @pytest.fixture(
     scope="module", params=[(2000, 8), (1000, 200)], ids=lambda s: f"{s[0]}x{s[1]}"
 )
-def answered(request):
+def answered(request, draw):
     """Per seed: the seed of the relation's own choices, the instance's
     arrays and its answer."""
     n, m = request.param
     cases = []
     for seed in SEEDS:
-        e, r = _draw(np.random.default_rng([seed, n, m]), n, m)
+        e, r = draw(np.random.default_rng([seed, n, m]), n, m)
         cases.append((seed, e, r, _answer(e, r)))
     return cases
 
