@@ -30,7 +30,6 @@ from .model import (
     ProblemInstance,
     ToleranceConfig,
     add_dummy_resources,
-    usages,
     validate_instance,
 )
 from .solver import InvalidInstanceError, integrate_trajectory, solve
@@ -327,7 +326,7 @@ def cmd_compare(args) -> tuple[int, str]:
         b2 = x_d[i] * inst.requirements[i]
         out.append(f"  user {inst.user_label(i)}: {_fmt_vec(b1)} vs {_fmt_vec(b2)}")
     out.append("dominant shares (dominant-share rule): " + _fmt_vec(d.dominant_shares))
-    u_b = usages(inst, x_b)
+    u_b = result.report.capacity.usages
     u_d = d.utilizations
     out.append("resource utilization (bottleneck-fair vs dominant-share):")
     for j in range(inst.n_real_resources):

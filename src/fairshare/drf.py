@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .eg import water_fill
 from .model import ProblemInstance, usages
 
 __all__ = ["DrfResult", "solve_drf"]
@@ -23,63 +24,31 @@ class DrfResult:
     dominant_shares: np.ndarray  # x_i * d_i per user
     saturating_resource: int | None  # first resource to reach capacity
     utilizations: np.ndarray
-    share_level: float  # final common level s
 
 
 def solve_drf(inst: ProblemInstance) -> DrfResult:
     """Maximal common share level such that every resource stays within capacity.
 
-    Between cap events usage is linear in s, so each segment's saturation
-    level solves in closed form; the scan walks the (at most N) cap
-    breakpoints instead of bisecting. Users requesting nothing are granted
-    x_i = 1 outright; users with zero entitlement receive nothing.
+    With rate_i = e_i / d_i, column j carries sum_i r_ij min(1, rate_i s),
+    the column that ``eg.water_fill`` fills at the price p = 1 / s with
+    weights rate_i r_ij. Each column that can saturate is filled once, in
+    O(N) per round; the highest-priced one saturates first and binds, and
+    x_i = min(1, rate_i / p). Users requesting nothing are granted x_i = 1
+    outright; users with zero entitlement receive nothing.
     """
     r = inst.requirements
-    e = inst.entitlements
-    n = inst.n_users
     d = r.max(axis=1)
-
-    rate = np.zeros(n)  # dx_i/ds while uncapped
     active = d > 0.0
-    rate[active] = e[active] / d[active]
-    x = np.zeros(n)
-    x[~active] = 1.0  # nothing requested: fully satisfied, loads nothing
-
-    # Cap breakpoints: s at which x_i reaches 1.
-    caps = np.full(n, np.inf)
-    caps[rate > 0.0] = 1.0 / rate[rate > 0.0]
-    order = [int(i) for i in np.argsort(caps) if np.isfinite(caps[i])]
-
-    s = 0.0
-    capped = np.zeros(n, dtype=bool)
-    capped[~active] = True
-    saturating: int | None = None
-    pos = 0
-    while True:
-        base = np.where(capped, x, 0.0) @ r
-        slope = (np.where(capped, 0.0, rate)) @ r
-        s_next_cap = caps[order[pos]] if pos < len(order) else np.inf
-        s_saturate = np.inf
-        j_saturate: int | None = None
-        for j in range(inst.n_real_resources):
-            if slope[j] > 0.0:
-                sj = (1.0 - base[j]) / slope[j]
-                if sj < s_saturate - 1e-15:
-                    s_saturate = sj
-                    j_saturate = j
-        if s_saturate <= s_next_cap:
-            s = s_saturate if np.isfinite(s_saturate) else s
-            saturating = j_saturate
-            break
-        if pos >= len(order):
-            break
-        i = order[pos]
-        s = float(s_next_cap)
-        x[i] = 1.0
-        capped[i] = True
-        pos += 1
-
-    x = np.where(capped, x, np.minimum(1.0, s * rate))
+    ra = r[active]
+    rate = inst.entitlements[active] / d[active]
+    price, saturating = 0.0, None
+    everyone = np.ones(rate.size, dtype=bool)
+    for j in np.flatnonzero((rate > 0.0) @ ra >= 1.0):
+        fill = water_fill(rate * ra[:, j], ra[:, j], everyone)
+        if fill is not None and fill[0] > price:
+            price, saturating = fill[0], int(j)
+    x = np.ones(inst.n_users)  # nothing requested: fully satisfied, loads nothing
+    x[active] = np.minimum(1.0, rate / price) if saturating is not None else rate > 0.0
     shares = x * d
     u = usages(inst, x)
     x.setflags(write=False)
@@ -90,5 +59,4 @@ def solve_drf(inst: ProblemInstance) -> DrfResult:
         dominant_shares=shares,
         saturating_resource=saturating,
         utilizations=u,
-        share_level=float(s),
     )

@@ -71,13 +71,9 @@ Interior-Point Methods, 1997, ch. 7).
    sum_i x_i (R p)_i and x_i (R p)_i is e_i short of 1 and at most e_i at
    x_i = 1; so with j alone priced every user holds at least x_i =
    min(1, e_i / (r_ij sum_k e_k)), and a column that overruns even then
-   rules the face out in O(Nm). Otherwise p_j is water-filled exactly: p_j =
-   sum_short e_i / (1 - sum_full r_ij), where the users short of 1 are those
-   with r_ij p_j > e_i. Each set S that holds the optimum's short users
-   prices j at no less than p_j, since the usage sum_{i not in S} r_ij +
-   sum_S e_i / p bounds the true usage sum_i min(r_ij, e_i / p) from above;
-   so, started from every user that can be short, the short set shrinks to
-   the optimum's in a few rounds, in one on nearly every instance. If x(p)
+   rules the face out in O(Nm). Otherwise ``water_fill`` prices j exactly,
+   started from the only users that can be short, those with r_ij sum_k e_k
+   > e_i; it takes at most one round more than there are such users. If x(p)
    fits every column, face Newton on A = {j} from that price decides by its
    certificate, as above. The stage is declined where a short user's
    (R p)_i is at most 1e-300, since face Newton's weight x_i / (R p)_i could
@@ -92,7 +88,7 @@ import math
 
 import numpy as np
 
-__all__ = ["solve_eg"]
+__all__ = ["solve_eg", "water_fill"]
 
 _MAX_ITERATIONS = 100  # about 3 Newton steps are taken before a face certifies
 _STEP_TO_BOUNDARY = 0.99
@@ -111,8 +107,6 @@ _FACE_TRIES = 3
 # this, so that face Newton's weights x_i / (R p)_i, and the sums of its
 # system, stay finite.
 _TINY_USE = 1e-300
-# Rounds of the one-column water-fill; nearly every instance needs one.
-_WATER_FILL_ROUNDS = 8
 
 
 def _largest(v: np.ndarray) -> float:
@@ -239,6 +233,40 @@ def solve_eg(e: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, str]
     return x_all, p, status
 
 
+def water_fill(
+    w: np.ndarray, c: np.ndarray, short: np.ndarray
+) -> tuple[float, np.ndarray] | None:
+    """The price p > 0 at which users of weight ``w`` fill the column ``c``,
+    sum_i min(c_i, w_i / p) = 1, and the short set {i : c_i p > w_i}; None
+    where no positive price fills it. ``short`` must hold every user short
+    at that price.
+
+    p(S) = sum_S w_i / (1 - sum_{i not in S} c_i) solves the equation with S
+    short and the rest full. It is at least the price wherever S holds the
+    short users, since sum_{i not in S} c_i + sum_S w_i / p bounds sum_i
+    min(c_i, w_i / p) from above. Each round keeps the users of S short at
+    p(S), again such a set; a user full at p(S) stays full, since dropping
+    such users only lowers p(S). The sets are nested, so the fill cannot
+    cycle, even at subnormal prices, and it ends on the exact set within
+    |S| + 1 rounds of O(N). Where the full users fill the column by
+    themselves, as when its demand is exactly 1, the last price is
+    returned. The free capacity is what the full users leave: adding the
+    short users' requests back to 1 - sum_i c_i cancels on an overloaded
+    column.
+    """
+    p = 0.0
+    while True:
+        free = 1.0 - c @ ~short
+        if not free > 0.0:
+            break
+        p = w @ short / free
+        now = (c * p > w) & short
+        if now.tobytes() == short.tobytes():
+            break
+        short = now
+    return (p, short) if p > 0.0 else None
+
+
 def _one_column(
     e: np.ndarray, r: np.ndarray, j: int
 ) -> tuple[np.ndarray, np.ndarray] | None:
@@ -251,25 +279,11 @@ def _one_column(
     scaled = rj * e.sum()
     if _largest((e / np.maximum(scaled, e)) @ r) > 1.0 + _CAPACITY_TOL:
         return None
-    # Water-fill j. The price of a short set S, p(S) = sum_S e_i /
-    # (1 - sum_{i not in S} r_ij), is at least p_j wherever S holds the
-    # optimum's short users, so the users short at p(S) are again such a
-    # set, within S; the first S that repeats gives p_j. It starts from the
-    # only users that can be short, those with r_ij sum_k e_k > e_i.
-    short = scaled > e
-    spare = 1.0 - rj.sum()
-    for _ in range(_WATER_FILL_ROUNDS):
-        free = spare + rj @ short
-        if not free > 0.0:
-            return None
-        pj = e @ short / free
-        u = rj * pj
-        now = u > e
-        if now.tobytes() == short.tobytes():
-            break
-        short = now
-    else:
+    fill = water_fill(e, rj, scaled > e)
+    if fill is None:
         return None
+    pj, short = fill
+    u = rj * pj
     # Decline where face Newton's weight x_i / (R p)_i could overflow.
     if _smallest(np.where(short, u, np.inf)) <= _TINY_USE:
         return None

@@ -445,5 +445,5 @@ def random_instance(
             if sums[j] <= 0.0:
                 r[:, j] = min_column_sum / n_users
             elif sums[j] < min_column_sum:
-                r[:, j] *= min_column_sum / sums[j]
+                r[:, j] = r[:, j] / sums[j] * min_column_sum
     return ProblemInstance(entitlements=e, requirements=r)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fairshare.drf import solve_drf
-from fairshare.fixtures import load_fixture
+from fairshare.fixtures import FIXTURES, load_fixture
 from fairshare.model import ProblemInstance, usages
 from fairshare.oracle import random_instance
 from fairshare.solver import solve
@@ -92,3 +92,111 @@ def test_dominant_and_bottleneck_rules_agree_on_common_dominant_resource():
     res = solve(inst)
     assert res.report.passed
     np.testing.assert_allclose(wf.x, res.report.allocation, atol=1e-6)
+
+
+def _breakpoint_drf(inst):
+    """The scan ``solve_drf`` replaced, kept as a reference: raise the share
+    level s through the users' cap breakpoints s = d_i / e_i, solving each
+    segment's saturation level in closed form, in O(N^2 m). Returns x and
+    the saturating resource."""
+    r, e, n = inst.requirements, inst.entitlements, inst.n_users
+    d = r.max(axis=1)
+    active = d > 0.0
+    rate = np.zeros(n)
+    rate[active] = e[active] / d[active]
+    x = np.where(active, 0.0, 1.0)
+    caps = np.full(n, np.inf)
+    caps[rate > 0.0] = 1.0 / rate[rate > 0.0]
+    order = [int(i) for i in np.argsort(caps) if np.isfinite(caps[i])]
+    s, pos, capped, saturating = 0.0, 0, ~active, None
+    while True:
+        base = np.where(capped, x, 0.0) @ r
+        slope = np.where(capped, 0.0, rate) @ r
+        s_next_cap = caps[order[pos]] if pos < len(order) else np.inf
+        s_saturate, j_saturate = np.inf, None
+        for j in range(inst.n_real_resources):
+            if slope[j] > 0.0:
+                sj = (1.0 - base[j]) / slope[j]
+                if sj < s_saturate - 1e-15:
+                    s_saturate, j_saturate = sj, j
+        if s_saturate <= s_next_cap:
+            s = s_saturate if np.isfinite(s_saturate) else s
+            saturating = j_saturate
+            break
+        if pos >= len(order):
+            break
+        i = order[pos]
+        s, x[i], capped[i] = float(s_next_cap), 1.0, True
+        pos += 1
+    return np.where(capped, x, np.minimum(1.0, s * rate)), saturating
+
+
+def _masked_draws(count):
+    """Seeded ``draw``-style instances up to 40 x 8 with 30% of the requests
+    zeroed, a user now and then requesting nothing, and 15% of the
+    entitlements zeroed; each column scaled to a total demand in [0.5, 3]."""
+    rng = np.random.default_rng(29)
+    cases = []
+    for _ in range(count):
+        n, m = int(rng.integers(1, 41)), int(rng.integers(1, 9))
+        e = rng.uniform(0.1, 1.0, n) * (rng.random(n) >= 0.15)
+        e[rng.integers(n)] += 0.1
+        r = rng.uniform(0.0, 1.0, (n, m)) * (rng.random((n, m)) >= 0.3)
+        r[rng.random(n) < 0.05] = 0.0
+        sums = r.sum(axis=0)
+        r = r / np.where(sums > 0.0, sums, 1.0) * rng.uniform(0.5, 3.0, m)
+        cases.append(ProblemInstance(entitlements=e / e.sum(), requirements=np.minimum(r, 1.0)))
+    return cases
+
+
+def _reference_families():
+    return (
+        [load_fixture(name) for name in sorted(FIXTURES)]
+        + [random_instance(s, 1 + s % 7, 1 + (s * 3) % 6) for s in range(300)]
+        + _masked_draws(300)
+    )
+
+
+def _at_capacity(inst, x, j):
+    """Whether column j's usage under x is within a few ulp of capacity."""
+    return abs(float(x @ inst.requirements[:, j]) - 1.0) <= 4 * np.finfo(float).eps
+
+
+def test_solve_drf_agrees_with_the_breakpoint_scan():
+    # The water-fill and the scan meet the same level; they may name a
+    # different saturating resource only where a column sits within a few
+    # ulp of capacity, where the scan's pick came from its own rounding.
+    ties = 0
+    for inst in _reference_families():
+        res = solve_drf(inst)
+        x, saturating = _breakpoint_drf(inst)
+        assert np.max(np.abs(res.x - x)) <= 1e-12, inst
+        if res.saturating_resource != saturating:
+            ties += 1
+            for j in (res.saturating_resource, saturating):
+                assert j is None or _at_capacity(inst, x, j), (inst, j)
+    assert ties <= 5, ties
+
+
+def test_solve_drf_is_the_bottleneck_fair_answer_on_one_resource(draw):
+    # On one resource both rules water-fill the column to a common level.
+    rng = np.random.default_rng(31)
+    cases = [load_fixture("slope2")]
+    cases += [random_instance(s, 1 + s % 50, 1) for s in range(100)]
+    for n in (1, 2, 5, 20, 200, 2000):
+        cases += [ProblemInstance(*draw(rng, n, 1)) for _ in range(5)]
+    for inst in cases:
+        res = solve(inst)
+        assert res.report.passed
+        np.testing.assert_allclose(solve_drf(inst).x, res.report.allocation, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "entitlements, requirements",
+    [([1.0], [[1.0]]), ([0.5, 0.5], [[0.5], [0.5]]), ([0.25, 0.75], [[0.5], [0.5]])],
+)
+def test_a_column_whose_demand_is_exactly_1_saturates(entitlements, requirements):
+    # Every user fits in full, and the column is then exactly full.
+    res = solve_drf(ProblemInstance(entitlements=entitlements, requirements=requirements))
+    np.testing.assert_array_equal(res.x, 1.0)
+    assert res.saturating_resource == 0

@@ -321,3 +321,73 @@ def test_tiny_entitlements_raise_no_runtime_warning():
     assert all(res.report.passed for res in results if res.polish_applied)
     # 83 of them end on a certified face; 67 did without the one-column stage.
     assert sum(res.polish_applied for res in results) >= 80
+
+
+def _assert_fills(w, c, fill):
+    """p fills the column to 1e-12 and the short set is {c p > w}."""
+    p, short = fill
+    assert p > 0.0
+    assert abs(np.minimum(c, w / p).sum() - 1.0) <= 1e-12
+    np.testing.assert_array_equal(short, c * p > w)
+
+
+def test_the_water_fill_meets_its_equation():
+    # Started from every user, the fill finds the price wherever users with
+    # positive weight demand more than the column; users of weight 0 stay
+    # short and take nothing.
+    rng = np.random.default_rng(41)
+    filled = 0
+    for _ in range(500):
+        n = int(rng.integers(1, 60))
+        w = rng.uniform(0.0, 1.0, n) * (rng.random(n) >= 0.2) * 10.0 ** rng.uniform(-6, 0)
+        c = rng.uniform(0.0, 1.0, n) * (rng.random(n) >= 0.2)
+        c = c / max(c.sum(), 1e-300) * rng.uniform(0.5, 3.0)
+        fill = eg.water_fill(w, c, np.ones(n, dtype=bool))
+        if c @ (w > 0.0) <= 1.0:
+            assert fill is None
+            continue
+        filled += 1
+        _assert_fills(w, c, fill)
+    assert filled >= 250, filled
+
+
+@pytest.mark.parametrize("n", [2, 10, 100, 1000])
+def test_the_water_fill_ends_on_geometric_thresholds(n):
+    # User i turns full at the price 0.5^i, so the thresholds span n halvings.
+    c = np.full(n, 2.0 / n)
+    w = c * 0.5 ** np.arange(n)
+    _assert_fills(w, c, eg.water_fill(w, c, np.ones(n, dtype=bool)))
+
+
+def test_the_water_fill_ends_on_subnormal_weights():
+    # The fill's sets are nested, so it cannot cycle: the draw on which an
+    # earlier fill alternated between two short sets at prices near 1e-323
+    # ends, and so do weights drawn among the subnormals.
+    e = np.array([0.6003468529257728, 0.39965314707422717, 5e-324, 5e-324])
+    c = np.array([0.013084414505794895, 0.0, 0.7930632763191798, 0.6001142483374483])
+    fill = eg.water_fill(e, c, c * e.sum() > e)
+    assert fill is not None and fill[0] > 0.0
+    rng = np.random.default_rng(43)
+    for _ in range(200):
+        n = int(rng.integers(1, 30))
+        w = rng.choice([5e-324, 1e-323, 3e-320, 1e-310, 2e-308, 1e-300], n)
+        c = rng.uniform(0.0, 1.0, n)
+        fill = eg.water_fill(w, c / c.sum() * 1.5, np.ones(n, dtype=bool))
+        assert fill is not None and fill[0] > 0.0
+
+
+@pytest.mark.parametrize("ratio, n", [(0.1, 200), (0.3, 400)])
+def test_geometric_entitlements_on_one_bottleneck_end_on_a_certified_face(ratio, n):
+    # Entitlements falling by a constant ratio down to about 1e-200 on one
+    # overloaded column: more users turn short than a capped water-fill
+    # settles, and the interior point alone stops at its iteration cap.
+    e = ratio ** np.arange(n)
+    inst = ProblemInstance(
+        entitlements=e / e.sum(), requirements=np.tile([1.5 / n, 0.5 / n], (n, 1))
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = solve(inst)
+    assert res.report.passed
+    assert res.termination == "converged"
+    assert res.polish_applied
