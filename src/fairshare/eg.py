@@ -74,12 +74,17 @@ Interior-Point Methods, 1997, ch. 7).
    rules the face out in O(Nm). Otherwise ``water_fill`` prices j exactly,
    started from the only users that can be short, those with r_ij sum_k e_k
    > e_i; it takes at most one round more than there are such users. If x(p)
-   fits every column, face Newton on A = {j} from that price decides by its
-   certificate, as above. The stage is declined where a short user's
-   (R p)_i is at most 1e-300, since face Newton's weight x_i / (R p)_i could
-   overflow there. The price does not depend on the scale of the
-   entitlements, so a user entitled to 1e-100 is priced as exactly as one
-   entitled to 0.1.
+   fits every column and fills j to within 1e-15, the point carries the
+   certificate as it is: x is x(p), p_j > 0, and the full users are read
+   off p, so face Newton would take no step, and none is taken. Where the
+   fill's round-off on j is above 1e-15, as it can be at 100000 users, face
+   Newton on A = {j} from that price decides; it is declined where a short
+   user's (R p)_i is at most 1e-300, since its weight x_i / (R p)_i could
+   overflow there, while the certificate as it is forms no such weight.
+   Where x(p) overruns another column, the stage is tried once more on the
+   column it overruns most. The price does not depend on the scale of the
+   entitlements, so a user entitled to 1e-100, or to 1e-300, is priced as
+   exactly as one entitled to 0.1.
 3. The interior point, with its face exit, for everything else.
 """
 from __future__ import annotations
@@ -103,9 +108,9 @@ _FACE_NEWTON_TOL = 1e-15
 _CAPACITY_TOL = 1e-11
 # A face is tried, then repaired at most twice.
 _FACE_TRIES = 3
-# The one-column face is declined where a short user's (R p)_i is at most
-# this, so that face Newton's weights x_i / (R p)_i, and the sums of its
-# system, stay finite.
+# Face Newton on the one-column face is declined where a short user's
+# (R p)_i is at most this, so that its weights x_i / (R p)_i, and the sums
+# of its system, stay finite.
 _TINY_USE = 1e-300
 
 
@@ -268,10 +273,16 @@ def water_fill(
 
 
 def _one_column(
-    e: np.ndarray, r: np.ndarray, j: int
+    e: np.ndarray, r: np.ndarray, j: int, retry: bool = True
 ) -> tuple[np.ndarray, np.ndarray] | None:
-    """The optimum if it prices the column ``j`` alone, else None: the
-    water-filled price of j, handed to ``_face`` for the certificate."""
+    """The optimum if it prices the column ``j`` alone, else None.
+
+    The water-filled price p_j gives x = x(p) and its usage x R. Where that
+    fits every column and fills j to within the face residual, the point
+    carries ``_face``'s certificate as it is, and no Newton step is taken;
+    where the fill's round-off on j is above that residual, ``_face`` on
+    {j} decides. Where x(p) overruns another column, the stage is tried
+    once on the column it overruns most, if ``retry``."""
     rj = r[:, j]
     # The optimum's prices sum to at most sum_i e_i, so with j alone priced
     # every user holds at least x_i = e_i / max(r_ij sum_k e_k, e_i); a column
@@ -284,13 +295,18 @@ def _one_column(
         return None
     pj, short = fill
     u = rj * pj
+    x = e / np.maximum(u, e)
+    usage = x @ r
+    k = int(usage.argmax())
+    if usage[k] > 1.0 + _CAPACITY_TOL:
+        return _one_column(e, r, k, False) if retry and k != j else None
+    p = np.zeros(r.shape[1])
+    p[j] = pj
+    if abs(usage[j] - 1.0) <= _FACE_NEWTON_TOL:
+        return x, p
     # Decline where face Newton's weight x_i / (R p)_i could overflow.
     if _smallest(np.where(short, u, np.inf)) <= _TINY_USE:
         return None
-    if _largest((e / np.maximum(u, e)) @ r) > 1.0 + _CAPACITY_TOL:
-        return None
-    p = np.zeros(r.shape[1])
-    p[j] = pj
     return _face(e, r, p > 0.0, p)
 
 

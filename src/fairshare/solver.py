@@ -5,18 +5,20 @@ program (``fairshare.eg``) on the instance as given, through its m column
 prices, with x_i = min(1, e_i / (R p)_i), so no reduction runs first and no
 column is added per user. ``solve_eg`` tries three stages in turn: the empty
 face p = 0 where every user fits at x = 1; the one-column face of the
-most-demanded column, where that column is the only bottleneck and its
-price is a water-fill of the users short of 1; and otherwise an interior
-point on the prices. It ends, nearly always, on a face Newton point that
-carries the program's certificate. Users who request nothing get x_i = 1.
-The answer is then verified, and the report decides what is saturated and
-who is justified. Users entitled to nothing who request something but no
-bottleneck share what the report leaves of the other columns in one more
-program with equal entitlements, and the combined answer is verified once
-more; those who request a bottleneck keep 0 and are pinned there. That
-report is the answer: it holds the allocation, usages, bottlenecks and
-justifications, and computes its per-user statuses and report-only checks
-(Pareto pinning, envy, sharing incentive) on first access.
+most-demanded column (or of the column its fill overruns most), where that
+column is the only bottleneck and its price is a water-fill of the users
+short of 1, whose point carries the certificate as it is; and otherwise an
+interior point on the prices, which ends on a face Newton point. Nearly
+always the answer carries the program's certificate. Users who request
+nothing get x_i = 1. The answer is then verified, and the report decides
+what is saturated and who is justified. Users entitled to nothing who
+request something but no bottleneck share what the report leaves of the
+other columns in one more program with equal entitlements, and the combined
+answer is verified once more; those who request a bottleneck keep 0 and are
+pinned there. That report is the answer: it holds the allocation, usages,
+bottlenecks and justifications, and computes its per-user statuses and
+report-only checks (Pareto pinning, envy, sharing incentive) on first
+access.
 
 The paper's constructive method is kept here as the reference path, used
 by ``fairshare trace`` and by the tests, on the instance lifted by one unit

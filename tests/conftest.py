@@ -87,10 +87,11 @@ def allocation_cases():
 
 @pytest.fixture
 def without_the_face_exit(monkeypatch):
-    """``solve_eg`` with every face declined: the plain interior point's
-    answer at the iteration cap, and the arguments of the last face it
-    declined, the face of the iterate where it stopped (None where the empty
-    face certified before any iteration)."""
+    """``solve_eg`` with every face declined, the one-column stage's
+    included: the plain interior point's answer at the iteration cap, and
+    the arguments of the last face it declined, the face of the iterate
+    where it stopped (None where the empty face certified before any
+    iteration)."""
 
     solve_eg = eg.solve_eg
 
@@ -98,6 +99,7 @@ def without_the_face_exit(monkeypatch):
         attempts = []
         with monkeypatch.context() as patch:
             patch.setattr(eg, "_face", lambda *args: attempts.append(args))
+            patch.setattr(eg, "_one_column", lambda *args: None)
             x, p, status = solve_eg(e, r)
         return x, p, status, attempts[-1] if attempts else None
 

@@ -96,8 +96,19 @@ def test_trace_ends_quietly_when_the_reader_closes_the_pipe():
         ([1e-100, 1.0], [[0.35, 0, 0.02], [0.15, 0.48, 0.99]], "(0.5, 1)"),
         ([1e-110, 1.0], [[0.35, 0, 0.02], [0.15, 0.48, 0.99]], "(0.5, 1)"),
         ([1e-100, 1], [[0.5], [0.9]], "(0.2, 1)"),
+        (
+            [0.4077086452228795, 0.20818699454257036, 0.38410436023455014,
+             4.59287160208636e-21, 4.59287160208636e-301],
+            [[0.0], [0.0], [0.231], [0.327], [0.445]],
+            "(1, 1, 1, 1, 0.993258427)",
+        ),
     ],
-    ids=["three-columns-1e-100", "three-columns-1e-110", "one-column-1e-100"],
+    ids=[
+        "three-columns-1e-100",
+        "three-columns-1e-110",
+        "one-column-1e-100",
+        "one-column-4.6e-301",
+    ],
 )
 def test_solve_answers_a_user_entitled_to_1e_100_or_less(
     entitlements, requirements, x, tmp_path, capsys
