@@ -76,15 +76,16 @@ Interior-Point Methods, 1997, ch. 7).
    > e_i; it takes at most one round more than there are such users. If x(p)
    fits every column and fills j to within 1e-15, the point carries the
    certificate as it is: x is x(p), p_j > 0, and the full users are read
-   off p, so face Newton would take no step, and none is taken. Where the
-   fill's round-off on j is above 1e-15, as it can be at 100000 users, face
-   Newton on A = {j} from that price decides; it is declined where a short
-   user's (R p)_i is at most 1e-300, since its weight x_i / (R p)_i could
-   overflow there, while the certificate as it is forms no such weight.
-   Where x(p) overruns another column, the stage is tried once more on the
-   column it overruns most. The price does not depend on the scale of the
-   entitlements, so a user entitled to 1e-100, or to 1e-300, is priced as
-   exactly as one entitled to 0.1.
+   off p, so face Newton would take no step. Where the BLAS sum of that
+   fill misses by more, as it can at 100000 users (Higham, Accuracy and
+   Stability of Numerical Algorithms, 2nd ed., ch. 4), p_j = sum_short e_i
+   / (1 - sum_full r_ij) and the fill are summed again, exactly rounded, by
+   math.fsum (Shewchuk, Discrete Comput. Geom. 18, 1997), and decide: p_j
+   carries one rounding and each fill term a few more, so the fill lands
+   within a few ulps of 1 unless p_j is subnormal. Where x(p) overruns
+   another column, the stage is tried once more on the column it overruns
+   most. The price does not depend on the entitlements' scale: a user
+   entitled to 1e-300 is priced as exactly as one entitled to 0.1.
 3. The interior point, with its face exit, for everything else.
 """
 from __future__ import annotations
@@ -108,10 +109,6 @@ _FACE_NEWTON_TOL = 1e-15
 _CAPACITY_TOL = 1e-11
 # A face is tried, then repaired at most twice.
 _FACE_TRIES = 3
-# Face Newton on the one-column face is declined where a short user's
-# (R p)_i is at most this, so that its weights x_i / (R p)_i, and the sums
-# of its system, stay finite.
-_TINY_USE = 1e-300
 
 
 def _largest(v: np.ndarray) -> float:
@@ -279,10 +276,10 @@ def _one_column(
 
     The water-filled price p_j gives x = x(p) and its usage x R. Where that
     fits every column and fills j to within the face residual, the point
-    carries ``_face``'s certificate as it is, and no Newton step is taken;
-    where the fill's round-off on j is above that residual, ``_face`` on
-    {j} decides. Where x(p) overruns another column, the stage is tried
-    once on the column it overruns most, if ``retry``."""
+    carries ``_face``'s certificate as it is; where the BLAS sum misses,
+    p_j and the fill are summed again by math.fsum, read off the arrays'
+    buffers, and decide. Where x(p) overruns another column, the stage is
+    tried once on the column it overruns most, if ``retry``."""
     rj = r[:, j]
     # The optimum's prices sum to at most sum_i e_i, so with j alone priced
     # every user holds at least x_i = e_i / max(r_ij sum_k e_k, e_i); a column
@@ -294,20 +291,23 @@ def _one_column(
     if fill is None:
         return None
     pj, short = fill
-    u = rj * pj
-    x = e / np.maximum(u, e)
+    x = e / np.maximum(rj * pj, e)
     usage = x @ r
     k = int(usage.argmax())
     if usage[k] > 1.0 + _CAPACITY_TOL:
         return _one_column(e, r, k, False) if retry and k != j else None
+    if abs(usage[j] - 1.0) > _FACE_NEWTON_TOL:
+        free = math.fsum(np.append(1.0, -rj[~short]).data)
+        if not free > 0.0:
+            return None
+        pj = math.fsum(e[short].data) / free
+        x = e / np.maximum(rj * pj, e)
+        fits = _largest(x @ r) <= 1.0 + _CAPACITY_TOL
+        if not (fits and abs(math.fsum((x * rj).data) - 1.0) <= _FACE_NEWTON_TOL):
+            return None
     p = np.zeros(r.shape[1])
     p[j] = pj
-    if abs(usage[j] - 1.0) <= _FACE_NEWTON_TOL:
-        return x, p
-    # Decline where face Newton's weight x_i / (R p)_i could overflow.
-    if _smallest(np.where(short, u, np.inf)) <= _TINY_USE:
-        return None
-    return _face(e, r, p > 0.0, p)
+    return x, p
 
 
 def _solve(e: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, str]:
