@@ -76,13 +76,17 @@ Interior-Point Methods, 1997, ch. 7).
    > e_i; it takes at most one round more than there are such users. If x(p)
    fits every column and fills j to within 1e-15, the point carries the
    certificate as it is: x is x(p), p_j > 0, and the full users are read
-   off p, so face Newton would take no step. Where the BLAS sum of that
-   fill misses by more, as it can at 100000 users (Higham, Accuracy and
-   Stability of Numerical Algorithms, 2nd ed., ch. 4), p_j = sum_short e_i
-   / (1 - sum_full r_ij) and the fill are summed again, exactly rounded, by
-   math.fsum (Shewchuk, Discrete Comput. Geom. 18, 1997), and decide: p_j
-   carries one rounding and each fill term a few more, so the fill lands
-   within a few ulps of 1 unless p_j is subnormal. Where x(p) overruns
+   off p, so face Newton would take no step. The BLAS sum of that fill
+   proves it only where it is within 1e-15 - gamma_N usage_j of 1, with
+   gamma_N = N u / (1 - N u) and u = 2^-53: an inner product of N terms
+   >= 0, summed in any order, is off by at most gamma_N times its value
+   (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+   ch. 3), so the test does not depend on the BLAS thread count. Otherwise,
+   and always from N = 10 on, p_j = sum_short e_i / (1 - sum_full r_ij) and
+   the fill are summed again, exactly rounded, by math.fsum (Shewchuk,
+   Discrete Comput. Geom. 18, 1997), and decide: p_j carries one rounding
+   and each fill term a few more, so the fill lands within a few ulps of 1
+   unless p_j is subnormal. Where x(p) overruns
    another column, the stage is tried once more on the column it overruns
    most. The price does not depend on the entitlements' scale: a user
    entitled to 1e-300 is priced as exactly as one entitled to 0.1.
@@ -275,11 +279,12 @@ def _one_column(
     """The optimum if it prices the column ``j`` alone, else None.
 
     The water-filled price p_j gives x = x(p) and its usage x R. Where that
-    fits every column and fills j to within the face residual, the point
-    carries ``_face``'s certificate as it is; where the BLAS sum misses,
-    p_j and the fill are summed again by math.fsum, read off the arrays'
-    buffers, and decide. Where x(p) overruns another column, the stage is
-    tried once on the column it overruns most, if ``retry``."""
+    fits every column and the BLAS sum's error bound proves the fill of j
+    within the face residual, the point carries ``_face``'s certificate as
+    it is; otherwise p_j and the fill are summed again by math.fsum, read
+    off the arrays' buffers, and decide. Where x(p) overruns another
+    column, the stage is tried once on the column it overruns most, if
+    ``retry``."""
     rj = r[:, j]
     # The optimum's prices sum to at most sum_i e_i, so with j alone priced
     # every user holds at least x_i = e_i / max(r_ij sum_k e_k, e_i); a column
@@ -296,7 +301,8 @@ def _one_column(
     k = int(usage.argmax())
     if usage[k] > 1.0 + _CAPACITY_TOL:
         return _one_column(e, r, k, False) if retry and k != j else None
-    if abs(usage[j] - 1.0) > _FACE_NEWTON_TOL:
+    gamma = r.shape[0] * 2.0**-53 / (1.0 - r.shape[0] * 2.0**-53)
+    if abs(usage[j] - 1.0) > _FACE_NEWTON_TOL - gamma * usage[j]:
         free = math.fsum(np.append(1.0, -rj[~short]).data)
         if not free > 0.0:
             return None

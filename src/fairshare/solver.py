@@ -35,11 +35,12 @@ the curve is the central path of the Eisenberg-Gale program, so its limit
 is the optimum ``solve`` computes directly.
 
 Differentiating the two defining relations in t yields a linear system for
-dx/dt (see ``trajectory_derivative``), which an embedded RK4(5) pair
-integrates adaptively (``integrate_trajectory``). After every accepted step
-a Newton projection pulls the iterate back onto the exact defining system,
-so level and normal-alignment residuals stay at round-off instead of
-accumulating.
+dx/dt (see ``trajectory_derivative``). ``integrate_trajectory`` follows the
+curve by predictor-corrector continuation (Allgower & Georg, Introduction to
+Numerical Continuation Methods, SIAM Classics 2003, ch. 2-3): one Euler step
+along dx/dt predicts the next sample, and a Newton projection corrects it
+onto the exact defining system, so level and normal-alignment residuals stay
+at round-off instead of accumulating.
 """
 from __future__ import annotations
 
@@ -201,30 +202,13 @@ def trajectory_derivative(inst: LiftedInstance, x: np.ndarray) -> np.ndarray:
 
 
 # Step controls of the reference integrator: the level budget for the
-# columns that do not saturate, the first, smallest and largest step in t, the
-# RK error tolerances, the slack at which it has reached the boundary, and
-# the largest acceptable condition estimate of the trajectory system.
+# columns that do not saturate, the first, smallest and largest step in t,
+# and the slack at which it has reached the boundary.
 _T_MAX = 34.0
 _STEP_INITIAL = 1e-3
 _STEP_MIN = 1e-10
 _STEP_MAX = 2.0
-_RK_RTOL = 1e-8
-_RK_ATOL = 1e-10
 _SLACK_FLOOR = 1e-8
-_MAX_CONDITION = 1e30
-
-# Embedded Runge-Kutta-Fehlberg 4(5) pair; the 5th-order solution is
-# propagated and the 4th-order one supplies the error estimate.
-_RK_A = (
-    np.array([]),
-    np.array([1 / 4]),
-    np.array([3 / 32, 9 / 32]),
-    np.array([1932 / 2197, -7200 / 2197, 7296 / 2197]),
-    np.array([439 / 216, -8.0, 3680 / 513, -845 / 4104]),
-    np.array([-8 / 27, 2.0, -3544 / 2565, 1859 / 4104, -11 / 40]),
-)
-_RK_B5 = np.array([16 / 135, 0.0, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55])
-_RK_B4 = np.array([25 / 216, 0.0, 1408 / 2565, 2197 / 4104, -1 / 5, 0.0])
 
 
 def _project(
@@ -310,6 +294,16 @@ def integrate_trajectory(inst: LiftedInstance) -> tuple[list[TrajectoryPoint], s
     stays at 0, where ``solve`` gives such users who request no bottleneck
     what is left of the other columns.
 
+    Each sample at level t is the unique maximiser of sum_i e_i log x_i
+    over {f(x) <= t}: the objective is strictly concave, the set is convex,
+    and the KKT condition there is x_i g_i = c e_i with f(x) = t, the
+    defining system. A step from level t to t + h therefore needs no error
+    control of its own: one Euler step along ``trajectory_derivative``
+    predicts the sample, and ``_project`` solves for it by Newton. The step
+    h doubles after every accepted sample, up to ``_STEP_MAX``, and halves
+    wherever the derivative or the projection fails, on a point outside the
+    region or on a system it cannot solve.
+
     Returns the accepted samples and a termination flag. The run stops one
     way: "converged" means the last sample is the first whose smallest
     slack fell below ``_SLACK_FLOOR``, where the barrier value is no longer
@@ -348,38 +342,17 @@ def integrate_trajectory(inst: LiftedInstance) -> tuple[list[TrajectoryPoint], s
     while t < t_budget - 1e-12:
         h = min(h, t_budget - t)
         try:
-            k = np.empty((6, n))
-            k[0] = trajectory_derivative(inst, x)
-            for stage in range(1, 6):
-                xs = x + h * (_RK_A[stage] @ k[:stage])
-                k[stage] = trajectory_derivative(inst, xs)
-            x5 = x + h * (_RK_B5 @ k)
-            err_vec = h * ((_RK_B5 - _RK_B4) @ k)
-            scale = _RK_ATOL + _RK_RTOL * np.maximum(np.abs(x), np.abs(x5))
-            err = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
-            if err <= 1.0:
-                t_new = t + h
-                x_new = _project(inst, e, x5, t_new)
-                cond = float(np.linalg.cond(_system_matrix(
-                    inst.requirements, x_new, 1.0 - x_new @ inst.requirements)))
-                if not np.isfinite(cond) or cond > _MAX_CONDITION:
-                    raise NumericalDegeneracyError(
-                        f"condition estimate {cond:.3g} above threshold"
-                    )
-                t, x = t_new, x_new
-                points.append(_make_point(inst, t, x))
-                if float(np.min(points[-1].slacks)) < _SLACK_FLOOR:
-                    return points, "converged"
-                if err > 0.0:
-                    h = min(_STEP_MAX, h * min(5.0, max(0.2, 0.9 * err ** -0.2)))
-                else:
-                    h = min(_STEP_MAX, h * 5.0)
-                continue
-            h *= max(0.2, 0.9 * err ** -0.2)
+            x_new = _project(inst, e, x + h * trajectory_derivative(inst, x), t + h)
         except (DomainBoundaryError, NumericalDegeneracyError):
             h *= 0.5
-        if h < _STEP_MIN:
-            return points, "step_underflow"
+            if h < _STEP_MIN:
+                return points, "step_underflow"
+            continue
+        t, x = t + h, x_new
+        points.append(_make_point(inst, t, x))
+        if float(np.min(points[-1].slacks)) < _SLACK_FLOOR:
+            return points, "converged"
+        h = min(_STEP_MAX, 2.0 * h)
     return points, "t_max_reached"
 
 

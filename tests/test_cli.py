@@ -69,15 +69,19 @@ def test_python_dash_m_runs_the_cli():
     assert "verified: yes" in proc.stdout
 
 
-def test_trace_ends_quietly_when_the_reader_closes_the_pipe():
-    # A 4 KB pipe cannot hold elim_example's 8.9 KB trace, so the closed
-    # pipe always meets a write (on Linux; elsewhere the default size).
+def test_trace_ends_quietly_when_the_reader_closes_the_pipe(capsys):
+    # A 4 KB pipe cannot hold circle4's trace, which is longer than that (as
+    # checked in process first), so the closed pipe always meets a write (on
+    # Linux; elsewhere the default size).
     fcntl = pytest.importorskip("fcntl")
+    code, out, _ = run(capsys, "trace", "circle4")
+    assert code == 0
+    assert len(out.encode()) > 4096, len(out.encode())
     read_end, write_end = os.pipe()
     if hasattr(fcntl, "F_SETPIPE_SZ"):
         fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, 4096)
     proc = subprocess.Popen(
-        [sys.executable, "-m", "fairshare", "trace", "elim_example"],
+        [sys.executable, "-m", "fairshare", "trace", "circle4"],
         env=_module_env(), stdout=write_end, stderr=subprocess.PIPE,
     )
     os.close(write_end)
@@ -86,7 +90,7 @@ def test_trace_ends_quietly_when_the_reader_closes_the_pipe():
         line += os.read(read_end, 1)
     os.close(read_end)
     _, err = proc.communicate(timeout=120)
-    assert line == b"t,x_1,x_2,x_3,f,min_slack\n"
+    assert line == b"t,x_1,x_2,x_3,x_4,f,min_slack\n"
     assert (proc.returncode, err) == (0, b"")
 
 

@@ -281,8 +281,11 @@ def test_a_one_column_fill_off_by_more_than_round_off_certifies_with_exact_sums(
     monkeypatch,
 ):
     # At 100000 users the BLAS sum of the water-filled column's usage can be
-    # about 1e-14 off capacity. The stage then forms the price and the fill
-    # again with exactly rounded sums, and certifies with no face Newton.
+    # about 1e-14 off capacity, and its error bound, about 1.1e-11, cannot
+    # prove a fill within 1e-15 even where it reads closer (on seed 1 it
+    # reads 1 + 6.7e-16 under one BLAS thread, while the exact fill is
+    # 1 - 2.7e-15). The stage then forms the price and the fill again with
+    # exactly rounded sums, and certifies with no face Newton.
     def refuse(*args):
         raise AssertionError("face Newton ran")
 
@@ -303,8 +306,8 @@ def test_a_one_column_fill_off_by_more_than_round_off_certifies_with_exact_sums(
         _assert_kkt(ProblemInstance(entitlements=e, requirements=r), x, p)
         assert np.max(x @ r) <= 1.0 + 1e-11
         assert abs(math.fsum(x * c) - 1.0) <= 1e-15
-    # The BLAS fill misses 7 or 8 of the 10 (the count moves with the BLAS
-    # thread count), and the exact sums decide those.
+    # The BLAS fill misses 1e-15 outright on 7 or 8 of the 10 (the count
+    # moves with the BLAS thread count); the exact sums decide all 10.
     assert missed >= 5, missed
 
 

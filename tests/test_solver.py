@@ -174,6 +174,32 @@ def test_integration_stops_at_the_first_sample_below_the_slack_floor(name):
     assert all(v >= _SLACK_FLOOR for v in mins[:-1])
 
 
+def test_the_fixtures_trajectories_take_at_most_541_derivatives_and_2071_linear_solves(
+    monkeypatch,
+):
+    # A guard on the work of the reference path that, unlike a time,
+    # repeats exactly from run to run: the derivative evaluations and the
+    # linear solves, those of the derivative and of the Newton projection,
+    # over the trajectories of the fixtures.
+    counts = {"derivatives": 0, "linear solves": 0}
+    derivative, linear_solve = trajectory_derivative, np.linalg.solve
+
+    def counted_derivative(*args):
+        counts["derivatives"] += 1
+        return derivative(*args)
+
+    def counted_solve(a, b):
+        counts["linear solves"] += 1
+        return linear_solve(a, b)
+
+    monkeypatch.setattr(fairshare.solver, "trajectory_derivative", counted_derivative)
+    monkeypatch.setattr(np.linalg, "solve", counted_solve)
+    for name in sorted(FIXTURES):
+        assert integrate_trajectory(_lifted(name))[1] == "converged"
+    assert counts["derivatives"] <= 541, counts
+    assert counts["linear solves"] <= 2071, counts
+
+
 def test_solve_reports_bundles_for_shared_bottleneck():
     inst = load_fixture("drf_compare")
     res = solve(inst)
