@@ -201,14 +201,15 @@ def validate_instance(
     tol = tol or DEFAULT_TOLERANCES
     e = inst.entitlements
     r = inst.requirements
-    # The whole instance in one test, written so that NaN and inf fail it;
-    # only an instance that fails it is examined element by element.
+    # The whole instance in one test, written so that NaN and inf fail it
+    # (argmin and argmax pick the first NaN); only an instance that fails it
+    # is examined element by element.
     if (
         r.size
-        and abs(float(e.sum()) - 1.0) <= tol.eps_input
-        and e.min() >= 0.0
-        and r.min() >= 0.0
-        and r.max() <= 1.0
+        and abs(float(np.add.reduce(e)) - 1.0) <= tol.eps_input
+        and e[e.argmin()] >= 0.0
+        and r.flat[r.argmin()] >= 0.0
+        and r.flat[r.argmax()] <= 1.0
     ):
         return []
 

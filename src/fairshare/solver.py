@@ -369,19 +369,21 @@ def solve(inst: ProblemInstance, tol: ToleranceConfig | None = None) -> SolveRes
     if violations:
         raise InvalidInstanceError(violations)
 
-    r = inst.requirements
-    x, _, status = eg.solve_eg(inst.entitlements, r)
-    requests = r.any(axis=1)
-    # Users who request nothing are fully satisfied by definition.
-    x[~requests] = 1.0
-    report = verify(inst, x, tol)
-    if not inst.entitlements.all():
+    e, r = inst.entitlements, inst.requirements
+    x, _, status = eg.solve_eg(e, r)
+    if e[e.argmin()] > 0.0:
+        # Every stage gives a user who requests nothing x_i = e_i / e_i = 1.
+        report = verify(inst, x, tol)
+    else:
+        requests = r.any(axis=1)
+        x[~requests] = 1.0  # users who request nothing are fully satisfied
+        report = verify(inst, x, tol)
         # A user entitled to nothing who gets nothing complains unless a
         # bottleneck pins them. Those who request no bottleneck share what is
         # left of the other columns with equal entitlements; the others keep
         # 0. At this optimum every user short of 1 has a saturated resource,
         # so one program is enough.
-        stage = requests & (inst.entitlements == 0.0)
+        stage = requests & (e == 0.0)
         stage &= ~r[:, list(report.bottlenecks)].any(axis=1)
         if stage.any():
             rest = np.delete(np.arange(r.shape[1]), report.bottlenecks)

@@ -2,21 +2,21 @@
 capacity, entitlement-on-a-bottleneck (the no-justified-complaints
 condition), Pareto pinning, envy, and the sharing-incentive baseline.
 
-``verify`` decides, once and with whole-array operations, which resources
-are saturated, who is fully allocated, each user's best bottleneck and who
-is justified; only the bound, capacity and the complaint check gate overall
-pass/fail. The report keeps that verdict, and everything else reads it: the
-per-user statuses and Pareto pinning are built from it on first access, as
-are envy and the sharing incentive. The report is the one record of an
-answer: ``solve`` returns it as it is, and the leftover capacity of resource
-j is ``1 - report.capacity.usages[j]``. The verifier works directly on
-original (unlifted) instances: a fully allocated user (x_i = 1) is accepted
-without needing an artificial resource to saturate.
+``verify`` decides only the verdict, with whole-array operations: the
+bound, capacity and the complaint check, which reads one computation of
+each user's best bottleneck share. The report builds everything else on
+first access, from the capacity record to envy and the sharing incentive.
+The report is the one record of an answer: ``solve`` returns it as it is,
+and the leftover capacity of resource j is ``1 - report.capacity.usages[j]``.
+The verifier works directly on original (unlifted) instances: a fully
+allocated user (x_i = 1) is accepted without needing an artificial
+resource to saturate.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -89,48 +89,85 @@ class SharingResult:
     margins: np.ndarray  # x_i minus what e_i of every resource would yield
 
 
+class _Shares(NamedTuple):
+    """Who is justified, for the verdict and the statuses alike: the
+    saturated columns, who is full, each user's best bottleneck, the share on
+    it and whether that meets the entitlement (None where none saturates)."""
+
+    cols: np.ndarray
+    full: np.ndarray
+    best: np.ndarray | None
+    share: np.ndarray | None
+    held: np.ndarray | None
+
+
+def _overrun(u: np.ndarray, tol: ToleranceConfig) -> int | None:
+    """The first most-used resource if it overruns, as NaN does, else None."""
+    worst = int(u.argmax()) if u.size else None
+    return None if worst is None or u[worst] <= 1.0 + tol.eps_feasible else worst
+
+
 @dataclass(frozen=True, eq=False)
 class VerificationReport:
     """Residual-level account of every fairness condition for one allocation.
+
+    Only ``passed`` and ``njc_ok`` are set when it is built. Every other
+    field is computed on first access from its own read-only copy of the
+    allocation, its usages and its best bottleneck shares, then cached, so
+    the report stays a pure function of (instance, allocation, tolerances).
 
     ``bottlenecks`` lists the saturated resources in ascending order.
     ``out_of_range`` lists the users whose x_i lies outside
     [-eps_feasible, 1 + eps_feasible]. ``justification[i]`` is the resource
     that justifies user i, their best bottleneck, or None when the user is
     fully allocated or complains; it equals ``users[i].resource``.
-    ``users``, ``pareto_ok``, ``envy`` and ``sharing`` gate nothing: each
-    is computed on first access from the report's verdict and its own
-    read-only copy of the allocation, then cached, so the report stays a
-    pure function of (instance, allocation, tolerances).
     """
 
     passed: bool
-    capacity: CapacityResult
-    bottlenecks: tuple[int, ...]
-    justification: tuple[int | None, ...]
     njc_ok: bool
-    out_of_range: tuple[int, ...]
     tolerances: ToleranceConfig
     instance: ProblemInstance = field(repr=False)
     allocation: np.ndarray = field(repr=False)
-    # The rest of the verdict, per user: fully allocated or not, the best
-    # bottleneck (None when nothing saturates) and the share on it.
-    _full: np.ndarray = field(repr=False)
-    _best: tuple[int | None, ...] = field(repr=False)
-    _share: np.ndarray | None = field(repr=False)
+    _usages: np.ndarray = field(repr=False)
+    _shares: _Shares = field(repr=False)
+
+    @cached_property
+    def capacity(self) -> CapacityResult:
+        u, worst = self._usages, _overrun(self._usages, self.tolerances)
+        excess = 0.0 if worst is None else float(u[worst] - 1.0)
+        return CapacityResult(worst is None, u, worst, excess)
+
+    @cached_property
+    def bottlenecks(self) -> tuple[int, ...]:
+        return tuple(self._shares.cols.tolist())
+
+    @cached_property
+    def justification(self) -> tuple[int | None, ...]:
+        sh = self._shares
+        if sh.best is None:
+            return (None,) * self.allocation.size
+        return tuple(np.where(sh.held & ~sh.full, sh.best, None).tolist())
+
+    @cached_property
+    def out_of_range(self) -> tuple[int, ...]:
+        x, eps = self.allocation, self.tolerances.eps_feasible
+        # Written so that NaN is out of range too.
+        return tuple((~((x >= -eps) & (x <= 1.0 + eps))).nonzero()[0].tolist())
 
     @cached_property
     def users(self) -> tuple[UserStatus, ...]:
         inst, x, e = self.instance, self.allocation, self.instance.entitlements
-        margins = -e if self._share is None else self._share - e
-        margins = np.where(self._full, x - 1.0, margins)
+        sh = self._shares
+        margins = -e if sh.share is None else sh.share - e
+        margins = np.where(sh.full, x - 1.0, margins)
+        best = (None,) * x.size if sh.best is None else sh.best.tolist()
         # A complaining user's non-bottleneck supports: the resources on
         # which the share x_i r_ij meets the entitlement. None of them is
         # saturated, or the user would be justified.
         entitled = x[:, None] * inst.requirements >= (e - self.tolerances.eps_njc)[:, None]
         statuses: list[UserStatus] = []
         for i, (full, j, best, margin) in enumerate(
-            zip(self._full.tolist(), self.justification, self._best, margins.tolist())
+            zip(sh.full.tolist(), self.justification, best, margins.tolist())
         ):
             if full:
                 statuses.append(UserStatus(i, FULLY_ALLOCATED, None, margin, None, ()))
@@ -144,8 +181,8 @@ class VerificationReport:
     @cached_property
     def pareto_ok(self) -> bool:
         """Every partially served user is pinned by a saturated resource it uses."""
-        r = self.instance.requirements[:, list(self.bottlenecks)]
-        return bool(((r > 0.0).any(axis=1) | self._full).all())
+        r = self.instance.requirements[:, self._shares.cols]
+        return bool(((r > 0.0).any(axis=1) | self._shares.full).all())
 
     @cached_property
     def envy(self) -> EnvyResult:
@@ -327,8 +364,8 @@ def verify(
     inst: ProblemInstance, x: np.ndarray, tol: ToleranceConfig | None = None
 ) -> VerificationReport:
     """Check the bound on every x_i, capacity and complaints, which decide
-    the verdict; the report builds its per-user statuses and computes its
-    report-only checks on first access.
+    the verdict; the report builds everything else, from the capacity
+    record to the report-only checks, on first access.
 
     Deterministic and side-effect free: the report is a pure function of
     (instance, allocation, tolerances), and later changes to ``x`` do not
@@ -337,8 +374,6 @@ def verify(
     tol = tol or DEFAULT_TOLERANCES
     x = readonly_array(x)
     u = usages(inst, x)
-    worst = int(u.argmax()) if u.size else None
-    capacity_ok = worst is None or bool(u[worst] <= 1.0 + tol.eps_feasible)
     cols = (u >= 1.0 - tol.eps_bottleneck).nonzero()[0]
     full = x >= 1.0 - tol.eps_njc
     if cols.size:
@@ -346,36 +381,24 @@ def verify(
         # that give them their largest share.
         shares = x[:, None] * inst.requirements.take(cols, axis=1)
         pick = shares.argmax(axis=1)
-        share = shares[np.arange(inst.n_users), pick]
-        best = tuple(cols[pick].tolist())
-        justified = (share >= inst.entitlements - tol.eps_njc) & ~full
-        njc_ok = bool((justified | full).all())
-        justification = tuple(
-            [j if ok else None for j, ok in zip(best, justified.tolist())]
-        )
+        share = shares[np.arange(x.size), pick]
+        sh = _Shares(cols, full, cols[pick], share, share >= inst.entitlements - tol.eps_njc)
+        ok = sh.held | full
     else:
-        share = None
-        best = justification = (None,) * inst.n_users
-        njc_ok = bool(full.all())
-    # Written so that NaN is out of range too.
-    in_range = (x >= -tol.eps_feasible) & (x <= 1.0 + tol.eps_feasible)
-    out_of_range = tuple((~in_range).nonzero()[0].tolist())
+        sh = _Shares(cols, full, None, None, None)
+        ok = full
+    # argmin and argmax, cheaper than all, min and max on short vectors, pick
+    # the first NaN: NaN in x is out of range, and NaN in a usage overruns.
+    njc_ok = not x.size or bool(ok[ok.argmin()])
+    in_range = not x.size or (
+        -tol.eps_feasible <= x[x.argmin()] and x[x.argmax()] <= 1.0 + tol.eps_feasible
+    )
     return VerificationReport(
-        passed=bool(capacity_ok and njc_ok and not out_of_range),
-        capacity=CapacityResult(
-            ok=capacity_ok,
-            usages=u,
-            worst_resource=None if capacity_ok else worst,
-            worst_excess=0.0 if capacity_ok else float(u[worst] - 1.0),
-        ),
-        bottlenecks=tuple(cols.tolist()),
-        justification=justification,
+        passed=bool(_overrun(u, tol) is None and njc_ok and in_range),
         njc_ok=njc_ok,
-        out_of_range=out_of_range,
         tolerances=tol,
         instance=inst,
         allocation=x,
-        _full=full,
-        _best=best,
-        _share=share,
+        _usages=u,
+        _shares=sh,
     )

@@ -82,7 +82,7 @@ def test_every_suite_fixture_and_medium_answer_ends_on_a_certified_face(
         assert res.polish_applied
 
 
-def test_the_suite_and_fixtures_take_at_most_388_linear_solves_and_76_faces(
+def test_the_suite_and_fixtures_take_at_most_370_linear_solves_and_65_faces(
     monkeypatch, suite_and_fixtures
 ):
     # A guard on the work of a solve that, unlike a time, repeats exactly
@@ -104,8 +104,8 @@ def test_the_suite_and_fixtures_take_at_most_388_linear_solves_and_76_faces(
     monkeypatch.setattr(eg, "_face", counted_face)
     for inst in suite_and_fixtures:
         assert solve(inst).report.passed
-    assert counts["linear solves"] <= 388, counts
-    assert counts["faces"] <= 76, counts
+    assert counts["linear solves"] <= 370, counts
+    assert counts["faces"] <= 65, counts
 
 
 def test_face_newton_stops_where_the_prices_turn_non_positive():

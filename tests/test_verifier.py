@@ -370,6 +370,9 @@ def _assert_lazy_fields_equal_the_checks(inst, x, tol):
     assert json.dumps(lazy.to_dict()) == json.dumps(_eager_report(inst, x, tol).to_dict())
     lazy = verify(inst, x, tol)
     assert lazy.render() == _eager_report(inst, x, tol).render()
+    # The verdict is the bound, capacity and the complaint check, whichever
+    # of the fields built on first read say so.
+    assert lazy.passed is (lazy.capacity.ok and lazy.njc_ok and not lazy.out_of_range)
     # repr tells the margins apart bit for bit, -0.0 from 0.0 included.
     statuses = _njc_reference(inst, x, tol)
     assert repr(lazy.users) == repr(statuses)
@@ -406,8 +409,12 @@ def test_solve_does_not_compute_the_report_only_checks(monkeypatch, medium_insta
     results += [solve(inst) for inst in medium_instances[:6]]
     assert all(res.report.passed for res in results)
     # A cached property lands in the instance's __dict__ on first read.
+    lazy = {
+        "capacity", "bottlenecks", "justification", "out_of_range",
+        "users", "pareto_ok", "envy", "sharing",
+    }
     for res in results:
-        assert not {"users", "pareto_ok", "envy", "sharing"} & set(vars(res.report))
+        assert not lazy & set(vars(res.report))
 
     calls = []
 
@@ -488,3 +495,17 @@ def test_verify_rejects_allocations_outside_the_unit_interval():
     assert "allocation:" not in inside.render()
     assert verify(BOX, [1.0 + 2 * eps, 1.0]).out_of_range == (0,)
     assert verify(BOX, [1.0, -2 * eps]).out_of_range == (1,)
+
+
+def test_a_nan_in_the_allocation_or_in_a_usage_fails_the_verdict():
+    for x, user in (([np.nan, 1.0], 0), ([1.0, np.nan], 1)):
+        report = verify(BOX, x)
+        assert not report.passed
+        assert report.out_of_range == (user,)
+    # A NaN request gives column 2 a NaN usage while both users hold x = 1:
+    # only capacity fails, and it names that column.
+    inst = ProblemInstance(entitlements=[0.5, 0.5], requirements=[[0.2, np.nan], [0.2, 0.5]])
+    report = verify(inst, [1.0, 1.0])
+    assert report.njc_ok and report.out_of_range == ()
+    assert not report.capacity.ok and report.capacity.worst_resource == 1
+    assert not report.passed
