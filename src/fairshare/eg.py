@@ -147,7 +147,7 @@ def _change(e, u, v, du, dp, q, step, mu) -> float:
     return float(
         step * np.add.reduce(dp)
         - np.add.reduce(shrink)
-        - e @ np.log1p((t - shrink) / v)
+        - e.dot(np.log1p((t - shrink) / v))
         - mu * np.add.reduce(np.log1p(step * q))
     )
 
@@ -159,26 +159,26 @@ def _face(
     ``(x, p)`` if it carries the certificate, else None. The arguments are
     not modified."""
     for _ in range(_FACE_TRIES):
-        u = r.compress(a, axis=1) @ p[a]
+        u = r.compress(a, axis=1).dot(p[a])
         full = u <= e
         short = ~full
         rs = r[short]
-        a = a & rs.any(axis=0)
+        a = a & (np.add.reduce(rs) > 0.0)
         rs = rs.compress(a, axis=1)
         es, pa = e[short], p[a]
         xs = es / u[short]
-        target = 1.0 - full @ r.compress(a, axis=1)
+        target = 1.0 - full.dot(r.compress(a, axis=1))
         residual, negative = np.inf, None
         for step in range(_FACE_NEWTON_ITERATIONS + 1):
             if not xs.size:  # no user short of 1: nothing to solve
                 residual = 0.0
                 break
-            u = rs @ pa
+            u = rs.dot(pa)
             if not _smallest(u) > 0.0:
                 residual = np.inf
                 break
             r1 = (xs * u - es) / u
-            r2 = xs @ rs - target
+            r2 = xs.dot(rs) - target
             previous, residual = residual, _largest(np.abs(np.concatenate((r1, r2))))
             if (
                 residual <= _FACE_NEWTON_TOL
@@ -191,7 +191,7 @@ def _face(
             if rs.shape[1] > xs.size and len({c.tobytes() for c in rs.T}) > xs.size:
                 break
             w = xs / u
-            hess, rhs = (rs.T * w) @ rs, r2 - r1 @ rs
+            hess, rhs = (rs.T * w).dot(rs), r2 - r1.dot(rs)
             try:
                 dp = np.linalg.solve(hess, rhs)
             except np.linalg.LinAlgError:
@@ -203,7 +203,7 @@ def _face(
             # Decline the face before a step that overflowed is used.
             if not math.isfinite(_largest(np.abs(dp))):
                 break
-            xs = xs - r1 - w * (rs @ dp)
+            xs = xs - r1 - w * rs.dot(dp)
             pa = pa + dp
             if _smallest(pa) < 0.0:
                 negative = pa < 0.0
@@ -218,11 +218,11 @@ def _face(
         p[a] = pa
         x = np.ones(e.size)
         x[short] = xs
-        usage = x @ r
+        usage = x.dot(r)
         if (
             _largest(usage) <= 1.0 + _CAPACITY_TOL
-            and (r @ p <= e).tobytes() == full.tobytes()
-            and usage[a].min(initial=1.0) >= 1.0 - _CAPACITY_TOL
+            and (r.dot(p) <= e).tobytes() == full.tobytes()
+            and np.minimum.reduce(usage[a], initial=1.0) >= 1.0 - _CAPACITY_TOL
         ):
             return x, p
         # Repair the face: drop the columns priced at zero, add the columns
@@ -275,10 +275,10 @@ def water_fill(
     """
     p = 0.0
     while True:
-        free = 1.0 - c @ ~short
+        free = 1.0 - c.dot(~short)
         if not free > 0.0:
             break
-        p = w @ short / free
+        p = w.dot(short) / free
         now = (c * p > w) & short
         if now.tobytes() == short.tobytes():
             break
@@ -303,14 +303,14 @@ def _one_column(
     # every user holds at least x_i = e_i / max(r_ij sum_k e_k, e_i); a column
     # that overruns even then rules the face out.
     scaled = rj * np.add.reduce(e)
-    if _largest((e / np.maximum(scaled, e)) @ r) > 1.0 + _CAPACITY_TOL:
+    if _largest((e / np.maximum(scaled, e)).dot(r)) > 1.0 + _CAPACITY_TOL:
         return None
     fill = water_fill(e, rj, scaled > e)
     if fill is None:
         return None
     pj, short = fill
     x = e / np.maximum(rj * pj, e)
-    usage = x @ r
+    usage = x.dot(r)
     k = int(usage.argmax())
     if usage[k] > 1.0 + _CAPACITY_TOL:
         return _one_column(e, r, k, False) if retry and k != j else None
@@ -321,7 +321,7 @@ def _one_column(
             return None
         pj = math.fsum(e[short].data) / free
         x = e / np.maximum(rj * pj, e)
-        fits = _largest(x @ r) <= 1.0 + _CAPACITY_TOL
+        fits = _largest(x.dot(r)) <= 1.0 + _CAPACITY_TOL
         if not (fits and abs(math.fsum((x * rj).data) - 1.0) <= _FACE_NEWTON_TOL):
             return None
     p = np.zeros(r.shape[1])
@@ -343,13 +343,13 @@ def _solve(e: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, str]:
     # The optimum's prices sum to at most sum_i e_i = 1, so start there.
     p = np.full(m, 1.0 / m)
     lam = np.ones(m)
-    u = r @ p
+    u = r.dot(p)
     status = "iteration_limit"
     face = b""  # the tight columns of the iterate before, as bytes
     for _ in range(_MAX_ITERATIONS):
         v = np.maximum(u, e)
         x = e / v
-        s = 1.0 - rt @ x
+        s = 1.0 - rt.dot(x)
         tight = lam < p
         current = tight.tobytes()
         if current == face and tight[tight.argmax()]:
@@ -358,11 +358,12 @@ def _solve(e: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, str]:
                 return *finished, "optimal"
         face = current
         sigma = min(1.0, max(0.1, 0.1 * _largest(np.abs(s - lam))))
-        mu = sigma * float(p @ lam) / m
+        mu = sigma * float(p.dot(lam)) / m
         d = lam / p
         mup = mu / p
         # w_i = e_i / u_i^2 = x_i / u_i short of 1, and 0 for the full users.
-        hess = (rt * (x / np.where(u > e, v, np.inf))) @ r
+        short = u > e
+        hess = (rt * np.where(short, x / v, 0.0)).dot(r)
         hess.flat[:: m + 1] += d
         descent = mup - s
         try:
@@ -370,7 +371,7 @@ def _solve(e: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, str]:
         except np.linalg.LinAlgError:
             status = "singular"
             break
-        slope = -float(descent @ dp)
+        slope = -float(descent.dot(dp))
         if not math.isfinite(slope):
             status = "singular"
             break
@@ -380,15 +381,15 @@ def _solve(e: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, str]:
         step = _STEP_TO_BOUNDARY / max(shrink, _STEP_TO_BOUNDARY)
         # Backtrack on the convex barrier function phi(p) - mu sum log p
         # where the step changes who is full.
-        du = r @ dp
-        if (u + step * du > e).tobytes() != (u > e).tobytes():
+        du = r.dot(dp)
+        if (u + step * du > e).tobytes() != short.tobytes():
             for _ in range(_BACKTRACKS):
                 if _change(e, u, v, du, dp, q, step, mu) <= _ARMIJO * step * slope:
                     break
                 step *= 0.5
         p = p + step * dp
         lam = lam + step * dlam
-        u = r @ p
+        u = r.dot(p)
     # Finish on the face of the iterate where the interior point stopped.
     finished = _face(e, r, lam < p, p)
     if finished is not None:
