@@ -82,13 +82,10 @@ def test_every_suite_fixture_and_medium_answer_ends_on_a_certified_face(
         assert res.polish_applied
 
 
-def test_the_suite_and_fixtures_take_at_most_370_linear_solves_and_65_faces(
-    monkeypatch, suite_and_fixtures
-):
-    # A guard on the work of a solve that, unlike a time, repeats exactly
-    # from run to run: the linear solves of the interior point and of face
-    # Newton, and the faces tried, over the 200-instance suite and the
-    # fixtures.
+def _count_work(monkeypatch, instances):
+    """The linear solves of the interior point and of face Newton, and the
+    faces tried, while every instance is solved and verified: a guard on the
+    work of a solve that, unlike a time, repeats exactly from run to run."""
     counts = {"linear solves": 0, "faces": 0}
     linear_solve, face = np.linalg.solve, eg._face
 
@@ -102,10 +99,28 @@ def test_the_suite_and_fixtures_take_at_most_370_linear_solves_and_65_faces(
 
     monkeypatch.setattr(np.linalg, "solve", counted_solve)
     monkeypatch.setattr(eg, "_face", counted_face)
-    for inst in suite_and_fixtures:
+    for inst in instances:
         assert solve(inst).report.passed
-    assert counts["linear solves"] <= 370, counts
+    return counts
+
+
+def test_the_suite_and_fixtures_take_at_most_318_linear_solves_and_65_faces(
+    monkeypatch, suite_and_fixtures
+):
+    # From p = 1/m and lambda = 1 the interior point took 370 and 65.
+    counts = _count_work(monkeypatch, suite_and_fixtures)
+    assert counts["linear solves"] <= 318, counts
     assert counts["faces"] <= 65, counts
+
+
+def test_the_medium_instances_take_at_most_125_linear_solves_and_15_faces(
+    monkeypatch, medium_instances
+):
+    # The same guard from 10x8 to 60x30, where nearly every program reaches
+    # the interior point; from p = 1/m and lambda = 1 it took 156 and 19.
+    counts = _count_work(monkeypatch, medium_instances)
+    assert counts["linear solves"] <= 125, counts
+    assert counts["faces"] <= 15, counts
 
 
 def test_face_newton_stops_where_the_prices_turn_non_positive():
@@ -408,6 +423,20 @@ def test_tiny_entitlements_raise_no_runtime_warning():
     # 89 of them end on a certified face; 83 did where the one-column stage
     # always ran face Newton, and 67 without that stage.
     assert sum(res.polish_applied for res in results) >= 89
+
+
+def test_the_interior_point_starts_where_the_weighted_demand_underflows():
+    # Every product e_i r_ij is 0 or the first user's, who requests nothing,
+    # so the start's demand weights are all 0: the start falls back to
+    # uniform prices instead of dividing 0 by 0.
+    e = np.array([1.0, 5e-324, 5e-324, 5e-324])
+    r = np.array([[0.0, 0.0], [0.4, 0.4], [0.4, 0.4], [0.4, 0.4]])
+    assert not (e @ r).any()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        x, p, _ = solve_eg(e, r)
+    assert np.isfinite(p).all() and (p > 0.0).all()
+    assert x[0] == 1.0
 
 
 def _assert_fills(w, c, fill):
