@@ -42,13 +42,10 @@ column that no entitled user requests. lambda = max(s(p), 1e-3) is the
 slack on columns with room, and below p on those p fills or overruns while
 1 / 2m > 1e-3, so the tight set below exists from the first iterate; of
 floors 1e-1 to 1e-6, 1e-3 took the fewest face passes on the benchmark.
-Each step aims at mu = sigma p . lambda / m with sigma = min(1, max(0.1,
-0.1 ||s - lambda||_inf)): without the factor 0.1, an overrun column's
-residual near 1 would spend the step on pure centering (sigma = 1), which
-the face exit below does not need (Wright, Primal-Dual Interior-Point
-Methods, 1997, ch. 5). An instance that neither face stage settles takes
-about 2.1 Newton steps at N, m <= 5 and 4.0 up to 60 x 30, then 4.9 and 5.3
-face Newton passes.
+Each step aims at mu = 0.1 p . lambda / m (Wright, Primal-Dual
+Interior-Point Methods, 1997, ch. 5). An instance that neither face stage
+settles takes about 2.1 Newton steps at N, m <= 5 and 4.0 up to 60 x 30,
+then 4.9 and 5.3 face Newton passes.
 
 The interior point does not run its barrier down to the end. Once an
 iterate sees the same tight columns A = {j : lambda_j < p_j} as the one
@@ -118,6 +115,7 @@ _MAX_ITERATIONS = 100  # 2 to 4 Newton steps are taken before a face certifies
 _STEP_TO_BOUNDARY = 0.99
 _START_SHARE = 0.5  # the starting p's share of the demand-weighted prices
 _START_SLACK = 1e-3  # the floor of the starting lambda
+_CENTERING = 0.1  # sigma, the share of p . lambda / m each step aims at
 # Armijo's sufficient-decrease fraction and the halvings it may take.
 _ARMIJO = 1e-4
 _BACKTRACKS = 30
@@ -366,13 +364,13 @@ def _solve(e: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, str]:
             if finished is not None:
                 return *finished, "optimal"
         face = current
-        sigma = min(1.0, max(0.1, 0.1 * _largest(np.abs(s - lam))))
-        mu = sigma * float(p.dot(lam)) / m
+        mu = _CENTERING * float(p.dot(lam)) / m
         d = lam / p
         mup = mu / p
-        # w_i = e_i / u_i^2 = x_i / u_i short of 1, and 0 for the full users.
+        # w_i = e_i / u_i^2 = x_i / u_i short of 1, and 0 for the full users,
+        # without dividing by a full user's v = e_i, which may be subnormal.
         short = u > e
-        hess = (rt * np.where(short, x / v, 0.0)).dot(r)
+        hess = (rt * (x / np.where(short, v, np.inf))).dot(r)
         hess.flat[:: m + 1] += d
         descent = mup - s
         try:

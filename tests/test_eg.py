@@ -425,6 +425,32 @@ def test_tiny_entitlements_raise_no_runtime_warning():
     assert sum(res.polish_applied for res in results) >= 89
 
 
+@pytest.mark.parametrize("tiny", [1e-310, 5e-324])
+def test_a_subnormal_user_who_requests_nothing_raises_no_runtime_warning(
+    monkeypatch, medium_instances, tiny
+):
+    # The user is full on every pass, (R p)_i = 0 <= e_i, and its Hessian
+    # weight is 0: no pass may divide by its subnormal entitlement, whose
+    # reciprocal overflows. The zero row changes neither face stage's
+    # decision, so every program still reaches the interior point.
+    calls = []
+    linear_solve = np.linalg.solve
+    monkeypatch.setattr(
+        np.linalg, "solve", lambda a, b: calls.append(1) or linear_solve(a, b)
+    )
+    for inst in medium_instances:
+        e = np.append(inst.entitlements, tiny)
+        r = np.vstack([inst.requirements, np.zeros(inst.requirements.shape[1])])
+        before = len(calls)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            x, _, status = solve_eg(e, r)
+        assert len(calls) > before
+        assert status == "optimal" and x[-1] == 1.0
+        x_without, _, _ = solve_eg(inst.entitlements, inst.requirements)
+        assert np.max(np.abs(x[:-1] - x_without)) <= 1e-12
+
+
 def test_the_interior_point_starts_where_the_weighted_demand_underflows():
     # Every product e_i r_ij is 0 or the first user's, who requests nothing,
     # so the start's demand weights are all 0: the start falls back to
