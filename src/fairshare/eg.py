@@ -72,7 +72,7 @@ join A, and F is read again. This is finite termination by a certified
 crossover (Ye, Math. Programming 57, 1992; Wright, Primal-Dual
 Interior-Point Methods, 1997, ch. 7).
 
-``solve_eg`` runs three stages, each only where the one before declines:
+``solve_eg`` runs four stages, each of 1-3 only where the one before declines:
 
 1. The empty face p = 0 certifies x = 1 where every user fits at once.
 2. The one-column face of the most-demanded column j. Where j is the only
@@ -102,12 +102,16 @@ Interior-Point Methods, 1997, ch. 7).
    most. The price does not depend on the entitlements' scale: a user
    entitled to 1e-300 is priced as exactly as one entitled to 0.1.
 3. The interior point, with its face exit, for everything else.
+4. The users entitled to nothing, left out of stages 1-3, are settled last
+   on the entitled users' answer (see ``solve_eg``).
 """
 from __future__ import annotations
 
 import math
 
 import numpy as np
+
+from .model import DEFAULT_TOLERANCES
 
 __all__ = ["solve_eg", "water_fill"]
 
@@ -246,16 +250,34 @@ def solve_eg(e: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, str]
     that carries the certificate, "iteration_limit" when the iteration cap
     is reached, or "singular" when a Newton system cannot be solved; in the
     last two cases the allocation x(p) of the current prices is returned.
-    Users with e_i = 0 are left out of the program and get x_i = 0, the
-    trajectory's answer for them.
+
+    Under the paper's rule any bottleneck justifies a user with e_i = 0, so
+    what such users get is chosen here and nowhere else, after the program
+    of the entitled users: x_i = 1 for those who request nothing; for the k
+    who request only columns with room, usage below 1 - eps_bottleneck at
+    the default tolerances, a share of that room in one more program, each
+    entitled to 1/k with requests scaled by 1 / (1 - usage), which leaves
+    each of them at 1 or on a column it saturates; and x_i = 0, pinned by a
+    saturated column, for the rest. ``p`` holds the entitled users' prices;
+    the flag is the last program's where theirs is "optimal".
     """
     users = e > 0.0
     if not users.size or users[users.argmin()]:
         return _solve(e, r)
-    x, p, status = _solve(e[users], r[users])
-    x_all = np.zeros(e.shape[0])
-    x_all[users] = x
-    return x_all, p, status
+    requests = r.any(axis=1)
+    x = np.where(requests, 0.0, 1.0)
+    x[users], p, status = _solve(e[users], r[users])
+    usage = x.dot(r)
+    room = ~(usage >= 1.0 - DEFAULT_TOLERANCES.eps_bottleneck)
+    tier = requests & ~users & ~r[:, ~room].any(axis=1)
+    if tier.any():
+        k = int(tier.sum())
+        x[tier], _, tier_status = _solve(
+            np.full(k, 1.0 / k), r[np.ix_(tier, room)] / (1.0 - usage[room])
+        )
+        if status == "optimal":
+            status = tier_status
+    return x, p, status
 
 
 def water_fill(

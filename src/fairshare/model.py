@@ -262,7 +262,7 @@ def usages(inst: ProblemInstance | LiftedInstance, x: np.ndarray) -> np.ndarray:
     r = inst.requirements
     if x.shape != (r.shape[0],):
         raise ValueError(f"allocation has shape {x.shape}, expected ({r.shape[0]},)")
-    return x @ r
+    return x.dot(r)
 
 
 def utility(inst: ProblemInstance, i: int, amounts: np.ndarray) -> float:

@@ -9,15 +9,12 @@ most-demanded column (or of the column its fill overruns most), where that
 column is the only bottleneck and its price is a water-fill of the users
 short of 1, whose point carries the certificate as it is; and otherwise an
 interior point on the prices, which ends on a face Newton point. Nearly
-always the answer carries the program's certificate. Users who request
-nothing get x_i = 1. The answer is then verified, and the report decides
-what is saturated and who is justified. Users entitled to nothing who
-request something but no bottleneck share what the report leaves of the
-other columns in one more program with equal entitlements, and the combined
-answer is verified once more; those who request a bottleneck keep 0 and are
-pinned there. That report is the answer: it holds the allocation, usages,
-bottlenecks and justifications, and computes its per-user statuses and
-report-only checks (Pareto pinning, envy, sharing incentive) on first
+always the answer carries the program's certificate. What users entitled
+to nothing get is decided by ``solve_eg`` alone, in its last tier. The
+answer is then verified once, and the report decides what is saturated and
+who is justified. That report is the answer: it holds the allocation,
+usages, bottlenecks and justifications, and computes its per-user statuses
+and report-only checks (Pareto pinning, envy, sharing incentive) on first
 access.
 
 The paper's constructive method is kept here as the reference path, used
@@ -115,11 +112,13 @@ class TrajectoryPoint:
 @dataclass(frozen=True, eq=False)
 class SolveResult:
     report: VerificationReport
-    # "converged" when the answer verifies; otherwise the interior point's
-    # own flag: "optimal", "iteration_limit" or "singular" (``eg.solve_eg``).
+    # "converged" when the answer verifies and ``eg.solve_eg`` returned
+    # "optimal"; otherwise ``solve_eg``'s own flag: "optimal",
+    # "iteration_limit" or "singular".
     termination: str
-    # Whether every program solved returned "optimal", a face Newton point
-    # that carries the KKT certificate (printed as "polished" by the CLI).
+    # Whether ``solve_eg`` returned "optimal": every program it solved ended
+    # on a face Newton point that carries the KKT certificate (printed as
+    # "polished" by the CLI).
     polish_applied: bool
 
     @property
@@ -291,8 +290,8 @@ def integrate_trajectory(inst: LiftedInstance) -> tuple[list[TrajectoryPoint], s
     Expects a lifted instance, such as ``add_dummy_resources(inst)``, whose
     unit columns bound every x_i by 1. For every user with e_i > 0 the
     limit is the allocation ``solve`` computes; a user entitled to nothing
-    stays at 0, where ``solve`` gives such users who request no bottleneck
-    what is left of the other columns.
+    stays at 0, where ``eg.solve_eg``'s last tier gives such users who
+    request no bottleneck what is left of the other columns.
 
     Each sample at level t is the unique maximiser of sum_i e_i log x_i
     over {f(x) <= t}: the objective is strictly concave, the set is convex,
@@ -360,7 +359,7 @@ def solve(inst: ProblemInstance, tol: ToleranceConfig | None = None) -> SolveRes
     """Compute a verified fair allocation for ``inst``.
 
     Pipeline: validate, solve the Eisenberg-Gale program on the instance
-    as given, grant users who request nothing in full, and verify; the
+    as given with one ``eg.solve_eg`` call, and verify its answer once; the
     verifier's report is the answer. A verification failure is reported in
     the result (with full residuals), never masked as success.
     """
@@ -368,36 +367,10 @@ def solve(inst: ProblemInstance, tol: ToleranceConfig | None = None) -> SolveRes
     violations = validate_instance(inst, tol)
     if violations:
         raise InvalidInstanceError(violations)
-
-    e, r = inst.entitlements, inst.requirements
-    x, _, status = eg.solve_eg(e, r)
-    if e[e.argmin()] > 0.0:
-        # Every stage gives a user who requests nothing x_i = e_i / e_i = 1.
-        report = verify(inst, x, tol)
-    else:
-        requests = r.any(axis=1)
-        x[~requests] = 1.0  # users who request nothing are fully satisfied
-        report = verify(inst, x, tol)
-        # A user entitled to nothing who gets nothing complains unless a
-        # bottleneck pins them. Those who request no bottleneck share what is
-        # left of the other columns with equal entitlements; the others keep
-        # 0. At this optimum every user short of 1 has a saturated resource,
-        # so one program is enough.
-        stage = requests & (e == 0.0)
-        stage &= ~r[:, list(report.bottlenecks)].any(axis=1)
-        if stage.any():
-            rest = np.delete(np.arange(r.shape[1]), report.bottlenecks)
-            k = int(stage.sum())
-            x[stage], _, stage_status = eg.solve_eg(
-                np.full(k, 1.0 / k),
-                r[np.ix_(stage, rest)] / (1.0 - report.capacity.usages[rest]),
-            )
-            if status == "optimal":
-                status = stage_status
-            report = verify(inst, x, tol)
-
+    x, _, status = eg.solve_eg(inst.entitlements, inst.requirements)
+    report = verify(inst, x, tol)
     return SolveResult(
         report=report,
-        termination="converged" if report.passed else status,
+        termination="converged" if report.passed and status == "optimal" else status,
         polish_applied=status == "optimal",
     )

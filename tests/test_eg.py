@@ -425,6 +425,16 @@ def test_tiny_entitlements_raise_no_runtime_warning():
     assert sum(res.polish_applied for res in results) >= 89
 
 
+def test_a_verified_answer_at_the_iteration_cap_reports_its_own_flag():
+    # Draw 54: the interior point stops at its cap on a user entitled to
+    # 5.1e-311, and x(p) there still verifies. Only an answer that verifies
+    # and carries the certificate reads "converged".
+    res = solve(_tiny_entitlement_draws(55)[54])
+    assert res.report.passed
+    assert not res.polish_applied
+    assert res.termination == "iteration_limit"
+
+
 @pytest.mark.parametrize("tiny", [1e-310, 5e-324])
 def test_a_subnormal_user_who_requests_nothing_raises_no_runtime_warning(
     monkeypatch, medium_instances, tiny

@@ -92,3 +92,24 @@ def test_removing_a_user_and_their_share_leaves_the_rest_unchanged(answered):
             alpha = np.maximum(scaled.max(axis=1), 1.0)
             y = _answer(e[rest] / e[rest].sum(), scaled / alpha[:, None])
             assert np.max(np.abs(y / alpha - x[rest])) <= BOUND
+
+
+def test_users_entitled_to_nothing_move_no_entitled_user_by_one_bit(draw):
+    # Users entitled to nothing are settled after the entitled users'
+    # program, on its answer, so appending them leaves every entitled user's
+    # allocation bitwise unchanged. One who requests nothing gets 1, one who
+    # requests only saturated columns gets 0, and one who requests half of
+    # the column with the most room gets that room.
+    e, r = draw(np.random.default_rng([0, 2000, 300]), 2000, 300)
+    x = _answer(e, r)
+    u = x @ r
+    saturated = u >= 1.0 - 1e-6
+    j = int(u.argmin())
+    rows = np.zeros((3, r.shape[1]))
+    rows[1, saturated] = 0.5
+    rows[2, j] = 0.5
+    y = _answer(np.append(e, np.zeros(3)), np.vstack([r, rows]))
+    np.testing.assert_array_equal(y[:-3], x)
+    assert y[-3] == 1.0
+    assert y[-2] == 0.0
+    assert abs(y[-1] - (1.0 - u[j]) / 0.5) <= BOUND

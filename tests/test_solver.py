@@ -459,13 +459,28 @@ def test_solve_zero_entitlement_user():
     ],
 )
 def test_solve_gives_users_entitled_to_nothing_what_is_left(
-    entitlements, requirements, expected
+    monkeypatch, entitlements, requirements, expected
 ):
+    # ``eg.solve_eg`` alone decides what these users get, so ``solve`` runs
+    # it once and verifies its answer once, and it gives the same allocation
+    # when called by itself.
     inst = ProblemInstance(entitlements=entitlements, requirements=requirements)
+    calls = []
+    solve_eg, check = eg.solve_eg, fairshare.solver.verify
+    monkeypatch.setattr(
+        eg, "solve_eg", lambda *a: calls.append("solve_eg") or solve_eg(*a)
+    )
+    monkeypatch.setattr(
+        fairshare.solver, "verify", lambda *a: calls.append("verify") or check(*a)
+    )
     res = solve(inst)
+    assert calls == ["solve_eg", "verify"]
     assert res.report.passed
     assert res.report.pareto_ok
     np.testing.assert_allclose(res.report.allocation, expected, rtol=0, atol=1e-12)
+    x, _, status = solve_eg(inst.entitlements, inst.requirements)
+    np.testing.assert_array_equal(x, res.report.allocation)
+    assert status == "optimal"
 
 
 @pytest.mark.parametrize(
