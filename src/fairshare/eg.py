@@ -43,64 +43,52 @@ slack on columns with room, and below p on those p fills or overruns while
 1 / 2m > 1e-3, so the tight set below exists from the first iterate; of
 floors 1e-1 to 1e-6, 1e-3 took the fewest face passes on the benchmark.
 Each step aims at mu = 0.1 p . lambda / m (Wright, Primal-Dual
-Interior-Point Methods, 1997, ch. 5). An instance that neither face stage
-settles takes about 2.1 Newton steps at N, m <= 5 and 4.0 up to 60 x 30,
-then 4.9 and 5.3 face Newton passes.
+Interior-Point Methods, 1997, ch. 5).
 
 The interior point does not run its barrier down to the end. Once an
 iterate sees the same tight columns A = {j : lambda_j < p_j} as the one
 before it, Newton solves the face equations x_i (R_A p_A)_i = e_i for the
 users short of 1 and (x R)_A = 1, with the full users F = {i : (R p)_i <=
-e_i} read off the iterate's prices on A and held at x_i = 1. A column that
-only full users request is left out of A, since no price on it enters the
+e_i} read off the iterate's prices on A and held at x_i = 1; a column that
+only full users request is left out of A, as no price on it enters the
 equations. Eliminating x leaves one |A| x |A| system R_A^T diag(x / (R_A
 p_A)) R_A per Newton step. Its rank is at most the number of users short
 of 1, so a face with more distinct columns than that is declined before it
 is factorised. Where repeated columns make it singular, the least-norm step
-splits one price among them. A face singular otherwise, or whose Newton
-step is not finite, as a subnormal entitlement can make it, is declined,
-and the interior point goes on.
+splits one price among them; a face singular otherwise, or whose step is
+not finite, as a subnormal entitlement can make it, is declined.
 ``solve_eg`` returns the Newton point if it carries the certificate: face
 residual at most 1e-15 in units of x, so that x = x(p) to that residual;
 p_A >= 0; usage within 1e-11 of capacity on A and at most 1 + 1e-11 on
-every column; and the same F read off the point's own prices. A try stops
-at the first Newton step that prices a column below zero, as such tries
-nearly always fail: those columns leave A, and the next try starts from the
-prices this one began with, so p_A >= 0 holds by construction. A face that
-fails on an overrun column or a changed F is repaired: the overrun columns
-join A, and F is read again. This is finite termination by a certified
-crossover (Ye, Math. Programming 57, 1992; Wright, Primal-Dual
-Interior-Point Methods, 1997, ch. 7).
+every column; and the same F read off the point's own prices. One rule,
+``_fill_residual``, decides whether a fill x . r_j lies within 1e-15 of 1,
+here and in stage 2, whatever order BLAS sums in. A try stops at the first
+Newton step that prices a column below zero, as such tries nearly always
+fail: those columns leave A, and the next try starts from the prices this
+one began with, so p_A >= 0 holds by construction. A face that fails on an
+overrun column or a changed F is repaired: the overrun columns join A, and
+F is read again. This is finite termination by a certified crossover (Ye,
+Math. Programming 57, 1992; Wright, Primal-Dual Interior-Point Methods,
+1997, ch. 7).
 
 ``solve_eg`` runs four stages, each of 1-3 only where the one before declines:
 
 1. The empty face p = 0 certifies x = 1 where every user fits at once.
 2. The one-column face of the most-demanded column j. Where j is the only
-   bottleneck, the program is the single-resource case, in which every user
-   short of 1 gets a one-price weighted water-fill of j, as under DRF. The
-   optimum's prices sum to at most sum_i e_i, since sum_j p_j (x R)_j =
-   sum_i x_i (R p)_i and x_i (R p)_i is e_i short of 1 and at most e_i at
-   x_i = 1; so with j alone priced every user holds at least x_i =
-   min(1, e_i / (r_ij sum_k e_k)), and a column that overruns even then
-   rules the face out in O(Nm). Otherwise ``water_fill`` prices j exactly,
-   started from the only users that can be short, those with r_ij sum_k e_k
-   > e_i; it takes at most one round more than there are such users. If x(p)
-   fits every column and fills j to within 1e-15, the point carries the
-   certificate as it is: x is x(p), p_j > 0, and the full users are read
-   off p, so face Newton would take no step. The BLAS sum of that fill
-   proves it only where it is within 1e-15 - gamma_N usage_j of 1, with
-   gamma_N = N u / (1 - N u) and u = 2^-53: an inner product of N terms
-   >= 0, summed in any order, is off by at most gamma_N times its value
-   (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
-   ch. 3), so the test does not depend on the BLAS thread count. Otherwise,
-   and always from N = 10 on, p_j = sum_short e_i / (1 - sum_full r_ij) and
-   the fill are summed again, exactly rounded, by math.fsum (Shewchuk,
-   Discrete Comput. Geom. 18, 1997), and decide: p_j carries one rounding
-   and each fill term a few more, so the fill lands within a few ulps of 1
-   unless p_j is subnormal. Where x(p) overruns
-   another column, the stage is tried once more on the column it overruns
-   most. The price does not depend on the entitlements' scale: a user
-   entitled to 1e-300 is priced as exactly as one entitled to 0.1.
+   bottleneck, every user short of 1 gets a one-price weighted water-fill
+   of j, as under DRF. The optimum's prices sum to at most sum_i e_i, as
+   sum_j p_j (x R)_j = sum_i x_i (R p)_i and x_i (R p)_i is e_i short of 1
+   and at most e_i at x_i = 1; so a column that overruns even at x_i =
+   min(1, e_i / (r_ij sum_k e_k)) rules the face out in O(Nm). Otherwise
+   ``water_fill`` prices j, from the only users that can be short, those
+   with r_ij sum_k e_k > e_i. If x(p) fits every column and fills j to
+   within 1e-15, the point carries the certificate as it is (x is x(p),
+   p_j > 0, and the full users are read off p). Where the fill misses, p_j
+   = sum_short e_i / (1 - sum_full r_ij) is summed again by math.fsum, and
+   the fill at that price decides: p_j, exactly rounded at any scale of
+   the entitlements, puts the fill within a few ulps of 1 unless it is
+   subnormal. Where x(p) overruns another column, the stage is tried once
+   more on the column it overruns most.
 3. The interior point, with its face exit, for everything else.
 4. The users entitled to nothing, left out of stages 1-3, are settled last
    on the entitled users' answer (see ``solve_eg``).
@@ -123,14 +111,14 @@ _CENTERING = 0.1  # sigma, the share of p . lambda / m each step aims at
 # Armijo's sufficient-decrease fraction and the halvings it may take.
 _ARMIJO = 1e-4
 _BACKTRACKS = 30
-# Face Newton converges in one or two steps from a point near the face's
-# optimum; its residual then sits at round-off (below 1e-15).
+# Face Newton converges in one or two steps from near the face's optimum.
 _FACE_NEWTON_ITERATIONS = 6
 _FACE_NEWTON_TOL = 1e-15
 # Capacity tolerance of the certificate, on every column and on A.
 _CAPACITY_TOL = 1e-11
 # A face is tried, then cut or repaired at most twice.
 _FACE_TRIES = 3
+_EXTENDED = np.finfo(np.longdouble).nmant >= 63  # x86's 80 bits, or IEEE quad
 
 
 def _largest(v: np.ndarray) -> float:
@@ -162,6 +150,40 @@ def _change(e, u, v, du, dp, q, step, mu) -> float:
     )
 
 
+def _fill_residual(d, x, r):
+    """rho_j = f_j - 1 for the fill f_j = x . r_j of each column of ``r``
+    (x, r >= 0, n users; a scalar where ``r`` is 1-D) for the test max_j
+    |rho_j| <= 1e-15, in any BLAS summation order: float64's ``d`` where its
+    error bound decides the test, else within u (|value| + f_j + 1), u = 2^-53.
+
+    ``d`` = fl(s - fl(1 - t)), s and t BLAS sums of x_i r_ij over the users
+    short of 1 and of r_ij over the rest (or t = 0). n terms >= 0 summed in
+    any order are off by at most gamma_n = n u / (1 - n u) of their sum
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., ch.
+    3). As |1 - t| <= S + |rho| + gamma_n T and each subtraction rounds
+    once, |d - rho| <= g (f_j + |rho|) <= g (1 + 2 |d| + 2 |d - rho|) with
+    g = gamma_{n+2}: a bound g (1 + 2 |d|) / (1 - 2 g) that grows with |d|,
+    so max_j |d_j| decides where it lies further than that from 1e-15.
+    Elsewhere the products are formed in long double (unit <= 2^-64) and
+    summed by dots over blocks of 1024 users, then pairwise, less 1: each
+    term takes at most 1025 + log2 n roundings, u (f_j + 1) in all for n <
+    2^1000. Where long double is float64, math.fsum rounds the float64
+    products (u f_j in all) and -1 once (Shewchuk, Discrete Comput. Geom.
+    18, 1997)."""
+    n, worst = x.size, _largest(np.abs(d)) if isinstance(d, np.ndarray) else abs(d)
+    g = (n + 2) * 2.0**-53 / (1.0 - (n + 2) * 2.0**-53)
+    if abs(worst - _FACE_NEWTON_TOL) > g * (1.0 + 2.0 * worst) / (1.0 - 2.0 * g):
+        return d
+    if not _EXTENDED:
+        sums = [math.fsum(np.append(c, -1.0).data) for c in (x * r.T).reshape(-1, n)]
+        return np.reshape(sums, np.shape(d))
+    xl = x.astype(np.longdouble)
+    s = [xl[i : i + 1024].dot(r[i : i + 1024]) for i in range(0, n, 1024)]
+    while len(s) > 1:
+        s = [a + b for a, b in zip(s[::2], s[1::2])] + s[len(s) // 2 * 2 :]
+    return (s[0] - 1.0).astype(float)
+
+
 def _face(
     e: np.ndarray, r: np.ndarray, a: np.ndarray, p: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray] | None:
@@ -172,12 +194,12 @@ def _face(
         u = r.compress(a, axis=1).dot(p[a])
         full = u <= e
         short = ~full
-        rs = r[short]
-        a = a & (np.add.reduce(rs) > 0.0)
-        rs = rs.compress(a, axis=1)
-        es, pa = e[short], p[a]
+        a = a & (short.dot(r) > 0.0)
+        ra = r.compress(a, axis=1)
+        rs, es, pa = ra[short], e[short], p[a]
         xs = es / u[short]
-        target = 1.0 - full.dot(r.compress(a, axis=1))
+        target = 1.0 - full.dot(ra)
+        x = np.ones(e.size)
         residual, negative = np.inf, None
         for step in range(_FACE_NEWTON_ITERATIONS + 1):
             if not xs.size:  # no user short of 1: nothing to solve
@@ -189,6 +211,9 @@ def _face(
                 break
             r1 = (xs * u - es) / u
             r2 = xs.dot(rs) - target
+            if not _largest(np.abs(r1)) > _FACE_NEWTON_TOL:  # else r1 decides
+                x[short] = xs
+                r2 = _fill_residual(r2, x, ra)
             previous, residual = residual, _largest(np.abs(np.concatenate((r1, r2))))
             if (
                 residual <= _FACE_NEWTON_TOL
@@ -196,8 +221,6 @@ def _face(
                 or step == _FACE_NEWTON_ITERATIONS
             ):
                 break
-            # The system's rank is at most the number of short users, so a
-            # face with more distinct columns is declined before any LU.
             if rs.shape[1] > xs.size and len({c.tobytes() for c in rs.T}) > xs.size:
                 break
             w = xs / u
@@ -205,12 +228,9 @@ def _face(
             try:
                 dp = np.linalg.solve(hess, rhs)
             except np.linalg.LinAlgError:
-                # Repeated columns: the least-norm step splits their price.
-                # A face singular for any other reason is declined.
                 if len({c.tobytes() for c in rs.T}) == rs.shape[1]:
                     break
                 dp = np.linalg.lstsq(hess, rhs, rcond=None)[0]
-            # Decline the face before a step that overflowed is used.
             if not math.isfinite(_largest(np.abs(dp))):
                 break
             xs = xs - r1 - w * rs.dot(dp)
@@ -219,15 +239,12 @@ def _face(
                 negative = pa < 0.0
                 break
         if negative is not None:
-            # Drop the columns priced below zero; start again from p.
             a[a] = ~negative
             continue
         if not residual <= _FACE_NEWTON_TOL:
             return None
         p = np.zeros(p.size)
         p[a] = pa
-        x = np.ones(e.size)
-        x[short] = xs
         usage = x.dot(r)
         if (
             _largest(usage) <= 1.0 + _CAPACITY_TOL
@@ -317,19 +334,10 @@ def water_fill(
 def _one_column(
     e: np.ndarray, r: np.ndarray, j: int, retry: bool = True
 ) -> tuple[np.ndarray, np.ndarray] | None:
-    """The optimum if it prices the column ``j`` alone, else None.
-
-    The water-filled price p_j gives x = x(p) and its usage x R. Where that
-    fits every column and the BLAS sum's error bound proves the fill of j
-    within the face residual, the point carries ``_face``'s certificate as
-    it is; otherwise p_j and the fill are summed again by math.fsum, read
-    off the arrays' buffers, and decide. Where x(p) overruns another
-    column, the stage is tried once on the column it overruns most, if
-    ``retry``."""
+    """The optimum if it prices the column ``j`` alone, else None: stage 2
+    of the module's docstring, tried again on the column x(p) overruns most
+    if ``retry``, and at the price math.fsum sums where the fill of j misses."""
     rj = r[:, j]
-    # The optimum's prices sum to at most sum_i e_i, so with j alone priced
-    # every user holds at least x_i = e_i / max(r_ij sum_k e_k, e_i); a column
-    # that overruns even then rules the face out.
     scaled = rj * np.add.reduce(e)
     if _largest((e / np.maximum(scaled, e)).dot(r)) > 1.0 + _CAPACITY_TOL:
         return None
@@ -337,24 +345,21 @@ def _one_column(
     if fill is None:
         return None
     pj, short = fill
-    x = e / np.maximum(rj * pj, e)
-    usage = x.dot(r)
-    k = int(usage.argmax())
-    if usage[k] > 1.0 + _CAPACITY_TOL:
-        return _one_column(e, r, k, False) if retry and k != j else None
-    gamma = r.shape[0] * 2.0**-53 / (1.0 - r.shape[0] * 2.0**-53)
-    if abs(usage[j] - 1.0) > _FACE_NEWTON_TOL - gamma * usage[j]:
+    for exact in (False, True):
+        x = e / np.maximum(rj * pj, e)
+        usage = x.dot(r)
+        k = int(usage.argmax())
+        if usage[k] > 1.0 + _CAPACITY_TOL:
+            again = retry and k != j and not exact
+            return _one_column(e, r, k, False) if again else None
+        if abs(_fill_residual(usage[j] - 1.0, x, rj)) <= _FACE_NEWTON_TOL:
+            p = np.zeros(r.shape[1])
+            p[j] = pj
+            return x, p
         free = math.fsum(np.append(1.0, -rj[~short]).data)
-        if not free > 0.0:
+        if exact or not free > 0.0:
             return None
         pj = math.fsum(e[short].data) / free
-        x = e / np.maximum(rj * pj, e)
-        fits = _largest(x.dot(r)) <= 1.0 + _CAPACITY_TOL
-        if not (fits and abs(math.fsum((x * rj).data) - 1.0) <= _FACE_NEWTON_TOL):
-            return None
-    p = np.zeros(r.shape[1])
-    p[j] = pj
-    return x, p
 
 
 def _solve(e: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, str]:

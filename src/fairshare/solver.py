@@ -3,19 +3,14 @@
 ``solve`` computes the allocation as the optimum of the Eisenberg-Gale
 program (``fairshare.eg``) on the instance as given, through its m column
 prices, with x_i = min(1, e_i / (R p)_i), so no reduction runs first and no
-column is added per user. ``solve_eg`` tries three stages in turn: the empty
-face p = 0 where every user fits at x = 1; the one-column face of the
-most-demanded column (or of the column its fill overruns most), where that
-column is the only bottleneck and its price is a water-fill of the users
-short of 1, whose point carries the certificate as it is; and otherwise an
-interior point on the prices, which ends on a face Newton point. Nearly
-always the answer carries the program's certificate. What users entitled
-to nothing get is decided by ``solve_eg`` alone, in its last tier. The
-answer is then verified once, and the report decides what is saturated and
-who is justified. That report is the answer: it holds the allocation,
-usages, bottlenecks and justifications, and computes its per-user statuses
-and report-only checks (Pareto pinning, envy, sharing incentive) on first
-access.
+column is added per user. ``solve_eg`` runs the stages that ``fairshare.eg``
+describes, and nearly always its answer carries the program's certificate.
+What users entitled to nothing get is decided by ``solve_eg`` alone, in its
+last tier. The answer is then verified once, and the report decides what is
+saturated and who is justified. That report is the answer: it holds the
+allocation, usages, bottlenecks and justifications, and computes its
+per-user statuses and report-only checks (Pareto pinning, envy, sharing
+incentive) on first access.
 
 The paper's constructive method is kept here as the reference path, used
 by ``fairshare trace`` and by the tests, on the instance lifted by one unit

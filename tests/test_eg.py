@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -123,6 +124,18 @@ def test_the_medium_instances_take_at_most_125_linear_solves_and_15_faces(
     assert counts["faces"] <= 15, counts
 
 
+def test_a_2000_by_300_draw_takes_at_most_18_linear_solves_and_2_faces(
+    monkeypatch, draw
+):
+    # The same guard at N >= 2000, where a BLAS sum of a column's fill is
+    # off by more than the face residual. Summing the BLAS residual, face
+    # Newton took 31 linear solves and 5 faces here.
+    e, r = draw(np.random.default_rng(0), 2000, 300)
+    counts = _count_work(monkeypatch, [ProblemInstance(entitlements=e, requirements=r)])
+    assert counts["linear solves"] <= 18, counts
+    assert counts["faces"] <= 2, counts
+
+
 def test_face_newton_stops_where_the_prices_turn_non_positive():
     # From these prices the first Newton step drives (R_A p_A)_1 to
     # -0.39; nothing may then be divided by it. From zero prices both users
@@ -208,6 +221,19 @@ def test_a_20000_by_8_instance_solves_without_the_lift():
     assert res.polish_applied
     assert res.report.passed
     assert verify(inst, res.report.allocation).passed
+
+
+def test_a_10000_by_50_draw_ends_on_a_certified_face(draw):
+    # The BLAS sum of a face column's residual over 10000 users is off by a
+    # few ulps of 1, more than the face residual allows: summed so, face
+    # Newton declined 96 faces here, and the solve stopped at the iteration
+    # cap under one BLAS thread.
+    e, r = draw(np.random.default_rng(1), 10000, 50)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = solve(ProblemInstance(entitlements=e, requirements=r))
+    assert res.termination == "converged"
+    assert res.polish_applied
 
 
 def test_the_one_column_face_settles_without_a_linear_solve(monkeypatch):
@@ -324,6 +350,54 @@ def test_a_one_column_fill_off_by_more_than_round_off_certifies_with_exact_sums(
     # The BLAS fill misses 1e-15 outright on 7 or 8 of the 10 (the count
     # moves with the BLAS thread count); the exact sums decide all 10.
     assert missed >= 5, missed
+
+
+@pytest.mark.parametrize("extended", sorted({eg._EXTENDED, False}))
+def test_the_fill_residual_meets_its_bound_against_exact_sums(monkeypatch, extended):
+    # x . r_j - 1 for columns scaled to fill 1, at N = 5 to 20000 (where a
+    # plain long-double dot would be off by more than u), and one column of
+    # 2^15 + 1 users whose BLAS fill misses 1 by more than 1e-14, while its
+    # exact fill is 1: every long-double block sums it exactly. The helper
+    # returns the BLAS value only where its error bound decides the test.
+    monkeypatch.setattr(eg, "_EXTENDED", extended)
+    u, tol = 2.0**-53, eg._FACE_NEWTON_TOL
+    rng = np.random.default_rng(37)
+    cases = []
+    for n in (5, 60, 2000, 20000):
+        for _ in range(3 if n < 20000 else 1):
+            x = rng.uniform(0.0, 1.0, n)
+            r = rng.uniform(0.0, 1.0, (n, 3))
+            cases.append((x, r / (x @ r)))
+    k = 2**15
+    x = np.r_[1.0, np.full(k, 0.5)]
+    c = np.r_[1.0 - 2.0**-40, np.full(k, 2.0**-54)]
+    assert abs(x @ c - 1.0) > 1e-15
+    cases.append((x, c))  # one column as a 1-D r: d and the value are scalars
+    accurate = 0
+    for x, r in cases:
+        n = x.size
+        d = x @ r - 1.0
+        out = eg._fill_residual(d, x, r)
+        assert np.shape(out) == np.shape(d)
+        xs = [Fraction(v) for v in x]
+        columns = r.reshape(n, -1).T
+        fills = [sum(a * Fraction(b) for a, b in zip(xs, col)) for col in columns]
+        rho = [f - 1 for f in fills]
+        worst = max(abs(v) for v in rho)
+        if out is d:
+            # Float64's bound decides the test: its verdict is the exact one's.
+            g = (n + 2) * u / (1 - (n + 2) * u)
+            for dj, rj in zip(np.atleast_1d(d), rho):
+                assert abs(Fraction(dj) - rj) <= g * (1 + 2 * abs(dj)) / (1 - 2 * g)
+            assert (np.abs(d).max() <= tol) == (worst <= tol)
+        else:
+            accurate += 1
+            for oj, rj, f in zip(np.atleast_1d(out), rho, fills):
+                assert abs(Fraction(oj) - rj) <= u * (abs(Fraction(oj)) + f + 1)
+    assert out == 0.0
+    # Float64 decides some N = 5 draws; from N = 60 on, only the accurate
+    # sums can.
+    assert len(cases) - 3 <= accurate < len(cases), accurate
 
 
 def test_answers_the_one_column_stage_declines_meet_the_kkt_conditions(draw):
