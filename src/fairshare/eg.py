@@ -63,9 +63,10 @@ not finite, as a subnormal entitlement can make it, is declined.
 ``solve_eg`` returns the Newton point if it carries the certificate: face
 residual at most 1e-15 in units of x, so that x = x(p) to that residual;
 p_A >= 0; usage within 1e-11 of capacity on A and at most 1 + 1e-11 on
-every column; and the same F read off the point's own prices. One rule,
-``_fill_residual``, decides whether a fill x . r_j lies within 1e-15 of 1,
-here and in stage 2, whatever order BLAS sums in. A try stops at the first
+every column; and the same F read off the point's own prices. Here and in
+stage 2, a fill x . r_j is tested against 1 within 1e-15 by its float64 sum
+where ``_float64_decides`` finds its error bound settles the test, else by
+``_fill_residual``, whatever order BLAS sums in. A try stops at the first
 Newton step that prices a column below zero, as such tries nearly always
 fail: those columns leave A, and the next try starts from the prices this
 one began with, so p_A >= 0 holds by construction. A face that fails on an
@@ -106,7 +107,7 @@ from .model import DEFAULT_TOLERANCES
 
 __all__ = ["solve_eg", "water_fill"]
 
-_MAX_ITERATIONS = 100  # 2 to 4 Newton steps are taken before a face certifies
+_MAX_ITERATIONS = 100  # 1.3 (small) to 2.5 (ladder) steps precede a face, on average
 _STEP_TO_BOUNDARY = 0.99
 _START_SHARE = 0.5  # the starting p's share of the demand-weighted prices
 _START_SLACK = 1e-3  # the floor of the starting lambda
@@ -154,45 +155,40 @@ def _change(e, u, v, du, dp, q, step, mu) -> float:
     )
 
 
-def _fill_residual(d, x, r):
-    """rho_j = f_j - 1 for the fill f_j = x . r_j of each column of ``r``
-    (x, r >= 0, n users; a scalar where ``r`` is 1-D) for the test max_j
-    |rho_j| <= 1e-15, in any BLAS summation order: float64's ``d`` where its
-    error bound decides the test, else within u (|value| + f_j + 1), u = 2^-53.
+def _float64_decides(worst: float, n: int) -> bool:
+    """Whether ``worst``, the largest |d_j| of float64's fill residuals over
+    n users, decides the test max_j |rho_j| <= 1e-15 in any BLAS order.
 
-    ``d`` = fl(s - fl(1 - t)), s and t BLAS sums of x_i r_ij over the users
+    d_j = fl(s - fl(1 - t)), s and t BLAS sums of x_i r_ij over the users
     short of 1 and of r_ij over the rest (or t = 0). n terms >= 0 summed in
-    any order are off by at most gamma_n = n u / (1 - n u) of their sum
-    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., ch.
-    3). As |1 - t| <= S + |rho| + gamma_n T and each subtraction rounds
-    once, |d - rho| <= g (f_j + |rho|) <= g (1 + 2 |d| + 2 |d - rho|) with
-    g = gamma_{n+2}: a bound g (1 + 2 |d|) / (1 - 2 g) that grows with |d|,
-    so max_j |d_j| decides where it lies further than that from 1e-15.
-    Elsewhere the products are formed in long double (unit <= 2^-64) and
-    summed by dots over blocks of 1024 users, then pairwise, less 1: each
-    term takes at most 1025 + log2 n roundings, u (f_j + 1) in all for n <
-    2^1000. Where long double is float64, math.fsum rounds the float64
-    products (u f_j in all) and -1 once (Shewchuk, Discrete Comput. Geom.
-    18, 1997). Where ``d`` is None, the accurate value is returned."""
-    if d is not None and _float64_decides(d, x.size):
-        return d
+    any order are off by at most gamma_n = n u / (1 - n u) of their sum, u
+    = 2^-53 (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
+    ed., ch. 3). As |1 - t| <= S + |rho| + gamma_n T and each subtraction
+    rounds once, |d - rho| <= g (f_j + |rho|) <= g (1 + 2 |d| + 2 |d -
+    rho|) with g = gamma_{n+2}: a bound g (1 + 2 |d|) / (1 - 2 g) that
+    grows with |d|, so ``worst`` decides where it lies further than that
+    from 1e-15."""
+    g = (n + 2) * 2.0**-53 / (1.0 - (n + 2) * 2.0**-53)
+    return abs(worst - _FACE_NEWTON_TOL) > g * (1.0 + 2.0 * worst) / (1.0 - 2.0 * g)
+
+
+def _fill_residual(x, r):
+    """rho_j = f_j - 1 for the fill f_j = x . r_j of each column of ``r``
+    (x, r >= 0; a scalar where ``r`` is 1-D), within u (|rho_j| + f_j + 1)
+    in any BLAS summation order, for the tests ``_float64_decides`` leaves.
+    The products are formed in long double (unit <= 2^-64) and summed by
+    dots over blocks of 1024 users, then pairwise, less 1: each term takes
+    at most 1025 + log2 n roundings, u (f_j + 1) in all for n < 2^1000.
+    Where long double is float64, math.fsum rounds the float64 products (u
+    f_j in all) and -1 once (Shewchuk, Discrete Comput. Geom. 18, 1997)."""
     if not _EXTENDED:
         sums = [math.fsum(np.append(c, -1.0).data) for c in np.atleast_2d(x * r.T)]
         return np.reshape(sums, r.shape[1:])
     xl = x.astype(np.longdouble)
-    if x.size <= 1024:  # one block: the sum below, without the list
-        return (xl.dot(r) - 1.0).astype(float)
     s = [xl[i : i + 1024].dot(r[i : i + 1024]) for i in range(0, x.size, 1024)]
     while len(s) > 1:
         s = [a + b for a, b in zip(s[::2], s[1::2])] + s[len(s) // 2 * 2 :]
     return (s[0] - 1.0).astype(float)
-
-
-def _float64_decides(d, n: int) -> bool:
-    """Whether ``_fill_residual``'s bound lets float64's ``d`` decide."""
-    worst = _largest(np.abs(d)) if isinstance(d, np.ndarray) else abs(d)
-    g = (n + 2) * 2.0**-53 / (1.0 - (n + 2) * 2.0**-53)
-    return abs(worst - _FACE_NEWTON_TOL) > g * (1.0 + 2.0 * worst) / (1.0 - 2.0 * g)
 
 
 def _face(
@@ -225,7 +221,7 @@ def _face(
             if not worst1 > _FACE_NEWTON_TOL and not _float64_decides(worst2, e.size):
                 x = np.ones(e.size)
                 x[short] = xs
-                r2 = _fill_residual(None, x, ra)
+                r2 = _fill_residual(x, ra)
                 worst2 = _largest(np.abs(r2))
             # A NaN in r2 comes with a NaN or inf in r1, which stops as well.
             previous, residual = residual, max(worst1, worst2)
@@ -368,7 +364,10 @@ def _one_column(
         if usage[k] > 1.0 + _CAPACITY_TOL:
             again = retry and k != j and not exact
             return _one_column(e, r, k, False) if again else None
-        if abs(_fill_residual(usage[j] - 1.0, x, rj)) <= _FACE_NEWTON_TOL:
+        d = usage[j] - 1.0
+        if not _float64_decides(abs(d), e.size):
+            d = _fill_residual(x, rj)
+        if abs(d) <= _FACE_NEWTON_TOL:
             p = np.zeros(r.shape[1])
             p[j] = pj
             return x, p
