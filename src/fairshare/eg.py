@@ -64,18 +64,18 @@ not finite, as a subnormal entitlement can make it, is declined.
 residual at most 1e-15 in units of x, so that x = x(p) to that residual;
 p_A >= 0; usage within 1e-11 of capacity on A and at most 1 + 1e-11 on
 every column; and the same F read off the point's own prices. Here and in
-stage 2, a fill x . r_j is tested against 1 within 1e-15 by its float64 sum
-where ``_float64_decides`` finds its error bound settles the test, else by
-``_fill_residual``, whatever order BLAS sums in. A try stops at the first
-Newton step that prices a column below zero, as such tries nearly always
-fail: those columns leave A, and the next try starts from the prices this
-one began with, so p_A >= 0 holds by construction. A face that fails on an
-overrun column or a changed F is repaired: the overrun columns join A, and
-F is read again. This is finite termination by a certified crossover (Ye,
-Math. Programming 57, 1992; Wright, Primal-Dual Interior-Point Methods,
-1997, ch. 7).
+stages 2 and 3, a fill x . r_j is tested against 1 within 1e-15 by its
+float64 sum where ``_float64_decides`` finds its error bound settles the
+test, else by ``_fill_residual``, whatever order BLAS sums in. A try stops
+at the first Newton step that prices a column below zero, as such tries
+nearly always fail: those columns leave A, and the next try starts from
+the prices this one began with, so p_A >= 0 holds by construction. A face
+that fails on an overrun column or a changed F is repaired: the overrun
+columns join A, and F is read again. This is finite termination by a
+certified crossover (Ye, Math. Programming 57, 1992; Wright, Primal-Dual
+Interior-Point Methods, 1997, ch. 7).
 
-``solve_eg`` runs four stages, each of 1-3 only where the one before declines:
+``solve_eg`` runs five stages, each of 2-4 only where the one before declines:
 
 1. The empty face p = 0 certifies x = 1 where every user fits at once.
 2. The one-column face of the most-demanded column j. Where j is the only
@@ -83,18 +83,28 @@ Math. Programming 57, 1992; Wright, Primal-Dual Interior-Point Methods,
    of j, as under DRF. The optimum's prices sum to at most sum_i e_i, as
    sum_j p_j (x R)_j = sum_i x_i (R p)_i and x_i (R p)_i is e_i short of 1
    and at most e_i at x_i = 1; so a column that overruns even at x_i =
-   min(1, e_i / (r_ij sum_k e_k)) rules the face out in O(Nm). Otherwise
-   ``water_fill`` prices j, from the only users that can be short, those
-   with r_ij sum_k e_k > e_i. If x(p) fits every column and fills j to
-   within 1e-15, the point carries the certificate as it is (x is x(p),
-   p_j > 0, and the full users are read off p). Where the fill misses, p_j
-   = sum_short e_i / (1 - sum_full r_ij) is summed again by math.fsum, and
-   the fill at that price decides: p_j, exactly rounded at any scale of
-   the entitlements, puts the fill within a few ulps of 1 unless it is
-   subnormal. Where x(p) overruns another column, the stage is tried once
-   more on the column it overruns most.
-3. Tatonnement, then the interior point and its face exit, for the rest.
-4. The users entitled to nothing, left out of stages 1-3, are settled last
+   min(1, e_i / (r_ij sum_k e_k)) rules the face out in O(Nm), and two such
+   columns rule out stage 3 too. Otherwise ``water_fill`` prices j, from
+   the only users that can be short, those with r_ij sum_k e_k > e_i. If
+   x(p) fits every column and fills j to within 1e-15, the point carries
+   the certificate as it is (x is x(p), p_j > 0, and the full users are
+   read off p). Where the fill misses, p_j = sum_short e_i / (1 -
+   sum_full r_ij) is summed again by math.fsum, and the fill at that price
+   decides: p_j, exactly rounded at any scale of the entitlements, puts the
+   fill within a few ulps of 1 unless it is subnormal. Where x(p) overruns
+   exactly one other column k, stage 3 follows.
+3. The face {j, k}, or {k}. Over the short set S, x_i (R p)_i = e_i gives
+   p_j c_j + p_k c_k = E_S = sum_S e_i where both columns fill, c being the
+   capacity the full users leave: p_j = (1 - t) E_S / c_j and p_k = t E_S /
+   c_k for a t in [0, 1], and the two fills collapse into F(t) = sum_S e_i
+   r_ik / (E_S (a_i + b_i t)) - 1 = 0, a_i = r_ij c_k / c_j, b_i = r_ik -
+   a_i, convex on (0, 1) (see ``_root``). S starts as the users who can be
+   short and is read again until it holds; the point certifies as in stage
+   2, by face Newton where only a fill misses. It settles 410 of small's
+   2,070 programs (seeds 1-10), 379 on two columns, and 34 of ladder's 450.
+4. Tatonnement, then the interior point and its face exit, for the rest:
+   9% of small's programs and 85% of ladder's.
+5. The users entitled to nothing, left out of stages 1-4, are settled last
    on the entitled users' answer (see ``solve_eg``).
 """
 from __future__ import annotations
@@ -107,7 +117,7 @@ from .model import DEFAULT_TOLERANCES
 
 __all__ = ["solve_eg", "water_fill"]
 
-_MAX_ITERATIONS = 100  # 1.3 (small) to 2.5 (ladder) steps precede a face, on average
+_MAX_ITERATIONS = 100  # 1.5 (small) to 2.5 (ladder) steps precede a face, on average
 _STEP_TO_BOUNDARY = 0.99
 _START_SHARE = 0.5  # the starting p's share of the demand-weighted prices
 _START_SLACK = 1e-3  # the floor of the starting lambda
@@ -123,6 +133,11 @@ _FACE_NEWTON_TOL = 1e-15
 _CAPACITY_TOL = 1e-11
 # A face is tried, then cut or repaired at most twice.
 _FACE_TRIES = 3
+# Stage 3 reads S up to 8 times (1.07 on small) and takes up to 30 steps per
+# root (3.8); a Halley step below 1e-6 t leaves about 1e-18 t, and ends it.
+_PAIR_ROUNDS = 8
+_PAIR_STEPS = 30
+_PAIR_STOP = 1e-6
 _EXTENDED = np.finfo(np.longdouble).nmant >= 63  # x86's 80 bits, or IEEE quad
 
 
@@ -344,15 +359,17 @@ def water_fill(
 
 
 def _one_column(
-    e: np.ndarray, r: np.ndarray, j: int, retry: bool = True
+    e: np.ndarray, r: np.ndarray, j: int
 ) -> tuple[np.ndarray, np.ndarray] | None:
     """The optimum if it prices the column ``j`` alone, else None: stage 2
-    of the module's docstring, tried again on the column x(p) overruns most
-    if ``retry``, and at the price math.fsum sums where the fill of j misses."""
+    of the module's docstring, at the price math.fsum sums where the fill of
+    j misses, and stage 3 where x(p) overruns exactly one other column."""
     rj = r[:, j]
     scaled = rj * np.add.reduce(e)
-    if _largest((e / np.maximum(scaled, e)).dot(r)) > 1.0 + _CAPACITY_TOL:
-        return None
+    bound = (e / np.maximum(scaled, e)).dot(r)
+    if _largest(bound) > 1.0 + _CAPACITY_TOL:
+        if np.count_nonzero(bound > 1.0 + _CAPACITY_TOL) > 1:
+            return None
     fill = water_fill(e, rj, scaled > e)
     if fill is None:
         return None
@@ -362,8 +379,9 @@ def _one_column(
         usage = x.dot(r)
         k = int(usage.argmax())
         if usage[k] > 1.0 + _CAPACITY_TOL:
-            again = retry and k != j and not exact
-            return _one_column(e, r, k, False) if again else None
+            over = np.count_nonzero(usage > 1.0 + _CAPACITY_TOL)
+            pair = k != j and not exact and over == 1
+            return _two_columns(e, r, j, k) if pair else None
         d = usage[j] - 1.0
         if not _float64_decides(abs(d), e.size):
             d = _fill_residual(x, rj)
@@ -375,6 +393,73 @@ def _one_column(
         if exact or not free > 0.0:
             return None
         pj = math.fsum(e[short].data) / free
+
+
+def _two_columns(
+    e: np.ndarray, r: np.ndarray, j: int, k: int
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """The optimum if it prices the columns ``j`` and ``k``, or ``k`` alone,
+    else None: stage 3 of the module's docstring."""
+    rj, rk = r[:, j], r[:, k]
+    short = np.maximum(rj, rk) * np.add.reduce(e) > e
+    t = 0.0
+    for _ in range(_PAIR_ROUNDS):
+        cj, ck = 1.0 - rj.dot(~short), 1.0 - rk.dot(~short)
+        if not (cj > 0.0 and ck > 0.0):
+            return None
+        sj, sk, es = rj[short], rk[short], e[short]
+        total = np.add.reduce(es)
+        a = sj * (ck / cj)
+        # F(1) = 0 where every user of S requests k, and then 1 is the root,
+        # k alone priced, where F'(1) <= 0: where x(p) at k's price fits j.
+        alone = _smallest(sk) > 0.0 and es.dot(1.0 - a / sk) >= 0.0
+        t = 1.0 if alone else _root(a, sk - a, es / total * sk, t)
+        if t is None:
+            return None
+        pj, pk = (1.0 - t) * total / cj, t * total / ck
+        u = rj * pj + rk * pk
+        if (u > e).tobytes() == short.tobytes():
+            break
+        short = u > e
+    else:
+        return None
+    p = np.zeros(r.shape[1])
+    p[j], p[k] = pj, pk
+    priced = p > 0.0
+    x = e / np.maximum(u, e)
+    usage = x.dot(r)
+    if _largest(usage) > 1.0 + _CAPACITY_TOL:
+        return None
+    worst = _largest(np.abs(usage[priced] - 1.0))
+    if not _float64_decides(worst, e.size):
+        worst = _largest(np.abs(_fill_residual(x, r[:, priced])))
+    return (x, p) if worst <= _FACE_NEWTON_TOL else _face(e, r, priced, p)
+
+
+def _root(a, b, w, t):
+    """The root on (0, 1) of F(t) = sum_i w_i / (a_i + b_i t) - 1 from ``t``,
+    where each a_i + b_i t > 0, so F is convex, and F(1) <= 0: Halley steps
+    inside the bracket F(lo) > 0 >= F(hi), bisection where a step leaves it;
+    None where F > 0 nowhere."""
+    lo, hi = 0.0, 1.0
+    if not (0.0 < t < 1.0 or (t == 0.0 and _smallest(a) > 0.0)):
+        t = 0.5  # F has a pole at 0, or the last root is no start
+    for _ in range(_PAIR_STEPS):
+        d = a + b * t
+        q, y = w / d, b / d
+        f, g, h = np.add.reduce(q) - 1.0, q.dot(y), (q * y).dot(y)  # -F', F''/2
+        lo, hi = (t, hi) if f > 0.0 else (lo, t)
+        nxt = 0.5 * (lo + hi)
+        if g > 0.0:
+            step = f / (g - f * h / g) if f > 0.0 and g * g > f * h else f / g
+            if abs(step) <= _PAIR_STOP * t:
+                return t + step
+            if lo < t + step < hi:
+                nxt = t + step
+        if not lo < nxt < hi:
+            break
+        t = nxt
+    return t if lo > 0.0 else None
 
 
 def _solve(e: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, str]:
@@ -392,15 +477,15 @@ def _solve(e: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, str]:
     p = _START_SHARE * weights / (float(np.add.reduce(weights)) or 1.0)
     p += (1.0 - _START_SHARE) / m
     for _ in range(_TATONNEMENT):
-        p = np.maximum(p * rt.dot(e / np.maximum(r.dot(p), e)), 0.5 * p)
+        p = p * np.maximum(rt.dot(e / np.maximum(r.dot(p), e)), 0.5)
     u = r.dot(p)
-    lam = np.maximum(1.0 - rt.dot(e / np.maximum(u, e)), _START_SLACK)
+    v = np.maximum(u, e)
+    x = e / v
+    s = 1.0 - rt.dot(x)
+    lam = np.maximum(s, _START_SLACK)
     status = "iteration_limit"
     face = b""  # the tight columns of the iterate before, as bytes
     for _ in range(_MAX_ITERATIONS):
-        v = np.maximum(u, e)
-        x = e / v
-        s = 1.0 - rt.dot(x)
         tight = lam < p
         current = tight.tobytes()
         if current == face and tight[tight.argmax()]:
@@ -441,8 +526,11 @@ def _solve(e: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, str]:
         p = p + step * dp
         lam = lam + step * dlam
         u = r.dot(p)
+        v = np.maximum(u, e)
+        x = e / v
+        s = 1.0 - rt.dot(x)
     # Finish on the face of the iterate where the interior point stopped.
     finished = _face(e, r, lam < p, p)
     if finished is not None:
         return *finished, "optimal"
-    return e / np.maximum(u, e), p, status
+    return x, p, status

@@ -7,6 +7,7 @@ import pytest
 
 from fairshare import eg
 from fairshare.eg import solve_eg
+from fairshare.fixtures import load_fixture
 from fairshare.model import ProblemInstance
 from fairshare.oracle import random_instance
 from fairshare.solver import solve
@@ -105,14 +106,15 @@ def _count_work(monkeypatch, instances):
     return counts
 
 
-def test_the_suite_and_fixtures_take_at_most_250_linear_solves_and_59_faces(
+def test_the_suite_and_fixtures_take_at_most_90_linear_solves_and_19_faces(
     monkeypatch, suite_and_fixtures
 ):
-    # From p = 1/m and lambda = 1 the interior point took 370 and 65, and
-    # from the measured start without tatonnement steps 318 and 65.
+    # From p = 1/m and lambda = 1 the interior point took 370 and 65, from
+    # the measured start without tatonnement steps 318 and 65, and with them
+    # but without the two-column stage 250 and 59.
     counts = _count_work(monkeypatch, suite_and_fixtures)
-    assert counts["linear solves"] <= 250, counts
-    assert counts["faces"] <= 59, counts
+    assert counts["linear solves"] <= 90, counts
+    assert counts["faces"] <= 19, counts
 
 
 def test_the_medium_instances_take_at_most_92_linear_solves_and_15_faces(
@@ -419,6 +421,93 @@ def test_answers_the_one_column_stage_declines_meet_the_kkt_conditions(draw):
     assert declined >= 15, declined
 
 
+def test_the_two_column_stage_never_declines_a_two_column_optimum(
+    monkeypatch, suite_and_fixtures, draw
+):
+    # Wherever x(p) at the water-filled price of j overruns one other column
+    # k and the optimum prices j and k, or k alone, the stage returns it:
+    # face Newton's answer within 1e-12, and within test_eg's KKT bounds.
+    rng = np.random.default_rng(5)
+    draws = [
+        ProblemInstance(*draw(rng, n, m))
+        for n, m in [(2, 2), (3, 2), (3, 3), (4, 4), (5, 5), (10, 8), (20, 10)]
+        for _ in range(20)
+    ]
+    two_columns = eg._two_columns
+    counts = {"pairs": 0, "k alone": 0, "declined": 0}
+    for inst in suite_and_fixtures + _degenerate_instances(400) + draws:
+        # Face Newton's answer: solve_eg with the stage declined.
+        calls = []
+        with monkeypatch.context() as patch:
+            patch.setattr(eg, "_two_columns", lambda *args: calls.append(args))
+            x, p, status = solve_eg(inst.entitlements, inst.requirements)
+        if not calls:
+            continue
+        assert status == "optimal"
+        e, r, j, k = calls[0]
+        settled = two_columns(e, r, j, k)
+        if settled is None:
+            counts["declined"] += 1
+            assert np.flatnonzero(p).tolist() not in ([k], sorted([j, k]))
+            continue
+        counts["pairs" if settled[1][j] > 0.0 else "k alone"] += 1
+        assert np.max(np.abs(settled[0] - x)) <= 1e-12
+        _assert_kkt(inst, *settled)
+    assert counts["pairs"] >= 130 and counts["k alone"] >= 5, counts
+
+
+@pytest.mark.parametrize(
+    "name, allocation",
+    [
+        ("greedy3", [0.9787032456, 0.6079372933, 0.1306875689]),
+        ("nonunique_n3", [0.5, 0.5, 0.5]),
+    ],
+)
+def test_two_bottleneck_fixtures_end_on_the_two_column_stage(
+    monkeypatch, name, allocation
+):
+    # Both fixtures price two columns: the stage settles each inline, with no
+    # linear solve and no face Newton.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a linear solve or face Newton ran")
+
+    monkeypatch.setattr(eg.np.linalg, "solve", refuse)
+    monkeypatch.setattr(eg.np.linalg, "lstsq", refuse)
+    monkeypatch.setattr(eg, "_face", refuse)
+    inst = load_fixture(name)
+    x, p, status = solve_eg(inst.entitlements, inst.requirements)
+    assert status == "optimal"
+    assert np.count_nonzero(p) == 2
+    np.testing.assert_allclose(x, allocation, rtol=0, atol=1e-10)
+    _assert_kkt(inst, x, p)
+
+
+def test_the_two_column_root_meets_its_equation():
+    # F(t) = sum_i w_i / (a_i + b_i t) - 1 with a_i, a_i + b_i >= 0 is convex
+    # on (0, 1); with F(1) <= 0 its root is found from 0 and from a warm
+    # start, and where F(0) <= 0 there is none from either.
+    rng = np.random.default_rng(29)
+    found = 0
+    for _ in range(300):
+        n = int(rng.integers(1, 8))
+        a = rng.uniform(0.0, 1.0, n) * (rng.random(n) >= 0.2)
+        end = rng.uniform(0.0, 1.0, n) * (rng.random(n) >= 0.2) + (a == 0.0)
+        share = rng.uniform(0.0, 1.0, n)
+        w = share / share.sum() * rng.uniform(0.3, 1.0) * end  # F(1) <= 0
+        b = end - a
+        for t in (0.0, float(rng.uniform(0.0, 1.0))):
+            root = eg._root(a, b, w, t)
+            if a.min() > 0.0 and (w / a).sum() <= 1.0:
+                assert root is None
+                continue
+            found += 1
+            assert root is not None and 0.0 < root <= 1.0
+            f = math.fsum(w / (a + b * root)) - 1.0
+            slope = math.fsum(w * b / (a + b * root) ** 2)
+            assert abs(f) <= 1e-12 * max(1.0, slope), (a, b, w, t, root)
+    assert found >= 400, found
+
+
 def test_a_face_with_more_distinct_columns_than_short_users_is_declined_before_any_lu(
     monkeypatch,
 ):
@@ -524,7 +613,9 @@ def test_a_subnormal_user_who_requests_nothing_raises_no_runtime_warning(
     # The user is full on every pass, (R p)_i = 0 <= e_i, and its Hessian
     # weight is 0: no pass may divide by its subnormal entitlement, whose
     # reciprocal overflows. The zero row changes neither face stage's
-    # decision, so every program still reaches the interior point.
+    # decision, and the two-column stage is declined, so every program
+    # still reaches the interior point.
+    monkeypatch.setattr(eg, "_two_columns", lambda *args: None)
     calls = []
     linear_solve = np.linalg.solve
     monkeypatch.setattr(
@@ -572,10 +663,11 @@ def test_the_tatonnement_steps_keep_every_price_finite_and_positive(monkeypatch,
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         solve_eg(e, r)
-        # With no interior-point step and no face, solve_eg returns the
-        # prices the interior point would start from.
+        # With no interior-point step, no face and no two-column stage,
+        # solve_eg returns the prices the interior point would start from.
         monkeypatch.setattr(eg, "_MAX_ITERATIONS", 0)
         monkeypatch.setattr(eg, "_face", lambda *args: None)
+        monkeypatch.setattr(eg, "_two_columns", lambda *args: None)
         _, p, status = solve_eg(e, r)
     assert status == "iteration_limit"
     assert np.isfinite(p).all() and (p > 0.0).all()
