@@ -59,20 +59,22 @@ p_A)) R_A per Newton step. Its rank is at most the number of users short
 of 1, so a face with more distinct columns than that is declined before it
 is factorised. Where repeated columns make it singular, the least-norm step
 splits one price among them; a face singular otherwise, or whose step is
-not finite, as a subnormal entitlement can make it, is declined.
-``solve_eg`` returns the Newton point if it carries the certificate: face
-residual at most 1e-15 in units of x, so that x = x(p) to that residual;
-p_A >= 0; usage within 1e-11 of capacity on A and at most 1 + 1e-11 on
-every column; and the same F read off the point's own prices. Here and in
-stages 2 and 3, a fill x . r_j is tested against 1 within 1e-15 by its
-float64 sum where ``_float64_decides`` finds its error bound settles the
-test, else by ``_fill_residual``, whatever order BLAS sums in. A try stops
-at the first Newton step that prices a column below zero, as such tries
-nearly always fail: those columns leave A, and the next try starts from
-the prices this one began with, so p_A >= 0 holds by construction. A face
-that fails on an overrun column or a changed F is repaired: the overrun
-columns join A, and F is read again. This is finite termination by a
-certified crossover (Ye, Math. Programming 57, 1992; Wright, Primal-Dual
+not finite, as a subnormal (R p)_i can make it, is declined. Each step's
+right-hand side is the fill residual x(p) . r_j - 1 on the face columns, at
+x = x(p) itself; Newton's linearised x enters only as the Hessian's weight.
+The loop stops on that residual alone, and ``solve_eg`` returns (x(p), p)
+at the last prices if it carries the certificate: every face column filled
+to within 1e-15; p_A >= 0; usage at most 1 + 1e-11 on every column; and the
+same F read off those prices, so that x(p) keeps the full users at 1. Here
+and in stages 2 and 3, a fill x . r_j is tested against 1 within 1e-15 by
+its float64 sum where ``_float64_decides`` finds its error bound settles
+the test, else by ``_fill_residual``, whatever order BLAS sums in. A try
+stops at the first Newton step that prices a column below zero, as such
+tries nearly always fail: those columns leave A, and the next try starts
+from the prices this one began with, so p_A >= 0 holds by construction. A
+face that fails on an overrun column or a changed F is repaired: the
+overrun columns join A, and F is read again. This is finite termination by
+a certified crossover (Ye, Math. Programming 57, 1992; Wright, Primal-Dual
 Interior-Point Methods, 1997, ch. 7).
 
 ``solve_eg`` runs five stages, each of 2-4 only where the one before declines:
@@ -88,11 +90,8 @@ Interior-Point Methods, 1997, ch. 7).
    the only users that can be short, those with r_ij sum_k e_k > e_i. If
    x(p) fits every column and fills j to within 1e-15, the point carries
    the certificate as it is (x is x(p), p_j > 0, and the full users are
-   read off p). Where the fill misses, p_j = sum_short e_i / (1 -
-   sum_full r_ij) is summed again by math.fsum, and the fill at that price
-   decides: p_j, exactly rounded at any scale of the entitlements, puts the
-   fill within a few ulps of 1 unless it is subnormal. Where x(p) overruns
-   exactly one other column k, stage 3 follows.
+   read off p); where only the fill misses, face Newton on {j} finishes
+   it. Where x(p) overruns exactly one other column k, stage 3 follows.
 3. The face {j, k}, or {k}. Over the short set S, x_i (R p)_i = e_i gives
    p_j c_j + p_k c_k = E_S = sum_S e_i where both columns fill, c being the
    capacity the full users leave: p_j = (1 - t) E_S / c_j and p_k = t E_S /
@@ -206,12 +205,15 @@ def _fill_residual(x, r):
     return (s[0] - 1.0).astype(float)
 
 
+# A subnormal (R p)_i overflows the Hessian's weight x_i / (R p)_i; the step
+# is then not finite, and the face is declined without a warning.
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def _face(
     e: np.ndarray, r: np.ndarray, a: np.ndarray, p: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray] | None:
     """Face Newton on the columns ``a`` from the prices ``p`` >= 0: the point
-    ``(x, p)`` if it carries the certificate, else None. The arguments are
-    not modified."""
+    ``(x(p), p)`` at its last prices if it carries the certificate, else
+    None. The arguments are not modified."""
     for _ in range(_FACE_TRIES):
         u = r.compress(a, axis=1).dot(p[a])
         full = u <= e
@@ -219,8 +221,9 @@ def _face(
         a = a & (short.dot(r) > 0.0)
         ra = r.compress(a, axis=1)
         rs, es, pa = ra[short], e[short], p[a]
-        xs = es / u[short]
+        xs = es / u[short]  # Newton's linearised x, the Hessian's weight
         target = 1.0 - full.dot(ra)
+        x = np.ones(e.size)
         residual, negative = np.inf, None
         for step in range(_FACE_NEWTON_ITERATIONS + 1):
             if not xs.size:  # no user short of 1: nothing to solve
@@ -230,16 +233,14 @@ def _face(
             if not _smallest(u) > 0.0:
                 residual = np.inf
                 break
-            r1 = (xs * u - es) / u
-            r2 = xs.dot(rs) - target
-            worst1, worst2 = _largest(np.abs(r1)), _largest(np.abs(r2))
-            if not worst1 > _FACE_NEWTON_TOL and not _float64_decides(worst2, e.size):
-                x = np.ones(e.size)
-                x[short] = xs
-                r2 = _fill_residual(x, ra)
-                worst2 = _largest(np.abs(r2))
-            # A NaN in r2 comes with a NaN or inf in r1, which stops as well.
-            previous, residual = residual, max(worst1, worst2)
+            xp = es / u  # x(p) of the users short of 1
+            x[short] = xp
+            fill = xp.dot(rs) - target
+            worst = _largest(np.abs(fill))
+            if not _float64_decides(worst, e.size):
+                fill = _fill_residual(x, ra)
+                worst = _largest(np.abs(fill))
+            previous, residual = residual, worst
             if (
                 residual <= _FACE_NEWTON_TOL
                 or not residual <= 0.5 * previous
@@ -249,16 +250,16 @@ def _face(
             if rs.shape[1] > xs.size and len({c.tobytes() for c in rs.T}) > xs.size:
                 break
             w = xs / u
-            hess, rhs = (rs.T * w).dot(rs), r2 - r1.dot(rs)
+            hess = (rs.T * w).dot(rs)
             try:
-                dp = np.linalg.solve(hess, rhs)
+                dp = np.linalg.solve(hess, fill)
             except np.linalg.LinAlgError:
                 if len({c.tobytes() for c in rs.T}) == rs.shape[1]:
                     break
-                dp = np.linalg.lstsq(hess, rhs, rcond=None)[0]
+                dp = np.linalg.lstsq(hess, fill, rcond=None)[0]
             if not math.isfinite(_largest(np.abs(dp))):
                 break
-            xs = xs - r1 - w * rs.dot(dp)
+            xs = xp - w * rs.dot(dp)
             pa = pa + dp
             if _smallest(pa) < 0.0:
                 negative = pa < 0.0
@@ -270,13 +271,10 @@ def _face(
             return None
         p = np.zeros(p.size)
         p[a] = pa
-        x = np.ones(e.size)
-        x[short] = xs
         usage = x.dot(r)
         if (
             _largest(usage) <= 1.0 + _CAPACITY_TOL
             and (r.dot(p) <= e).tobytes() == full.tobytes()
-            and np.minimum.reduce(usage[a], initial=1.0) >= 1.0 - _CAPACITY_TOL
         ):
             return x, p
         # Repair the face: drop the columns priced at zero, add the columns
@@ -290,10 +288,11 @@ def solve_eg(e: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, str]
     and requests ``r`` (N x m), its prices ``p`` (one per column) and a stop
     flag.
 
-    The flag is "optimal" exactly when the answer is a face Newton point
-    that carries the certificate, "iteration_limit" when the iteration cap
-    is reached, or "singular" when a Newton system cannot be solved; in the
-    last two cases the allocation x(p) of the current prices is returned.
+    On the entitled users x is always x(p) = min(1, e / (R p)), the
+    allocation of the returned prices. The flag is "optimal" exactly when
+    that pair carries a face's certificate, "iteration_limit" when the
+    iteration cap is reached, or "singular" when a Newton system cannot be
+    solved; in the last two cases p are the interior point's last prices.
 
     Under the paper's rule any bottleneck justifies a user with e_i = 0, so
     what such users get is chosen here and nowhere else, after the program
@@ -362,8 +361,8 @@ def _one_column(
     e: np.ndarray, r: np.ndarray, j: int
 ) -> tuple[np.ndarray, np.ndarray] | None:
     """The optimum if it prices the column ``j`` alone, else None: stage 2
-    of the module's docstring, at the price math.fsum sums where the fill of
-    j misses, and stage 3 where x(p) overruns exactly one other column."""
+    of the module's docstring, finished by face Newton on {j} where the fill
+    of j misses, and stage 3 where x(p) overruns exactly one other column."""
     rj = r[:, j]
     scaled = rj * np.add.reduce(e)
     bound = (e / np.maximum(scaled, e)).dot(r)
@@ -373,26 +372,19 @@ def _one_column(
     fill = water_fill(e, rj, scaled > e)
     if fill is None:
         return None
-    pj, short = fill
-    for exact in (False, True):
-        x = e / np.maximum(rj * pj, e)
-        usage = x.dot(r)
-        k = int(usage.argmax())
-        if usage[k] > 1.0 + _CAPACITY_TOL:
-            over = np.count_nonzero(usage > 1.0 + _CAPACITY_TOL)
-            pair = k != j and not exact and over == 1
-            return _two_columns(e, r, j, k) if pair else None
-        d = usage[j] - 1.0
-        if not _float64_decides(abs(d), e.size):
-            d = _fill_residual(x, rj)
-        if abs(d) <= _FACE_NEWTON_TOL:
-            p = np.zeros(r.shape[1])
-            p[j] = pj
-            return x, p
-        free = math.fsum(np.append(1.0, -rj[~short]).data)
-        if exact or not free > 0.0:
-            return None
-        pj = math.fsum(e[short].data) / free
+    pj = fill[0]
+    x = e / np.maximum(rj * pj, e)
+    usage = x.dot(r)
+    k = int(usage.argmax())
+    if usage[k] > 1.0 + _CAPACITY_TOL:
+        pair = k != j and np.count_nonzero(usage > 1.0 + _CAPACITY_TOL) == 1
+        return _two_columns(e, r, j, k) if pair else None
+    p = np.zeros(r.shape[1])
+    p[j] = pj
+    d = usage[j] - 1.0
+    if not _float64_decides(abs(d), e.size):
+        d = _fill_residual(x, rj)
+    return (x, p) if abs(d) <= _FACE_NEWTON_TOL else _face(e, r, p > 0.0, p)
 
 
 def _two_columns(

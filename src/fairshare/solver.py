@@ -112,7 +112,7 @@ class SolveResult:
     # "iteration_limit" or "singular".
     termination: str
     # Whether ``solve_eg`` returned "optimal": every program it solved ended
-    # on a face Newton point that carries the KKT certificate (printed as
+    # on a pair (x(p), p) that carries a face's KKT certificate (printed as
     # "polished" by the CLI).
     polish_applied: bool
 

@@ -128,7 +128,7 @@ def test_the_medium_instances_take_at_most_92_linear_solves_and_15_faces(
     assert counts["faces"] <= 15, counts
 
 
-def test_a_2000_by_300_draw_takes_at_most_18_linear_solves_and_2_faces(
+def test_a_2000_by_300_draw_takes_at_most_13_linear_solves_and_1_face(
     monkeypatch, draw
 ):
     # The same guard at N >= 2000, where a BLAS sum of a column's fill is
@@ -136,8 +136,8 @@ def test_a_2000_by_300_draw_takes_at_most_18_linear_solves_and_2_faces(
     # Newton took 31 linear solves and 5 faces here.
     e, r = draw(np.random.default_rng(0), 2000, 300)
     counts = _count_work(monkeypatch, [ProblemInstance(entitlements=e, requirements=r)])
-    assert counts["linear solves"] <= 18, counts
-    assert counts["faces"] <= 2, counts
+    assert counts["linear solves"] <= 13, counts
+    assert counts["faces"] <= 1, counts
 
 
 def test_face_newton_stops_where_the_prices_turn_non_positive():
@@ -322,19 +322,20 @@ def test_the_one_column_point_is_face_newtons_point_where_newton_takes_no_step(
     assert compared >= 150, compared
 
 
-def test_a_one_column_fill_off_by_more_than_round_off_certifies_with_exact_sums(
+def test_a_one_column_fill_off_by_more_than_round_off_certifies_in_one_newton_step(
     monkeypatch,
 ):
     # At 100000 users the BLAS sum of the water-filled column's usage can be
     # about 1e-14 off capacity, and its error bound, about 1.1e-11, cannot
     # prove a fill within 1e-15 even where it reads closer (on seed 1 it
     # reads 1 + 6.7e-16 under one BLAS thread, while the exact fill is
-    # 1 - 2.7e-15). The stage then forms the price and the fill again with
-    # exactly rounded sums, and certifies with no face Newton.
-    def refuse(*args):
-        raise AssertionError("face Newton ran")
-
-    monkeypatch.setattr(eg, "_face", refuse)
+    # 1 - 2.7e-15). Where the accurate fill misses too, face Newton on the
+    # column finishes the point, in one linear solve at most.
+    steps = []
+    linear_solve = np.linalg.solve
+    monkeypatch.setattr(
+        eg.np.linalg, "solve", lambda a, b: steps.append(1) or linear_solve(a, b)
+    )
     n = 100000
     missed = 0
     for seed in range(10):
@@ -345,14 +346,17 @@ def test_a_one_column_fill_off_by_more_than_round_off_certifies_with_exact_sums(
         c = r[:, 0]
         pj = eg.water_fill(e, c, c * e.sum() > e)[0]
         missed += abs(((e / np.maximum(c * pj, e)) @ r)[0] - 1.0) > 1e-15
+        steps.clear()
         x, p, status = solve_eg(e, r)
+        assert len(steps) <= 1, (seed, len(steps))
         assert status == "optimal"
         np.testing.assert_array_equal(np.flatnonzero(p), [0])
         _assert_kkt(ProblemInstance(entitlements=e, requirements=r), x, p)
         assert np.max(x @ r) <= 1.0 + 1e-11
         assert abs(math.fsum(x * c) - 1.0) <= 1e-15
     # The BLAS fill misses 1e-15 outright on 7 or 8 of the 10 (the count
-    # moves with the BLAS thread count); the exact sums decide all 10.
+    # moves with the BLAS thread count); the accurate sums or one Newton
+    # step decide all 10.
     assert missed >= 5, missed
 
 
@@ -578,11 +582,13 @@ def _tiny_entitlement_draws(count):
 
 
 def test_tiny_entitlements_raise_no_runtime_warning():
-    # Face Newton divides by (R p)_i, but only the interior point runs it:
-    # the one-column stage certifies its water-filled point with BLAS or
-    # exactly rounded sums, and forms no x_i / (R p)_i. Some of these draws
-    # still fail to verify (the interior point stops at its iteration cap),
-    # but no certified answer may fail, and nothing may warn.
+    # Face Newton divides by (R p)_i, which can be subnormal here; it runs
+    # after the interior point, and after stages 2 and 3 where their fill
+    # misses 1e-15. Where its Hessian weight x_i / (R p)_i overflows, the
+    # step is not finite and the face is declined, with no warning (11 of
+    # these draws). Some draws still fail to verify (the interior point
+    # stops at its iteration cap), but no certified answer may fail, and
+    # nothing may warn.
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         results = [solve(inst) for inst in _tiny_entitlement_draws(400)]
@@ -594,6 +600,27 @@ def test_tiny_entitlements_raise_no_runtime_warning():
     # steps 342 certified, and with 8 of them draw 220 failed too.
     assert sum(res.polish_applied for res in results) >= 346
     assert sum(not res.report.passed for res in results) <= 15
+
+
+def test_every_certified_answer_is_the_allocation_of_its_own_prices(suite_and_fixtures):
+    # A certified answer is x(p): each entitled user's x_i lies within 4 ulps
+    # of e_i / max((R p)_i, e_i) at the prices returned with it, also where
+    # (R p)_i is near 1e-200. Face Newton's linearised iterate, returned as
+    # it was, missed this by up to 6.6e10 ulps (tiny draw 380) and failed
+    # the KKT bounds on tiny draws 13 and 380.
+    family = suite_and_fixtures + _degenerate_instances(400) + _tiny_entitlement_draws(400)
+    certified = 0
+    for inst in family:
+        e, r = inst.entitlements, inst.requirements
+        x, p, status = solve_eg(e, r)
+        if status != "optimal":
+            continue
+        certified += 1
+        users = e > 0.0
+        xp = e[users] / np.maximum(r[users] @ p, e[users])
+        assert np.all(np.abs(x[users] - xp) <= 4.0 * np.spacing(xp)), inst
+        _assert_kkt(inst, x, p)
+    assert certified >= 950, certified
 
 
 def test_a_verified_answer_at_the_iteration_cap_reports_its_own_flag():
