@@ -32,7 +32,7 @@ from .model import (
     add_dummy_resources,
     validate_instance,
 )
-from .solver import InvalidInstanceError, integrate_trajectory, solve
+from .solver import integrate_trajectory, solve
 from .verifier import FULLY_ALLOCATED, JUSTIFIED, verify
 
 __all__ = ["entrypoint", "main"]
@@ -214,10 +214,7 @@ def _solution_dict(result) -> dict:
 def cmd_solve(args) -> tuple[int, str]:
     inst = _load_instance(args.instance, renormalize=args.renormalize)
     tol = _tolerances(args)
-    try:
-        result = solve(inst, tol)
-    except InvalidInstanceError as exc:
-        raise CliError(f"invalid instance: {exc}")
+    result = solve(inst, tol)
     report = result.report
     code = 0 if report.passed else 1
     if args.json:

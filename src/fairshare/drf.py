@@ -33,7 +33,8 @@ def solve_drf(inst: ProblemInstance) -> DrfResult:
     the column that ``eg.water_fill`` fills at the price p = 1 / s with
     weights rate_i r_ij. Each column that can saturate is filled once, in
     O(N) per round; the highest-priced one saturates first and binds, and
-    x_i = min(1, rate_i / p). Users requesting nothing are granted x_i = 1
+    x_i = rate_i / max(rate_i, p) = min(1, rate_i / p), a quotient that cannot
+    overflow where p is subnormal. Users requesting nothing are granted x_i = 1
     outright; users with zero entitlement receive nothing.
     """
     r = inst.requirements
@@ -48,7 +49,7 @@ def solve_drf(inst: ProblemInstance) -> DrfResult:
         if fill is not None and fill[0] > price:
             price, saturating = fill[0], int(j)
     x = np.ones(inst.n_users)  # nothing requested: fully satisfied, loads nothing
-    x[active] = np.minimum(1.0, rate / price) if saturating is not None else rate > 0.0
+    x[active] = rate / np.maximum(rate, price) if saturating is not None else rate > 0.0
     shares = x * d
     u = usages(inst, x)
     x.setflags(write=False)

@@ -1,6 +1,7 @@
 """Checks that an allocation is fair: the [0, 1] bound on every x_i,
 capacity, entitlement-on-a-bottleneck (the no-justified-complaints
-condition), Pareto pinning, envy, and the sharing-incentive baseline.
+condition), Pareto pinning, the worst envy pair (found a row at a time, in
+memory linear in N), and the sharing-incentive baseline.
 
 ``verify`` decides only the verdict, with whole-array operations: the
 bound, capacity and the complaint check, which reads one computation of
@@ -77,10 +78,9 @@ class UserStatus:
 
 @dataclass(frozen=True, eq=False)
 class EnvyResult:
-    ok: bool
+    ok: bool  # worst_margin >= -eps_njc, and always for a single user
     worst_pair: tuple[int, int] | None  # (envious user, envied user)
-    worst_margin: float
-    margins: np.ndarray  # margins[i, j] = x_i - utility(i, bundle_j)
+    worst_margin: float  # x_i - utility(i, x_j r_j) for that pair; 0.0 for one user
 
 
 @dataclass(frozen=True, eq=False)
@@ -302,41 +302,37 @@ class VerificationReport:
 def check_envy_free(
     inst: ProblemInstance, x: np.ndarray, tol: ToleranceConfig | None = None
 ) -> EnvyResult:
-    """margins[i, j] = x_i - (what user i could run from user j's bundle).
+    """The worst envy pair (i, j), by the margin x_i - utility(inst, i, x_j * r_j).
 
-    Row i equals ``x_i - utility(inst, i, x_j * r_j)`` for every j, computed
-    for all bundles at once.
+    Row i's margins are computed for all bundles at once and reduced to their
+    first smallest entry, so memory stays linear in N. The pair is the first
+    smallest margin in row-major order, a NaN counting as smallest, as
+    ``argmin`` takes it.
     """
     tol = tol or DEFAULT_TOLERANCES
     x = np.asarray(x, dtype=float)
     n = inst.n_users
+    if n < 2:
+        return EnvyResult(ok=True, worst_pair=None, worst_margin=0.0)
     r = inst.requirements
     bundles = x[:, None] * r
-    margins = np.zeros((n, n))
+    envied, margin = np.empty(n, dtype=int), np.empty(n)
     for i in range(n):
         mask = r[i] > 0.0
         if mask.any():
             runs = np.minimum(1.0, (bundles[:, mask] / r[i, mask]).min(axis=1))
         else:
-            runs = 1.0  # a user who requests nothing runs fully on any bundle
-        margins[i] = x[i] - runs
-        margins[i, i] = 0.0
-    worst: tuple[int, int] | None = None
-    worst_margin = 0.0
-    if n > 1:
-        # The first smallest off-diagonal entry in row-major order, found
-        # with the diagonal masked in place rather than in an N x N copy.
-        np.fill_diagonal(margins, np.inf)
-        k = int(margins.argmin())
-        worst = (k // n, k % n)
-        worst_margin = float(margins.flat[k])
-        np.fill_diagonal(margins, 0.0)
-    margins.setflags(write=False)
+            runs = np.ones(n)  # a user who requests nothing runs fully on any bundle
+        row = x[i] - runs
+        row[i] = np.inf
+        envied[i] = row.argmin()
+        margin[i] = row[envied[i]]
+    i = int(margin.argmin())
+    worst_margin = float(margin[i])
     return EnvyResult(
-        ok=bool(worst is None or worst_margin >= -tol.eps_njc),
-        worst_pair=worst,
+        ok=worst_margin >= -tol.eps_njc,
+        worst_pair=(i, int(envied[i])),
         worst_margin=worst_margin,
-        margins=margins,
     )
 
 

@@ -44,6 +44,29 @@ def draw():
     return _draw
 
 
+def _tiny_entitlement_draws(count):
+    values = [1e-20, 1e-50, 1e-100, 1e-200, 1e-300, 1e-310, 5e-324, 0.0]
+    rng = np.random.default_rng(100)
+    cases = []
+    for _ in range(count):
+        n, m = int(rng.integers(2, 7)), int(rng.integers(1, 7))
+        e = rng.uniform(0.0, 1.0, n)
+        swap = rng.random(n) < 0.4
+        e[swap] = rng.choice(values, int(swap.sum()))
+        r = rng.uniform(0.0, 1.0, (n, m)) * (rng.random((n, m)) >= 0.3)
+        cases.append(ProblemInstance(entitlements=e / e.sum(), requirements=r))
+    return cases
+
+
+@pytest.fixture(scope="session")
+def tiny_entitlement_draws():
+    """``tiny_entitlement_draws(count)``: the first ``count`` draws of 2-6
+    users by 1-6 resources whose entitlements, uniform on [0, 1], are each
+    replaced with probability 0.4 by one of 1e-20 ... 5e-324 or 0, then
+    renormalised; requests uniform on [0, 1] with 30% zeros."""
+    return _tiny_entitlement_draws
+
+
 @pytest.fixture(scope="session")
 def suite_and_fixtures():
     """The 200-instance acceptance suite, then the fixtures by name."""

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -50,6 +51,32 @@ def test_solve_a_400_by_100_instance_exits_zero(large_instance, tmp_path, capsys
     code, out, _ = run(capsys, "solve", str(path))
     assert code == 0
     assert "verified: yes" in out
+
+
+def test_a_5000_user_report_takes_memory_linear_in_n(draw, tmp_path, capsys):
+    # The envy check keeps one row of margins at a time: solve --json and
+    # verify --format json on 5000 x 8 peak under 32 MiB, where an N x N
+    # array of margins alone took 191 MiB.
+    e, r = draw(np.random.default_rng(0), 5000, 8)
+    path, allocation = tmp_path / "draw5000.json", tmp_path / "x.json"
+    path.write_text(json.dumps({"entitlements": e.tolist(), "requirements": r.tolist()}))
+    tracemalloc.start()
+    try:
+        code, out, _ = run(capsys, "solve", str(path), "--json")
+        solve_peak = tracemalloc.get_traced_memory()[1]
+        allocation.write_text(out)
+        tracemalloc.reset_peak()
+        verify_code, verify_out, _ = run(
+            capsys, "verify", str(path), "--allocation", str(allocation), "--format", "json"
+        )
+        verify_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and verify_code == 0
+    worst = json.loads(out)["report"]["worst_envy"]
+    assert worst is not None and worst == json.loads(verify_out)["worst_envy"]
+    assert solve_peak <= 32 * 2**20, solve_peak
+    assert verify_peak <= 32 * 2**20, verify_peak
 
 
 def _module_env():

@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fairshare.drf import solve_drf
+from fairshare.eg import water_fill
 from fairshare.fixtures import FIXTURES, load_fixture
 from fairshare.model import ProblemInstance, usages
 from fairshare.oracle import random_instance
@@ -200,3 +203,30 @@ def test_a_column_whose_demand_is_exactly_1_saturates(entitlements, requirements
     res = solve_drf(ProblemInstance(entitlements=entitlements, requirements=requirements))
     np.testing.assert_array_equal(res.x, 1.0)
     assert res.saturating_resource == 0
+
+
+def test_a_subnormal_binding_price_grants_in_full_without_overflow(tiny_entitlement_draws):
+    # x_i = rate_i / max(rate_i, p) is min(1, rate_i / p) bit for bit wherever
+    # the latter does not overflow. On 23 of these draws the binding price p
+    # is so small that rate_i / p overflowed to inf (a RuntimeWarning), and
+    # min(1, inf) = 1 is still the answer.
+    overflowed = 0
+    for inst in tiny_entitlement_draws(400):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            res = solve_drf(inst)
+        r, j = inst.requirements, res.saturating_resource
+        active = r.max(axis=1) > 0.0
+        ra = r[active]
+        rate = inst.entitlements[active] / ra.max(axis=1)
+        want = np.ones(inst.n_users)
+        if j is None:
+            want[active] = rate > 0.0
+        else:
+            price = water_fill(rate * ra[:, j], ra[:, j], np.ones(rate.size, dtype=bool))[0]
+            with np.errstate(over="ignore"):
+                quotient = rate / price
+            overflowed += bool(np.isinf(quotient).any())
+            want[active] = np.minimum(1.0, quotient)
+        assert res.x.tobytes() == want.tobytes(), inst
+    assert overflowed == 23

@@ -410,6 +410,30 @@ def test_the_fill_residual_meets_its_bound_against_exact_sums(monkeypatch, exten
     assert len(cases) - 3 <= accurate < len(cases), accurate
 
 
+def test_the_fsum_fill_path_gives_the_same_answers_end_to_end(
+    monkeypatch, suite_and_fixtures, medium_instances
+):
+    # Where np.longdouble is float64, _fill_residual sums by math.fsum. Both
+    # sums meet the same error bound, so on these programs the fsum path
+    # ends every solve as the long-double path does, within 1e-15.
+    family = suite_and_fixtures + medium_instances
+    default = [solve(inst) for inst in family]
+    fill_residual, calls = eg._fill_residual, []
+    monkeypatch.setattr(eg, "_EXTENDED", False)
+    monkeypatch.setattr(
+        eg, "_fill_residual", lambda x, r: calls.append(1) or fill_residual(x, r)
+    )
+    for inst, want in zip(family, default):
+        got = solve(inst)
+        assert (got.termination, got.report.passed, got.polish_applied) == (
+            want.termination, want.report.passed, want.polish_applied
+        ), inst
+        np.testing.assert_allclose(
+            got.report.allocation, want.report.allocation, rtol=0, atol=1e-15
+        )
+    assert calls
+
+
 def test_answers_the_one_column_stage_declines_meet_the_kkt_conditions(draw):
     shapes = [(5, 5), (10, 8), (15, 10), (20, 20), (30, 15), (20, 40), (60, 30)]
     declined = 0
@@ -563,25 +587,7 @@ def test_a_user_entitled_to_1e_100_or_less_gets_the_one_column_answer(
     np.testing.assert_allclose(res.report.allocation, allocation, rtol=0, atol=1e-12)
 
 
-def _tiny_entitlement_draws(count):
-    """The first ``count`` draws of 2-6 users by 1-6 resources whose
-    entitlements, uniform on [0, 1], are each replaced with probability 0.4
-    by one of 1e-20 ... 5e-324 or 0, then renormalised; requests uniform on
-    [0, 1] with 30% zeros."""
-    values = [1e-20, 1e-50, 1e-100, 1e-200, 1e-300, 1e-310, 5e-324, 0.0]
-    rng = np.random.default_rng(100)
-    cases = []
-    for _ in range(count):
-        n, m = int(rng.integers(2, 7)), int(rng.integers(1, 7))
-        e = rng.uniform(0.0, 1.0, n)
-        swap = rng.random(n) < 0.4
-        e[swap] = rng.choice(values, int(swap.sum()))
-        r = rng.uniform(0.0, 1.0, (n, m)) * (rng.random((n, m)) >= 0.3)
-        cases.append(ProblemInstance(entitlements=e / e.sum(), requirements=r))
-    return cases
-
-
-def test_tiny_entitlements_raise_no_runtime_warning():
+def test_tiny_entitlements_raise_no_runtime_warning(tiny_entitlement_draws):
     # Face Newton divides by (R p)_i, which can be subnormal here; it runs
     # after the interior point, and after stages 2 and 3 where their fill
     # misses 1e-15. Where its Hessian weight x_i / (R p)_i overflows, the
@@ -591,7 +597,7 @@ def test_tiny_entitlements_raise_no_runtime_warning():
     # nothing may warn.
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        results = [solve(inst) for inst in _tiny_entitlement_draws(400)]
+        results = [solve(inst) for inst in tiny_entitlement_draws(400)]
     assert all(res.report.passed for res in results if res.polish_applied)
     # 89 of the first 100 end on a certified face; 83 did where the
     # one-column stage always ran face Newton, and 67 without that stage.
@@ -602,13 +608,15 @@ def test_tiny_entitlements_raise_no_runtime_warning():
     assert sum(not res.report.passed for res in results) <= 15
 
 
-def test_every_certified_answer_is_the_allocation_of_its_own_prices(suite_and_fixtures):
+def test_every_certified_answer_is_the_allocation_of_its_own_prices(
+    suite_and_fixtures, tiny_entitlement_draws
+):
     # A certified answer is x(p): each entitled user's x_i lies within 4 ulps
     # of e_i / max((R p)_i, e_i) at the prices returned with it, also where
     # (R p)_i is near 1e-200. Face Newton's linearised iterate, returned as
     # it was, missed this by up to 6.6e10 ulps (tiny draw 380) and failed
     # the KKT bounds on tiny draws 13 and 380.
-    family = suite_and_fixtures + _degenerate_instances(400) + _tiny_entitlement_draws(400)
+    family = suite_and_fixtures + _degenerate_instances(400) + tiny_entitlement_draws(400)
     certified = 0
     for inst in family:
         e, r = inst.entitlements, inst.requirements
@@ -623,11 +631,11 @@ def test_every_certified_answer_is_the_allocation_of_its_own_prices(suite_and_fi
     assert certified >= 950, certified
 
 
-def test_a_verified_answer_at_the_iteration_cap_reports_its_own_flag():
+def test_a_verified_answer_at_the_iteration_cap_reports_its_own_flag(tiny_entitlement_draws):
     # Draw 54: the interior point stops at its cap on a user entitled to
     # 5.1e-311, and x(p) there still verifies. Only an answer that verifies
     # and carries the certificate reads "converged".
-    res = solve(_tiny_entitlement_draws(55)[54])
+    res = solve(tiny_entitlement_draws(55)[54])
     assert res.report.passed
     assert not res.polish_applied
     assert res.termination == "iteration_limit"
