@@ -66,44 +66,44 @@ The loop stops on that residual alone, and ``solve_eg`` returns (x(p), p)
 at the last prices if it carries the certificate: every face column filled
 to within 1e-15; p_A >= 0; usage at most 1 + 1e-11 on every column; and the
 same F read off those prices, so that x(p) keeps the full users at 1. Here
-and in stages 2 and 3, a fill x . r_j is tested against 1 within 1e-15 by
-its float64 sum where ``_float64_decides`` finds its error bound settles
-the test, else by ``_fill_residual``, whatever order BLAS sums in. A try
-stops at the first Newton step that prices a column below zero, as such
-tries nearly always fail: those columns leave A, and the next try starts
-from the prices this one began with, so p_A >= 0 holds by construction. A
-face that fails on an overrun column or a changed F is repaired: the
-overrun columns join A, and F is read again. This is finite termination by
-a certified crossover (Ye, Math. Programming 57, 1992; Wright, Primal-Dual
+and in stage 2, a fill x . r_j is tested against 1 within 1e-15 by its
+float64 sum where ``_float64_decides`` finds its error bound settles the
+test, else by ``_fill_residual``, whatever order BLAS sums in. A try stops
+at the first Newton step that prices a column below zero, as such tries
+nearly always fail: those columns leave A, and the next try starts from
+the prices this one began with, so p_A >= 0 holds by construction. A face
+that fails on an overrun column or a changed F is repaired: the overrun
+columns join A, and F is read again. This is finite termination by a
+certified crossover (Ye, Math. Programming 57, 1992; Wright, Primal-Dual
 Interior-Point Methods, 1997, ch. 7).
 
-``solve_eg`` runs five stages, each of 2-4 only where the one before declines:
+``solve_eg`` runs four stages, each of 2-3 only where the one before declines:
 
 1. The empty face p = 0 certifies x = 1 where every user fits at once.
-2. The one-column face of the most-demanded column j. Where j is the only
-   bottleneck, every user short of 1 gets a one-price weighted water-fill
-   of j, as under DRF. The optimum's prices sum to at most sum_i e_i, as
-   sum_j p_j (x R)_j = sum_i x_i (R p)_i and x_i (R p)_i is e_i short of 1
-   and at most e_i at x_i = 1; so a column that overruns even at x_i =
-   min(1, e_i / (r_ij sum_k e_k)) rules the face out in O(Nm), and two such
-   columns rule out stage 3 too. Otherwise ``water_fill`` prices j, from
-   the only users that can be short, those with r_ij sum_k e_k > e_i. If
-   x(p) fits every column and fills j to within 1e-15, the point carries
-   the certificate as it is (x is x(p), p_j > 0, and the full users are
-   read off p); where only the fill misses, face Newton on {j} finishes
-   it. Where x(p) overruns exactly one other column k, stage 3 follows.
-3. The face {j, k}, or {k}. Over the short set S, x_i (R p)_i = e_i gives
-   p_j c_j + p_k c_k = E_S = sum_S e_i where both columns fill, c being the
-   capacity the full users leave: p_j = (1 - t) E_S / c_j and p_k = t E_S /
-   c_k for a t in [0, 1], and the two fills collapse into F(t) = sum_S e_i
-   r_ik / (E_S (a_i + b_i t)) - 1 = 0, a_i = r_ij c_k / c_j, b_i = r_ik -
-   a_i, convex on (0, 1) (see ``_root``). S starts as the users who can be
-   short and is read again until it holds; the point certifies as in stage
-   2, by face Newton where only a fill misses. It settles 410 of small's
-   2,070 programs (seeds 1-10), 379 on two columns, and 34 of ladder's 450.
-4. Tatonnement, then the interior point and its face exit, for the rest:
+2. The faces of one or two columns, from the most-demanded column j. Where
+   j is the only bottleneck, every user short of 1 gets a one-price
+   weighted water-fill of j, as under DRF. The optimum's prices sum to at
+   most sum_i e_i, as sum_j p_j (x R)_j = sum_i x_i (R p)_i and x_i (R p)_i
+   is e_i short of 1 and at most e_i at x_i = 1; so a column that overruns
+   even at x_i = min(1, e_i / (r_ij sum_k e_k)) rules the face out in
+   O(Nm), and two such columns rule out a second column too. Otherwise
+   ``water_fill`` prices j, from the only users that can be short, those
+   with r_ij sum_k e_k > e_i. Where x(p) overruns exactly one other column
+   k, the face is {j, k}, or {k}. Over the short set S, x_i (R p)_i = e_i
+   gives p_j c_j + p_k c_k = E_S = sum_S e_i where both columns fill, c
+   being the capacity the full users leave: p_j = (1 - t) E_S / c_j and p_k
+   = t E_S / c_k for a t in [0, 1], and the two fills collapse into F(t) =
+   sum_S e_i r_ik / (E_S (a_i + b_i t)) - 1 = 0, a_i = r_ij c_k / c_j, b_i
+   = r_ik - a_i, convex on (0, 1) (see ``_root``). S starts as the users who
+   can be short and is read again until it holds. If x(p) then fits every
+   column and fills each priced one to within 1e-15, the point carries the
+   certificate as it is (x is x(p), p > 0 on the face, and the full users
+   are read off p); where only a fill misses, face Newton on the priced
+   columns finishes it. The stage settles 1,423 of small's 2,070 programs
+   (seeds 1-10) and 67 of ladder's 450; 410 and 34 of them price k.
+3. Tatonnement, then the interior point and its face exit, for the rest:
    9% of small's programs and 85% of ladder's.
-5. The users entitled to nothing, left out of stages 1-4, are settled last
+4. The users entitled to nothing, left out of stages 1-3, are settled last
    on the entitled users' answer (see ``solve_eg``).
 """
 from __future__ import annotations
@@ -132,8 +132,9 @@ _FACE_NEWTON_TOL = 1e-15
 _CAPACITY_TOL = 1e-11
 # A face is tried, then cut or repaired at most twice.
 _FACE_TRIES = 3
-# Stage 3 reads S up to 8 times (1.07 on small) and takes up to 30 steps per
-# root (3.8); a Halley step below 1e-6 t leaves about 1e-18 t, and ends it.
+# Stage 2 reads the pair's S up to 8 times (1.07 on small) and takes up to
+# 30 steps per root (3.8); a Halley step below 1e-6 t leaves about 1e-18 t,
+# and ends it.
 _PAIR_ROUNDS = 8
 _PAIR_STEPS = 30
 _PAIR_STOP = 1e-6
@@ -357,14 +358,16 @@ def water_fill(
     return (p, short) if p > 0.0 else None
 
 
-def _one_column(
+def _few_columns(
     e: np.ndarray, r: np.ndarray, j: int
 ) -> tuple[np.ndarray, np.ndarray] | None:
-    """The optimum if it prices the column ``j`` alone, else None: stage 2
-    of the module's docstring, finished by face Newton on {j} where the fill
-    of j misses, and stage 3 where x(p) overruns exactly one other column."""
+    """The optimum if it prices the column ``j`` alone, or ``j`` and one
+    other column ``k``, or ``k`` alone, else None: stage 2 of the module's
+    docstring, finished by face Newton on the priced columns where a fill
+    misses."""
     rj = r[:, j]
-    scaled = rj * np.add.reduce(e)
+    total = np.add.reduce(e)
+    scaled = rj * total
     bound = (e / np.maximum(scaled, e)).dot(r)
     if _largest(bound) > 1.0 + _CAPACITY_TOL:
         if np.count_nonzero(bound > 1.0 + _CAPACITY_TOL) > 1:
@@ -372,60 +375,50 @@ def _one_column(
     fill = water_fill(e, rj, scaled > e)
     if fill is None:
         return None
-    pj = fill[0]
-    x = e / np.maximum(rj * pj, e)
-    usage = x.dot(r)
-    k = int(usage.argmax())
-    if usage[k] > 1.0 + _CAPACITY_TOL:
-        pair = k != j and np.count_nonzero(usage > 1.0 + _CAPACITY_TOL) == 1
-        return _two_columns(e, r, j, k) if pair else None
-    p = np.zeros(r.shape[1])
-    p[j] = pj
-    d = usage[j] - 1.0
-    if not _float64_decides(abs(d), e.size):
-        d = _fill_residual(x, rj)
-    return (x, p) if abs(d) <= _FACE_NEWTON_TOL else _face(e, r, p > 0.0, p)
-
-
-def _two_columns(
-    e: np.ndarray, r: np.ndarray, j: int, k: int
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """The optimum if it prices the columns ``j`` and ``k``, or ``k`` alone,
-    else None: stage 3 of the module's docstring."""
-    rj, rk = r[:, j], r[:, k]
-    short = np.maximum(rj, rk) * np.add.reduce(e) > e
-    t = 0.0
-    for _ in range(_PAIR_ROUNDS):
-        cj, ck = 1.0 - rj.dot(~short), 1.0 - rk.dot(~short)
-        if not (cj > 0.0 and ck > 0.0):
-            return None
-        sj, sk, es = rj[short], rk[short], e[short]
-        total = np.add.reduce(es)
-        a = sj * (ck / cj)
-        # F(1) = 0 where every user of S requests k, and then 1 is the root,
-        # k alone priced, where F'(1) <= 0: where x(p) at k's price fits j.
-        alone = _smallest(sk) > 0.0 and es.dot(1.0 - a / sk) >= 0.0
-        t = 1.0 if alone else _root(a, sk - a, es / total * sk, t)
-        if t is None:
-            return None
-        pj, pk = (1.0 - t) * total / cj, t * total / ck
-        u = rj * pj + rk * pk
-        if (u > e).tobytes() == short.tobytes():
+    # The face is {k} where pj = 0, else {j, k}; j alone is {k} with k = j.
+    k, pj, pk = j, 0.0, fill[0]
+    u = rj * pk
+    while True:
+        x = e / np.maximum(u, e)
+        usage = x.dot(r)
+        over = int(usage.argmax())
+        if not usage[over] > 1.0 + _CAPACITY_TOL:
             break
-        short = u > e
-    else:
-        return None
+        if k != j or over == j or np.count_nonzero(usage > 1.0 + _CAPACITY_TOL) > 1:
+            return None
+        k = over
+        rk = r[:, k]
+        short = np.maximum(rj, rk) * total > e
+        t = 0.0
+        for _ in range(_PAIR_ROUNDS):
+            cj, ck = 1.0 - rj.dot(~short), 1.0 - rk.dot(~short)
+            if not (cj > 0.0 and ck > 0.0):
+                return None
+            sj, sk, es = rj[short], rk[short], e[short]
+            budget = np.add.reduce(es)
+            a = sj * (ck / cj)
+            # F(1) = 0 where every user of S requests k, and then 1 is the
+            # root, k alone priced, where F'(1) <= 0: where x(p) at k's
+            # price fits j.
+            alone = _smallest(sk) > 0.0 and es.dot(1.0 - a / sk) >= 0.0
+            t = 1.0 if alone else _root(a, sk - a, es / budget * sk, t)
+            if t is None:
+                return None
+            pj, pk = (1.0 - t) * budget / cj, t * budget / ck
+            u = rj * pj + rk * pk
+            if (u > e).tobytes() == short.tobytes():
+                break
+            short = u > e
+        else:
+            return None
     p = np.zeros(r.shape[1])
     p[j], p[k] = pj, pk
-    priced = p > 0.0
-    x = e / np.maximum(u, e)
-    usage = x.dot(r)
-    if _largest(usage) > 1.0 + _CAPACITY_TOL:
-        return None
-    worst = _largest(np.abs(usage[priced] - 1.0))
+    worst = abs(usage[k] - 1.0)
+    if pj > 0.0:
+        worst = max(worst, abs(usage[j] - 1.0))
     if not _float64_decides(worst, e.size):
-        worst = _largest(np.abs(_fill_residual(x, r[:, priced])))
-    return (x, p) if worst <= _FACE_NEWTON_TOL else _face(e, r, priced, p)
+        worst = _largest(np.abs(_fill_residual(x, r[:, p > 0.0])))
+    return (x, p) if worst <= _FACE_NEWTON_TOL else _face(e, r, p > 0.0, p)
 
 
 def _root(a, b, w, t):
@@ -460,8 +453,8 @@ def _solve(e: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, str]:
     # The empty face: p = 0 certifies where every user fits at x = 1.
     if not m or _largest(demand) <= 1.0 + _CAPACITY_TOL:
         return np.ones(n), np.zeros(m), "optimal"
-    # The one-column face of the most-demanded column.
-    finished = _one_column(e, r, int(demand.argmax()))
+    # The faces of one or two columns, from the most-demanded column.
+    finished = _few_columns(e, r, int(demand.argmax()))
     if finished is not None:
         return *finished, "optimal"
     rt = r.T.copy()  # R^T by rows, for the slack and the Hessian

@@ -270,12 +270,13 @@ def utility(inst: ProblemInstance, i: int, amounts: np.ndarray) -> float:
 
     The bundle is a per-resource amount vector; the user can run
     min_j amounts_j / r_ij over their positive requests, capped at 1. A user
-    who requests nothing is fully served by any bundle (returns 1).
+    who requests nothing is fully served by any bundle (returns 1). A NaN in
+    a requested column reads as NaN.
     """
     amounts = np.asarray(amounts, dtype=float)
     row = inst.requirements[i]
     mask = row > 0.0
     if not mask.any():
         return 1.0
-    return float(min(1.0, (amounts[mask] / row[mask]).min()))
+    return float(np.minimum(1.0, (amounts[mask] / row[mask]).min()))
 

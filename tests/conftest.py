@@ -110,7 +110,7 @@ def allocation_cases():
 
 @pytest.fixture
 def without_the_face_exit(monkeypatch):
-    """``solve_eg`` with every face declined, the one-column stage's
+    """``solve_eg`` with every face declined, those of one and two columns
     included: the plain interior point's answer at the iteration cap, and
     the arguments of the last face it declined, the face of the iterate
     where it stopped (None where the empty face certified before any
@@ -122,7 +122,7 @@ def without_the_face_exit(monkeypatch):
         attempts = []
         with monkeypatch.context() as patch:
             patch.setattr(eg, "_face", lambda *args: attempts.append(args))
-            patch.setattr(eg, "_one_column", lambda *args: None)
+            patch.setattr(eg, "_few_columns", lambda *args: None)
             x, p, status = solve_eg(e, r)
         return x, p, status, attempts[-1] if attempts else None
 

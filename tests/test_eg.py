@@ -14,6 +14,12 @@ from fairshare.solver import solve
 from fairshare.verifier import verify
 
 
+def _arrays(name):
+    """The fixture's entitlements and requests."""
+    inst = load_fixture(name)
+    return inst.entitlements, inst.requirements
+
+
 def _assert_kkt(inst, x, p):
     """Price sign, complementarity, capacity overshoot and relative
     stationarity |x_i (R p)_i - e_i| / e_i over users with e_i > 0 short of
@@ -292,7 +298,7 @@ def test_the_one_column_stage_never_declines_a_one_column_optimum(
     elsewhere = 0
     for e, r, x, j in optima:
         elsewhere += j != int(r.sum(axis=0).argmax())
-        settled = eg._one_column(e, r, j)
+        settled = eg._few_columns(e, r, j)
         assert settled is not None
         assert np.max(np.abs(settled[0] - x)) <= 1e-12
         assert abs(math.fsum(settled[0] * r[:, j]) - 1.0) <= 1e-15
@@ -303,7 +309,10 @@ def test_the_one_column_point_is_face_newtons_point_where_newton_takes_no_step(
     monkeypatch, suite_and_fixtures, draw
 ):
     # The water-filled point certified as it is equals, bit for bit, what
-    # face Newton on {j} returns from the same price without a step.
+    # face Newton on {j} returns from the same price without a step. So do
+    # the stage's points on {j, k} and on {k} alone certified as they are,
+    # but for x within 4 ulps: face Newton forms (R p)_i by a dot product,
+    # the stage as r_ij p_j + r_ik p_k.
     steps = []
     linear_solve = np.linalg.solve
     monkeypatch.setattr(
@@ -311,7 +320,7 @@ def test_the_one_column_point_is_face_newtons_point_where_newton_takes_no_step(
     )
     compared = 0
     for e, r, _, j in _one_column_optima(suite_and_fixtures, draw):
-        x, p = eg._one_column(e, r, j)
+        x, p = eg._few_columns(e, r, j)
         steps.clear()
         face = eg._face(e, r, p > 0.0, p)
         if steps:
@@ -320,6 +329,27 @@ def test_the_one_column_point_is_face_newtons_point_where_newton_takes_no_step(
         assert face is not None
         assert face[0].tobytes() == x.tobytes() and face[1].tobytes() == p.tobytes()
     assert compared >= 150, compared
+    counts = {"pairs": 0, "k alone": 0}
+    for inst in suite_and_fixtures + _two_column_draws(draw):
+        e, r = inst.entitlements, inst.requirements
+        j = int(r.sum(axis=0).argmax())
+        if _overrun_column(e, r, j) is None:
+            continue
+        with monkeypatch.context() as patch:
+            patch.setattr(eg, "_face", lambda *args: None)
+            settled = eg._few_columns(e, r, j)
+        if settled is None:
+            continue
+        x, p = settled
+        steps.clear()
+        face = eg._face(e, r, p > 0.0, p)
+        if steps:
+            continue
+        counts["pairs" if p[j] > 0.0 else "k alone"] += 1
+        assert face is not None
+        assert face[1].tobytes() == p.tobytes()
+        assert np.all(np.abs(face[0] - x) <= 4.0 * np.spacing(x))
+    assert counts["pairs"] >= 55 and counts["k alone"] >= 5, counts
 
 
 def test_a_one_column_fill_off_by_more_than_round_off_certifies_in_one_newton_step(
@@ -440,7 +470,7 @@ def test_answers_the_one_column_stage_declines_meet_the_kkt_conditions(draw):
     for seed in range(3):
         for n, m in shapes:
             e, r = draw(np.random.default_rng([seed, n, m]), n, m)
-            if eg._one_column(e, r, int(r.sum(axis=0).argmax())) is not None:
+            if eg._few_columns(e, r, int(r.sum(axis=0).argmax())) is not None:
                 continue
             declined += 1
             x, p, status = solve_eg(e, r)
@@ -449,31 +479,52 @@ def test_answers_the_one_column_stage_declines_meet_the_kkt_conditions(draw):
     assert declined >= 15, declined
 
 
+def _overrun_column(e, r, j):
+    """The column k != j that x(p) overruns at ``water_fill``'s price for j
+    where it is the only column overrun, else None: where the stage goes on
+    from j alone to the face {j, k}, or {k}."""
+    c = r[:, j]
+    fill = eg.water_fill(e, c, c * e.sum() > e)
+    if fill is None:
+        return None
+    usage = (e / np.maximum(c * fill[0], e)) @ r
+    over = np.flatnonzero(usage > 1.0 + eg._CAPACITY_TOL)
+    return int(over[0]) if over.size == 1 and over[0] != j else None
+
+
+def _two_column_draws(draw):
+    """140 draws from 2x2 to 20x10."""
+    rng = np.random.default_rng(5)
+    return [
+        ProblemInstance(*draw(rng, n, m))
+        for n, m in [(2, 2), (3, 2), (3, 3), (4, 4), (5, 5), (10, 8), (20, 10)]
+        for _ in range(20)
+    ]
+
+
 def test_the_two_column_stage_never_declines_a_two_column_optimum(
     monkeypatch, suite_and_fixtures, draw
 ):
     # Wherever x(p) at the water-filled price of j overruns one other column
     # k and the optimum prices j and k, or k alone, the stage returns it:
     # face Newton's answer within 1e-12, and within test_eg's KKT bounds.
-    rng = np.random.default_rng(5)
-    draws = [
-        ProblemInstance(*draw(rng, n, m))
-        for n, m in [(2, 2), (3, 2), (3, 3), (4, 4), (5, 5), (10, 8), (20, 10)]
-        for _ in range(20)
-    ]
-    two_columns = eg._two_columns
+    few_columns = eg._few_columns
     counts = {"pairs": 0, "k alone": 0, "declined": 0}
-    for inst in suite_and_fixtures + _degenerate_instances(400) + draws:
+    family = suite_and_fixtures + _degenerate_instances(400) + _two_column_draws(draw)
+    for inst in family:
         # Face Newton's answer: solve_eg with the stage declined.
         calls = []
         with monkeypatch.context() as patch:
-            patch.setattr(eg, "_two_columns", lambda *args: calls.append(args))
+            patch.setattr(eg, "_few_columns", lambda *args: calls.append(args))
             x, p, status = solve_eg(inst.entitlements, inst.requirements)
         if not calls:
             continue
+        e, r, j = calls[0]
+        k = _overrun_column(e, r, j)
+        if k is None:
+            continue
         assert status == "optimal"
-        e, r, j, k = calls[0]
-        settled = two_columns(e, r, j, k)
+        settled = few_columns(e, r, j)
         if settled is None:
             counts["declined"] += 1
             assert np.flatnonzero(p).tolist() not in ([k], sorted([j, k]))
@@ -485,27 +536,31 @@ def test_the_two_column_stage_never_declines_a_two_column_optimum(
 
 
 @pytest.mark.parametrize(
-    "name, allocation",
+    "entitlements, requirements, priced, allocation",
     [
-        ("greedy3", [0.9787032456, 0.6079372933, 0.1306875689]),
-        ("nonunique_n3", [0.5, 0.5, 0.5]),
+        (*_arrays("greedy3"), [1, 2], [0.9787032456, 0.6079372933, 0.1306875689]),
+        (*_arrays("nonunique_n3"), [0, 1], [0.5, 0.5, 0.5]),
+        # x(p) at column 0's water-filled price overruns column 1, which
+        # the optimum prices alone, at 1.
+        ([0.75, 0.25], [[0.5, 1.0], [1.0, 0.5]], [1], [0.75, 0.5]),
     ],
+    ids=["greedy3-allocation0", "nonunique_n3-allocation1", "k_alone-allocation2"],
 )
 def test_two_bottleneck_fixtures_end_on_the_two_column_stage(
-    monkeypatch, name, allocation
+    monkeypatch, entitlements, requirements, priced, allocation
 ):
-    # Both fixtures price two columns: the stage settles each inline, with no
-    # linear solve and no face Newton.
+    # Both fixtures price two columns, and the last program column 1 alone:
+    # the stage settles each inline, with no linear solve and no face Newton.
     def refuse(*args, **kwargs):
         raise AssertionError("a linear solve or face Newton ran")
 
     monkeypatch.setattr(eg.np.linalg, "solve", refuse)
     monkeypatch.setattr(eg.np.linalg, "lstsq", refuse)
     monkeypatch.setattr(eg, "_face", refuse)
-    inst = load_fixture(name)
+    inst = ProblemInstance(entitlements=entitlements, requirements=requirements)
     x, p, status = solve_eg(inst.entitlements, inst.requirements)
     assert status == "optimal"
-    assert np.count_nonzero(p) == 2
+    assert np.flatnonzero(p).tolist() == priced
     np.testing.assert_allclose(x, allocation, rtol=0, atol=1e-10)
     _assert_kkt(inst, x, p)
 
@@ -647,10 +702,9 @@ def test_a_subnormal_user_who_requests_nothing_raises_no_runtime_warning(
 ):
     # The user is full on every pass, (R p)_i = 0 <= e_i, and its Hessian
     # weight is 0: no pass may divide by its subnormal entitlement, whose
-    # reciprocal overflows. The zero row changes neither face stage's
-    # decision, and the two-column stage is declined, so every program
-    # still reaches the interior point.
-    monkeypatch.setattr(eg, "_two_columns", lambda *args: None)
+    # reciprocal overflows. The zero row changes no face's decision, and
+    # the stage of one or two columns settles none of these programs, so
+    # every one of them still reaches the interior point.
     calls = []
     linear_solve = np.linalg.solve
     monkeypatch.setattr(
@@ -698,11 +752,12 @@ def test_the_tatonnement_steps_keep_every_price_finite_and_positive(monkeypatch,
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         solve_eg(e, r)
-        # With no interior-point step, no face and no two-column stage,
-        # solve_eg returns the prices the interior point would start from.
+        # With no interior-point step, no face and no stage of one or two
+        # columns, solve_eg returns the prices the interior point would
+        # start from.
         monkeypatch.setattr(eg, "_MAX_ITERATIONS", 0)
         monkeypatch.setattr(eg, "_face", lambda *args: None)
-        monkeypatch.setattr(eg, "_two_columns", lambda *args: None)
+        monkeypatch.setattr(eg, "_few_columns", lambda *args: None)
         _, p, status = solve_eg(e, r)
     assert status == "iteration_limit"
     assert np.isfinite(p).all() and (p > 0.0).all()

@@ -209,6 +209,22 @@ def test_utility_all_zero_profile_is_fully_served():
     assert utility(inst, 0, np.zeros(2)) == 1.0
 
 
+def test_utility_carries_a_nan_in_a_requested_column():
+    # A NaN that the user reads in the bundle is not a full share: Python's
+    # min(1.0, nan) is 1.0, which would read the bundle as fully runnable.
+    # A NaN in a column the user does not request changes nothing, and the
+    # cap at 1 still holds.
+    inst = ProblemInstance(entitlements=[0.5, 0.5], requirements=[[0.5, 0.0], [1.0, 1.0]])
+    assert np.isnan(utility(inst, 0, [np.nan, 0.2]))
+    assert np.isnan(utility(inst, 1, [0.7, np.nan]))
+    assert utility(inst, 0, [0.2, np.nan]) == 0.4
+    assert utility(inst, 0, [0.9, np.nan]) == 1.0
+    # Every other value is Python's min(1.0, .) bit for bit, signed zero and
+    # infinity included.
+    for v in (0.0, -0.0, 1e-320, 0.3, 0.5, 0.7, 2.0, np.inf):
+        assert repr(utility(inst, 0, [v, 0.0])) == repr(float(min(1.0, v / 0.5)))
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 10_000),

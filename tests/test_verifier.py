@@ -95,13 +95,8 @@ def test_pareto_pins_on_every_bottleneck_verify_names():
 
 
 def _pair_margin(inst, x, i, j):
-    """x_i - utility(inst, i, x_j * r_j). ``utility``'s min(1, .) drops a NaN,
-    so a NaN that user i reads in the bundle is carried over by hand."""
-    bundle = x[j] * inst.requirements[j]
-    runs = utility(inst, i, bundle)
-    if np.isnan(bundle[inst.requirements[i] > 0.0]).any():
-        runs = np.nan
-    return float(x[i] - runs)
+    """x_i - utility(inst, i, x_j * r_j)."""
+    return float(x[i] - utility(inst, i, x[j] * inst.requirements[j]))
 
 
 def _envy_reference(inst, x, tol=DEFAULT_TOLERANCES):
