@@ -457,16 +457,15 @@ def _solve(e: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, str]:
     finished = _few_columns(e, r, int(demand.argmax()))
     if finished is not None:
         return *finished, "optimal"
-    rt = r.T.copy()  # R^T by rows, for the slack and the Hessian
     weights = e.dot(r)  # all 0 only where every e_i r_ij underflows
     p = _START_SHARE * weights / (float(np.add.reduce(weights)) or 1.0)
     p += (1.0 - _START_SHARE) / m
     for _ in range(_TATONNEMENT):
-        p = p * np.maximum(rt.dot(e / np.maximum(r.dot(p), e)), 0.5)
+        p = p * np.maximum((e / np.maximum(r.dot(p), e)).dot(r), 0.5)
     u = r.dot(p)
     v = np.maximum(u, e)
     x = e / v
-    s = 1.0 - rt.dot(x)
+    s = 1.0 - x.dot(r)
     lam = np.maximum(s, _START_SLACK)
     status = "iteration_limit"
     face = b""  # the tight columns of the iterate before, as bytes
@@ -484,7 +483,7 @@ def _solve(e: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, str]:
         # w_i = e_i / u_i^2 = x_i / u_i short of 1, and 0 for the full users,
         # without dividing by a full user's v = e_i, which may be subnormal.
         short = u > e
-        hess = (rt * (x / np.where(short, v, np.inf))).dot(r)
+        hess = (r.T * (x / np.where(short, v, np.inf))).dot(r)
         hess.reshape(-1)[:: m + 1] += d
         descent = mup - s
         try:
@@ -513,7 +512,7 @@ def _solve(e: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, str]:
         u = r.dot(p)
         v = np.maximum(u, e)
         x = e / v
-        s = 1.0 - rt.dot(x)
+        s = 1.0 - x.dot(r)
     # Finish on the face of the iterate where the interior point stopped.
     finished = _face(e, r, lam < p, p)
     if finished is not None:

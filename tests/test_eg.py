@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -91,10 +92,11 @@ def test_every_suite_fixture_and_medium_answer_ends_on_a_certified_face(
 
 
 def _count_work(monkeypatch, instances):
-    """The linear solves of the interior point and of face Newton, and the
-    faces tried, while every instance is solved and verified: a guard on the
-    work of a solve that, unlike a time, repeats exactly from run to run."""
-    counts = {"linear solves": 0, "faces": 0}
+    """The linear solves of the interior point and of face Newton, the
+    faces tried and the answers polished, while every instance is solved and
+    verified: a guard on the work of a solve that, unlike a time, repeats
+    exactly from run to run."""
+    counts = {"linear solves": 0, "faces": 0, "polished": 0}
     linear_solve, face = np.linalg.solve, eg._face
 
     def counted_solve(a, b):
@@ -108,7 +110,9 @@ def _count_work(monkeypatch, instances):
     monkeypatch.setattr(np.linalg, "solve", counted_solve)
     monkeypatch.setattr(eg, "_face", counted_face)
     for inst in instances:
-        assert solve(inst).report.passed
+        res = solve(inst)
+        assert res.report.passed
+        counts["polished"] += res.polish_applied
     return counts
 
 
@@ -144,6 +148,17 @@ def test_a_2000_by_300_draw_takes_at_most_13_linear_solves_and_1_face(
     counts = _count_work(monkeypatch, [ProblemInstance(entitlements=e, requirements=r)])
     assert counts["linear solves"] <= 13, counts
     assert counts["faces"] <= 1, counts
+
+
+def test_a_2000_by_1000_draw_takes_at_most_17_linear_solves_and_1_face(
+    monkeypatch, draw
+):
+    # The widest certified shape, where the Hessian is largest.
+    e, r = draw(np.random.default_rng(0), 2000, 1000)
+    counts = _count_work(monkeypatch, [ProblemInstance(entitlements=e, requirements=r)])
+    assert counts["linear solves"] <= 17, counts
+    assert counts["faces"] <= 1, counts
+    assert counts["polished"] == 1, counts
 
 
 def test_face_newton_stops_where_the_prices_turn_non_positive():
@@ -244,6 +259,21 @@ def test_a_10000_by_50_draw_ends_on_a_certified_face(draw):
         res = solve(ProblemInstance(entitlements=e, requirements=r))
     assert res.termination == "converged"
     assert res.polish_applied
+
+
+def test_solve_eg_holds_at_most_3_5_copies_of_r_at_its_peak(draw):
+    # Beyond its inputs the peak reads 3.22 copies of R at 20000x50, nearly
+    # all of it reached in face Newton's copies of the face columns; with a
+    # transposed copy of R in the interior point it read 4.22.
+    e, r = draw(np.random.default_rng(1), 20000, 50)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        solve_eg(e, r)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * r.nbytes, peak / r.nbytes
 
 
 def test_the_one_column_face_settles_without_a_linear_solve(monkeypatch):

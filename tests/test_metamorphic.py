@@ -72,6 +72,23 @@ def test_a_column_that_cannot_saturate_leaves_the_answer_unchanged(answered):
         assert np.max(np.abs(y - x)) <= BOUND
 
 
+def test_a_column_strictly_implied_by_two_others_leaves_the_answer_unchanged(answered):
+    # Dominance: 0.95 (theta r_j + (1 - theta) r_k) saturates only after
+    # columns j or k overrun, so no answer prices it or fills it.
+    for seed, e, r, x in answered:
+        rng = np.random.default_rng(seed)
+        j, k = rng.choice(r.shape[1], 2, replace=False)
+        theta = rng.uniform(0.2, 0.8)
+        at = int(rng.integers(r.shape[1] + 1))
+        implied = 0.95 * (theta * r[:, j] + (1.0 - theta) * r[:, k])
+        wider = np.insert(r, at, implied, axis=1)
+        res = solve(ProblemInstance(entitlements=e, requirements=wider))
+        assert res.report.passed
+        assert res.polish_applied
+        assert at not in res.report.bottlenecks
+        assert np.max(np.abs(res.report.allocation - x)) <= BOUND
+
+
 def test_removing_a_user_and_their_share_leaves_the_rest_unchanged(answered):
     # Consistency (Thomson, Rev. Econ. Design 15, 2011): take user i out
     # with x_i r_i, scale each column to the capacity c_j = 1 - x_i r_ij that
