@@ -85,24 +85,28 @@ Interior-Point Methods, 1997, ch. 7).
    weighted water-fill of j, as under DRF. The optimum's prices sum to at
    most sum_i e_i, as sum_j p_j (x R)_j = sum_i x_i (R p)_i and x_i (R p)_i
    is e_i short of 1 and at most e_i at x_i = 1; so a column that overruns
-   even at x_i = min(1, e_i / (r_ij sum_k e_k)) rules the face out in
-   O(Nm), and two such columns rule out a second column too. Otherwise
-   ``water_fill`` prices j, from the only users that can be short, those
-   with r_ij sum_k e_k > e_i. Where x(p) overruns exactly one other column
-   k, the face is {j, k}, or {k}. Over the short set S, x_i (R p)_i = e_i
-   gives p_j c_j + p_k c_k = E_S = sum_S e_i where both columns fill, c
-   being the capacity the full users leave: p_j = (1 - t) E_S / c_j and p_k
-   = t E_S / c_k for a t in [0, 1], and the two fills collapse into F(t) =
-   sum_S e_i r_ik / (E_S (a_i + b_i t)) - 1 = 0, a_i = r_ij c_k / c_j, b_i
-   = r_ik - a_i, convex on (0, 1) (see ``_root``). S starts as the users who
-   can be short and is read again until it holds. If x(p) then fits every
-   column and fills each priced one to within 1e-15, the point carries the
-   certificate as it is (x is x(p), p > 0 on the face, and the full users
-   are read off p); where only a fill misses, face Newton on the priced
-   columns finishes it. The stage settles 1,423 of small's 2,070 programs
-   (seeds 1-10) and 67 of ladder's 450; 410 and 34 of them price k.
+   even at x_i = min(1, e_i / (r_ij sum_k e_k)) rules out the face {j} in
+   O(Nm), and where more than three columns do, the stage declines at once.
+   Otherwise ``water_fill`` prices j, from the only users that can be
+   short, those with r_ij sum_k e_k > e_i. Where x(p) overruns other
+   columns, at most three, the most overrun one k joins j: the face is {j,
+   k}, or {k}. Over the short set S, x_i (R p)_i = e_i gives p_j c_j + p_k
+   c_k = E_S = sum_S e_i where both columns fill, c being the capacity the
+   full users leave: p_j = (1 - t) E_S / c_j and p_k = t E_S / c_k for a t
+   in [0, 1], and the two fills collapse into F(t) = sum_S e_i r_ik / (E_S
+   (a_i + b_i t)) - 1 = 0, a_i = r_ij c_k / c_j, b_i = r_ik - a_i, convex on
+   (0, 1) (see ``_root``). S starts as the users who can be short and is
+   read again until it holds; where it returns to a set already read, it
+   cycles, and the stage declines. If x(p) then fits every column and fills
+   each priced one to within 1e-15, the point carries the certificate as it
+   is (x is x(p), p > 0 on the face, and the full users are read off p);
+   where only a fill misses, face Newton on the priced columns finishes it,
+   and where x(p) still overruns columns, face Newton on the priced and the
+   overrun columns, from the pair's prices. The stage settles 1,574 of
+   small's 2,070 programs (seeds 1-10) and 125 of ladder's 450; 524 and 90
+   of them price two or more columns, and face Newton finishes 57 and 25.
 3. Tatonnement, then the interior point and its face exit, for the rest:
-   9% of small's programs and 85% of ladder's.
+   2% of small's programs and 72% of ladder's.
 4. The users entitled to nothing, left out of stages 1-3, are settled last
    on the entitled users' answer (see ``solve_eg``).
 """
@@ -116,7 +120,7 @@ from .model import DEFAULT_TOLERANCES
 
 __all__ = ["solve_eg", "water_fill"]
 
-_MAX_ITERATIONS = 100  # 1.5 (small) to 2.5 (ladder) steps precede a face, on average
+_MAX_ITERATIONS = 100  # 1.6 (small) to 2.7 (ladder) steps precede a face, on average
 _STEP_TO_BOUNDARY = 0.99
 _START_SHARE = 0.5  # the starting p's share of the demand-weighted prices
 _START_SLACK = 1e-3  # the floor of the starting lambda
@@ -132,7 +136,11 @@ _FACE_NEWTON_TOL = 1e-15
 _CAPACITY_TOL = 1e-11
 # A face is tried, then cut or repaired at most twice.
 _FACE_TRIES = 3
-# Stage 2 reads the pair's S up to 8 times (1.07 on small) and takes up to
+# Stage 2 declines where more than 3 columns overrun: a cut at 2 left 76 of
+# small's 2,070 programs to stage 3, against 42, and took longer; one at 4
+# left 41 and took no less time.
+_OVERRUNS = 3
+# Stage 2 reads the pair's S up to 8 times (1.06 on small) and takes up to
 # 30 steps per root (3.8); a Halley step below 1e-6 t leaves about 1e-18 t,
 # and ends it.
 _PAIR_ROUNDS = 8
@@ -284,7 +292,9 @@ def _face(
     return None
 
 
-def solve_eg(e: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, str]:
+def solve_eg(
+    e: np.ndarray, r: np.ndarray, eps_bottleneck: float = DEFAULT_TOLERANCES.eps_bottleneck
+) -> tuple[np.ndarray, np.ndarray, str]:
     """Optimum ``x`` of the Eisenberg-Gale program with entitlements ``e``
     and requests ``r`` (N x m), its prices ``p`` (one per column) and a stop
     flag.
@@ -298,8 +308,8 @@ def solve_eg(e: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, str]
     Under the paper's rule any bottleneck justifies a user with e_i = 0, so
     what such users get is chosen here and nowhere else, after the program
     of the entitled users: x_i = 1 for those who request nothing; for the k
-    who request only columns with room, usage below 1 - eps_bottleneck at
-    the default tolerances, a share of that room in one more program, each
+    who request only columns with room, usage below 1 - ``eps_bottleneck``
+    (the caller's tolerance), a share of that room in one more program, each
     entitled to 1/k with requests scaled by 1 / (1 - usage), which leaves
     each of them at 1 or on a column it saturates; and x_i = 0, pinned by a
     saturated column, for the rest. ``p`` holds the entitled users' prices;
@@ -312,7 +322,7 @@ def solve_eg(e: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, str]
     x = np.where(requests, 0.0, 1.0)
     x[users], p, status = _solve(e[users], r[users])
     usage = x.dot(r)
-    room = ~(usage >= 1.0 - DEFAULT_TOLERANCES.eps_bottleneck)
+    room = ~(usage >= 1.0 - eps_bottleneck)
     tier = requests & ~users & ~r[:, ~room].any(axis=1)
     if tier.any():
         k = int(tier.sum())
@@ -362,15 +372,15 @@ def _few_columns(
     e: np.ndarray, r: np.ndarray, j: int
 ) -> tuple[np.ndarray, np.ndarray] | None:
     """The optimum if it prices the column ``j`` alone, or ``j`` and one
-    other column ``k``, or ``k`` alone, else None: stage 2 of the module's
-    docstring, finished by face Newton on the priced columns where a fill
-    misses."""
+    other column ``k``, or ``k`` alone, or the face of that pair and the
+    columns it overruns, else None: stage 2 of the module's docstring,
+    finished by face Newton where a fill misses or the pair overruns."""
     rj = r[:, j]
     total = np.add.reduce(e)
     scaled = rj * total
     bound = (e / np.maximum(scaled, e)).dot(r)
     if _largest(bound) > 1.0 + _CAPACITY_TOL:
-        if np.count_nonzero(bound > 1.0 + _CAPACITY_TOL) > 1:
+        if np.count_nonzero(bound > 1.0 + _CAPACITY_TOL) > _OVERRUNS:
             return None
     fill = water_fill(e, rj, scaled > e)
     if fill is None:
@@ -382,14 +392,15 @@ def _few_columns(
         x = e / np.maximum(u, e)
         usage = x.dot(r)
         over = int(usage.argmax())
-        if not usage[over] > 1.0 + _CAPACITY_TOL:
+        fits = not usage[over] > 1.0 + _CAPACITY_TOL
+        if fits or k != j:
             break
-        if k != j or over == j or np.count_nonzero(usage > 1.0 + _CAPACITY_TOL) > 1:
+        if over == j or np.count_nonzero(usage > 1.0 + _CAPACITY_TOL) > _OVERRUNS:
             return None
         k = over
         rk = r[:, k]
         short = np.maximum(rj, rk) * total > e
-        t = 0.0
+        t, seen = 0.0, set()
         for _ in range(_PAIR_ROUNDS):
             cj, ck = 1.0 - rj.dot(~short), 1.0 - rk.dot(~short)
             if not (cj > 0.0 and ck > 0.0):
@@ -408,11 +419,16 @@ def _few_columns(
             u = rj * pj + rk * pk
             if (u > e).tobytes() == short.tobytes():
                 break
+            seen.add(short.tobytes())
             short = u > e
+            if short.tobytes() in seen:  # S cycles
+                return None
         else:
             return None
     p = np.zeros(r.shape[1])
     p[j], p[k] = pj, pk
+    if not fits:  # the pair overruns more columns: they join its face
+        return _face(e, r, (p > 0.0) | (usage > 1.0 + _CAPACITY_TOL), p)
     worst = abs(usage[k] - 1.0)
     if pj > 0.0:
         worst = max(worst, abs(usage[j] - 1.0))

@@ -362,7 +362,7 @@ def solve(inst: ProblemInstance, tol: ToleranceConfig | None = None) -> SolveRes
     violations = validate_instance(inst, tol)
     if violations:
         raise InvalidInstanceError(violations)
-    x, _, status = eg.solve_eg(inst.entitlements, inst.requirements)
+    x, _, status = eg.solve_eg(inst.entitlements, inst.requirements, tol.eps_bottleneck)
     report = verify(inst, x, tol)
     return SolveResult(
         report=report,

@@ -721,7 +721,7 @@ def test_solve_prints_each_status_and_the_report_of_a_failing_answer(monkeypatch
     # 1 justified, user 2 fully allocated and user 3 with a complaint, and
     # the report follows the summary.
     x = np.array([0.75, 1.0, 0.0])
-    monkeypatch.setattr(fairshare.eg, "solve_eg", lambda e, r: (x, None, "iteration_limit"))
+    monkeypatch.setattr(fairshare.eg, "solve_eg", lambda e, r, eps: (x, None, "iteration_limit"))
     code, out, err = run(capsys, "solve", "greedy3")
     assert code == 1 and err == ""
     assert out == """\

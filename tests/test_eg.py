@@ -9,7 +9,7 @@ import pytest
 from fairshare import eg
 from fairshare.eg import solve_eg
 from fairshare.fixtures import load_fixture
-from fairshare.model import ProblemInstance
+from fairshare.model import ProblemInstance, ToleranceConfig
 from fairshare.oracle import random_instance
 from fairshare.solver import solve
 from fairshare.verifier import verify
@@ -58,6 +58,20 @@ def test_zero_entitlement_users_are_left_out_and_get_nothing():
     assert status == "optimal"
     assert x[2] == 0.0
     _assert_kkt(inst, x, p)
+
+
+def test_the_zero_entitlement_tier_reads_room_at_the_callers_tolerance():
+    # Column 2 keeps 5e-7 of room: a bottleneck at the default eps_bottleneck
+    # of 1e-6, so user 2, entitled to nothing, keeps 0; at 1e-9 it has room,
+    # and user 2 must share it to be Pareto, at 5e-7 / 0.5.
+    inst = ProblemInstance(
+        entitlements=[1.0, 0.0], requirements=[[1.0, 0.9999995], [0.0, 0.5]]
+    )
+    tol = ToleranceConfig(eps_bottleneck=1e-9, eps_feasible=1e-10)
+    for res, allocation in [(solve(inst), [1.0, 0.0]), (solve(inst, tol), [1.0, 1e-6])]:
+        assert res.report.passed and res.report.pareto_ok
+        assert res.polish_applied
+        np.testing.assert_allclose(res.report.allocation, allocation, rtol=1e-9, atol=0)
 
 
 def test_interior_point_meets_the_kkt_conditions_beyond_five_users(
@@ -116,26 +130,28 @@ def _count_work(monkeypatch, instances):
     return counts
 
 
-def test_the_suite_and_fixtures_take_at_most_90_linear_solves_and_19_faces(
+def test_the_suite_and_fixtures_take_at_most_57_linear_solves_and_18_faces(
     monkeypatch, suite_and_fixtures
 ):
     # From p = 1/m and lambda = 1 the interior point took 370 and 65, from
-    # the measured start without tatonnement steps 318 and 65, and with them
-    # but without the two-column stage 250 and 59.
+    # the measured start without tatonnement steps 318 and 65, with them but
+    # without the two-column stage 250 and 59, and where stage 2 declined
+    # wherever two columns overran 90 and 19.
     counts = _count_work(monkeypatch, suite_and_fixtures)
-    assert counts["linear solves"] <= 90, counts
-    assert counts["faces"] <= 19, counts
+    assert counts["linear solves"] <= 57, counts
+    assert counts["faces"] <= 18, counts
 
 
-def test_the_medium_instances_take_at_most_92_linear_solves_and_15_faces(
+def test_the_medium_instances_take_at_most_88_linear_solves_and_14_faces(
     monkeypatch, medium_instances
 ):
     # The same guard from 10x8 to 60x30, where nearly every program reaches
     # the interior point; from p = 1/m and lambda = 1 it took 156 and 19,
-    # and from the measured start without tatonnement steps 125 and 15.
+    # from the measured start without tatonnement steps 125 and 15, and
+    # where stage 2 declined wherever two columns overran 92 and 15.
     counts = _count_work(monkeypatch, medium_instances)
-    assert counts["linear solves"] <= 92, counts
-    assert counts["faces"] <= 15, counts
+    assert counts["linear solves"] <= 88, counts
+    assert counts["faces"] <= 14, counts
 
 
 def test_a_2000_by_300_draw_takes_at_most_13_linear_solves_and_1_face(
@@ -512,7 +528,7 @@ def test_answers_the_one_column_stage_declines_meet_the_kkt_conditions(draw):
 def _overrun_column(e, r, j):
     """The column k != j that x(p) overruns at ``water_fill``'s price for j
     where it is the only column overrun, else None: where the stage goes on
-    from j alone to the face {j, k}, or {k}."""
+    from j alone to the face {j, k}, or {k}, with no other column overrun."""
     c = r[:, j]
     fill = eg.water_fill(e, c, c * e.sum() > e)
     if fill is None:
@@ -593,6 +609,73 @@ def test_two_bottleneck_fixtures_end_on_the_two_column_stage(
     assert np.flatnonzero(p).tolist() == priced
     np.testing.assert_allclose(x, allocation, rtol=0, atol=1e-10)
     _assert_kkt(inst, x, p)
+
+
+def test_three_overrun_columns_settle_on_one_of_them_without_a_linear_solve(
+    monkeypatch,
+):
+    # x(p) at column 2's water-filled price overruns columns 1 and 3; the
+    # pair {2, 3} then prices column 3 alone, at 1, and that point certifies
+    # as it is. Where stage 2 declined wherever two columns overran, this
+    # program took 4 linear solves.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a linear solve or face Newton ran")
+
+    monkeypatch.setattr(eg.np.linalg, "solve", refuse)
+    monkeypatch.setattr(eg.np.linalg, "lstsq", refuse)
+    monkeypatch.setattr(eg, "_face", refuse)
+    inst = ProblemInstance(
+        entitlements=[2 / 3, 1 / 6, 1 / 6],
+        requirements=[[0.75, 0.75, 1.0], [0.5, 0.25, 0.25], [0.25, 0.75, 0.5]],
+    )
+    x, p, status = solve_eg(inst.entitlements, inst.requirements)
+    assert status == "optimal"
+    assert np.flatnonzero(p).tolist() == [2]
+    np.testing.assert_allclose(x, [2 / 3, 2 / 3, 1 / 3], rtol=0, atol=1e-12)
+    _assert_kkt(inst, x, p)
+
+
+def test_every_program_stage_2_settles_has_the_answer_reached_without_it(
+    monkeypatch, suite_and_fixtures, draw, tiny_entitlement_draws
+):
+    # Stage 2 returns a point only with its certificate, also where face
+    # Newton finishes it on a pair and the columns the pair overruns; the same
+    # program solved with the stage declined, by the interior point and its
+    # face exit, must give the same answer wherever it certifies too (777
+    # calls). Where it stops at its iteration cap instead (50 tiny draws),
+    # the stage's answer must meet the KKT bounds.
+    few_columns = eg._few_columns
+    family = (
+        suite_and_fixtures
+        + _two_column_draws(draw)
+        + _degenerate_instances(400)
+        + tiny_entitlement_draws(400)
+    )
+    settled = []
+
+    def recorded(*args):
+        settled.append(few_columns(*args))
+        return settled[-1]
+
+    compared = 0
+    for inst in family:
+        e, r = inst.entitlements, inst.requirements
+        settled.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(eg, "_few_columns", recorded)
+            x, p, status = solve_eg(e, r)
+        if not settled or None in settled:  # stage 1 or stage 3 settled one
+            continue
+        with monkeypatch.context() as patch:
+            patch.setattr(eg, "_few_columns", lambda *args: None)
+            x_without, _, status_without = solve_eg(e, r)
+        assert status == "optimal", inst
+        if status_without != "optimal":
+            _assert_kkt(inst, x, p)
+            continue
+        assert np.max(np.abs(x - x_without)) <= 1e-12, inst
+        compared += 1
+    assert compared >= 770, compared
 
 
 def test_the_two_column_root_meets_its_equation():
@@ -732,9 +815,9 @@ def test_a_subnormal_user_who_requests_nothing_raises_no_runtime_warning(
 ):
     # The user is full on every pass, (R p)_i = 0 <= e_i, and its Hessian
     # weight is 0: no pass may divide by its subnormal entitlement, whose
-    # reciprocal overflows. The zero row changes no face's decision, and
-    # the stage of one or two columns settles none of these programs, so
-    # every one of them still reaches the interior point.
+    # reciprocal overflows. The zero row changes no face's decision. Stage 2
+    # settles some of these programs, so each is solved as it is and again
+    # with stage 2 declined, where every one reaches the interior point.
     calls = []
     linear_solve = np.linalg.solve
     monkeypatch.setattr(
@@ -743,14 +826,17 @@ def test_a_subnormal_user_who_requests_nothing_raises_no_runtime_warning(
     for inst in medium_instances:
         e = np.append(inst.entitlements, tiny)
         r = np.vstack([inst.requirements, np.zeros(inst.requirements.shape[1])])
-        before = len(calls)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            x, _, status = solve_eg(e, r)
-        assert len(calls) > before
-        assert status == "optimal" and x[-1] == 1.0
         x_without, _, _ = solve_eg(inst.entitlements, inst.requirements)
-        assert np.max(np.abs(x[:-1] - x_without)) <= 1e-12
+        for declined in (False, True):
+            before = len(calls)
+            with monkeypatch.context() as patch, warnings.catch_warnings():
+                if declined:
+                    patch.setattr(eg, "_few_columns", lambda *args: None)
+                warnings.simplefilter("error", RuntimeWarning)
+                x, _, status = solve_eg(e, r)
+            assert len(calls) > before or not declined
+            assert status == "optimal" and x[-1] == 1.0
+            assert np.max(np.abs(x[:-1] - x_without)) <= 1e-12
 
 
 def test_the_interior_point_starts_where_the_weighted_demand_underflows():

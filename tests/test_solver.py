@@ -275,7 +275,7 @@ def test_finishing_on_a_face_changes_no_answer(
     finished = [solve(inst) for inst in cases]
     face = eg._face
 
-    def at_the_stop(e, r):
+    def at_the_stop(e, r, eps):
         x, p, status, last = without_the_face_exit(e, r)
         point = None if last is None else face(*last)
         if point is None:
@@ -530,7 +530,7 @@ def test_converged_results_always_carry_verified_solutions():
 def test_a_failing_answer_reports_the_interior_points_own_flag(monkeypatch, status):
     # On greedy3, (3/4, 1, 0) leaves user 3 with a complaint.
     x = np.array([0.75, 1.0, 0.0])
-    monkeypatch.setattr(eg, "solve_eg", lambda e, r: (x.copy(), None, status))
+    monkeypatch.setattr(eg, "solve_eg", lambda e, r, eps: (x.copy(), None, status))
     res = solve(load_fixture("greedy3"))
     assert not res.report.passed
     assert res.termination == status
