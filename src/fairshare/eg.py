@@ -25,25 +25,17 @@ x_i(p) = min(1, e_i / (R p)_i), and its Hessian is R^T diag(w) R with
 w_i = e_i / (R p)_i^2 for users short of 1 and 0 for the full users, those
 with (R p)_i <= e_i. A primal-dual interior point on (p, lambda), where
 lambda stands in for s, solves one m x m system R^T W R + diag(lambda / p)
-per step. That system is positive definite, so its direction descends the
-convex barrier function phi(p) - mu sum_j log p_j; a backtracking line
-search on that function keeps the step where w jumps as a user turns full.
-It runs only where u + step du > e differs from u > e; elsewhere each h_i
-keeps its branch, (R p)_i being linear in the step, and the function is
-smooth. The skip rests on a record, not a proof: every halving on the
-suite, the benchmark's programs of seeds 1-10 and 200 degenerate draws sat
-at such a crossing (1, 8 and 58 halvings). Entitlements down to 5e-324
-halve without one in 15 of 400 draws, 13 of them at the iteration cap
-either way.
-The start is a measured point, as in Mehrotra's rule (SIAM J. Optim. 2,
-1992): p = (R^T e / sum_j (R^T e)_j + 1/m) / 2 > 0 sums to 1 = sum_i e_i,
+per step, and takes 0.99 of the longest step that keeps p and lambda
+positive, with no line search, as in Mehrotra's method (SIAM J. Optim. 2,
+1992). The start is a measured point, as in his rule:
+p = (R^T e / sum_j (R^T e)_j + 1/m) / 2 > 0 sums to 1 = sum_i e_i,
 the bound on the optimum's prices below. Six damped tatonnement steps p <-
 max(p (x(p) R), p / 2) follow, a mirror descent on phi in a Leontief
 Fisher market (Cheung, Cole & Devanur, Games Econ. Behav. 123, 2020), two
 O(Nm) products each; as a step at most halves a price, p stays > 0 on a
-column no entitled user requests. Of 0-10 steps, 6 took the fewest linear
-solves on ladder (5.76 per program, 7.67 at 0) of those leaving 15 of 400
-tiny-entitlement draws unverified. lambda = max(s(p), 1e-3) is the slack
+column no entitled user requests. Of 0-12 steps, 6 took the fewest linear
+solves on ladder (4.92 per program, 6.50 at 0) of those that verify all 400
+tiny-entitlement draws. lambda = max(s(p), 1e-3) is the slack
 on columns with room and 1e-3 on the rest; of floors 1e-1 to 1e-6, 1e-3
 took the fewest face passes before the steps. Each step aims at mu = 0.1
 p . lambda / m (Wright, Primal-Dual Interior-Point Methods, 1997, ch. 5).
@@ -107,8 +99,9 @@ Interior-Point Methods, 1997, ch. 7).
    of them price two or more columns, and face Newton finishes 57 and 25.
 3. Tatonnement, then the interior point and its face exit, for the rest:
    2% of small's programs and 72% of ladder's.
-4. The users entitled to nothing, left out of stages 1-3, are settled last
-   on the entitled users' answer (see ``solve_eg``).
+4. The users entitled to nothing, or to less than float64's smallest
+   normal number, 2.2e-308, left out of stages 1-3, are settled last on the
+   entitled users' answer (see ``solve_eg``).
 """
 from __future__ import annotations
 
@@ -126,9 +119,6 @@ _START_SHARE = 0.5  # the starting p's share of the demand-weighted prices
 _START_SLACK = 1e-3  # the floor of the starting lambda
 _TATONNEMENT = 6  # damped price steps before the interior point
 _CENTERING = 0.1  # sigma, the share of p . lambda / m each step aims at
-# Armijo's sufficient-decrease fraction and the halvings it may take.
-_ARMIJO = 1e-4
-_BACKTRACKS = 30
 # Face Newton converges in one or two steps from near the face's optimum.
 _FACE_NEWTON_ITERATIONS = 6
 _FACE_NEWTON_TOL = 1e-15
@@ -147,6 +137,7 @@ _PAIR_ROUNDS = 8
 _PAIR_STEPS = 30
 _PAIR_STOP = 1e-6
 _EXTENDED = np.finfo(np.longdouble).nmant >= 63  # x86's 80 bits, or IEEE quad
+_NORMAL = np.finfo(float).tiny  # an entitlement below it counts as none
 
 
 def _largest(v: np.ndarray) -> float:
@@ -159,23 +150,6 @@ def _largest(v: np.ndarray) -> float:
 def _smallest(v: np.ndarray) -> float:
     """The smallest entry of the non-empty ``v``, or NaN if it holds one."""
     return float(v[v.argmin()])
-
-
-def _change(e, u, v, du, dp, q, step, mu) -> float:
-    """phi(p + step dp) - mu sum log(p + step dp) less the same at p, with
-    u = R p, v = max(u, e), du = R dp and q = dp / p. Each term is formed
-    from the step itself, never as the difference of two function values,
-    so the change keeps its relative accuracy where it is many decades
-    below phi."""
-    t = step * du
-    gap = e - u
-    shrink = np.minimum(t, gap) - np.minimum(0.0, gap)  # change in min(u, e)
-    return float(
-        step * np.add.reduce(dp)
-        - np.add.reduce(shrink)
-        - e.dot(np.log1p((t - shrink) / v))
-        - mu * np.add.reduce(np.log1p(step * q))
-    )
 
 
 def _float64_decides(worst: float, n: int) -> bool:
@@ -307,7 +281,12 @@ def solve_eg(
 
     Under the paper's rule any bottleneck justifies a user with e_i = 0, so
     what such users get is chosen here and nowhere else, after the program
-    of the entitled users: x_i = 1 for those who request nothing; for the k
+    of the entitled users. An entitlement below float64's smallest normal
+    number, 2.2e-308, counts as none: float64 cannot weigh it, as e_i r_ij,
+    e_i / (R p)_i and the Hessian weight e_i / u_i^2 underflow, lose their
+    bits or overflow; and ``verify`` sees such a user as entitled to nothing
+    whenever eps_njc >= 2.2e-308, as any bottleneck then justifies them.
+    These users get x_i = 1 if they request nothing; for the k
     who request only columns with room, usage below 1 - ``eps_bottleneck``
     (the caller's tolerance), a share of that room in one more program, each
     entitled to 1/k with requests scaled by 1 / (1 - usage), which leaves
@@ -315,7 +294,7 @@ def solve_eg(
     saturated column, for the rest. ``p`` holds the entitled users' prices;
     the flag is the last program's where theirs is "optimal".
     """
-    users = e > 0.0
+    users = e >= _NORMAL
     if not users.size or users[users.argmin()]:
         return _solve(e, r)
     requests = r.any(axis=1)
@@ -473,8 +452,8 @@ def _solve(e: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, str]:
     finished = _few_columns(e, r, int(demand.argmax()))
     if finished is not None:
         return *finished, "optimal"
-    weights = e.dot(r)  # all 0 only where every e_i r_ij underflows
-    p = _START_SHARE * weights / (float(np.add.reduce(weights)) or 1.0)
+    weights = e.dot(r)
+    p = _START_SHARE * weights / float(np.add.reduce(weights))
     p += (1.0 - _START_SHARE) / m
     for _ in range(_TATONNEMENT):
         p = p * np.maximum((e / np.maximum(r.dot(p), e)).dot(r), 0.5)
@@ -496,10 +475,8 @@ def _solve(e: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, str]:
         mu = _CENTERING * float(p.dot(lam)) / m
         d = lam / p
         mup = mu / p
-        # w_i = e_i / u_i^2 = x_i / u_i short of 1, and 0 for the full users,
-        # without dividing by a full user's v = e_i, which may be subnormal.
-        short = u > e
-        hess = (r.T * (x / np.where(short, v, np.inf))).dot(r)
+        # w_i = e_i / u_i^2 = x_i / u_i short of 1, and 0 for the full users.
+        hess = (r.T * (x / v * (u > e))).dot(r)
         hess.reshape(-1)[:: m + 1] += d
         descent = mup - s
         try:
@@ -507,22 +484,12 @@ def _solve(e: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, str]:
         except np.linalg.LinAlgError:
             status = "singular"
             break
-        slope = -float(descent.dot(dp))
-        if not math.isfinite(slope):
+        if not math.isfinite(descent.dot(dp)):
             status = "singular"
             break
         dlam = mup - lam - d * dp
-        q = dp / p
-        shrink = -min(_smallest(q), _smallest(dlam / lam))
+        shrink = -min(_smallest(dp / p), _smallest(dlam / lam))
         step = _STEP_TO_BOUNDARY / max(shrink, _STEP_TO_BOUNDARY)
-        # Backtrack on the convex barrier function phi(p) - mu sum log p
-        # where the step changes who is full.
-        du = r.dot(dp)
-        if (u + step * du > e).tobytes() != short.tobytes():
-            for _ in range(_BACKTRACKS):
-                if _change(e, u, v, du, dp, q, step, mu) <= _ARMIJO * step * slope:
-                    break
-                step *= 0.5
         p = p + step * dp
         lam = lam + step * dlam
         u = r.dot(p)

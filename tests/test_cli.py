@@ -266,9 +266,8 @@ def test_solve_grants_a_tiny_entitlement_in_full_where_nothing_saturates(
     assert "verified: yes" in out
 
 
-# Valid instances with a user entitled to a subnormal share. Such a user can
-# make a face's Newton step overflow; that face must be declined before the
-# step is used, so that numpy warns of nothing.
+# Valid instances with a user entitled to a subnormal share, which
+# ``solve_eg`` counts as none: numpy must warn of nothing.
 SUBNORMAL = {
     "7e-323": {
         "entitlements": [0.944773484509876, 0.055226515490124035, 7e-323],
@@ -306,6 +305,25 @@ def test_solve_verifies_a_subnormal_entitlement_without_a_warning(name, tmp_path
         code, out, err = run(capsys, "solve", str(path))
     assert code == 0 and err == ""
     assert "verified: yes" in out
+
+
+def test_solve_serves_a_subnormal_entitlement_as_one_entitled_to_nothing(
+    tmp_path, capsys
+):
+    # User 2, entitled to 5e-324, requests resource 2, which user 1 leaves
+    # free: they share it as a user entitled to nothing, on a certified
+    # face. While the interior point priced them, it stopped at its
+    # iteration cap with x_2 = 2.5e-222, and solve exited 1.
+    path = tmp_path / "subnormal2x2.json"
+    path.write_text(
+        json.dumps({"entitlements": [1, 5e-324], "requirements": [[0.6, 0], [0.5, 1]]})
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "solve", str(path))
+    assert (code, err) == (0, "")
+    assert "x = (1, 0.8)\n" in out
+    assert "polished: True" in out and "verified: yes" in out
 
 
 def test_solve_json_names_one_justifying_resource_per_user(tmp_path, capsys):
@@ -400,6 +418,76 @@ def test_allocation_that_is_not_an_array_is_input_error(tmp_path, capsys):
     code, out, err = run(capsys, "verify", "slope2", "--allocation", str(path))
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "'x' is an array" in err
+
+
+# Malformed input: the arguments, with {doc} standing for a file that holds
+# the document (None: no file is written), and the location the one error
+# line must name.
+MALFORMED = {
+    "boolean": (
+        ("solve", "{doc}"),
+        {"entitlements": [True, 0.5], "requirements": [[0.5], [0.5]]},
+        "entitlements[0]",
+    ),
+    "unparseable-string": (
+        ("solve", "{doc}"),
+        {"entitlements": ["one half", 0.5], "requirements": [[0.5], [0.5]]},
+        "entitlements[0]",
+    ),
+    "other-type": (
+        ("solve", "{doc}"),
+        {"entitlements": [0.5, 0.5], "requirements": [[0.5], [None]]},
+        "requirements[1][0]",
+    ),
+    "allocation-boolean": (
+        ("verify", "slope2", "--allocation", "{doc}"),
+        {"x": [True, 0.5]},
+        "x[0]",
+    ),
+    "x-unparseable": (("verify", "slope2", "--x", "0.6,abc"), None, "--x[1]"),
+    "not-an-object": (("solve", "{doc}"), [0.5, 0.5], "doc.json"),
+    "missing-key": (("solve", "{doc}"), {"entitlements": [1.0]}, "'requirements'"),
+    "empty-array": (
+        ("solve", "{doc}"),
+        {"entitlements": [], "requirements": [[0.5]]},
+        "'entitlements'",
+    ),
+    "row-count": (
+        ("solve", "{doc}"),
+        {"entitlements": [0.5, 0.5], "requirements": [[0.5]]},
+        "requirements has 1 rows",
+    ),
+    "row-not-an-array": (
+        ("solve", "{doc}"),
+        {"entitlements": [0.5, 0.5], "requirements": [[0.5], 0.5]},
+        "requirements[1]",
+    ),
+    "ragged-row": (
+        ("solve", "{doc}"),
+        {"entitlements": [0.5, 0.5], "requirements": [[0.5], [0.5, 0.5]]},
+        "requirements[1]",
+    ),
+    "unreadable-allocation": (
+        ("verify", "slope2", "--allocation", "{doc}"),
+        None,
+        "doc.json",
+    ),
+    "no-allocation": (("verify", "slope2"), None, "--allocation"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_exits_2_with_one_error_line_naming_its_location(
+    case, tmp_path, capsys
+):
+    args, document, location = MALFORMED[case]
+    path = tmp_path / "doc.json"
+    if document is not None:
+        path.write_text(json.dumps(document))
+    code, out, err = run(capsys, *(a.format(doc=path) for a in args))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert location in err and "Traceback" not in err, err
 
 
 @pytest.mark.parametrize(
