@@ -76,27 +76,29 @@ Interior-Point Methods, 1997, ch. 7).
    j is the only bottleneck, every user short of 1 gets a one-price
    weighted water-fill of j, as under DRF. The optimum's prices sum to at
    most sum_i e_i, as sum_j p_j (x R)_j = sum_i x_i (R p)_i and x_i (R p)_i
-   is e_i short of 1 and at most e_i at x_i = 1; so a column that overruns
-   even at x_i = min(1, e_i / (r_ij sum_k e_k)) rules out the face {j} in
-   O(Nm), and where more than three columns do, the stage declines at once.
-   Otherwise ``water_fill`` prices j, from the only users that can be
-   short, those with r_ij sum_k e_k > e_i. Where x(p) overruns other
-   columns, at most three, the most overrun one k joins j: the face is {j,
-   k}, or {k}. Over the short set S, x_i (R p)_i = e_i gives p_j c_j + p_k
-   c_k = E_S = sum_S e_i where both columns fill, c being the capacity the
-   full users leave: p_j = (1 - t) E_S / c_j and p_k = t E_S / c_k for a t
-   in [0, 1], and the two fills collapse into F(t) = sum_S e_i r_ik / (E_S
-   (a_i + b_i t)) - 1 = 0, a_i = r_ij c_k / c_j, b_i = r_ik - a_i, convex on
-   (0, 1) (see ``_root``). S starts as the users who can be short and is
-   read again until it holds; where it returns to a set already read, it
-   cycles, and the stage declines. If x(p) then fits every column and fills
-   each priced one to within 1e-15, the point carries the certificate as it
-   is (x is x(p), p > 0 on the face, and the full users are read off p);
-   where only a fill misses, face Newton on the priced columns finishes it,
-   and where x(p) still overruns columns, face Newton on the priced and the
-   overrun columns, from the pair's prices. The stage settles 1,574 of
-   small's 2,070 programs (seeds 1-10) and 125 of ladder's 450; 524 and 90
-   of them price two or more columns, and face Newton finishes 57 and 25.
+   is e_i short of 1 and at most e_i at x_i = 1, and so does j's
+   water-filled price, as the fill sum_i min(r_ij, e_i / sum_k e_k) at p_j
+   = sum_k e_k is at most 1. ``water_fill`` prices j from the only users
+   that can be short, those with r_ij sum_k e_k > e_i. Where x(p) overruns
+   more than three columns, the stage declines; x(p) is at least x_i =
+   min(1, e_i / (r_ij sum_k e_k)), so no O(Nm) bound there declines sooner.
+   Where x(p) overruns other columns, at most three, the most overrun one k
+   joins j: the face is {j, k}, or {k}. Over the short set S, x_i (R p)_i =
+   e_i gives p_j c_j + p_k c_k = E_S = sum_S e_i where both columns fill, c
+   being the capacity the full users leave: p_j = (1 - t) E_S / c_j and p_k
+   = t E_S / c_k for a t in [0, 1], and the two fills collapse into F(t) =
+   sum_S e_i r_ik / (E_S (a_i + b_i t)) - 1 = 0, a_i = r_ij c_k / c_j, b_i
+   = r_ik - a_i, convex on (0, 1) (see ``_root``). S starts as the users
+   who can be short and is read again until it holds; where it returns to a
+   set already read, it cycles, and the stage declines. If x(p) then fits
+   every column and fills each priced one to within 1e-15, the point
+   carries the certificate as it is (x is x(p), p > 0 on the face, and the
+   full users are read off p); where only a fill misses, face Newton on the
+   priced columns finishes it, and where x(p) still overruns columns, face
+   Newton on the priced and the overrun columns, from the pair's prices.
+   The stage settles 1,574 of small's 2,070 programs (seeds 1-10) and 125
+   of ladder's 450; 524 and 90 of them price two or more columns, and face
+   Newton finishes 57 and 25.
 3. Tatonnement, then the interior point and its face exit, for the rest:
    2% of small's programs and 72% of ladder's.
 4. The users entitled to nothing, or to less than float64's smallest
@@ -294,9 +296,9 @@ def solve_eg(
     saturated column, for the rest. ``p`` holds the entitled users' prices;
     the flag is the last program's where theirs is "optimal".
     """
-    users = e >= _NORMAL
-    if not users.size or users[users.argmin()]:
+    if not e.size or _smallest(e) >= _NORMAL:
         return _solve(e, r)
+    users = e >= _NORMAL
     requests = r.any(axis=1)
     x = np.where(requests, 0.0, 1.0)
     x[users], p, status = _solve(e[users], r[users])
@@ -356,12 +358,7 @@ def _few_columns(
     finished by face Newton where a fill misses or the pair overruns."""
     rj = r[:, j]
     total = np.add.reduce(e)
-    scaled = rj * total
-    bound = (e / np.maximum(scaled, e)).dot(r)
-    if _largest(bound) > 1.0 + _CAPACITY_TOL:
-        if np.count_nonzero(bound > 1.0 + _CAPACITY_TOL) > _OVERRUNS:
-            return None
-    fill = water_fill(e, rj, scaled > e)
+    fill = water_fill(e, rj, rj * total > e)
     if fill is None:
         return None
     # The face is {k} where pj = 0, else {j, k}; j alone is {k} with k = j.
@@ -427,11 +424,14 @@ def _root(a, b, w, t):
     for _ in range(_PAIR_STEPS):
         d = a + b * t
         q, y = w / d, b / d
-        f, g, h = np.add.reduce(q) - 1.0, q.dot(y), (q * y).dot(y)  # -F', F''/2
+        # F, -F', F''/2 as Python floats, cheaper than numpy scalars; Halley's
+        # divisor can round to 0 even where g^2 > f h, and f / 0 would raise.
+        f, g, h = float(np.add.reduce(q)) - 1.0, float(q.dot(y)), float((q * y).dot(y))
         lo, hi = (t, hi) if f > 0.0 else (lo, t)
         nxt = 0.5 * (lo + hi)
         if g > 0.0:
-            step = f / (g - f * h / g) if f > 0.0 and g * g > f * h else f / g
+            den = g - f * h / g if f > 0.0 and g * g > f * h else g
+            step = f / den if den else math.inf
             if abs(step) <= _PAIR_STOP * t:
                 return t + step
             if lo < t + step < hi:
@@ -446,10 +446,10 @@ def _solve(e: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, str]:
     n, m = r.shape
     demand = np.add.reduce(r)
     # The empty face: p = 0 certifies where every user fits at x = 1.
-    if not m or _largest(demand) <= 1.0 + _CAPACITY_TOL:
+    if not m or demand[j := int(demand.argmax())] <= 1.0 + _CAPACITY_TOL:
         return np.ones(n), np.zeros(m), "optimal"
     # The faces of one or two columns, from the most-demanded column.
-    finished = _few_columns(e, r, int(demand.argmax()))
+    finished = _few_columns(e, r, j)
     if finished is not None:
         return *finished, "optimal"
     weights = e.dot(r)

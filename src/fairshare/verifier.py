@@ -4,9 +4,10 @@ condition), Pareto pinning, the worst envy pair (found a row at a time, in
 memory linear in N), and the sharing-incentive baseline.
 
 ``verify`` decides only the verdict, with whole-array operations: the
-bound, capacity and the complaint check, which reads one computation of
-each user's best bottleneck share. The report builds everything else on
-first access, from the capacity record to envy and the sharing incentive.
+bound, capacity and the complaint check, which reads one masked reduction,
+each user's largest share on a saturated resource. The report builds
+everything else on first access, from the saturated resources and each
+user's best bottleneck to envy and the sharing incentive.
 The report is the one record of an answer: ``solve`` returns it as it is,
 and the leftover capacity of resource j is ``1 - report.capacity.usages[j]``.
 The verifier works directly on original (unlifted) instances: a fully
@@ -15,9 +16,9 @@ resource to saturate.
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -89,16 +90,7 @@ class SharingResult:
     margins: np.ndarray  # x_i minus what e_i of every resource would yield
 
 
-class _Shares(NamedTuple):
-    """Who is justified, for the verdict and the statuses alike: the
-    saturated columns, who is full, each user's best bottleneck, the share on
-    it and whether that meets the entitlement (None where none saturates)."""
-
-    cols: np.ndarray
-    full: np.ndarray
-    best: np.ndarray | None
-    share: np.ndarray | None
-    held: np.ndarray | None
+_Shares = namedtuple("_Shares", "cols full best share held")
 
 
 def _overrun(u: np.ndarray, tol: ToleranceConfig) -> int | None:
@@ -113,8 +105,8 @@ class VerificationReport:
 
     Only ``passed`` and ``njc_ok`` are set when it is built. Every other
     field is computed on first access from its own read-only copy of the
-    allocation, its usages and its best bottleneck shares, then cached, so
-    the report stays a pure function of (instance, allocation, tolerances).
+    allocation and its usages, then cached, so the report stays a pure
+    function of (instance, allocation, tolerances).
 
     ``bottlenecks`` lists the saturated resources in ascending order.
     ``out_of_range`` lists the users whose x_i lies outside
@@ -129,7 +121,23 @@ class VerificationReport:
     instance: ProblemInstance = field(repr=False)
     allocation: np.ndarray = field(repr=False)
     _usages: np.ndarray = field(repr=False)
-    _shares: _Shares = field(repr=False)
+
+    @cached_property
+    def _shares(self) -> _Shares:
+        """Who is justified, for the fields built on access: the saturated
+        columns, who is full, each user's best bottleneck (the first that
+        gives them their largest share), the share on it and whether that
+        meets the entitlement (None where none saturates)."""
+        x, tol = self.allocation, self.tolerances
+        cols = (self._usages >= 1.0 - tol.eps_bottleneck).nonzero()[0]
+        full = x >= 1.0 - tol.eps_njc
+        if not cols.size:
+            return _Shares(cols, full, None, None, None)
+        shares = x[:, None] * self.instance.requirements.take(cols, axis=1)
+        pick = shares.argmax(axis=1)
+        share = shares[np.arange(x.size), pick]
+        held = share >= self.instance.entitlements - tol.eps_njc
+        return _Shares(cols, full, cols[pick], share, held)
 
     @cached_property
     def capacity(self) -> CapacityResult:
@@ -370,25 +378,17 @@ def verify(
     tol = tol or DEFAULT_TOLERANCES
     x = readonly_array(x)
     u = usages(inst, x)
-    cols = (u >= 1.0 - tol.eps_bottleneck).nonzero()[0]
-    full = x >= 1.0 - tol.eps_njc
-    if cols.size:
-        # A user's best bottleneck is the lowest-indexed one among those
-        # that give them their largest share.
-        shares = x[:, None] * inst.requirements.take(cols, axis=1)
-        pick = shares.argmax(axis=1)
-        share = shares[np.arange(x.size), pick]
-        sh = _Shares(cols, full, cols[pick], share, share >= inst.entitlements - tol.eps_njc)
-        ok = sh.held | full
-    else:
-        sh = _Shares(cols, full, None, None, None)
-        ok = full
+    # Each user's largest share on a saturated column, -inf where none is.
+    share = np.maximum.reduce(
+        x[:, None] * inst.requirements, 1, where=u >= 1.0 - tol.eps_bottleneck, initial=-np.inf
+    )
+    ok = (share >= inst.entitlements - tol.eps_njc) | (x >= 1.0 - tol.eps_njc)
     # argmin and argmax, cheaper than all, min and max on short vectors, pick
     # the first NaN: NaN in x is out of range, and NaN in a usage overruns.
-    njc_ok = not x.size or bool(ok[ok.argmin()])
-    in_range = not x.size or (
-        -tol.eps_feasible <= x[x.argmin()] and x[x.argmax()] <= 1.0 + tol.eps_feasible
-    )
+    # A NaN x_i is never justified, though its -inf share meets e_i - inf.
+    lo, hi = (x[x.argmin()], x[x.argmax()]) if x.size else (0.0, 0.0)
+    njc_ok = not x.size or bool(ok[ok.argmin()] and lo == lo)
+    in_range = -tol.eps_feasible <= lo and hi <= 1.0 + tol.eps_feasible
     return VerificationReport(
         passed=bool(_overrun(u, tol) is None and njc_ok and in_range),
         njc_ok=njc_ok,
@@ -396,5 +396,4 @@ def verify(
         instance=inst,
         allocation=x,
         _usages=u,
-        _shares=sh,
     )

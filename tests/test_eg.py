@@ -346,9 +346,9 @@ def test_the_one_column_stage_never_declines_a_one_column_optimum(
     monkeypatch, suite_and_fixtures, draw
 ):
     # Wherever the optimum prices one column j alone, the stage started on j
-    # (its O(Nm) bound, water-fill, capacity check and certificate) returns
-    # that optimum, also where j is not the most-demanded column, and it
-    # needs no face Newton for it.
+    # (its water-fill, overrun test and certificate) returns that optimum,
+    # also where j is not the most-demanded column, and it needs no face
+    # Newton for it.
     optima = _one_column_optima(suite_and_fixtures, draw)
 
     def refuse(*args):
@@ -595,6 +595,34 @@ def test_the_two_column_stage_never_declines_a_two_column_optimum(
     assert counts["pairs"] >= 130 and counts["k alone"] >= 5, counts
 
 
+def test_the_stage_declines_wherever_more_than_three_columns_overrun_at_the_bound(
+    medium_instances, tiny_entitlement_draws, draw
+):
+    # The optimum's prices sum to at most sum_i e_i, and so does the
+    # water-filled price of j, as the fill sum_i min(r_ij, e_i / sum_k e_k)
+    # is at most 1. x(p) there is at least x_i = e_i / max(r_ij sum_k e_k,
+    # e_i), so wherever more than three columns overrun at that x, more
+    # than three overrun at x(p), and the stage declines.
+    family = (
+        medium_instances
+        + _degenerate_instances(400)
+        + tiny_entitlement_draws(400)
+        + _two_column_draws(draw)
+    )
+    declined = 0
+    for inst in family:
+        users = inst.entitlements >= np.finfo(float).tiny  # the users solve_eg prices
+        e, r = inst.entitlements[users], inst.requirements[users]
+        if not r.shape[1]:
+            continue
+        j = int(r.sum(axis=0).argmax())
+        x = e / np.maximum(r[:, j] * e.sum(), e)
+        if np.count_nonzero(x @ r > 1.0 + eg._CAPACITY_TOL) > 3:
+            declined += 1
+            assert eg._few_columns(e, r, j) is None
+    assert declined >= 47, declined
+
+
 @pytest.mark.parametrize(
     "entitlements, requirements, priced, allocation",
     [
@@ -826,20 +854,24 @@ def test_a_verified_answer_at_the_iteration_cap_reports_its_own_flag(tiny_entitl
     assert res.termination == "iteration_limit"
 
 
-@pytest.mark.parametrize("tiny", [1e-310, 5e-324])
-def test_a_subnormal_user_who_requests_nothing_raises_no_runtime_warning(
+@pytest.mark.parametrize("tiny", [pytest.param(np.finfo(float).tiny, id="tiny"), 2.3e-308])
+def test_a_barely_normal_user_who_requests_nothing_raises_no_runtime_warning(
     monkeypatch, medium_instances, tiny
 ):
-    # The user is full on every pass, (R p)_i = 0 <= e_i, and its Hessian
-    # weight is 0: no pass may divide by its subnormal entitlement, whose
-    # reciprocal overflows. The zero row changes no face's decision. Stage 2
-    # settles some of these programs, so each is solved as it is and again
-    # with stage 2 declined, where every one reaches the interior point.
-    calls = []
-    linear_solve = np.linalg.solve
+    # The user's entitlement is at or just above float64's smallest normal
+    # number, the least that solve_eg prices, so every pass carries them.
+    # They are full on every pass, (R p)_i = 0 <= e_i, and their Hessian
+    # weight is 0: no pass may overflow on a quotient by their entitlement,
+    # whose reciprocal is about a quarter of float64's largest number.
+    # The zero row changes no face's decision. Stage 2 settles some of these
+    # programs, so each is solved as it is and again with stage 2 declined,
+    # where every one reaches the interior point.
+    calls, priced = [], []
+    linear_solve, solve = np.linalg.solve, eg._solve
     monkeypatch.setattr(
         np.linalg, "solve", lambda a, b: calls.append(1) or linear_solve(a, b)
     )
+    monkeypatch.setattr(eg, "_solve", lambda e, r: priced.append(e[-1]) or solve(e, r))
     for inst in medium_instances:
         e = np.append(inst.entitlements, tiny)
         r = np.vstack([inst.requirements, np.zeros(inst.requirements.shape[1])])
@@ -852,6 +884,7 @@ def test_a_subnormal_user_who_requests_nothing_raises_no_runtime_warning(
                 warnings.simplefilter("error", RuntimeWarning)
                 x, _, status = solve_eg(e, r)
             assert len(calls) > before or not declined
+            assert priced[-1] == tiny
             assert status == "optimal" and x[-1] == 1.0
             assert np.max(np.abs(x[:-1] - x_without)) <= 1e-12
 

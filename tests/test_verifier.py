@@ -239,36 +239,99 @@ def _sharing_margins_reference(inst, x):
     return margins
 
 
+def _verdict_reference(inst, x, tol):
+    """(passed, njc_ok) as one loop per user: each partially served user's
+    largest share over the saturated resources, a NaN counting as largest,
+    against their entitlement, where a resource is saturated; then the
+    bound on x and capacity."""
+    e, r = inst.entitlements, inst.requirements
+    u = x @ r
+    njc_ok = True
+    for i in range(inst.n_users):
+        if x[i] >= 1.0 - tol.eps_njc:
+            continue
+        best = None
+        for j in range(inst.n_real_resources):
+            share = x[i] * r[i, j]
+            if u[j] >= 1.0 - tol.eps_bottleneck and (best is None or not share <= best):
+                best = share
+                if np.isnan(share):
+                    break
+        njc_ok = njc_ok and best is not None and bool(best >= e[i] - tol.eps_njc)
+    in_range = all(-tol.eps_feasible <= v <= 1.0 + tol.eps_feasible for v in x)
+    fits = all(v <= 1.0 + tol.eps_feasible for v in u)
+    return in_range and fits and njc_ok, njc_ok
+
+
+def _non_finite_cases(allocation_cases):
+    """The cases again, with one x_i set to NaN, inf or -inf in turn."""
+    cases = []
+    for k, (inst, x) in enumerate(allocation_cases):
+        y = x.copy()
+        y[k % y.size] = (np.nan, np.inf, -np.inf)[k % 3]
+        cases.append((inst, y))
+    return cases
+
+
 def test_loop_free_checks_equal_the_per_user_loops(allocation_cases):
     # report.users, report.pareto_ok and check_sharing_incentive work on
-    # whole matrices; every field must equal the per-user loop bit for bit
-    # (repr tells -0.0 from 0.0 and a numpy integer from an int), ties
-    # included.
+    # whole matrices, and verify decides passed and njc_ok from one masked
+    # reduction; every field must equal the per-user loop bit for bit (repr
+    # tells -0.0 from 0.0 and a numpy integer from an int), ties included.
+    # The cases are repeated with one x_i set to NaN, inf or -inf, where
+    # products inf * 0 warn; in the last, nothing saturates, and user 2,
+    # entitled to nothing, complains.
     tol = ToleranceConfig()
     seen = {COMPLAINT: 0, "supports": 0, "no bottleneck": 0, "tie": 0, "pareto fails": 0}
-    for inst, x in allocation_cases:
-        report = verify(inst, x, tol)
-        statuses = report.users
-        assert repr(statuses) == repr(_njc_reference(inst, x, tol))
-        pareto = report.pareto_ok
-        assert pareto is _pareto_reference(inst, x, tol)
-        sharing = check_sharing_incentive(inst, x, tol)
-        reference = _sharing_margins_reference(inst, x)
-        assert sharing.margins.tobytes() == reference.tobytes()
-        assert sharing.ok is bool(np.all(reference >= -tol.eps_njc))
+    non_finite = _non_finite_cases(allocation_cases)
+    unsaturated = ProblemInstance(entitlements=[1.0, 0.0], requirements=[[0.5], [0.25]])
+    verdicts = {(True, True): 0, (False, True): 0, (False, False): 0}
+    with np.errstate(invalid="ignore"):
+        for inst, x in allocation_cases + non_finite + [(unsaturated, np.array([1.0, 0.5]))]:
+            report = verify(inst, x, tol)
+            verdict = _verdict_reference(inst, x, tol)
+            assert (report.passed, report.njc_ok) == verdict
+            verdicts[verdict] += 1
+            statuses = report.users
+            assert repr(statuses) == repr(_njc_reference(inst, x, tol))
+            pareto = report.pareto_ok
+            assert pareto is _pareto_reference(inst, x, tol)
+            sharing = check_sharing_incentive(inst, x, tol)
+            reference = _sharing_margins_reference(inst, x)
+            assert sharing.margins.tobytes() == reference.tobytes()
+            assert sharing.ok is bool(np.all(reference >= -tol.eps_njc))
 
-        bn = np.flatnonzero(x @ inst.requirements >= 1.0 - tol.eps_bottleneck)
-        shares = x[:, None] * inst.requirements[:, bn]
-        seen[COMPLAINT] += sum(st.status == COMPLAINT for st in statuses)
-        seen["supports"] += sum(bool(st.non_bottleneck_supports) for st in statuses)
-        seen["no bottleneck"] += bn.size == 0
-        if bn.size:  # partially served users whose largest share ties
-            best = shares.max(axis=1)
-            tied = (shares == best[:, None]).sum(axis=1) > 1
-            seen["tie"] += int((tied & (best > 0.0) & (x < 1.0 - tol.eps_njc)).sum())
-        seen["pareto fails"] += not pareto
+            bn = np.flatnonzero(x @ inst.requirements >= 1.0 - tol.eps_bottleneck)
+            shares = x[:, None] * inst.requirements[:, bn]
+            seen[COMPLAINT] += sum(st.status == COMPLAINT for st in statuses)
+            seen["supports"] += sum(bool(st.non_bottleneck_supports) for st in statuses)
+            seen["no bottleneck"] += bn.size == 0
+            if bn.size:  # partially served users whose largest share ties
+                best = shares.max(axis=1)
+                tied = (shares == best[:, None]).sum(axis=1) > 1
+                seen["tie"] += int((tied & (best > 0.0) & (x < 1.0 - tol.eps_njc)).sum())
+            seen["pareto fails"] += not pareto
     assert len(allocation_cases) >= 60
     assert all(count > 0 for count in seen.values()), seen
+    assert all(count > 0 for count in verdicts.values()), verdicts
+
+
+def test_a_nan_allocation_is_never_justified_even_with_an_infinite_njc_slack(
+    allocation_cases,
+):
+    # With eps_njc = inf every user with a number for x_i is full. A NaN x_i
+    # leaves every usage NaN, so nothing saturates, and the user's largest
+    # share is the reduction's -inf, which meets e_i - inf; the verdict must
+    # still count them as complaining, as report.users does.
+    tol = ToleranceConfig(eps_njc=np.inf)
+    nans = 0
+    with np.errstate(invalid="ignore"):
+        for inst, x in _non_finite_cases(allocation_cases):
+            report = verify(inst, x, tol)
+            assert (report.passed, report.njc_ok) == _verdict_reference(inst, x, tol)
+            assert report.njc_ok is all(st.ok for st in report.users)
+            nans += bool(np.isnan(x).any())
+    assert nans >= 20, nans
 
 
 def test_sharing_incentive_margins_at_fair_point():
