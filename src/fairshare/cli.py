@@ -165,7 +165,7 @@ def _load_instance(path_or_name: str, renormalize: bool = False) -> ProblemInsta
 
 def _parse_allocation(args, n_users: int) -> np.ndarray:
     if args.x is not None:
-        parts = [p for p in args.x.split(",") if p.strip()]
+        parts = args.x.split(",")
         values = [_parse_number(p.strip(), f"--x[{i}]") for i, p in enumerate(parts)]
     elif args.allocation is not None:
         try:

@@ -1,20 +1,23 @@
-"""Dense two-phase simplex for small box-bounded linear programs.
+"""Dense two-phase simplex for small linear programs over x >= 0.
 
 Problems in this library have at most a couple of dozen variables and
 constraints, so a plain tableau with Bland's anti-cycling rule is exact
 enough and keeps basic (vertex) solutions, which the enumeration oracle
-relies on. Relations are "<=" or "=="; encode a >= row by negating it.
+relies on. A program is a list of rows ``(coefficients, rhs, relation)``,
+where the relation is "<=" or "==" (encode a >= row by negating it), and one
+upper bound per variable, None for none; every variable is nonnegative.
 
 Phase one does not see the objective, so ``maximize_each`` runs it once,
 prices every objective against its basis in one pass, and runs phase two,
 on a copy of the tableau, only for an objective with an improving column;
-the others end at the phase-one vertex. ``maximize`` is its one-objective
-case, and each result equals a separate solve bitwise. The tableau is
-filled with one array operation. A pivot is one rank-1 update of the whole
-tableau (a row with a zero factor subtracts an exact zero, so every entry
-gets the value a row-by-row update gives it). Bland's entering scan runs in
-numpy; the ratio test is one Python loop over the entering column and the
-right-hand side as lists, the same IEEE divisions a vectorized one makes.
+the others end at the phase-one vertex. ``maximize`` is ``maximize_each``
+of one objective, and each result equals a separate solve bitwise. The
+tableau is filled with one array operation. A pivot is one rank-1 update
+of the whole tableau (a row with a zero factor subtracts an exact zero, so
+every entry gets the value a row-by-row update gives it). Bland's entering
+scan runs in numpy; the ratio test is one Python loop over the entering
+column and the right-hand side as lists, the same IEEE divisions a
+vectorized one makes.
 """
 from __future__ import annotations
 
@@ -25,7 +28,6 @@ import numpy as np
 
 __all__ = [
     "Constraint",
-    "LinearProgram",
     "LpResult",
     "PHASE_ONE_TOL",
     "SimplexIterationLimit",
@@ -40,36 +42,6 @@ _MAX_ITER = 10_000
 PHASE_ONE_TOL = 1e-8
 
 Constraint = tuple[np.ndarray, float, str]  # (coefficients, rhs, "<=" or "==")
-
-
-@dataclass(frozen=True, eq=False)
-class LinearProgram:
-    """maximize objective @ x subject to constraints and per-variable bounds."""
-
-    objective: np.ndarray
-    constraints: tuple[Constraint, ...]
-    bounds: tuple[tuple[float, float | None], ...]
-
-    def __post_init__(self) -> None:
-        obj = np.asarray(self.objective, dtype=float)
-        n = obj.shape[0]
-        rows = []
-        for coeffs, rhs, rel in self.constraints:
-            coeffs = np.asarray(coeffs, dtype=float)
-            if coeffs.shape != (n,):
-                raise ValueError("constraint dimension does not match the objective")
-            if rel not in ("<=", "=="):
-                raise ValueError(f"unsupported relation {rel!r}")
-            rows.append((coeffs, float(rhs), rel))
-        bounds = tuple((float(lo), None if hi is None else float(hi)) for lo, hi in self.bounds)
-        if len(bounds) != n:
-            raise ValueError("bounds length does not match the objective")
-        for lo, hi in bounds:
-            if hi is not None and lo > hi:
-                raise ValueError("lower bound exceeds upper bound")
-        object.__setattr__(self, "objective", obj)
-        object.__setattr__(self, "constraints", tuple(rows))
-        object.__setattr__(self, "bounds", bounds)
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,37 +96,49 @@ def _run_simplex(T: np.ndarray, basis: list[int], ncols: int) -> str:
     )
 
 
-def maximize(lp: LinearProgram) -> LpResult:
+def maximize(
+    objective: np.ndarray, constraints: Sequence[Constraint], upper: Sequence[float | None]
+) -> LpResult:
     """Solve the LP to optimality; infeasible/unbounded are return states."""
-    return maximize_each(lp, [lp.objective])[0]
+    return maximize_each(constraints, upper, [objective])[0]
 
 
-def maximize_each(lp: LinearProgram, objectives: Sequence[np.ndarray]) -> list[LpResult]:
-    """Maximize each objective over ``lp``'s feasible set (its own objective
-    is not used). Entry k equals ``maximize`` of the LP with objective k."""
-    n = lp.objective.shape[0]
+def maximize_each(
+    constraints: Sequence[Constraint],
+    upper: Sequence[float | None],
+    objectives: Sequence[np.ndarray],
+) -> list[LpResult]:
+    """Maximize each objective subject to ``constraints``, ``x >= 0`` and
+    ``x_j <= upper[j]`` (no bound where ``upper[j]`` is None). Entry k equals
+    ``maximize`` of objective k."""
+    n = len(upper)
     objectives = [np.asarray(c, dtype=float) for c in objectives]
     if any(c.shape != (n,) for c in objectives):
-        raise ValueError("objective dimension does not match the constraints")
+        raise ValueError("objective dimension does not match the bounds")
+    for coeffs, _, rel in constraints:
+        if np.shape(coeffs) != (n,):
+            raise ValueError("constraint dimension does not match the bounds")
+        if rel not in ("<=", "=="):
+            raise ValueError(f"unsupported relation {rel!r}")
+    caps = [(j, float(h)) for j, h in enumerate(upper) if h is not None]
+    if not all(h >= 0.0 for _, h in caps):  # written so that NaN fails too
+        raise ValueError("an upper bound is negative or NaN")
     if not objectives:
         return []
-    lo = np.array([b[0] for b in lp.bounds])
 
-    # Shift variables so every lower bound is zero; finite upper bounds
-    # become rows x_j <= h - l. A row with a negative right-hand side is
-    # negated: a "<=" row turns ">=", with slack -1 and an artificial.
-    shift = lo.any()
-    rows = [(rel, b - float(c @ lo) if shift else b) for c, b, rel in lp.constraints]
-    upper = [(j, h - l) for j, (l, h) in enumerate(lp.bounds) if h is not None]
-    mc, m = len(rows), len(rows) + len(upper)
-    n_slack = len(upper) + sum(rel == "<=" for rel, _ in rows)
+    # Finite upper bounds become rows x_j <= h. A row with a negative
+    # right-hand side is negated: a "<=" row turns ">=", with slack -1 and
+    # an artificial.
+    rows = [(rel, float(b)) for _, b, rel in constraints]
+    mc, m = len(rows), len(rows) + len(caps)
+    n_slack = len(caps) + sum(rel == "<=" for rel, _ in rows)
     art_rows = [i for i, (rel, b) in enumerate(rows) if rel == "==" or b < 0.0]
     total = n + n_slack + len(art_rows)
     T = np.zeros((m + 1, total + 1))
     if mc:
         signs = np.array([[-1.0 if b < 0.0 else 1.0] for _, b in rows])
-        np.multiply([c for c, _, _ in lp.constraints], signs, out=T[:mc, :n])
-    T[:m, -1] = [abs(b) for _, b in rows] + [h for _, h in upper]
+        np.multiply([c for c, _, _ in constraints], signs, out=T[:mc, :n])
+    T[:m, -1] = [abs(b) for _, b in rows] + [h for _, h in caps]
     basis = [-1] * m
     s = n
     for i, (rel, b) in enumerate(rows):
@@ -162,7 +146,7 @@ def maximize_each(lp: LinearProgram, objectives: Sequence[np.ndarray]) -> list[L
             T[i, s] = -1.0 if b < 0.0 else 1.0
             basis[i] = s
             s += 1
-    for i, (j, _) in enumerate(upper, mc):
+    for i, (j, _) in enumerate(caps, mc):
         T[i, j] = T[i, s] = 1.0
         basis[i] = s
         s += 1
@@ -202,7 +186,7 @@ def maximize_each(lp: LinearProgram, objectives: Sequence[np.ndarray]) -> list[L
     improving = (Z[:, : n + n_slack] > _PIVOT_TOL).any(axis=1).tolist()
 
     results = []
-    start = _vertex(T, basis, lo)
+    start = _vertex(T, basis, n)
     for objective, row, pivots in zip(objectives, Z, improving):
         if not pivots:
             x = start.copy()
@@ -212,13 +196,14 @@ def maximize_each(lp: LinearProgram, objectives: Sequence[np.ndarray]) -> list[L
             if _run_simplex(T2, basis2, n + n_slack) == "unbounded":
                 results.append(LpResult("unbounded", None, None))
                 continue
-            x = _vertex(T2, basis2, lo)
+            x = _vertex(T2, basis2, n)
         results.append(LpResult("optimal", float(objective @ x), x))
     return results
 
 
-def _vertex(T: np.ndarray, basis: list[int], lo: np.ndarray) -> np.ndarray:
-    """The basic solution of tableau ``T``, shifted back by ``lo``."""
+def _vertex(T: np.ndarray, basis: list[int], n: int) -> np.ndarray:
+    """The first ``n`` coordinates (the real variables) of tableau ``T``'s
+    basic solution."""
     y = np.zeros(T.shape[1] - 1)
     y[basis] = T[:-1, -1]
-    return y[: lo.shape[0]] + lo
+    return y[:n]

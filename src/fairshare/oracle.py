@@ -22,10 +22,11 @@ sum, which depends on the assignment alone, exceeds ten times the threshold
 (``FeasibilityQuery.provably_infeasible``, one numpy pass per instance), and
 skipped when an earlier query built the same rows: the LPs are byte-equal
 and the simplex is deterministic. So the witnesses are as if every LP ran,
-up to points inside a point face's dedup grain. Each LP prices all its
-probes at once (``lp.maximize_each``); ``SolutionFamily.stats`` counts what
-each rule did. ``grid_search_n2`` walks the feasible boundary curve for two
-users. Both are deliberately independent of the trajectory construction.
+up to points inside a point face's dedup grain. Each LP is one
+``lp.maximize_each`` call on the query's rows and upper bounds, which prices
+all its probes at once; ``SolutionFamily.stats`` counts what each rule did.
+``grid_search_n2`` walks the feasible boundary curve for two users. Both
+are deliberately independent of the trajectory construction.
 """
 from __future__ import annotations
 
@@ -79,6 +80,8 @@ class FeasibilityQuery:
     assignment: tuple[int | None, ...]
 
     def constraints(self, inst: ProblemInstance) -> tuple[list, list]:
+        """The query's LP as ``lp.maximize_each`` takes it: its rows, and an
+        upper bound of 1 on each x_i (every x_i is at least 0)."""
         r = inst.requirements
         e = inst.entitlements
         n = inst.n_users
@@ -95,8 +98,7 @@ class FeasibilityQuery:
             elif e[i] > 0.0:
                 unit[i, i] = -r[i, j]
                 rows.append((unit[i], -float(e[i]), "<="))
-        bounds = [(0.0, 1.0)] * n
-        return rows, bounds
+        return rows, [1.0] * n
 
     def provably_infeasible(self, inst: ProblemInstance) -> bool:
         """Whether the LP of ``constraints`` certainly comes out infeasible.
@@ -325,10 +327,7 @@ def enumerate_solutions(
             solved.add((mask, user_rows))
             face = (mask, sum(implied[i][j] for i, j in enumerate(picked)))
             query = FeasibilityQuery(subset, tuple(None if j == m else j for j in picked))
-            rows, bounds = query.constraints(inst)
-            first, *others = lp.maximize_each(
-                lp.LinearProgram(probes[0], tuple(rows), tuple(bounds)), probes
-            )
+            first, *others = lp.maximize_each(*query.constraints(inst), probes)
             if first.status != "optimal":
                 if first.infeasibility > _REJECT_ABOVE:
                     faces.append((*face, True))

@@ -238,8 +238,7 @@ def remove_dominated_constraints(
     tol = tol or DEFAULT_TOLERANCES
     work = _work_from_lifted(inst)
     removed: list[ColumnKey] = []
-    n = len(work.users)
-    bounds = tuple((0.0, None) for _ in range(n))
+    upper = [None] * len(work.users)
     changed = True
     while changed:
         changed = False
@@ -247,7 +246,7 @@ def remove_dominated_constraints(
             others = [
                 (work.r[:, kk], 1.0, "<=") for kk in range(len(work.cols)) if kk != k
             ]
-            result = lp.maximize(lp.LinearProgram(work.r[:, k], tuple(others), bounds))
+            result = lp.maximize(work.r[:, k], others, upper)
             if result.status == "unbounded":
                 continue
             if result.status != "optimal":

@@ -212,7 +212,9 @@ def _project(
 
     The common ratio c is one more unknown. The Jacobian block for the
     alignment equations is the trajectory system's matrix; one extra
-    row/column handles the level constraint and c.
+    row/column handles the level constraint and c. Newton steps are taken
+    in full, x clipped at 0; one that leaves the region raises
+    ``DomainBoundaryError``, on which ``integrate_trajectory`` halves h.
     """
     n = x0.shape[0]
     r = inst.requirements
@@ -245,18 +247,9 @@ def _project(
             delta = np.linalg.solve(jac, rhs)
         except np.linalg.LinAlgError as exc:
             raise NumericalDegeneracyError(str(exc)) from exc
-        step = 1.0
-        for _ in range(60):
-            x_new = x + step * delta[:n]
-            s_new = 1.0 - x_new @ r
-            if np.min(s_new) > 0.0 and np.min(x_new) > -1e-15:
-                break
-            step *= 0.5
-        else:
-            raise NumericalDegeneracyError("projection step cannot stay interior")
-        x = np.clip(x_new, 0.0, None)
-        c += step * delta[n]
-        s = 1.0 - x @ r
+        x = np.clip(x + delta[:n], 0.0, None)
+        c += delta[n]
+        s = _slacks_or_raise(inst, x)
         g = (r / s).sum(axis=1)
     err, x = best
     # Deep in the boundary layer the Newton system's conditioning caps the

@@ -445,6 +445,8 @@ MALFORMED = {
         "x[0]",
     ),
     "x-unparseable": (("verify", "slope2", "--x", "0.6,abc"), None, "--x[1]"),
+    "x-empty-entry": (("verify", "slope2", "--x", "0.6,,0.9"), None, "--x[1]"),
+    "x-trailing-comma": (("verify", "slope2", "--x", "0.6,0.9,"), None, "--x[2]"),
     "not-an-object": (("solve", "{doc}"), [0.5, 0.5], "doc.json"),
     "missing-key": (("solve", "{doc}"), {"entitlements": [1.0]}, "'requirements'"),
     "empty-array": (

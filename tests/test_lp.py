@@ -3,18 +3,19 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from fairshare.lp import PHASE_ONE_TOL, LinearProgram, maximize, maximize_each
+from fairshare.lp import PHASE_ONE_TOL, maximize, maximize_each
 
 
-def brute_force_max(objective, rows, rhs, bounds):
-    """Vertex-enumeration oracle: try every choice of n tight constraints."""
+def brute_force_max(objective, rows, rhs, upper):
+    """Vertex-enumeration oracle: try every choice of n tight constraints
+    among the rows, x >= 0 and the upper bounds."""
     objective = np.asarray(objective, float)
     n = objective.shape[0]
     planes = [(np.asarray(a, float), float(b)) for a, b in zip(rows, rhs)]
-    for j, (lo, hi) in enumerate(bounds):
+    for j, hi in enumerate(upper):
         unit = np.zeros(n)
         unit[j] = 1.0
-        planes.append((unit, lo))
+        planes.append((unit, 0.0))
         if hi is not None:
             planes.append((unit, hi))
     best = None
@@ -27,8 +28,7 @@ def brute_force_max(objective, rows, rhs, bounds):
             continue
         ok = all(float(np.dot(r, x)) <= c + 1e-9 for r, c in zip(rows, rhs))
         ok = ok and all(
-            lo - 1e-9 <= x[j] and (hi is None or x[j] <= hi + 1e-9)
-            for j, (lo, hi) in enumerate(bounds)
+            -1e-9 <= x[j] and (hi is None or x[j] <= hi + 1e-9) for j, hi in enumerate(upper)
         )
         if ok:
             value = float(objective @ x)
@@ -38,12 +38,7 @@ def brute_force_max(objective, rows, rhs, bounds):
 
 
 def test_single_constraint_maximum():
-    lp = LinearProgram(
-        objective=[1.0, 1.0],
-        constraints=[([1.0, 1.0], 1.0, "<=")],
-        bounds=[(0.0, 1.0), (0.0, 1.0)],
-    )
-    res = maximize(lp)
+    res = maximize([1.0, 1.0], [([1.0, 1.0], 1.0, "<=")], [1.0, 1.0])
     assert res.status == "optimal"
     assert res.value == pytest.approx(1.0, abs=1e-9)
 
@@ -52,48 +47,36 @@ def test_domination_probe_three_users():
     # max 0.2 x1 + 0.2 x2 + 0.8 x3  s.t.  x1 + x2 + 0.4 x3 <= 1, x in [0,1]^3
     rows = [[1.0, 1.0, 0.4]]
     rhs = [1.0]
-    bounds = [(0.0, 1.0)] * 3
-    lp = LinearProgram([0.2, 0.2, 0.8], [(rows[0], rhs[0], "<=")], bounds)
-    res = maximize(lp)
+    objective, upper = [0.2, 0.2, 0.8], [1.0] * 3
+    res = maximize(objective, [(rows[0], rhs[0], "<=")], upper)
     assert res.status == "optimal"
     assert res.value == pytest.approx(0.92, abs=1e-9)
-    assert brute_force_max(lp.objective, rows, rhs, bounds) == pytest.approx(0.92)
+    assert brute_force_max(objective, rows, rhs, upper) == pytest.approx(0.92)
     # optimizer is one of the two symmetric vertices
     assert res.x[2] == pytest.approx(1.0, abs=1e-9)
     assert sorted(np.round(res.x[:2], 9)) == pytest.approx([0.0, 0.6], abs=1e-9)
 
 
 def test_contradictory_equality_and_bound_is_infeasible():
-    lp = LinearProgram(
-        objective=[1.0],
-        constraints=[([1.0], 2.0, "==")],
-        bounds=[(0.0, 1.0)],
-    )
-    res = maximize(lp)
+    res = maximize([1.0], [([1.0], 2.0, "==")], [1.0])
     assert res.status == "infeasible"
     # Phase one gets x to 1, its bound, and the artificial carries the rest.
     assert res.infeasibility == pytest.approx(1.0, abs=1e-12)
 
 
 def test_unbounded_direction_detected():
-    lp = LinearProgram(
-        objective=[1.0, 0.0],
-        constraints=[([0.0, 1.0], 1.0, "<=")],
-        bounds=[(0.0, None), (0.0, None)],
-    )
-    res = maximize(lp)
+    res = maximize([1.0, 0.0], [([0.0, 1.0], 1.0, "<=")], [None, None])
     assert res.status == "unbounded"
     assert res.infeasibility == 0.0
 
 
-def _feasibility(constraints, bounds):
+def _feasibility(constraints, upper):
     """Pure feasibility question: maximize a zero objective."""
-    lp = LinearProgram(np.zeros(len(bounds)), tuple(constraints), tuple(bounds))
-    return maximize(lp)
+    return maximize(np.zeros(len(upper)), constraints, upper)
 
 
 def test_feasible_empty_system_returns_box_point():
-    res = _feasibility([], [(0.0, 1.0)] * 3)
+    res = _feasibility([], [1.0] * 3)
     assert res.status == "optimal"
     assert res.infeasibility == 0.0
     assert np.all(res.x >= -1e-12) and np.all(res.x <= 1.0 + 1e-12)
@@ -107,7 +90,7 @@ def test_feasible_two_bottleneck_family_witness():
         ([-1.0, 0.0, 0.0], -0.5, "<="),
         ([0.0, -1.0, 0.0], -0.3, "<="),
     ]
-    res = _feasibility(rows, [(0.0, 1.0)] * 3)
+    res = _feasibility(rows, [1.0] * 3)
     assert res.status == "optimal"
     x = res.x
     assert x[0] + x[2] == pytest.approx(1.0, abs=1e-9)
@@ -117,7 +100,7 @@ def test_feasible_two_bottleneck_family_witness():
 
 def test_feasible_detects_conflicting_equalities():
     rows = [([1.0], 0.3, "=="), ([1.0], 0.4, "==")]
-    res = _feasibility(rows, [(0.0, 1.0)])
+    res = _feasibility(rows, [1.0])
     assert res.status == "infeasible"
     # The least artificial sum is the gap between the two right-hand sides.
     assert res.infeasibility == pytest.approx(0.1, abs=1e-12)
@@ -125,12 +108,7 @@ def test_feasible_detects_conflicting_equalities():
 
 def test_negative_rhs_rows_are_handled():
     # x1 >= 0.25 written as -x1 <= -0.25
-    lp = LinearProgram(
-        objective=[-1.0],
-        constraints=[([-1.0], -0.25, "<=")],
-        bounds=[(0.0, 1.0)],
-    )
-    res = maximize(lp)
+    res = maximize([-1.0], [([-1.0], -0.25, "<=")], [1.0])
     assert res.status == "optimal"
     assert res.x[0] == pytest.approx(0.25, abs=1e-9)
 
@@ -165,16 +143,13 @@ def test_optimizer_feasibility_and_value_consistency_random():
         n = 3
         rows, rhs, objective = _random_le_problem(rng)
         n_rows = rows.shape[0]
-        bounds = [(0.0, 1.0)] * n
-        lp = LinearProgram(
-            objective, [(rows[i], rhs[i], "<=") for i in range(n_rows)], bounds
-        )
-        res = maximize(lp)
+        upper = [1.0] * n
+        res = maximize(objective, [(rows[i], rhs[i], "<=") for i in range(n_rows)], upper)
         assert res.status == "optimal"  # box keeps it bounded; origin feasible
         assert np.all(rows @ res.x <= rhs + 1e-9)
         assert np.all(res.x >= -1e-9) and np.all(res.x <= 1.0 + 1e-9)
         assert res.value == pytest.approx(float(objective @ res.x), rel=1e-12, abs=1e-12)
-        expected = brute_force_max(objective, rows, rhs, bounds)
+        expected = brute_force_max(objective, rows, rhs, upper)
         assert res.value == pytest.approx(expected, abs=1e-8)
 
 
@@ -187,11 +162,10 @@ def test_random_problems_with_equality_row():
         n = 3
         eq, eq_rhs, rows, rhs, objective = _random_eq_problem(rng)
         n_rows = rows.shape[0]
-        bounds = [(0.0, 1.0)] * n
         constraints = [(eq, eq_rhs, "==")] + [
             (rows[i], float(rhs[i]), "<=") for i in range(n_rows)
         ]
-        res = maximize(LinearProgram(objective, constraints, bounds))
+        res = maximize(objective, constraints, [1.0] * n)
         assert res.status == "optimal"
         assert float(eq @ res.x) == pytest.approx(eq_rhs, abs=1e-9)
         assert np.all(rows @ res.x <= rhs + 1e-9)
@@ -239,12 +213,11 @@ def _probe_objectives(rng, n):
     return objectives
 
 
-def _check_maximize_each(constraints, bounds, objectives):
-    lp = LinearProgram(objectives[0], constraints, bounds)
-    each = maximize_each(lp, objectives)
+def _check_maximize_each(constraints, upper, objectives):
+    each = maximize_each(constraints, upper, objectives)
     assert len(each) == len(objectives)
     for objective, res in zip(objectives, each):
-        _assert_same_result(res, maximize(LinearProgram(objective, constraints, bounds)))
+        _assert_same_result(res, maximize(objective, constraints, upper))
         if res.status == "infeasible":
             assert res.infeasibility > PHASE_ONE_TOL
         else:
@@ -260,7 +233,7 @@ def test_maximize_each_matches_maximize_bitwise():
         rows, rhs, objective = _random_le_problem(rng)
         constraints = [(rows[i], rhs[i], "<=") for i in range(rows.shape[0])]
         objectives = [objective] + _probe_objectives(rng, 3)
-        each = _check_maximize_each(constraints, [(0.0, 1.0)] * 3, objectives)
+        each = _check_maximize_each(constraints, [1.0] * 3, objectives)
         assert all(res.status == "optimal" for res in each)
     rng = np.random.default_rng(7)
     for trial in range(30):
@@ -269,36 +242,34 @@ def test_maximize_each_matches_maximize_bitwise():
             (rows[i], float(rhs[i]), "<=") for i in range(rows.shape[0])
         ]
         objectives = [objective] + _probe_objectives(rng, 3)
-        each = _check_maximize_each(constraints, [(0.0, 1.0)] * 3, objectives)
+        each = _check_maximize_each(constraints, [1.0] * 3, objectives)
         assert all(res.status == "optimal" for res in each)
 
 
 def test_maximize_each_infeasible_and_unbounded():
     rng = np.random.default_rng(3)
     infeasible = [([1.0, 0.0], 0.3, "=="), ([1.0, 0.0], 0.4, "==")]
-    each = _check_maximize_each(infeasible, [(0.0, 1.0)] * 2, _probe_objectives(rng, 2))
+    each = _check_maximize_each(infeasible, [1.0] * 2, _probe_objectives(rng, 2))
     assert all(res.status == "infeasible" for res in each)
     # x2 is capped by a row, x1 only from below: some probes are unbounded.
     open_box = [([0.0, 1.0], 1.0, "<=")]
-    each = _check_maximize_each(open_box, [(0.0, None)] * 2, _probe_objectives(rng, 2))
+    each = _check_maximize_each(open_box, [None] * 2, _probe_objectives(rng, 2))
     assert {res.status for res in each} == {"optimal", "unbounded"}
 
 
 def test_maximize_each_rejects_mismatched_objective():
-    lp = LinearProgram([1.0, 1.0], [([1.0, 1.0], 1.0, "<=")], [(0.0, 1.0)] * 2)
     with pytest.raises(ValueError):
-        maximize_each(lp, [np.ones(3)])
+        maximize_each([([1.0, 1.0], 1.0, "<=")], [1.0] * 2, [np.ones(3)])
 
 
 def test_maximize_each_of_no_objective_is_empty():
-    lp = LinearProgram([1.0, 1.0], [([1.0, 1.0], 1.0, "<=")], [(0.0, 1.0)] * 2)
-    assert maximize_each(lp, []) == []
+    assert maximize_each([([1.0, 1.0], 1.0, "<=")], [1.0] * 2, []) == []
 
 
 def test_maximize_each_with_an_all_zero_objective():
     constraints = [([1.0, 2.0], 1.5, "<="), ([1.0, 1.0], 0.5, "==")]
     objectives = [np.zeros(2), np.ones(2), np.zeros(2), -np.ones(2)]
-    each = _check_maximize_each(constraints, [(0.0, 1.0)] * 2, objectives)
+    each = _check_maximize_each(constraints, [1.0] * 2, objectives)
     assert all(res.status == "optimal" for res in each)
     assert each[0].value == 0.0
 
@@ -312,26 +283,52 @@ def test_maximize_each_keeps_a_redundant_equality_row():
         ([0.0, 1.0, 1.0], 1.2, "<="),
     ]
     rng = np.random.default_rng(11)
-    each = _check_maximize_each(constraints, [(0.0, 1.0)] * 3, _probe_objectives(rng, 3))
+    each = _check_maximize_each(constraints, [1.0] * 3, _probe_objectives(rng, 3))
     assert all(res.status == "optimal" for res in each)
     for res in each:
         assert res.x[0] + res.x[1] == pytest.approx(1.0, abs=1e-12)
 
 
-def test_maximize_each_with_nonzero_lower_bounds():
+_ROW = ([1.0, 1.0], 1.0, "<=")
+
+
+@pytest.mark.parametrize(
+    "constraints, upper, objectives",
+    [
+        pytest.param([([1.0, 1.0, 1.0], 1.0, "<=")], [1.0] * 2, [np.ones(2)], id="long-row"),
+        pytest.param([_ROW, ([1.0], 1.0, "==")], [1.0] * 2, [np.ones(2)], id="short-row"),
+        pytest.param([_ROW], [1.0] * 2, [np.ones(2), np.ones(1)], id="short-objective"),
+        pytest.param([([1.0, 1.0], 1.0, ">=")], [1.0] * 2, [np.ones(2)], id="relation"),
+        pytest.param([_ROW], [1.0, -0.5], [np.ones(2)], id="negative-upper"),
+        pytest.param([_ROW], [None, np.nan], [np.ones(2)], id="nan-upper"),
+        pytest.param([([1.0], 1.0, "<=")], [-1.0, None], [], id="no-objective"),
+    ],
+)
+def test_maximize_each_rejects_input_outside_its_contract(constraints, upper, objectives):
+    # Every row and objective has one entry per upper bound, every relation
+    # is "<=" or "==", and every upper bound is >= 0 or None; the inputs
+    # are checked even when there is no objective to price.
+    with pytest.raises(ValueError):
+        maximize_each(constraints, upper, objectives)
+    if objectives:
+        with pytest.raises(ValueError):
+            maximize(objectives[-1], constraints, upper)
+
+
+def test_maximize_each_with_zero_and_missing_upper_bounds():
+    # x1 is pinned to 0 by its bound, x2 is free above and capped by a row,
+    # x3 is capped by its bound alone.
     rng = np.random.default_rng(5)
-    bounds = [(0.25, 1.0), (-0.5, 0.5), (0.1, None)]
-    for trial in range(10):
-        rows, rhs, objective = _random_le_problem(rng)
-        rows = np.vstack([rows, [0.0, 0.0, 1.0]])
-        rhs = np.append(rhs + 2.0, 2.0)
-        constraints = [(rows[i], rhs[i], "<=") for i in range(rows.shape[0])]
-        objectives = [objective] + _probe_objectives(rng, 3)
-        each = _check_maximize_each(constraints, bounds, objectives)
-        for c, res in zip(objectives, each):
-            assert res.status == "optimal"
-            assert np.all(rows @ res.x <= rhs + 1e-9)
-            assert res.value == pytest.approx(brute_force_max(c, rows, rhs, bounds), abs=1e-9)
+    rows, rhs = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, -1.0]]), np.array([2.0, 1.5])
+    upper = [0.0, None, 0.75]
+    constraints = [(rows[i], rhs[i], "<=") for i in range(2)]
+    objectives = _probe_objectives(rng, 3)
+    each = _check_maximize_each(constraints, upper, objectives)
+    for c, res in zip(objectives, each):
+        assert res.status == "optimal"
+        assert res.x[0] == 0.0 and res.x[2] <= 0.75
+        assert np.all(rows @ res.x <= rhs + 1e-9)
+        assert res.value == pytest.approx(brute_force_max(c, rows, rhs, upper), abs=1e-9)
 
 
 def test_maximize_each_prices_an_unbounded_probe_beside_vertex_probes():
@@ -339,7 +336,7 @@ def test_maximize_each_prices_an_unbounded_probe_beside_vertex_probes():
     # +x1 is unbounded and +x2 pivots once.
     constraints = [([0.0, 1.0], 1.0, "<=")]
     objectives = [-np.eye(2)[0], np.eye(2)[0], -np.ones(2), np.eye(2)[1], -np.eye(2)[1]]
-    each = _check_maximize_each(constraints, [(0.0, None)] * 2, objectives)
+    each = _check_maximize_each(constraints, [None] * 2, objectives)
     assert [res.status for res in each] == [
         "optimal", "unbounded", "optimal", "optimal", "optimal"
     ]
@@ -347,8 +344,9 @@ def test_maximize_each_prices_an_unbounded_probe_beside_vertex_probes():
 
 
 def test_maximize_each_returns_independent_solutions():
-    lp = LinearProgram([1.0, 1.0], [([1.0, 1.0], 1.0, "<=")], [(0.0, 1.0)] * 2)
-    first, second, third = maximize_each(lp, [-np.ones(2), np.zeros(2), -np.ones(2)])
+    first, second, third = maximize_each(
+        [([1.0, 1.0], 1.0, "<=")], [1.0] * 2, [-np.ones(2), np.zeros(2), -np.ones(2)]
+    )
     first.x[0] = 99.0
     assert second.x.tolist() == [0.0, 0.0]
     assert third.x.tolist() == [0.0, 0.0]

@@ -197,10 +197,10 @@ def _reference_witnesses(inst):
             found.append((x.tobytes(), bn, query, positive))
 
     for query in _queries(inst):
-        rows, bounds = query.constraints(inst)
+        rows, upper = query.constraints(inst)
         vertices = []
         for k, objective in enumerate(probes):
-            res = lp.maximize(lp.LinearProgram(objective, tuple(rows), tuple(bounds)))
+            res = lp.maximize(objective, rows, upper)
             if k == 0 and res.status != "optimal":
                 break
             if res.status == "optimal" and all(
@@ -300,8 +300,7 @@ def test_every_rejected_query_is_infeasible_for_the_lp():
                 admitted += 1
                 continue
             rejected += 1
-            rows, bounds = query.constraints(inst)
-            res = lp.maximize(lp.LinearProgram(np.ones(inst.n_users), tuple(rows), tuple(bounds)))
+            res = lp.maximize(np.ones(inst.n_users), *query.constraints(inst))
             assert res.status == "infeasible", (inst, query)
     assert rejected > 10 * admitted > 0
 
@@ -348,8 +347,7 @@ def _probe_results(inst, query):
     """The query's LP under the oracle's probes (+/- sum x, +/- each x_i)."""
     n = inst.n_users
     probes = [np.ones(n), -np.ones(n)] + [s * u for u in np.eye(n) for s in (1.0, -1.0)]
-    rows, bounds = query.constraints(inst)
-    return lp.maximize_each(lp.LinearProgram(probes[0], tuple(rows), tuple(bounds)), probes)
+    return lp.maximize_each(*query.constraints(inst), probes)
 
 
 def _probe_vertices(inst, query):
@@ -415,8 +413,8 @@ def _skipped_queries(inst, monkeypatch):
 
 
 def _lp_bytes(inst, query):
-    rows, bounds = query.constraints(inst)
-    return [(np.asarray(c, dtype=float).tobytes(), float(b), rel) for c, b, rel in rows], bounds
+    rows, upper = query.constraints(inst)
+    return [(np.asarray(c, dtype=float).tobytes(), float(b), rel) for c, b, rel in rows], upper
 
 
 def test_every_query_skipped_up_the_lattice_is_infeasible_for_the_lp(monkeypatch):
@@ -441,8 +439,7 @@ def test_every_query_skipped_up_the_lattice_is_infeasible_for_the_lp(monkeypatch
             ), (inst, query)
         for query in lattice:
             skipped += 1
-            rows, bounds = query.constraints(inst)
-            res = lp.maximize(lp.LinearProgram(np.ones(inst.n_users), tuple(rows), tuple(bounds)))
+            res = lp.maximize(np.ones(inst.n_users), *query.constraints(inst))
             assert res.status == "infeasible", (inst, query)
     assert skipped > 100
     assert repeated > 100
