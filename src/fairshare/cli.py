@@ -99,11 +99,6 @@ def _parse_instance_document(doc, where: str) -> ProblemInstance:
     entitlements = [
         _parse_number(v, f"{where}: entitlements[{i}]") for i, v in enumerate(ent_raw)
     ]
-    if len(req_raw) != len(entitlements):
-        raise CliError(
-            f"{where}: requirements has {len(req_raw)} rows but there are "
-            f"{len(entitlements)} entitlements"
-        )
     width = None
     requirements = []
     for i, row in enumerate(req_raw):

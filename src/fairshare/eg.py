@@ -26,8 +26,18 @@ w_i = e_i / (R p)_i^2 for users short of 1 and 0 for the full users, those
 with (R p)_i <= e_i. A primal-dual interior point on (p, lambda), where
 lambda stands in for s, solves one m x m system R^T W R + diag(lambda / p)
 per step, and takes 0.99 of the longest step that keeps p and lambda
-positive, with no line search, as in Mehrotra's method (SIAM J. Optim. 2,
-1992). The start is a measured point, as in his rule:
+positive, as in Mehrotra's method (SIAM J. Optim. 2, 1992). That system is
+positive definite, so its direction descends the convex barrier function
+phi(p) - mu sum_j log p_j; a backtracking line search on that function
+keeps the step where w jumps as a user turns full. It runs only where
+u + step du > e differs from u > e; elsewhere each h_i keeps its branch,
+(R p)_i being linear in the step, and the function is smooth. The skip
+rests on a record, not a proof: run at every step, the search halved only
+at such crossings on the suite, the benchmark's programs of seeds 1-10
+(no halving) and 400 degenerate draws (84 halvings). On 400 draws with
+normal entitlements down to 1e-301 it also halves without one in 14, and
+ends 5 more at the iteration cap (377 certify with the skip, 372 without).
+The start is a measured point, as in Mehrotra's rule:
 p = (R^T e / sum_j (R^T e)_j + 1/m) / 2 > 0 sums to 1 = sum_i e_i,
 the bound on the optimum's prices below. Six damped tatonnement steps p <-
 max(p (x(p) R), p / 2) follow, a mirror descent on phi in a Leontief
@@ -121,6 +131,9 @@ _START_SHARE = 0.5  # the starting p's share of the demand-weighted prices
 _START_SLACK = 1e-3  # the floor of the starting lambda
 _TATONNEMENT = 6  # damped price steps before the interior point
 _CENTERING = 0.1  # sigma, the share of p . lambda / m each step aims at
+# Armijo's sufficient-decrease fraction and the halvings it may take.
+_ARMIJO = 1e-4
+_BACKTRACKS = 30
 # Face Newton converges in one or two steps from near the face's optimum.
 _FACE_NEWTON_ITERATIONS = 6
 _FACE_NEWTON_TOL = 1e-15
@@ -152,6 +165,23 @@ def _largest(v: np.ndarray) -> float:
 def _smallest(v: np.ndarray) -> float:
     """The smallest entry of the non-empty ``v``, or NaN if it holds one."""
     return float(v[v.argmin()])
+
+
+def _change(e, u, v, du, dp, q, step, mu) -> float:
+    """phi(p + step dp) - mu sum log(p + step dp) less the same at p, with
+    u = R p, v = max(u, e), du = R dp and q = dp / p. Each term is formed
+    from the step itself, never as the difference of two function values,
+    so the change keeps its relative accuracy where it is many decades
+    below phi."""
+    t = step * du
+    gap = e - u
+    shrink = np.minimum(t, gap) - np.minimum(0.0, gap)  # change in min(u, e)
+    return float(
+        step * np.add.reduce(dp)
+        - np.add.reduce(shrink)
+        - e.dot(np.log1p((t - shrink) / v))
+        - mu * np.add.reduce(np.log1p(step * q))
+    )
 
 
 def _float64_decides(worst: float, n: int) -> bool:
@@ -476,7 +506,8 @@ def _solve(e: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, str]:
         d = lam / p
         mup = mu / p
         # w_i = e_i / u_i^2 = x_i / u_i short of 1, and 0 for the full users.
-        hess = (r.T * (x / v * (u > e))).dot(r)
+        short = u > e
+        hess = (r.T * (x / v * short)).dot(r)
         hess.reshape(-1)[:: m + 1] += d
         descent = mup - s
         try:
@@ -484,12 +515,22 @@ def _solve(e: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, str]:
         except np.linalg.LinAlgError:
             status = "singular"
             break
-        if not math.isfinite(descent.dot(dp)):
+        slope = -float(descent.dot(dp))
+        if not math.isfinite(slope):
             status = "singular"
             break
         dlam = mup - lam - d * dp
-        shrink = -min(_smallest(dp / p), _smallest(dlam / lam))
+        q = dp / p
+        shrink = -min(_smallest(q), _smallest(dlam / lam))
         step = _STEP_TO_BOUNDARY / max(shrink, _STEP_TO_BOUNDARY)
+        # Backtrack on the convex barrier function phi(p) - mu sum log p
+        # where the step changes who is full.
+        du = r.dot(dp)
+        if (u + step * du > e).tobytes() != short.tobytes():
+            for _ in range(_BACKTRACKS):
+                if _change(e, u, v, du, dp, q, step, mu) <= _ARMIJO * step * slope:
+                    break
+                step *= 0.5
         p = p + step * dp
         lam = lam + step * dlam
         u = r.dot(p)

@@ -19,12 +19,12 @@ query's LP is infeasible too; if it was a single point (every probe within
 dedup grain of a witness already found, or nothing. Either way the query is
 skipped. Before that test, a query is rejected when a lower bound on its
 sum, which depends on the assignment alone, exceeds ten times the threshold
-(``FeasibilityQuery.provably_infeasible``, one numpy pass per instance), and
-skipped when an earlier query built the same rows: the LPs are byte-equal
-and the simplex is deterministic. So the witnesses are as if every LP ran,
-up to points inside a point face's dedup grain. Each LP is one
-``lp.maximize_each`` call on the query's rows and upper bounds, which prices
-all its probes at once; ``SolutionFamily.stats`` counts what each rule did.
+(``_rejected``, one numpy pass per instance), and skipped when an earlier
+query built the same rows: the LPs are byte-equal and the simplex is
+deterministic. So the witnesses are as if every LP ran, up to points inside
+a point face's dedup grain. Each LP is one ``lp.maximize_each`` call on the
+query's rows and upper bounds, which prices all its probes at once;
+``SolutionFamily.stats`` counts what each rule did.
 ``grid_search_n2`` walks the feasible boundary curve for two users. Both
 are deliberately independent of the trajectory construction.
 """
@@ -100,48 +100,16 @@ class FeasibilityQuery:
                 rows.append((unit[i], -float(e[i]), "<="))
         return rows, [1.0] * n
 
-    def provably_infeasible(self, inst: ProblemInstance) -> bool:
-        """Whether the LP of ``constraints`` certainly comes out infeasible.
-
-        In that LP the rows ``x_i <= 1`` and the capacity rows ``x R <= 1``
-        are hard (an equality row's artificial only lowers usage), so phase
-        one's least artificial sum is at least
-          * ``e_i - r_{i,a_i}`` for each assigned user i (at most x_i = 1);
-          * ``((lb R)_j - 1) / max_{i: lb_i > 0} r_ij / c_i`` for each
-            column j, where ``lb_i`` is 1 for a user granted in full and
-            ``min(e_i / r_{i,a_i}, 1)`` otherwise, and ``c_i`` is
-            ``r_{i,a_i}`` (1 for a full grant): an artificial d_i lets x_i
-            fall to ``lb_i - d_i / c_i``, and column j must still fit.
-        The query is rejected only when a bound exceeds ten times the LP's
-        threshold ``lp.PHASE_ONE_TOL``, far beyond its rounding, so every
-        rejected query is one the LP would declare infeasible. The rule does
-        not depend on the subset (``_rejected``).
-        """
-        m = inst.n_real_resources
-        return bool(_rejected(inst)[tuple(m if j is None else j for j in self.assignment)])
-
-    def satisfied_by(
-        self, inst: ProblemInstance, x: np.ndarray, tol: float = 1e-5
-    ) -> bool:
-        """Whether ``x`` lies on this query's feasible face within ``tol``."""
+    def satisfied_by(self, inst: ProblemInstance, x: np.ndarray, tol: float = 1e-5) -> bool:
+        """Whether ``x`` lies in [-tol, 1 + tol] and within ``tol`` of every row
+        of ``constraints``, the LP that ``enumerate_solutions`` solves."""
         x = np.asarray(x, dtype=float)
-        if np.min(x) < -tol or np.max(x) > 1.0 + tol:
+        if not (x.min() >= -tol and x.max() <= 1.0 + tol):  # NaN fails too
             return False
-        u = usages(inst, x)
-        for j in range(inst.n_real_resources):
-            if j in self.bottleneck_subset:
-                if abs(u[j] - 1.0) > tol:
-                    return False
-            elif u[j] > 1.0 + tol:
-                return False
-        for i, j in enumerate(self.assignment):
-            if j is None:
-                if x[i] < 1.0 - tol:
-                    return False
-            elif inst.entitlements[i] > 0.0:
-                if x[i] * inst.requirements[i, j] < inst.entitlements[i] - tol:
-                    return False
-        return True
+        return all(
+            abs(c.dot(x) - b) <= tol if rel == "==" else c.dot(x) <= b + tol
+            for c, b, rel in self.constraints(inst)[0]
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -202,11 +170,21 @@ class SolutionFamily:
 
 
 def _rejected(inst: ProblemInstance) -> np.ndarray:
-    """``provably_infeasible`` for every assignment at once.
+    """Whether each assignment's LP certainly comes out infeasible: entry
+    ``[a_0, ..., a_{n-1}]`` of the ``(m+1,) * n`` grid decides user i getting
+    resource a_i (m: a full grant), on any subset.
 
-    Entry ``[a_0, ..., a_{n-1}]`` of the ``(m+1,) * n`` grid decides user i
-    getting resource a_i (m: a full grant). The users add in index order, so
-    each verdict equals a scalar loop's bitwise.
+    In the LP of ``FeasibilityQuery.constraints`` the rows ``x_i <= 1`` and
+    ``x R <= 1`` are hard (an equality row's artificial only lowers usage),
+    so phase one's least artificial sum is at least ``e_i - r_{i,a_i}`` for
+    each assigned user i (at most x_i = 1), and for each column j at least
+    ``((lb R)_j - 1) / max_{i: lb_i > 0} r_ij / c_i``, where ``lb_i`` is 1
+    for a full grant and ``min(e_i / r_{i,a_i}, 1)`` otherwise and ``c_i``
+    is ``r_{i,a_i}`` (1 for a full grant): an artificial d_i lets x_i fall
+    to ``lb_i - d_i / c_i``, and column j must still fit. An entry is True
+    only where a bound exceeds ten times ``lp.PHASE_ONE_TOL``, far beyond
+    the LP's rounding. The users add in index order, so each verdict equals
+    a scalar loop's bitwise.
     """
     n, m = inst.n_users, inst.n_real_resources
     e, r = inst.entitlements[:, None], inst.requirements

@@ -181,9 +181,9 @@ def test_the_degenerate_instances_take_at_most_710_linear_solves_and_208_faces(
     monkeypatch,
 ):
     # The same guard on repeated and proportional columns and entitlements
-    # spread over eight decades, where every answer certifies. The Armijo
-    # line search the interior point once ran took 640 and 179 here, with
-    # answers within 4.2e-16 of these and the same wall time.
+    # spread over eight decades, where every answer certifies. With the
+    # Armijo line search, which halves 84 steps here, they take 640 and 179;
+    # without it they took 710 and 208, with answers within 4.2e-16.
     instances = _degenerate_instances(400)
     counts = _count_work(monkeypatch, instances)
     assert counts["linear solves"] <= 710, counts

@@ -135,6 +135,62 @@ def test_two_user_uniqueness_and_bracketing():
         assert lo - 1e-3 <= witness[0] <= hi + 1e-3
 
 
+def _satisfied_by_reference(query, inst, x, tol):
+    """``FeasibilityQuery.satisfied_by`` as a check per condition, written
+    apart from the LP rows of ``constraints``."""
+    x = np.asarray(x, dtype=float)
+    if np.min(x) < -tol or np.max(x) > 1.0 + tol:
+        return False
+    u = usages(inst, x)
+    for j in range(inst.n_real_resources):
+        if j in query.bottleneck_subset:
+            if abs(u[j] - 1.0) > tol:
+                return False
+        elif u[j] > 1.0 + tol:
+            return False
+    for i, j in enumerate(query.assignment):
+        if j is None:
+            if x[i] < 1.0 - tol:
+                return False
+        elif inst.entitlements[i] > 0.0:
+            if x[i] * inst.requirements[i, j] < inst.entitlements[i] - tol:
+                return False
+    return True
+
+
+def test_satisfied_by_reads_the_lp_rows_as_the_per_condition_check_does():
+    # Every witness, and the witness moved by 2 tol either way along each
+    # coordinate, against every query: on the face, off it by one
+    # condition, and outside [0, 1].
+    tol = 1e-5
+    instances = [load_fixture(name) for name in fixture_names()]
+    instances += [random_instance(s, 1 + s % 4, 1 + 3 * s % 4) for s in range(30)]
+    inside = checked = 0
+    for inst in instances:
+        points = []
+        for w in enumerate_solutions(inst).witnesses:
+            points.append(w.x)
+            for i, sign in product(range(inst.n_users), (2.0, -2.0)):
+                moved = w.x.copy()
+                moved[i] += sign * tol
+                points.append(moved)
+        for query in _queries(inst):
+            for x in points:
+                expected = _satisfied_by_reference(query, inst, x, tol)
+                assert query.satisfied_by(inst, x, tol) is expected, (inst, query, x)
+                inside += expected
+                checked += 1
+    assert 0 < inside < checked
+
+
+def test_satisfied_by_fails_a_nan_allocation():
+    inst = load_fixture("slope2")
+    query = FeasibilityQuery((0,), (0, 0))
+    (witness,) = enumerate_solutions(inst).witnesses
+    assert query.satisfied_by(inst, witness.x)
+    assert not query.satisfied_by(inst, [np.nan, witness.x[1]])
+
+
 def test_solver_lands_in_the_enumerated_solution_set():
     # End-to-end cross-validation on random instances with two to four
     # users: the solver's answer must coincide with an enumerated witness or
@@ -268,7 +324,7 @@ def test_tiny_entries_the_lp_tolerance_admits_keep_their_witness():
         entitlements=[1e-9, 1 - 1e-9], requirements=[[1e-18, 1.0], [1.0, 1.0]]
     )
     query = FeasibilityQuery((0,), (0, 0))
-    assert not query.provably_infeasible(inst)
+    assert not _rejected(inst)[0, 0]
     witnesses = _witnesses(inst)
     assert witnesses == _reference_witnesses(inst)
     assert [(np.frombuffer(w[0]).tolist(), w[2]) for w in witnesses] == [([0.0, 1.0], query)]
@@ -295,8 +351,9 @@ def _soundness_instances():
 def test_every_rejected_query_is_infeasible_for_the_lp():
     rejected = admitted = 0
     for inst in _soundness_instances():
+        m, grid = inst.n_real_resources, _rejected(inst)
         for query in _queries(inst):
-            if not query.provably_infeasible(inst):
+            if not grid[tuple(m if j is None else j for j in query.assignment)]:
                 admitted += 1
                 continue
             rejected += 1
@@ -547,13 +604,6 @@ def test_rejection_grid_matches_the_scalar_rule():
             checked += 1
             rejected += expected
     assert 0 < rejected < checked
-
-
-def test_provably_infeasible_reads_its_own_grid_entry():
-    for inst in _degenerate_rejection_instances():
-        for query in _queries(inst):
-            expected = _scalar_provably_infeasible(inst, query.assignment)
-            assert query.provably_infeasible(inst) is expected, (inst, query)
 
 
 def test_solver_lands_in_the_enumerated_solution_set_five_users():
