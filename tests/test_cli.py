@@ -760,7 +760,7 @@ bottlenecks: {2, 3}
 user 1: justified via resource 3
 user 2: justified via resource 2
 user 3: justified via resource 2
-min residual: 0
+min residual: 1.110223025e-16
 termination: converged | polished: True
 verified: yes
 """,
