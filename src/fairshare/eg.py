@@ -99,13 +99,13 @@ Interior-Point Methods, 1997, ch. 7).
    = t E_S / c_k for a t in [0, 1], and the two fills collapse into F(t) =
    sum_S e_i r_ik / (E_S (a_i + b_i t)) - 1 = 0, a_i = r_ij c_k / c_j, b_i
    = r_ik - a_i, convex on (0, 1) (see ``_root``). S starts as the users
-   who can be short and is read again until it holds; where it returns to a
-   set already read, it cycles, and the stage declines. If x(p) then fits
-   every column and fills each priced one to within 1e-15, the point
-   carries the certificate as it is (x is x(p), p > 0 on the face, and the
-   full users are read off p); where only a fill misses, face Newton on the
-   priced columns finishes it, and where x(p) still overruns columns, face
-   Newton on the priced and the overrun columns, from the pair's prices.
+   who can be short and is read again until it holds, at most 8 times. If
+   x(p) then fits every column and fills each priced one to within 1e-15,
+   the point carries the certificate as it is (x is x(p), p > 0 on the
+   face, and the full users are read off p); where only a fill misses, face
+   Newton on the priced columns finishes it, and where x(p) still overruns
+   columns, face Newton on the priced and the overrun columns, from the
+   pair's prices.
    The stage settles 1,574 of small's 2,070 programs (seeds 1-10) and 125
    of ladder's 450; 524 and 90 of them price two or more columns, and face
    Newton finishes 51 and 25.
@@ -147,11 +147,10 @@ _FACE_TRIES = 3
 _OVERRUNS = 3
 # Stage 2 reads the pair's S up to 8 times (1.06 on small) and takes up to
 # 30 steps per root (3.8); a Halley step below 1e-6 t leaves about 1e-18 t,
-# and ends it, and a root below 2^-30 declines.
+# and ends it.
 _PAIR_ROUNDS = 8
 _PAIR_STEPS = 30
 _PAIR_STOP = 1e-6
-_PAIR_FLOOR = 2.0**-_PAIR_STEPS
 # A root's F is summed on Python floats up to 24 users of S, and by numpy
 # above: the measured crossover (see _root).
 _PAIR_GATE = 24
@@ -410,7 +409,7 @@ def _few_columns(
         k = over
         rk = r[:, k]
         short = np.maximum(rj, rk) * total > e
-        t, seen = 0.0, set()
+        t = 0.0
         for _ in range(_PAIR_ROUNDS):
             cj, ck = 1.0 - rj.dot(~short), 1.0 - rk.dot(~short)
             if not (cj > 0.0 and ck > 0.0):
@@ -429,10 +428,7 @@ def _few_columns(
             u = rj * pj + rk * pk
             if (u > e).tobytes() == short.tobytes():
                 break
-            seen.add(short.tobytes())
             short = u > e
-            if short.tobytes() in seen:  # S cycles
-                return None
         else:
             return None
     p = np.zeros(r.shape[1])
@@ -451,7 +447,8 @@ def _root(a, b, w, t):
     """The root on (0, 1) of F(t) = sum_i w_i / (a_i + b_i t) - 1 from ``t``,
     where each a_i + b_i t > 0, so F is convex, and F(1) <= 0: Halley steps
     inside the bracket F(lo) > 0 >= F(hi), bisection where a step leaves it;
-    None where F > 0 nowhere, or only below 2^-30.
+    None where the bracket keeps lo = 0 through its 30 steps, as where F > 0
+    nowhere or only below 2^-30, which 30 halvings of (0, 1] do not reach.
 
     F, -F' and F''/2 are formed in one pass over the terms: on Python floats
     up to _PAIR_GATE = 24 of them, F summed exactly by math.fsum over the
@@ -463,17 +460,7 @@ def _root(a, b, w, t):
     into (a_i, b_i, w_i) tuples once per root (0.9, 1.2, 2.0, 2.8, 3.6 and
     5.2 us). The pass costs cross near 30 terms, and a root of 3.8 passes
     near 25. Where a denominator rounds to 0, or the exact sum overflows,
-    the step is numpy's, whose inf and NaN the bracket takes as they come.
-
-    Where a step bisects toward lo = 0, the root may lie below 2^-30, where
-    30 halvings of (0, 1] do not reach. Write F(t) = W / t + G(t) - 1, W the
-    sum of w_i / b_i over the terms with a_i = 0 < w_i: G is convex on [0,
-    hi], so G <= max(G(0), 1 + F(hi)) there, and every root lies below W /
-    min(1 - G(0), -F(hi)). Where that bound is below 2^-30 the root declines
-    at once; where W = 0 there is no root. On 400 draws with entitlements
-    down to 5e-324, 13 roots ran all 30 steps and then declined: 11 toward
-    a pole from a user entitled to 1e-20 or less who requests only k, and 2
-    with no root."""
+    the step is numpy's, whose inf and NaN the bracket takes as they come."""
     if not (0.0 < t < 1.0 or (t == 0.0 and _smallest(a) > 0.0)):
         t = 0.5  # F has a pole at 0, or the last root is no start
     if a.size > _PAIR_GATE:
@@ -485,7 +472,7 @@ def _root(a, b, w, t):
 def _halley(a, b, w, t, terms):
     """``_root``'s steps from ``t``, on the (a_i, b_i, w_i) ``terms`` as
     Python floats, or on the arrays where ``terms`` is None."""
-    lo, hi, pole = 0.0, 1.0, None
+    lo, hi = 0.0, 1.0
     for _ in range(_PAIR_STEPS):
         try:
             f, g, h = _terms(a, b, w, t, terms)
@@ -505,11 +492,6 @@ def _halley(a, b, w, t, terms):
                 nxt = t + step
         if not lo < nxt < hi:
             break
-        if lo == 0.0 and nxt == 0.5 * hi:
-            if pole is None:
-                pole = _pole(a, b, w)
-            if pole[0] < _PAIR_FLOOR * min(pole[1], -f):
-                return None
         t = nxt
     return t if lo > 0.0 else None
 
@@ -531,17 +513,6 @@ def _terms(a, b, w, t, terms):
         g += qy
         h += qy * y
     return math.fsum(qs), g, h
-
-
-@np.errstate(divide="ignore", over="ignore", invalid="ignore")
-def _pole(a, b, w) -> tuple[float, float]:
-    """W and 1 - G(0) for F(t) = W / t + G(t) - 1 (see ``_root``)."""
-    pole = (a == 0.0) & (w > 0.0)
-    rest = a > 0.0
-    return (
-        float(np.add.reduce(w[pole] / b[pole])),
-        1.0 - float(np.add.reduce(w[rest] / a[rest])),
-    )
 
 
 def _solve(e: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, str]:

@@ -252,10 +252,9 @@ class VerificationReport:
             )
         else:
             lines.append("envy: OK (single user)")
-        lines.append(
-            f"sharing incentive: {'OK' if self.sharing.ok else 'FAIL'} "
-            f"(min margin {float(np.min(self.sharing.margins)):.10g})"
-        )
+        margins = self.sharing.margins
+        least = f"min margin {float(np.min(margins)):.10g}" if margins.size else "no users"
+        lines.append(f"sharing incentive: {'OK' if self.sharing.ok else 'FAIL'} ({least})")
         lines.append(f"overall: {'PASS' if self.passed else 'FAIL'}")
         return "\n".join(lines)
 

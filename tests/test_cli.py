@@ -475,6 +475,12 @@ MALFORMED = {
         "doc.json",
     ),
     "no-allocation": (("verify", "slope2"), None, "--allocation"),
+    "no-requirements": (
+        ("solve", "{doc}"),
+        {"entitlements": [1.0], "requirements": []},
+        "'requirements'",
+    ),
+    "compare-without-instance": (("compare",), None, "--middles"),
 }
 
 
@@ -525,6 +531,12 @@ def test_name_array_mismatch_is_input_error(tmp_path, capsys):
     code, _, err = run(capsys, "solve", str(path))
     assert code == 2
     assert "user_names" in err
+
+
+def test_an_instance_path_that_is_a_directory_is_an_input_error(tmp_path, capsys):
+    code, out, err = run(capsys, "solve", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {tmp_path}: ") and err.count("\n") == 1, err
 
 
 def test_fraction_strings_accepted_in_documents(tmp_path, capsys):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fairshare import eg
-from fairshare.fixtures import load_fixture
+from fairshare.fixtures import fixture_names, load_fixture
 from fairshare.model import (
     ProblemInstance,
     ToleranceConfig,
@@ -158,6 +158,34 @@ def test_instance_arrays_are_read_only():
     inst = load_fixture("slope2")
     with pytest.raises(ValueError):
         inst.requirements[0, 0] = 0.9
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"entitlements": [[0.5, 0.5]], "requirements": [[1.0]]}, "entitlements must be a vector"),
+        ({"entitlements": [1.0], "requirements": [0.5]}, "requirements must be a 2-D matrix"),
+        (
+            {"entitlements": [1.0], "requirements": [[0.5, 0.5]], "resource_names": ("cpu",)},
+            "resource_names length",
+        ),
+    ],
+    ids=["entitlements-2-D", "requirements-1-D", "resource-names-short"],
+)
+def test_an_instance_of_the_wrong_shape_is_refused(fields, message):
+    with pytest.raises(ValueError, match=message):
+        ProblemInstance(**fields)
+
+
+def test_usages_refuses_an_allocation_of_the_wrong_shape():
+    with pytest.raises(ValueError, match=r"allocation has shape \(1,\), expected \(2,\)"):
+        usages(load_fixture("slope2"), [0.5])
+
+
+def test_an_unknown_fixture_name_is_a_key_error_that_lists_the_fixtures():
+    with pytest.raises(KeyError, match="unknown fixture 'no_such_fixture'") as err:
+        load_fixture("no_such_fixture")
+    assert all(name in str(err.value) for name in fixture_names())
 
 
 def test_resource_usage_greedy3_partial_allocation():

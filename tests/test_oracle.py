@@ -160,8 +160,11 @@ def _satisfied_by_reference(query, inst, x, tol):
 
 def test_satisfied_by_reads_the_lp_rows_as_the_per_condition_check_does():
     # Every witness, and the witness moved by 2 tol either way along each
-    # coordinate, against every query: on the face, off it by one
-    # condition, and outside [0, 1].
+    # coordinate, against every distinct LP: on the face, off it by one
+    # condition, and outside [0, 1]. Both checks read only the subset and
+    # each user's row, so one query stands for all that share them, keyed
+    # as enumerate_solutions keys its repeats: "full" for x_i = 1, "none"
+    # where e_i is 0, else the exact r_ij.
     tol = 1e-5
     instances = [load_fixture(name) for name in fixture_names()]
     instances += [random_instance(s, 1 + s % 4, 1 + 3 * s % 4) for s in range(30)]
@@ -174,7 +177,16 @@ def test_satisfied_by_reads_the_lp_rows_as_the_per_condition_check_does():
                 moved = w.x.copy()
                 moved[i] += sign * tol
                 points.append(moved)
+        r, e = inst.requirements, inst.entitlements
+        tested = set()
         for query in _queries(inst):
+            rows = tuple(
+                "full" if j is None else float(r[i, j]) if e[i] > 0.0 else "none"
+                for i, j in enumerate(query.assignment)
+            )
+            if (query.bottleneck_subset, rows) in tested:
+                continue
+            tested.add((query.bottleneck_subset, rows))
             for x in points:
                 expected = _satisfied_by_reference(query, inst, x, tol)
                 assert query.satisfied_by(inst, x, tol) is expected, (inst, query, x)

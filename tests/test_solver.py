@@ -174,6 +174,48 @@ def test_integration_stops_at_the_first_sample_below_the_slack_floor(name):
     assert all(v >= _SLACK_FLOOR for v in mins[:-1])
 
 
+def _assert_on_the_defining_system(lifted, points):
+    """Each sample at level t has f(x) = t and x_i g_i = c e_i: the ratios
+    x_i nu_i / e_i agree across the entitled users."""
+    e = lifted.entitlements
+    for p in points:
+        assert abs(p.f_value - p.t) <= 1e-6
+        ratios = (p.x * p.normal)[e > 0] / e[e > 0]
+        assert np.ptp(ratios) <= 1e-6 * max(1.0, float(np.max(np.abs(ratios))))
+
+
+def test_a_run_that_cannot_project_past_level_1_ends_in_step_underflow(monkeypatch):
+    # Past level 1 every projection fails, so h halves below its minimum and
+    # the run returns the samples it accepted.
+    project = fairshare.solver._project
+
+    def failing(inst, e, x, t):
+        if t > 1.0:
+            raise DomainBoundaryError("past level 1")
+        return project(inst, e, x, t)
+
+    monkeypatch.setattr(fairshare.solver, "_project", failing)
+    lifted = _lifted("greedy3")
+    points, termination = integrate_trajectory(lifted)
+    assert termination == "step_underflow"
+    assert len(points) > 1 and points[-1].t <= 1.0
+    _assert_on_the_defining_system(lifted, points)
+
+
+def test_a_level_budget_that_ends_before_the_slack_floor_ends_in_t_max_reached(monkeypatch):
+    # The budget is _T_MAX plus a grant per column; a _T_MAX that leaves a
+    # budget of 2 ends the run at level 2, above the slack floor.
+    lifted = _lifted("greedy3")
+    e = lifted.entitlements
+    grant = lifted.m * (np.log(1.0 / _SLACK_FLOOR) + np.log(1.0 / e.min()))
+    monkeypatch.setattr(fairshare.solver, "_T_MAX", 2.0 - grant)
+    points, termination = integrate_trajectory(lifted)
+    assert termination == "t_max_reached"
+    assert len(points) > 1 and points[-1].t == pytest.approx(2.0, abs=1e-12)
+    assert min(float(np.min(p.slacks)) for p in points) >= _SLACK_FLOOR
+    _assert_on_the_defining_system(lifted, points)
+
+
 def test_the_fixtures_trajectories_take_at_most_541_derivatives_and_2071_linear_solves(
     monkeypatch,
 ):
@@ -663,8 +705,4 @@ def test_trajectory_alignment_ratio_is_constant_across_users():
     # x_i nu_i / e_i agree across users with positive entitlement.
     lifted = _lifted("greedy3")
     points, _ = integrate_trajectory(lifted)
-    e = lifted.entitlements
-    for p in points[1:]:
-        ratios = (p.x * p.normal)[e > 0] / e[e > 0]
-        spread = float(np.max(ratios) - np.min(ratios))
-        assert spread <= 1e-6 * max(1.0, float(np.max(np.abs(ratios))))
+    _assert_on_the_defining_system(lifted, points)

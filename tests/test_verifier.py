@@ -597,3 +597,12 @@ def test_a_nan_in_the_allocation_or_in_a_usage_fails_the_verdict():
     assert report.njc_ok and report.out_of_range == ()
     assert not report.capacity.ok and report.capacity.worst_resource == 1
     assert not report.passed
+
+
+def test_a_report_with_no_users_renders_as_its_document_reads():
+    inst = ProblemInstance(entitlements=np.zeros(0), requirements=np.zeros((0, 2)))
+    report = verify(inst, np.zeros(0))
+    assert report.to_dict()["passed"]
+    text = report.render()
+    assert "sharing incentive: OK (no users)" in text.splitlines()
+    assert text.endswith("overall: PASS")
